@@ -103,6 +103,10 @@ class SpeedSeries:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            slot = int(np.flatnonzero(~finite)[0])
+            raise SchemaError(f"road {self.road_id}: non-finite speed value at slot {slot}")
         if np.any(self.values < 0):
             raise SchemaError(f"road {self.road_id}: negative speed value")
 
@@ -607,6 +611,8 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
         speed = _parse_float(no, "speed_kmh", row[2], series_path)
         if not 0 <= road < n:
             raise SchemaError(f"{series_path}: row {no}: road_id {road} not in graph")
+        if not math.isfinite(speed):
+            raise SchemaError(f"{series_path}: row {no}: field 'speed_kmh' is not finite: {row[2]!r}")
         if speed < 0:
             raise SchemaError(f"{series_path}: row {no}: negative speed {speed}")
         slots = per_road_speeds.setdefault(road, {})

@@ -6,6 +6,12 @@ learnable Chebyshev approximation), aggregate 1..h hop neighbors through
 correlation-kernel graph convolution filters, encode the hop-feature sequence
 and the target's own window with two LSTM stacks, and emit the channel output
 through a fully connected head.
+
+Each non-empty hop is one autodiff node (:func:`gcn_hop`): a batched bilinear
+score over all of the hop's neighbors, the Chebyshev kernel and the sum over
+neighbors, with a hand-written backward pass.  :func:`correlation_scores` and
+:func:`_kernel_response` compose the same arithmetic one neighbor at a time
+and serve as the tests' reference.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from . import autodiff as ad
 from . import graphdata as gd
 from . import nnlayers as nn
 from .autodiff import DiffValue
-from .errors import ConfigError, MissingDataError
+from .errors import ConfigError, MissingDataError, ShapeMismatch
 from .nnlayers import CpaParams, Dropout, FnnParams, LstmStack
 
 CHANNELS = ("speed", "trend", "deviation")
@@ -133,7 +139,11 @@ def init_gcn(rng, embed_len: int, filters: int, order: int, hops: int) -> GcnPar
 
 
 def correlation_scores(params: GcnParams, target_emb: DiffValue, neighbor_emb: DiffValue) -> DiffValue:
-    """Sigmoid bilinear scores u = sigma(e_i' M_f e_j) for every filter: (B, filters)."""
+    """Sigmoid bilinear scores u = sigma(e_i' M_f e_j) for every filter: (B, filters).
+
+    Composed from elementary ops for one neighbor; the forward pass runs
+    :func:`gcn_hop` instead, and the tests hold it to this.
+    """
     batch = target_emb.data.shape[0]
     c = params.embed_len
     mixed = ad.matmul(neighbor_emb, ad.transpose(params.correlation))  # (B, F*c)
@@ -143,7 +153,10 @@ def correlation_scores(params: GcnParams, target_emb: DiffValue, neighbor_emb: D
 
 
 def _kernel_response(params: GcnParams, scores: DiffValue) -> DiffValue:
-    """f(u) = sum_l z_l T_l(2u - 1) per filter, summed over the kernel orders."""
+    """f(u) = sum_l z_l T_l(2u - 1) per filter, summed over the kernel orders.
+
+    Composed reference for :func:`gcn_hop`, kept for the tests.
+    """
     mapped = ad.subtract(ad.multiply(scores, 2.0), 1.0)
     feats = nn.chebyshev_features(mapped, params.order)
     out = None
@@ -153,6 +166,57 @@ def _kernel_response(params: GcnParams, scores: DiffValue) -> DiffValue:
     return out
 
 
+def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: list[DiffValue]) -> DiffValue:
+    """One hop's aggregated feature, sum_j f(u_ij), as a single autodiff node: (B, filters).
+
+    Scores every neighbor with one batched bilinear product, maps them
+    through the Chebyshev kernel and sums over neighbors, in the order
+    :func:`correlation_scores` and :func:`_kernel_response` compose it, so
+    the values are bit-identical.  The backward pass runs the derivative
+    recurrence T'_l = 2 T_{l-1} + 2x T'_{l-1} - T'_{l-2} and reaches
+    ``correlation``, ``kernel`` and every embedding that needs a gradient.
+    """
+    if not neighbors:
+        raise ShapeMismatch("gcn_hop: a hop needs at least one neighbor")
+    batch, c = target_emb.data.shape
+    filters, order = params.filters, params.order
+    target = target_emb.data
+    emb = np.stack([e.data for e in neighbors])  # (N, B, c)
+    corr_t = params.correlation.data.T.copy()  # (c, F*c)
+    kernel = params.kernel.data  # (F, order)
+    mixed = np.matmul(emb, corr_t).reshape(len(neighbors), batch, filters, c)
+    with np.errstate(over="ignore"):
+        scores = 1.0 / (1.0 + np.exp(-(mixed * target[:, None, :]).sum(axis=3)))  # (N, B, F)
+    mapped = scores * 2.0 - 1.0
+    basis = nn.chebyshev_basis(mapped, order)  # (order, N, B, F)
+    response = basis[0] * kernel[:, 0]
+    for l in range(1, order):
+        response = response + basis[l] * kernel[:, l]
+    total = response[0]
+    for r in response[1:]:
+        total = total + r
+
+    def backward(g):
+        slopes = [np.ones_like(mapped)]  # T'_1 .. T'_order at the mapped scores
+        if order >= 2:
+            slopes.append(4.0 * mapped)
+        for l in range(2, order):
+            slopes.append(2.0 * basis[l - 1] + 2.0 * mapped * slopes[-1] - slopes[-2])
+        d_mapped = sum(slope * kernel[:, l] for l, slope in enumerate(slopes))
+        d_scores = g * d_mapped * 2.0 * scores * (1.0 - scores)  # (N, B, F)
+        d_mixed = d_scores[..., None] * target[:, None, :]  # (N, B, F, c)
+        ad._accumulate(params.kernel, (g * basis).sum(axis=(1, 2)).T)
+        ad._accumulate(params.correlation, d_mixed.reshape(-1, filters * c).T @ emb.reshape(-1, c))
+        if target_emb._needs:
+            ad._accumulate(target_emb, (d_scores[..., None] * mixed).sum(axis=(0, 2)))
+        if any(e._needs for e in neighbors):
+            d_emb = d_mixed.reshape(len(neighbors), batch, filters * c) @ corr_t.T
+            for e, d in zip(neighbors, d_emb):
+                ad._accumulate(e, d)
+
+    return ad._node(total, (params.correlation, params.kernel, target_emb, *neighbors), backward)
+
+
 def gcn_hop_features(
     params: GcnParams,
     target_emb: DiffValue,
@@ -160,17 +224,11 @@ def gcn_hop_features(
 ) -> list[DiffValue]:
     """Aggregate each hop's neighbors into a (B, filters) feature; empty hops are zero."""
     batch = target_emb.data.shape[0]
-    features = []
-    for neighbors in hop_embeddings:
-        total = None
-        for emb in neighbors:
-            scores = correlation_scores(params, target_emb, emb)
-            response = _kernel_response(params, scores)
-            total = response if total is None else ad.add(total, response)
-        if total is None:
-            total = ad.constant(np.zeros((batch, params.filters)))
-        features.append(total)
-    return features
+    return [
+        gcn_hop(params, target_emb, neighbors) if neighbors
+        else ad.constant(np.zeros((batch, params.filters)))
+        for neighbors in hop_embeddings
+    ]
 
 
 def gcn_aggregate(
@@ -303,8 +361,7 @@ def hsc_forward_batch(
     ]
     hop_features = gcn_hop_features(params.gcn, target_emb, hop_embs)
     h_neigh = nn.lstm_sequence(params.lstm_neigh, hop_features, drop)
-    self_steps = [ad.constant(target_windows[:, k : k + 1]) for k in range(target_windows.shape[1])]
-    h_self = nn.lstm_sequence(params.lstm_self, self_steps, drop)
+    h_self = nn.lstm_sequence(params.lstm_self, target_windows.T[:, :, None], drop)
     joined = ad.concat([h_neigh, h_self], axis=1)
     return nn.fnn_forward(params.head, joined, drop)
 

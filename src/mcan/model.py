@@ -12,7 +12,7 @@ and neighbor sets agree); the per-sample functions mirror it one row at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -502,8 +502,9 @@ def _msc_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
     return features, outputs
 
 
-def _sequence_steps(stacked: np.ndarray) -> list[DiffValue]:
-    return [ad.constant(stacked[:, k, :]) for k in range(stacked.shape[1])]
+def _sequence_steps(stacked: np.ndarray) -> np.ndarray:
+    """The ``(T, B, d)`` per-step view of a ``(B, T, d)`` batch of sequences."""
+    return stacked.transpose(1, 0, 2)
 
 
 def _mtc_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
@@ -673,23 +674,8 @@ def save_checkpoint(path, params: McanParams, means: np.ndarray, stds: np.ndarra
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "config": {
-            "horizon": config.horizon,
-            "recent_steps": config.recent_steps,
-            "daily_steps": config.daily_steps,
-            "weekly_steps": config.weekly_steps,
-            "embed_len": config.embed_len,
-            "hops": config.hops,
-            "filters": config.filters,
-            "cpa_order": config.cpa_order,
-            "gcn_order": config.gcn_order,
-            "hidden_size": config.hidden_size,
-            "lstm_layers": config.lstm_layers,
-            "fnn_layers": config.fnn_layers,
-            "alpha": config.alpha,
-            "beta": config.beta,
+            **{f.name: getattr(config, f.name) for f in fields(ModelConfig)},
             "ablations": sorted(config.ablations),
-            "weather_code_count": config.weather_code_count,
-            "road_type_count": config.road_type_count,
             **(extra_config or {}),
         },
         "parameters": {
@@ -705,52 +691,54 @@ def save_checkpoint(path, params: McanParams, means: np.ndarray, stds: np.ndarra
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def _entry(mapping, key: str, path, where: str = ""):
+    """``mapping[key]``, or a SchemaError naming the missing checkpoint key."""
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise SchemaError(f"{path}: checkpoint is missing key {where + key!r}")
+    return mapping[key]
+
+
 def load_checkpoint(path):
-    """Returns (params, means, stds, ybar, config echo dict)."""
+    """Returns (params, means, stds, ybar, config echo dict).
+
+    Every key the loader reads is checked first; a missing one raises
+    :class:`SchemaError` naming it.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid checkpoint JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: checkpoint must be a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise SchemaError(
             f"{path}: unsupported checkpoint format version {doc.get('format_version')}"
         )
-    cfg = doc["config"]
-    config = ModelConfig(
-        horizon=cfg["horizon"],
-        recent_steps=cfg["recent_steps"],
-        daily_steps=cfg["daily_steps"],
-        weekly_steps=cfg["weekly_steps"],
-        embed_len=cfg["embed_len"],
-        hops=cfg["hops"],
-        filters=cfg["filters"],
-        cpa_order=cfg["cpa_order"],
-        gcn_order=cfg["gcn_order"],
-        hidden_size=cfg["hidden_size"],
-        lstm_layers=cfg["lstm_layers"],
-        fnn_layers=cfg["fnn_layers"],
-        alpha=cfg["alpha"],
-        beta=cfg["beta"],
-        ablations=frozenset(cfg["ablations"]),
-        weather_code_count=cfg["weather_code_count"],
-        road_type_count=cfg["road_type_count"],
-    )
+    cfg = _entry(doc, "config", path)
+    values = {f.name: _entry(cfg, f.name, path, "config.") for f in fields(ModelConfig)}
+    config = ModelConfig(**{**values, "ablations": frozenset(values["ablations"])})
     params = init_mcan(config, np.random.default_rng(0))
-    stored = doc["parameters"]
+    stored = _entry(doc, "parameters", path)
     for name, p in named_parameters(params):
-        if name not in stored:
-            raise SchemaError(f"{path}: checkpoint is missing parameter {name!r}")
-        entry = stored[name]
-        if tuple(entry["shape"]) != p.data.shape:
+        entry = _entry(stored, name, path, "parameters.")
+        shape = _entry(entry, "shape", path, f"parameters.{name}.")
+        if tuple(shape) != p.data.shape:
             raise SchemaError(
-                f"{path}: parameter {name!r} has shape {entry['shape']}, expected {list(p.data.shape)}"
+                f"{path}: parameter {name!r} has shape {shape}, expected {list(p.data.shape)}"
             )
-        p.data[...] = np.asarray(entry["values"], dtype=np.float64).reshape(p.data.shape)
-    state = doc["state"]
-    means = np.asarray(state["mean"], dtype=np.float64)
-    stds = np.asarray(state["std"], dtype=np.float64)
+        try:
+            p.data[...] = np.asarray(_entry(entry, "values", path, f"parameters.{name}."),
+                                     dtype=np.float64).reshape(p.data.shape)
+        except (TypeError, ValueError):
+            raise SchemaError(
+                f"{path}: parameter {name!r} values do not fill shape {list(p.data.shape)}"
+            ) from None
+    state = _entry(doc, "state", path)
+    means = np.asarray(_entry(state, "mean", path, "state."), dtype=np.float64)
+    stds = np.asarray(_entry(state, "std", path, "state."), dtype=np.float64)
+    daily = _entry(state, "daily_average", path, "state.")
     ybar = [
-        np.asarray(state["daily_average"][str(road)], dtype=np.float64)
+        np.asarray(_entry(daily, str(road), path, "state.daily_average."), dtype=np.float64)
         for road in range(len(means))
     ]
     return params, means, stds, ybar, cfg

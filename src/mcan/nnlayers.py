@@ -4,6 +4,11 @@ All forward functions accept either a single vector or a ``(batch, dim)``
 matrix; the batched form is what the trainer uses.  Parameters are plain
 dataclasses holding :class:`~mcan.autodiff.DiffValue` leaves so one
 ``named_parameters`` walk can feed both the optimizer and the checkpoint.
+
+Each LSTM layer runs over its whole sequence as one autodiff node
+(:func:`lstm_layer`) with a hand-written backward pass through time; the
+composed :func:`lstm_step` stays as the reference the tests check it
+against, by value and by finite differences.
 """
 
 from __future__ import annotations
@@ -160,7 +165,12 @@ def init_lstm_stack(rng, input_size: int, hidden_size: int, layers: int) -> Lstm
 
 
 def lstm_step(params: LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffValue]:
-    """One LSTM cell update: three sigmoid gates, tanh candidate, new state."""
+    """One LSTM cell update: three sigmoid gates, tanh candidate, new state.
+
+    Composed from elementary ops, one gate at a time.  Training and
+    evaluation run :func:`lstm_layer` instead; this is the readable form of
+    the cell equations that the tests hold the fused layer to.
+    """
     x = x if isinstance(x, DiffValue) else ad.constant(x)
     vector_in = x.data.ndim == 1
     if vector_in:
@@ -185,35 +195,115 @@ def lstm_step(params: LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffVal
     return h_new, c_new
 
 
+def lstm_layer(params: LstmParams, inputs) -> DiffValue:
+    """One LSTM layer over a whole sequence as a single autodiff node.
+
+    ``inputs`` is either the ``(T, B, in)`` output of the layer below or a
+    sequence of T per-step ``(B, in)`` values (arrays or DiffValues); the
+    result is the ``(T, B, H)`` hidden sequence from zero initial states.
+
+    The four gates' weights are stacked so one batched matmul projects every
+    step's input and one per step mixes in the previous hidden state (the
+    gate fusion of Appleyard et al., arXiv:1604.01946).  BLAS still sees the
+    per-gate ``(B, in) @ (in, H)`` products of :func:`lstm_step`, and each
+    step adds and activates in its order, so the values equal those of a
+    chain of cell updates bit for bit.  Backpropagation through time is
+    written out below and reaches the 12 gate leaves and every input that
+    requires a gradient.
+    """
+    if isinstance(inputs, DiffValue):
+        x = inputs.data
+        sources = [(inputs, slice(None))] if inputs._needs else []
+    else:
+        x = np.stack([s.data if isinstance(s, DiffValue) else np.asarray(s, dtype=np.float64)
+                      for s in inputs])
+        sources = [(s, t) for t, s in enumerate(inputs) if isinstance(s, DiffValue) and s._needs]
+    if x.ndim == 2:  # a sequence of unbatched vectors
+        x = x[:, None, :]
+    if x.ndim != 3 or x.shape[2] != params.input_size:
+        raise ShapeMismatch(
+            f"lstm_layer: input of shape {x.shape} does not have width {params.input_size}"
+        )
+    steps, batch, width = x.shape
+    hidden = params.hidden_size
+    # Gate order i, f, o (sigmoid), then the tanh candidate c.
+    leaves = (params.w_ix, params.w_fx, params.w_ox, params.w_cx,
+              params.w_ih, params.w_fh, params.w_oh, params.w_ch,
+              params.b_i, params.b_f, params.b_o, params.b_c)
+    w_x = np.stack([p.data for p in leaves[0:4]])  # (4, in, H)
+    w_h = np.stack([p.data for p in leaves[4:8]])  # (4, H, H)
+    bias = np.stack([p.data for p in leaves[8:12]])[:, None, :]  # (4, 1, H)
+    x_proj = np.matmul(x[:, None], w_x)  # (T, 4, B, H)
+
+    acts = np.empty((steps, 4, batch, hidden))
+    h_seq = np.zeros((steps + 1, batch, hidden))  # h_seq[t] is the state before step t
+    c_seq = np.zeros((steps + 1, batch, hidden))
+    tanh_c = np.empty((steps, batch, hidden))
+    for t in range(steps):
+        pre = x_proj[t] + np.matmul(h_seq[t], w_h) + bias
+        with np.errstate(over="ignore"):
+            acts[t, :3] = 1.0 / (1.0 + np.exp(-pre[:3]))
+        acts[t, 3] = np.tanh(pre[3])
+        gate_i, gate_f, gate_o, cand = acts[t]
+        c_seq[t + 1] = gate_i * cand + gate_f * c_seq[t]
+        tanh_c[t] = np.tanh(c_seq[t + 1])
+        h_seq[t + 1] = gate_o * tanh_c[t]
+
+    def backward(g):
+        d_pre = np.empty((4, steps, batch, hidden))
+        w_h_t = w_h.transpose(0, 2, 1)
+        dh_next = np.zeros((batch, hidden))
+        dc_next = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            gate_i, gate_f, gate_o, cand = acts[t]
+            dh = g[t] + dh_next
+            dc = dh * gate_o * (1.0 - tanh_c[t] * tanh_c[t]) + dc_next
+            d_pre[0, t] = dc * cand * gate_i * (1.0 - gate_i)
+            d_pre[1, t] = dc * c_seq[t] * gate_f * (1.0 - gate_f)
+            d_pre[2, t] = dh * tanh_c[t] * gate_o * (1.0 - gate_o)
+            d_pre[3, t] = dc * gate_i * (1.0 - cand * cand)
+            dc_next = dc * gate_f
+            if t > 0:
+                dh_next = np.matmul(d_pre[:, t], w_h_t).sum(axis=0)
+        d_flat = d_pre.reshape(4, steps * batch, hidden)
+        x_flat = x.reshape(steps * batch, width)
+        h_flat = h_seq[:-1].reshape(steps * batch, hidden)
+        grads = (list(x_flat.T @ d_flat) + list(h_flat.T @ d_flat)
+                 + list(d_flat.sum(axis=1)))
+        for leaf, grad in zip(leaves, grads):
+            ad._accumulate(leaf, grad)
+        if sources:
+            dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0)
+            dx = dx.reshape(steps, batch, width)
+            for source, where in sources:
+                ad._accumulate(source, dx[where].reshape(source.data.shape))
+
+    return ad._node(h_seq[1:], leaves + tuple(s for s, _ in sources), backward)
+
+
 def lstm_sequence(stack: LstmStack | LstmParams, inputs, drop: Dropout | None = None) -> DiffValue:
     """Run a (stacked) LSTM over a sequence of inputs; returns the final hidden state.
 
-    ``inputs`` is a list of per-step vectors or ``(batch, dim)`` values; the
-    initial hidden and cell states are zero.  Dropout, when active, is applied
-    to the hidden sequence between layers.
+    ``inputs`` is a sequence of per-step vectors or ``(batch, dim)`` values
+    (a ``(T, batch, dim)`` array is one); the initial hidden and cell states
+    are zero.  Each layer is one :func:`lstm_layer` node.  Dropout, when
+    active, is applied to the hidden sequence between layers as one
+    ``(T, B, H)`` mask, which draws the same random numbers as one ``(B, H)``
+    mask per step.
     """
     if isinstance(stack, LstmParams):
         stack = LstmStack([stack])
     if len(inputs) == 0:
         raise ShapeMismatch("lstm_sequence: empty input sequence")
-    steps = [x if isinstance(x, DiffValue) else ad.constant(x) for x in inputs]
-    batched = steps[0].data.ndim == 2
-    batch = steps[0].data.shape[0] if batched else 1
-    h_final = None
+    first = inputs[0]
+    vector_in = (first.data if isinstance(first, DiffValue) else np.asarray(first)).ndim == 1
+    seq = inputs
     for depth, cell in enumerate(stack.cells):
-        hidden = cell.hidden_size
-        shape = (batch, hidden) if batched else (hidden,)
-        h = ad.constant(np.zeros(shape))
-        c = ad.constant(np.zeros(shape))
-        outputs = []
-        for x in steps:
-            h, c = lstm_step(cell, x, h, c)
-            outputs.append(h)
-        if depth < len(stack.cells) - 1 and drop is not None:
-            outputs = [_maybe_drop(o, drop) for o in outputs]
-        steps = outputs
-        h_final = h
-    return h_final
+        if depth > 0:
+            seq = _maybe_drop(seq, drop)
+        seq = lstm_layer(cell, seq)
+    h_final = seq[-1]
+    return ad.reshape(h_final, (-1,)) if vector_in else h_final
 
 
 # ---------------------------------------------------------------------------

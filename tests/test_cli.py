@@ -111,6 +111,19 @@ class TestTrain:
         args = train_args(tmp_path, tmp_path / "nowhere", "gone")
         assert cli.main(args) == 2
 
+    def test_non_finite_speed_is_runtime_error(self, tmp_path, data_dir, capsys):
+        bad = tmp_path / "bad_data"
+        bad.mkdir()
+        for name in ("graph.json", "context.csv"):
+            (bad / name).write_bytes((data_dir / name).read_bytes())
+        lines = (data_dir / "series.csv").read_text().splitlines()
+        road, slot, _ = lines[5].split(",")
+        lines[5] = f"{road},{slot},nan"
+        (bad / "series.csv").write_text("\n".join(lines) + "\n")
+        assert cli.main(train_args(tmp_path, bad, "nan_run")) == 2
+        err = capsys.readouterr().err
+        assert "series.csv: row 6: field 'speed_kmh' is not finite" in err
+
 
 class TestEvaluate:
     def test_metrics_table_and_summary(self, tmp_path, data_dir, trained_dir, capsys):
@@ -153,6 +166,22 @@ class TestEvaluate:
             eval_split="validation",
         )
         assert cli.main(["evaluate", "--config", config]) == 1
+
+    def test_malformed_checkpoint_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        del doc["config"]["hops"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        config = write_config(
+            tmp_path / "eval_broken.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            checkpoint_path=str(broken),
+            output_dir=str(tmp_path / "eval_broken"),
+        )
+        assert cli.main(["evaluate", "--config", config]) == 2
+        assert "missing key 'config.hops'" in capsys.readouterr().err
 
 
 class TestPredict:

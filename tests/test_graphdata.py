@@ -334,6 +334,22 @@ class TestFileRoundTrip:
         with pytest.raises(SchemaError, match=r"row 4.*speed_kmh"):
             gd.load_dataset(*paths)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_speed_names_file_row_and_field(self, tmp_path, raw):
+        config = gd.GeneratorConfig(n_roads=1, intervals=(60,), days=1)
+        dataset = gd.generate_synthetic(config, seed=5)
+        paths = (tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "c.csv")
+        gd.write_dataset(dataset, *paths)
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        lines[3] = f"0,2,{raw}"
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"s\.csv: row 4: field 'speed_kmh' is not finite"):
+            gd.load_dataset(*paths)
+
+    def test_series_rejects_non_finite_values(self):
+        with pytest.raises(SchemaError, match="road 3: non-finite speed value at slot 1"):
+            gd.SpeedSeries(road_id=3, start_slot=0, values=[40.0, np.nan, 41.0])
+
 
 class TestPlantedPair:
     def test_same_frequency_and_shape(self):

@@ -333,3 +333,78 @@ class TestHourWindows:
         values = np.arange(4.0)
         with pytest.raises(MissingDataError, match="trend"):
             hsc.channel_window(values, np.array([0.0]), np.array([0, 1]), "trend")
+
+
+def composed_hop(params, target, neighbors):
+    """Reference for the fused hop: per-neighbor scores and kernel response."""
+    total = None
+    for emb in neighbors:
+        response = hsc._kernel_response(params, hsc.correlation_scores(params, target, emb))
+        total = response if total is None else ad.add(total, response)
+    return total
+
+
+class TestGcnHop:
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_matches_composed_path(self, order, count):
+        rng = np.random.default_rng(200 + 10 * order + count)
+        params = hsc.init_gcn(rng, 6, 3, order, 2)
+        target = ad.constant(rng.normal(scale=2.0, size=(5, 6)))
+        neighbors = [ad.constant(rng.normal(scale=2.0, size=(5, 6))) for _ in range(count)]
+        fused = hsc.gcn_hop(params, target, neighbors)
+        assert fused.data.shape == (5, 3)
+        assert np.abs(fused.data - composed_hop(params, target, neighbors).data).max() < 1e-12
+
+    def test_empty_hops_are_zero_constants(self):
+        rng = np.random.default_rng(211)
+        params = hsc.init_gcn(rng, 4, 2, 3, 3)
+        target = ad.parameter(rng.normal(size=(3, 4)))
+        neighbor = ad.constant(rng.normal(size=(3, 4)))
+        features = hsc.gcn_hop_features(params, target, [[], [neighbor], []])
+        assert np.array_equal(features[0].data, np.zeros((3, 2)))
+        assert np.array_equal(features[2].data, np.zeros((3, 2)))
+        assert not features[0].requires_grad and not features[0]._parents
+        assert np.abs(features[1].data - composed_hop(params, target, [neighbor]).data).max() < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_finite_difference_every_parent(self, order):
+        rng = np.random.default_rng(223 + order)
+        params = hsc.init_gcn(rng, 3, 2, order, 1)
+        target = ad.parameter(rng.normal(size=(2, 3)))
+        neighbors = [ad.parameter(rng.normal(size=(2, 3))) for _ in range(3)]
+        weights = rng.normal(size=(2, 2))
+
+        def forward():
+            return ad.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors), weights))
+
+        forward().backward()
+        for p in [params.correlation, params.kernel, target] + neighbors:
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    def test_gradients_match_composed_path(self):
+        rng = np.random.default_rng(227)
+        params = hsc.init_gcn(rng, 5, 3, 5, 1)
+        target = ad.parameter(rng.normal(size=(4, 5)))
+        neighbors = [ad.parameter(rng.normal(size=(4, 5))) for _ in range(3)]
+        parents = [params.correlation, params.kernel, target] + neighbors
+        grads = []
+        for run in (hsc.gcn_hop, composed_hop):
+            for p in parents:
+                p.zero_grad()
+            ad.vsum(ad.square(run(params, target, neighbors))).backward()
+            grads.append([p.grad.copy() for p in parents])
+        for fused, composed in zip(*grads):
+            assert np.abs(fused - composed).max() <= 1e-12 * max(1.0, np.abs(composed).max())
+
+    def test_constant_embeddings_get_no_gradient(self):
+        # Under the no-embedding ablation the windows are constants: only the
+        # filter parameters take a gradient.
+        rng = np.random.default_rng(229)
+        params = hsc.init_gcn(rng, 4, 2, 3, 1)
+        target = ad.constant(rng.normal(size=(3, 4)))
+        neighbors = [ad.constant(rng.normal(size=(3, 4))) for _ in range(2)]
+        ad.vsum(hsc.gcn_hop(params, target, neighbors)).backward()
+        assert target.grad is None and all(n.grad is None for n in neighbors)
+        assert params.correlation.grad is not None and params.kernel.grad is not None

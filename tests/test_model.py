@@ -1,5 +1,7 @@
 """Tests for the assembled prediction model: channels, fusion, loss, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import model as md
 from mcan import nnlayers as nn
-from mcan.errors import ConfigError, ShapeMismatch
+from mcan.errors import ConfigError, SchemaError, ShapeMismatch
 
 
 def small_config(**overrides):
@@ -340,3 +342,40 @@ class TestCheckpoint:
         a = md.mcan_forward(params, road, t, dataset.graph, view)
         b = md.mcan_forward(loaded, road, t, dataset.graph, view)
         assert np.array_equal(a.speed, b.speed)
+
+    @pytest.mark.parametrize("keys,named", [
+        (("config", "hops"), "config.hops"),
+        (("config",), "config"),
+        (("parameters", "fusion.query", "values"), "parameters.fusion.query.values"),
+        (("parameters", "output_head.0.bias"), "parameters.output_head.0.bias"),
+        (("state", "std"), "state.std"),
+        (("state", "daily_average", "2"), "state.daily_average.2"),
+    ])
+    def test_missing_key_names_it(self, tmp_path, view, keys, named):
+        params = md.init_mcan(small_config(), np.random.default_rng(67))
+        path = tmp_path / "checkpoint.json"
+        md.save_checkpoint(path, params, np.zeros(4), np.ones(4), view.ybar)
+        doc = json.loads(path.read_text())
+        holder = doc
+        for key in keys[:-1]:
+            holder = holder[key]
+        del holder[keys[-1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"missing key '{named}'"):
+            md.load_checkpoint(path)
+
+    def test_values_not_filling_shape_rejected(self, tmp_path, view):
+        params = md.init_mcan(small_config(), np.random.default_rng(71))
+        path = tmp_path / "checkpoint.json"
+        md.save_checkpoint(path, params, np.zeros(4), np.ones(4), view.ybar)
+        doc = json.loads(path.read_text())
+        doc["parameters"]["fusion.query"]["values"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="'fusion.query' values do not fill shape"):
+            md.load_checkpoint(path)
+
+    def test_non_object_document_rejected(self, tmp_path):
+        path = tmp_path / "checkpoint.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError, match="JSON object"):
+            md.load_checkpoint(path)

@@ -313,3 +313,128 @@ class TestAttention:
         for p in (params.projection, params.query):
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-4
+
+
+def step_chain(stack, steps, drop=None):
+    """Reference for the fused layers: ``lstm_step`` chained over time, layer by
+    layer, with one ``ad.dropout`` draw per step between layers."""
+    steps = [s if isinstance(s, ad.DiffValue) else ad.constant(s) for s in steps]
+    shape = steps[0].data.shape[:-1]
+    for depth, cell in enumerate(stack.cells):
+        h = ad.constant(np.zeros(shape + (cell.hidden_size,)))
+        c = ad.constant(np.zeros(shape + (cell.hidden_size,)))
+        outputs = []
+        for x in steps:
+            h, c = nn.lstm_step(cell, x, h, c)
+            outputs.append(h)
+        if depth < len(stack.cells) - 1 and drop is not None:
+            outputs = [ad.dropout(o, drop.rate, training=True, rng=drop.rng) for o in outputs]
+        steps = outputs
+    return h
+
+
+def random_stack(rng, input_size, hidden_size, layers):
+    stack = nn.init_lstm_stack(rng, input_size, hidden_size, layers)
+    for cell in stack.cells:
+        for b in (cell.b_i, cell.b_f, cell.b_o, cell.b_c):
+            b.data[:] = rng.normal(size=b.data.shape)
+    return stack
+
+
+def cell_leaves(cell):
+    return [cell.w_ix, cell.w_ih, cell.w_fx, cell.w_fh, cell.w_ox, cell.w_oh,
+            cell.w_cx, cell.w_ch, cell.b_i, cell.b_f, cell.b_o, cell.b_c]
+
+
+class TestLstmLayer:
+    @pytest.mark.parametrize("steps,batch,width,hidden,layers", [
+        (1, 1, 1, 1, 1), (1, 5, 3, 4, 1), (6, 1, 4, 5, 1), (12, 13, 1, 16, 1),
+        (4, 7, 3, 6, 2), (5, 3, 12, 4, 3), (2, 130, 4, 16, 2),
+    ])
+    def test_matches_step_chain(self, steps, batch, width, hidden, layers):
+        rng = np.random.default_rng(1000 + steps * batch + layers)
+        stack = random_stack(rng, width, hidden, layers)
+        seq = [rng.normal(size=(batch, width)) for _ in range(steps)]
+        fused = nn.lstm_sequence(stack, seq)
+        assert np.abs(fused.data - step_chain(stack, seq).data).max() < 1e-12
+
+    @pytest.mark.parametrize("steps,layers", [(1, 1), (5, 2), (3, 3)])
+    def test_vector_inputs_match_step_chain(self, steps, layers):
+        rng = np.random.default_rng(109 + steps)
+        stack = random_stack(rng, 3, 4, layers)
+        seq = [rng.normal(size=3) for _ in range(steps)]
+        fused = nn.lstm_sequence(stack, seq)
+        assert fused.data.shape == (4,)
+        assert np.abs(fused.data - step_chain(stack, seq).data).max() < 1e-12
+
+    def test_layer_returns_every_hidden_state(self):
+        rng = np.random.default_rng(113)
+        cell = random_stack(rng, 2, 3, 1).cells[0]
+        seq = [rng.normal(size=(4, 2)) for _ in range(5)]
+        hidden = nn.lstm_layer(cell, seq)
+        assert hidden.data.shape == (5, 4, 3)
+        h = c = np.zeros((4, 3))
+        for t, x in enumerate(seq):
+            h_dv, c_dv = nn.lstm_step(cell, x, h, c)
+            h, c = h_dv.data, c_dv.data
+            assert np.abs(hidden.data[t] - h).max() < 1e-12
+
+    def test_layer_rejects_wrong_width(self):
+        rng = np.random.default_rng(127)
+        cell = nn.init_lstm(rng, 3, 4)
+        with pytest.raises(ShapeMismatch, match="width"):
+            nn.lstm_layer(cell, [np.zeros((2, 5))])
+
+    def test_same_seed_same_dropout(self):
+        # One (T, B, H) mask per layer boundary draws the same random stream
+        # as one (B, H) mask per step, so seeded training runs keep theirs.
+        rng = np.random.default_rng(131)
+        stack = random_stack(rng, 3, 5, 2)
+        seq = [rng.normal(size=(6, 3)) for _ in range(4)]
+        fused = nn.lstm_sequence(stack, seq, nn.Dropout(0.4, np.random.default_rng(7)))
+        chain = step_chain(stack, seq, nn.Dropout(0.4, np.random.default_rng(7)))
+        assert np.array_equal(fused.data, chain.data)
+
+    def test_finite_difference_every_parent(self):
+        rng = np.random.default_rng(137)
+        stack = random_stack(rng, 2, 3, 2)
+        seq = [ad.parameter(rng.normal(size=(2, 2))) for _ in range(3)]
+        weights = rng.normal(size=(2, 3))
+
+        def forward():
+            return ad.vsum(ad.multiply(nn.lstm_sequence(stack, seq), weights))
+
+        forward().backward()
+        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + seq
+        for p in parents:
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    def test_finite_difference_sequence_input(self):
+        # A layer above the first reads the (T, B, in) output of the one below.
+        rng = np.random.default_rng(139)
+        cell = random_stack(rng, 3, 2, 1).cells[0]
+        below = ad.parameter(rng.normal(size=(4, 2, 3)))
+        weights = rng.normal(size=(4, 2, 2))
+
+        def forward():
+            return ad.vsum(ad.multiply(nn.lstm_layer(cell, below), weights))
+
+        forward().backward()
+        for p in [below] + cell_leaves(cell):
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    def test_gradients_match_step_chain(self):
+        rng = np.random.default_rng(149)
+        stack = random_stack(rng, 3, 4, 2)
+        seq = [ad.parameter(rng.normal(size=(5, 3))) for _ in range(4)]
+        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + seq
+        grads = []
+        for run in (nn.lstm_sequence, step_chain):
+            for p in parents:
+                p.zero_grad()
+            ad.vsum(ad.square(run(stack, seq))).backward()
+            grads.append([p.grad.copy() for p in parents])
+        for fused, chain in zip(*grads):
+            assert np.abs(fused - chain).max() <= 1e-12 * max(1.0, np.abs(chain).max())

@@ -19,7 +19,7 @@ from . import analysis as an
 from . import graphdata as gd
 from . import model as md
 from . import trainer as tr
-from .errors import ConfigError, McanError
+from .errors import ConfigError, McanError, SchemaError
 
 GENERATOR_KEYS = {
     "n_roads": int, "edge_density": float, "intervals": list, "days": int,
@@ -200,11 +200,15 @@ def cmd_train(config: dict) -> int:
     return 0
 
 
-def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict) -> tr.Fold:
+def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
+                  path="checkpoint") -> tr.Fold:
     view = md.build_view(dataset)
-    folds = tr.kfold_split(view, params.config, cfg["folds"], cfg["fold_seed"],
-                           cfg.get("shuffled_folds", False))
-    return folds[cfg["fold_index"]]
+    folds, seed, index = (md.config_entry(cfg, key, int, path)
+                          for key in ("folds", "fold_seed", "fold_index"))
+    shuffled = md.config_entry(cfg, "shuffled_folds", bool, path) if "shuffled_folds" in cfg else False
+    if not 0 <= index < folds:
+        raise SchemaError(f"{path}: checkpoint key 'config.fold_index' must be in [0, {folds}), got {index}")
+    return tr.kfold_split(view, params.config, folds, seed, shuffled, [index])[0]
 
 
 def cmd_evaluate(config: dict) -> int:
@@ -215,7 +219,7 @@ def cmd_evaluate(config: dict) -> int:
             f"checkpoint was trained on {len(means)} roads but the dataset has "
             f"{dataset.graph.size}"
         )
-    fold = _rebuild_fold(dataset, params, cfg)
+    fold = _rebuild_fold(dataset, params, cfg, config["checkpoint_path"])
     split_name = config.get("eval_split", "test")
     if split_name not in ("test", "train"):
         raise ConfigError(f"eval_split must be 'test' or 'train', got {split_name!r}")

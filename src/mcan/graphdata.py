@@ -1,4 +1,4 @@
-"""Road graph, heterogeneous speed series, derived channels, and dataset files.
+"""Road graph, heterogeneous speed series, channel windows, and dataset files.
 
 Series alignment convention: every series starts at midnight of day 0, so the
 daily slot of index ``t`` is ``t % slots_per_day`` and no timestamp arithmetic
@@ -115,15 +115,6 @@ class SpeedSeries:
 
 
 @dataclass
-class DerivedChannels:
-    """Trend, deviation, and per-slot daily average derived from one series."""
-
-    trend: np.ndarray  # length K-1
-    deviation: np.ndarray  # length K
-    daily_average: np.ndarray  # length slots_per_day
-
-
-@dataclass
 class TemporalInputs:
     """Recent / daily-periodic / weekly-periodic history windows for one sample."""
 
@@ -200,15 +191,6 @@ def compute_deviation(values, daily_average) -> np.ndarray:
     return values - daily_average[slots]
 
 
-def derive_channels(series: SpeedSeries, slots_per_day: int) -> DerivedChannels:
-    average = compute_daily_average(series.values, slots_per_day)
-    return DerivedChannels(
-        trend=compute_trend(series.values),
-        deviation=compute_deviation(series.values, average),
-        daily_average=average,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Graph queries
 
@@ -233,30 +215,36 @@ def k_hop_neighbors(graph: RoadGraph, node: int, hops: int) -> list[set[int]]:
 # Temporal input windows
 
 
-def recent_indices(t: int, steps: int) -> np.ndarray:
-    return np.arange(t - steps, t)
-
-def periodic_indices(t: int, steps: int, period: int) -> np.ndarray:
-    return np.arange(t - steps * period, t, period)
+def recent_indices(t, steps: int) -> np.ndarray:
+    """The ``steps`` indices before ``t``; a ``(B,)`` array of times gives ``(B, steps)``."""
+    return np.asarray(t)[..., None] + np.arange(-steps, 0)
 
 
-def _gather_speed(values, idx: np.ndarray) -> np.ndarray:
-    return np.asarray(values[idx], dtype=np.float64)
+def periodic_indices(t, steps: int, period: int) -> np.ndarray:
+    """Indices ``t - steps * period, ..., t - period``; batched like :func:`recent_indices`."""
+    return np.asarray(t)[..., None] + (np.arange(steps) - steps) * period
 
 
-def _gather_trend(values, idx: np.ndarray) -> np.ndarray:
-    return np.asarray(values[idx], dtype=np.float64) - np.asarray(values[idx - 1], dtype=np.float64)
-
-
-def _gather_deviation(values, daily_average, idx: np.ndarray) -> np.ndarray:
-    slots = idx % len(daily_average)
-    return np.asarray(values[idx], dtype=np.float64) - daily_average[slots]
+def channel_window(values, daily_average: np.ndarray, idx: np.ndarray, channel: str) -> np.ndarray:
+    """Gather one channel's values at ``idx`` of any shape (trend additionally
+    reads idx-1).  Raises naming the channel when ``idx`` reaches too far back."""
+    idx = np.asarray(idx)
+    if idx.size and idx.min() < (1 if channel == "trend" else 0):
+        raise MissingDataError(f"{channel} window reaches index {idx.min()}, not enough history")
+    if channel == "speed":
+        return np.asarray(values[idx], dtype=np.float64)
+    if channel == "trend":
+        return np.asarray(values[idx], dtype=np.float64) - np.asarray(values[idx - 1], dtype=np.float64)
+    if channel == "deviation":
+        slots = idx % len(daily_average)
+        return np.asarray(values[idx], dtype=np.float64) - daily_average[slots]
+    raise ConfigError(f"unknown channel {channel!r}")
 
 
 def build_temporal_inputs(
     values,
     daily_average: np.ndarray,
-    t: int,
+    t,
     recent_steps: int,
     daily_steps: int,
     weekly_steps: int,
@@ -264,34 +252,28 @@ def build_temporal_inputs(
 ) -> TemporalInputs:
     """Assemble the three history windows ending just before index ``t``.
 
-    Only indices strictly below ``t`` are ever read (trend additionally reads
-    one step further back).  Raises naming the branch that lacks history.
+    ``t`` is one time (windows of shape ``(L,)``) or a ``(B,)`` array of times
+    (windows of shape ``(B, L)``).  Only indices strictly below ``t`` are ever
+    read (trend additionally reads one step further back).  Raises naming the
+    branch that lacks history and the earliest time.
     """
-    slots_per_week = 7 * slots_per_day
     branches = {
         "recent": recent_indices(t, recent_steps),
         "daily": periodic_indices(t, daily_steps, slots_per_day),
-        "weekly": periodic_indices(t, weekly_steps, slots_per_week),
+        "weekly": periodic_indices(t, weekly_steps, 7 * slots_per_day),
     }
     for name, idx in branches.items():
         # zero steps means that branch is disabled (ablations); skip it
-        if len(idx) and idx[0] < 1:  # trend at index u reads u-1
+        if idx.size and idx.min() < 1:  # trend at index u reads u-1
             raise MissingDataError(
-                f"{name} branch lacks history at t={t}: needs index {idx[0]}, minimum is 1"
+                f"{name} branch lacks history at t={np.min(t)}: needs index {idx.min()}, minimum is 1"
             )
-    r, d, w = branches["recent"], branches["daily"], branches["weekly"]
-    return TemporalInputs(
-        recent_speed=_gather_speed(values, r),
-        recent_trend=_gather_trend(values, r),
-        recent_deviation=_gather_deviation(values, daily_average, r),
-        recent_average=daily_average[r % slots_per_day],
-        daily_speed=_gather_speed(values, d),
-        daily_trend=_gather_trend(values, d),
-        daily_deviation=_gather_deviation(values, daily_average, d),
-        weekly_speed=_gather_speed(values, w),
-        weekly_trend=_gather_trend(values, w),
-        weekly_deviation=_gather_deviation(values, daily_average, w),
-    )
+    windows = {
+        f"{name}_{channel}": channel_window(values, daily_average, idx, channel)
+        for name, idx in branches.items()
+        for channel in ("speed", "trend", "deviation")
+    }
+    return TemporalInputs(**windows, recent_average=daily_average[branches["recent"] % slots_per_day])
 
 
 # ---------------------------------------------------------------------------

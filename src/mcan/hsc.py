@@ -268,29 +268,12 @@ def hour_window_length(interval_minutes: int) -> int:
     return max(1, 60 // interval_minutes)
 
 
-def hour_window_indices(t: int, target_interval: int, road_interval: int) -> np.ndarray:
+def hour_window_indices(t, target_interval: int, road_interval: int) -> np.ndarray:
     """Indices of ``road``'s past-hour window for a sample anchored at the
     target road's slot ``t`` (wall-clock alignment, flooring to the road's
-    last completed slot)."""
-    wall = t * target_interval
-    local_t = wall // road_interval
-    length = hour_window_length(road_interval)
-    return np.arange(local_t - length, local_t)
-
-
-def channel_window(values, daily_average: np.ndarray, idx: np.ndarray, channel: str) -> np.ndarray:
-    """Gather one channel's values at ``idx`` (trend additionally reads idx-1)."""
-    idx = np.asarray(idx)
-    if len(idx) and idx[0] < (1 if channel == "trend" else 0):
-        raise MissingDataError(f"{channel} window reaches index {idx[0]}, not enough history")
-    if channel == "speed":
-        return np.asarray(values[idx], dtype=np.float64)
-    if channel == "trend":
-        return np.asarray(values[idx], dtype=np.float64) - np.asarray(values[idx - 1], dtype=np.float64)
-    if channel == "deviation":
-        slots = idx % len(daily_average)
-        return np.asarray(values[idx], dtype=np.float64) - daily_average[slots]
-    raise ConfigError(f"unknown channel {channel!r}")
+    last completed slot).  A ``(B,)`` array of times gives ``(B, L)``."""
+    local_t = (np.asarray(t) * target_interval) // road_interval
+    return local_t[..., None] + np.arange(-hour_window_length(road_interval), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,11 @@ class GroupInputs:
 
 
 def assemble_group(view: DataView, config: ModelConfig, road: int, times) -> GroupInputs:
+    """Stack every input of the samples ``(road, t)`` for ``t`` in ``times``.
+
+    Each index set is one ``(B, L)`` array and each channel one gather, so the
+    cost does not grow with Python work per sample.
+    """
     view.ensure_hops(config.hops)
     times = np.asarray(times, dtype=int)
     values = view.values[road]
@@ -403,52 +408,30 @@ def assemble_group(view: DataView, config: ModelConfig, road: int, times) -> Gro
     spd = view.slots_per_day(road)
     interval = view.interval(road)
 
-    temporal = [
-        gd.build_temporal_inputs(
-            values, ybar, int(t),
-            config.recent_steps,
-            config.daily_steps if config.use_daily else 0,
-            config.weekly_steps if config.use_weekly else 0,
-            spd,
-        )
-        for t in times
-    ]
-    recent = np.stack(
-        [np.column_stack([tv.recent_speed, tv.recent_trend, tv.recent_deviation, tv.recent_average])
-         for tv in temporal]
+    tv = gd.build_temporal_inputs(
+        values, ybar, times,
+        config.recent_steps,
+        config.daily_steps if config.use_daily else 0,
+        config.weekly_steps if config.use_weekly else 0,
+        spd,
     )
-    daily = weekly = None
-    if config.use_daily:
-        daily = np.stack(
-            [np.column_stack([tv.daily_speed, tv.daily_trend, tv.daily_deviation]) for tv in temporal]
-        )
-    if config.use_weekly:
-        weekly = np.stack(
-            [np.column_stack([tv.weekly_speed, tv.weekly_trend, tv.weekly_deviation]) for tv in temporal]
-        )
+    recent = np.stack([tv.recent_speed, tv.recent_trend, tv.recent_deviation, tv.recent_average], axis=-1)
+    daily = np.stack([tv.daily_speed, tv.daily_trend, tv.daily_deviation], axis=-1) if config.use_daily else None
+    weekly = (np.stack([tv.weekly_speed, tv.weekly_trend, tv.weekly_deviation], axis=-1)
+              if config.use_weekly else None)
 
     channels = config.channels()
-    target_windows: dict[str, np.ndarray] = {}
+
+    def windows(j: int) -> dict[str, np.ndarray]:
+        idx = hsc_mod.hour_window_indices(times, interval, view.interval(j))
+        return {ch: gd.channel_window(view.values[j], view.ybar[j], idx, ch) for ch in channels}
+
+    target_windows = windows(road)
     hop_windows: dict[str, list[dict[int, np.ndarray]]] = {ch: [] for ch in channels}
-    own_idx = np.stack([hsc_mod.hour_window_indices(int(t), interval, interval) for t in times])
-    for ch in channels:
-        target_windows[ch] = np.stack(
-            [hsc_mod.channel_window(values, ybar, idx, ch) for idx in own_idx]
-        )
     for layer in view.hop_layers[road]:
-        per_channel: dict[str, dict[int, np.ndarray]] = {ch: {} for ch in channels}
-        for j in sorted(layer):
-            j_values = view.values[j]
-            j_ybar = view.ybar[j]
-            j_idx = np.stack(
-                [hsc_mod.hour_window_indices(int(t), interval, view.interval(j)) for t in times]
-            )
-            for ch in channels:
-                per_channel[ch][j] = np.stack(
-                    [hsc_mod.channel_window(j_values, j_ybar, idx, ch) for idx in j_idx]
-                )
+        per_road = {j: windows(j) for j in sorted(layer)}
         for ch in channels:
-            hop_windows[ch].append(per_channel[ch])
+            hop_windows[ch].append({j: w[ch] for j, w in per_road.items()})
 
     horizon_idx = times[:, None] + np.arange(config.horizon)[None, :]
     if horizon_idx.max() >= len(values):
@@ -459,7 +442,6 @@ def assemble_group(view: DataView, config: ModelConfig, road: int, times) -> Gro
     target_trend = (values[times] - values[times - 1]).reshape(-1, 1) if config.use_trend else None
     target_dev = (values[times] - ybar[times % spd]).reshape(-1, 1) if config.use_deviation else None
 
-    recent_idx = np.stack([gd.recent_indices(int(t), config.recent_steps) for t in times])
     return GroupInputs(
         road=road,
         times=times,
@@ -471,7 +453,7 @@ def assemble_group(view: DataView, config: ModelConfig, road: int, times) -> Gro
         daily=daily,
         weekly=weekly,
         static=np.tile(view.static_features[road], (len(times), 1)),
-        dynamic=view.dynamic_features[road][recent_idx],
+        dynamic=view.dynamic_features[road][gd.recent_indices(times, config.recent_steps)],
         target_speed=target_speed,
         target_trend=target_trend,
         target_deviation=target_dev,
@@ -698,11 +680,31 @@ def _entry(mapping, key: str, path, where: str = ""):
     return mapping[key]
 
 
+def config_entry(cfg, key: str, kind: type, path):
+    """``cfg[key]`` of a checkpoint's config echo, checked to be a ``kind``:
+    ``int`` (not a boolean), ``float`` (any finite number), ``bool`` or
+    ``list`` (of strings); a SchemaError names the key otherwise."""
+    value = _entry(cfg, key, path, "config.")
+    if kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and np.isfinite(value)
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if not ok:
+        expected = {int: "an integer", float: "a finite number", bool: "a boolean",
+                    list: "a list of strings"}[kind]
+        raise SchemaError(f"{path}: checkpoint key 'config.{key}' must be {expected}, got {value!r}")
+    return value
+
+
 def load_checkpoint(path):
     """Returns (params, means, stds, ybar, config echo dict).
 
-    Every key the loader reads is checked first; a missing one raises
-    :class:`SchemaError` naming it.
+    Every key the loader reads is checked first; a missing or wrongly typed
+    one raises :class:`SchemaError` naming it.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -715,7 +717,10 @@ def load_checkpoint(path):
             f"{path}: unsupported checkpoint format version {doc.get('format_version')}"
         )
     cfg = _entry(doc, "config", path)
-    values = {f.name: _entry(cfg, f.name, path, "config.") for f in fields(ModelConfig)}
+    values = {
+        f.name: config_entry(cfg, f.name, list if f.name == "ablations" else type(f.default), path)
+        for f in fields(ModelConfig)
+    }
     config = ModelConfig(**{**values, "ablations": frozenset(values["ablations"])})
     params = init_mcan(config, np.random.default_rng(0))
     stored = _entry(doc, "parameters", path)

@@ -103,95 +103,97 @@ class Fold:
     test_wall: tuple[int, int] | None  # inclusive minutes; None for shuffled folds
 
 
+def _eligible_arrays(view: md.DataView, config: md.ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Roads and times of the eligible samples, road-major and time-ascending."""
+    times = [md.eligible_times(view, config, road) for road in range(view.graph.size)]
+    roads = [np.full(len(t), road, dtype=int) for road, t in enumerate(times)]
+    return np.concatenate(roads), np.concatenate(times)
+
+
+def _samples(roads: np.ndarray, times: np.ndarray) -> list[Sample]:
+    return list(zip(roads.tolist(), times.tolist()))
+
+
 def eligible_samples(view: md.DataView, config: md.ModelConfig) -> list[Sample]:
-    samples: list[Sample] = []
-    for road in range(view.graph.size):
-        for t in md.eligible_times(view, config, road):
-            samples.append((road, int(t)))
-    return samples
+    return _samples(*_eligible_arrays(view, config))
 
 
-def _wall(view: md.DataView, sample: Sample) -> int:
-    road, t = sample
-    return t * view.interval(road)
+def _touches_window(view: md.DataView, config: md.ModelConfig, road: int, times: np.ndarray,
+                    wall: tuple[int, int]) -> np.ndarray:
+    """Per time: whether sample ``(road, t)`` reads or predicts an index whose
+    wall-clock minute falls inside ``wall`` (inclusive).
 
-
-def _sample_touches_window(view: md.DataView, config: md.ModelConfig, sample: Sample,
-                           wall: tuple[int, int]) -> bool:
-    """Whether any index the sample reads or predicts falls inside the window.
-
-    Interval arithmetic over the same index sets ``md.sample_footprint``
-    enumerates (the tests cross-check the two).
+    Interval arithmetic over the index sets ``md.sample_footprint`` enumerates;
+    every sample of one road shares the interval, slots per day and hop set,
+    so the whole ``times`` array is tested at once.
     """
     lo, hi = wall
-    road, t = sample
     interval = view.interval(road)
 
-    def hits_range(first_idx: int, last_idx: int, step_minutes: int) -> bool:
-        return last_idx * step_minutes >= lo and first_idx * step_minutes <= hi
+    def hits(first_idx, last_idx, step_minutes: int) -> np.ndarray:
+        return (last_idx * step_minutes >= lo) & (first_idx * step_minutes <= hi)
 
-    def hits_periodic(t_idx: int, steps: int, period: int, step_minutes: int) -> bool:
-        for k in range(1, steps + 1):
-            u = t_idx - k * period
-            if hits_range(u - 1, u, step_minutes):
-                return True
-        return False
-
-    if hits_range(t, t + config.horizon - 1, interval):  # targets
-        return True
-    if hits_range(t - config.recent_steps - 1, t - 1, interval):  # recent block
-        return True
+    times = np.asarray(times, dtype=int)
+    touched = hits(times, times + config.horizon - 1, interval)  # targets
+    touched |= hits(times - config.recent_steps - 1, times - 1, interval)  # recent block
     spd = view.slots_per_day(road)
-    if config.use_daily and hits_periodic(t, config.daily_steps, spd, interval):
-        return True
-    if config.use_weekly and hits_periodic(t, config.weekly_steps, 7 * spd, interval):
-        return True
+    for used, steps, period in ((config.use_daily, config.daily_steps, spd),
+                                (config.use_weekly, config.weekly_steps, 7 * spd)):
+        if used:
+            u = gd.periodic_indices(times, steps, period)  # each read with its predecessor
+            touched |= hits(u - 1, u, interval).any(axis=1)
     for j in {road} | set().union(*view.hop_layers[road]):
         j_interval = view.interval(j)
-        local_t = (t * interval) // j_interval
+        local_t = (times * interval) // j_interval
         length = hsc_mod.hour_window_length(j_interval)
-        if hits_range(local_t - length - 1, local_t - 1, j_interval):
-            return True
-    return False
+        touched |= hits(local_t - length - 1, local_t - 1, j_interval)
+    return touched
 
 
 def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
-                shuffled: bool = False) -> list[Fold]:
+                shuffled: bool = False, indices=None) -> list[Fold]:
     """k folds whose test blocks partition the eligible samples.
 
     Contiguous mode orders samples by wall-clock time, cuts k blocks, and
     removes training samples that would read any test-window value.  Shuffled
-    mode permutes samples instead and performs no leak filtering.
+    mode permutes samples instead and performs no leak filtering.  Only the
+    folds named in ``indices`` (default: all k, in order) are built.
     """
     if k < 2:
         raise ConfigError(f"folds must be >= 2, got {k}")
-    samples = eligible_samples(view, config)
-    if len(samples) < k:
-        raise MissingDataError(f"only {len(samples)} eligible samples for {k} folds")
+    indices = range(k) if indices is None else list(indices)
+    for f in indices:
+        if not 0 <= f < k:
+            raise ConfigError(f"fold index must be in [0, {k}), got {f}")
+    roads, times = _eligible_arrays(view, config)
+    if len(roads) < k:
+        raise MissingDataError(f"only {len(roads)} eligible samples for {k} folds")
     if shuffled:
-        order = np.random.default_rng(seed).permutation(len(samples))
-        blocks = np.array_split(order, k)
+        blocks = np.array_split(np.random.default_rng(seed).permutation(len(roads)), k)
         folds = []
-        for f, block in enumerate(blocks):
-            test_set = {samples[i] for i in block}
-            folds.append(Fold(
-                index=f,
-                train=[s for s in samples if s not in test_set],
-                test=[samples[i] for i in sorted(block)],
-                test_wall=None,
-            ))
+        for f in indices:
+            in_test = np.zeros(len(roads), dtype=bool)
+            in_test[blocks[f]] = True
+            folds.append(Fold(index=f, train=_samples(roads[~in_test], times[~in_test]),
+                              test=_samples(roads[in_test], times[in_test]), test_wall=None))
         return folds
-    ordered = sorted(samples, key=lambda s: (_wall(view, s), s[0]))
-    blocks = np.array_split(np.arange(len(ordered)), k)
+    intervals = np.array([view.interval(r) for r in range(view.graph.size)])
+    walls = times * intervals[roads]
+    order = np.lexsort((roads, walls))
+    roads, times, walls = roads[order], times[order], walls[order]
+    blocks = np.array_split(np.arange(len(roads)), k)
     folds = []
-    for f, block in enumerate(blocks):
-        test = [ordered[i] for i in block]
-        lo = min(_wall(view, s) for s in test)
-        hi = max((s[1] + config.horizon - 1) * view.interval(s[0]) for s in test)
-        in_block = set(block.tolist())
-        rest = [ordered[i] for i in range(len(ordered)) if i not in in_block]
-        train = [s for s in rest if not _sample_touches_window(view, config, s, (lo, hi))]
-        folds.append(Fold(index=f, train=train, test=test, test_wall=(lo, hi)))
+    for f in indices:
+        block = blocks[f]
+        lo = int(walls[block].min())
+        hi = int(((times[block] + config.horizon - 1) * intervals[roads[block]]).max())
+        keep = np.ones(len(roads), dtype=bool)
+        keep[block] = False
+        for road in range(view.graph.size):
+            rows = np.flatnonzero(keep & (roads == road))
+            keep[rows] = ~_touches_window(view, config, road, times[rows], (lo, hi))
+        folds.append(Fold(index=f, train=_samples(roads[keep], times[keep]),
+                          test=_samples(roads[block], times[block]), test_wall=(lo, hi)))
     return folds
 
 
@@ -356,8 +358,8 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
     config.validate()
     mc = config.model_config(dataset)
     raw_view = md.build_view(dataset)
-    folds = kfold_split(raw_view, mc, config.folds, config.seed, config.shuffled_folds)
-    fold = folds[config.fold_index if config.fold_index is not None else config.folds - 1]
+    index = config.fold_index if config.fold_index is not None else config.folds - 1
+    fold = kfold_split(raw_view, mc, config.folds, config.seed, config.shuffled_folds, [index])[0]
     if not fold.train:
         raise MissingDataError(f"fold {fold.index} has no usable training samples")
     view, scaler = fitted_view(dataset, fold)

@@ -45,3 +45,32 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray, indices=N
         err = abs(a[i] - n[i]) / max(abs(a[i]), abs(n[i]))
         worst = max(worst, err)
     return worst
+
+
+def group_input_arrays(gi):
+    """``(name, array or None)`` for every input a ``GroupInputs`` holds, in
+    its own order, so two assemblies can be compared bit for bit."""
+    for name, value in vars(gi).items():
+        if name == "hop_windows":
+            for ch, hops in value.items():
+                for k, layer in enumerate(hops):
+                    for j, windows in layer.items():
+                        yield f"{name}.{ch}.{k}.{j}", windows
+        elif isinstance(value, dict):
+            for ch, windows in value.items():
+                yield f"{name}.{ch}", windows
+        else:
+            yield name, value
+
+
+def assert_same_group_inputs(a, b):
+    """Same names, shapes, dtypes and bytes; None where the other is None."""
+    pairs_a, pairs_b = list(group_input_arrays(a)), list(group_input_arrays(b))
+    assert [n for n, _ in pairs_a] == [n for n, _ in pairs_b]
+    for (name, x), (_, y) in zip(pairs_a, pairs_b):
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            x, y = np.asarray(x), np.asarray(y)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.tobytes() == y.tobytes(), name

@@ -183,6 +183,25 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--config", config]) == 2
         assert "missing key 'config.hops'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("hops", "2"), ("fold_index", 4.0),
+                                           ("fold_index", 9), ("shuffled_folds", 0)])
+    def test_wrongly_typed_checkpoint_is_runtime_error(self, tmp_path, data_dir, trained_dir,
+                                                        capsys, key, value):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        doc["config"][key] = value
+        broken = tmp_path / "typed.json"
+        broken.write_text(json.dumps(doc))
+        config = write_config(
+            tmp_path / "eval_typed.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            checkpoint_path=str(broken),
+            output_dir=str(tmp_path / "eval_typed"),
+        )
+        assert cli.main(["evaluate", "--config", config]) == 2
+        assert f"'config.{key}' must be" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_rows_per_sample_match_horizon(self, tmp_path, data_dir, trained_dir):

@@ -325,14 +325,14 @@ class TestHourWindows:
         values = np.array([10.0, 12.0, 11.0, 15.0])
         avg = np.array([10.0, 13.0])
         idx = np.array([2, 3])
-        assert np.array_equal(hsc.channel_window(values, avg, idx, "speed"), [11.0, 15.0])
-        assert np.array_equal(hsc.channel_window(values, avg, idx, "trend"), [-1.0, 4.0])
-        assert np.array_equal(hsc.channel_window(values, avg, idx, "deviation"), [1.0, 2.0])
+        assert np.array_equal(gd.channel_window(values, avg, idx, "speed"), [11.0, 15.0])
+        assert np.array_equal(gd.channel_window(values, avg, idx, "trend"), [-1.0, 4.0])
+        assert np.array_equal(gd.channel_window(values, avg, idx, "deviation"), [1.0, 2.0])
 
     def test_trend_window_needs_previous_index(self):
         values = np.arange(4.0)
         with pytest.raises(MissingDataError, match="trend"):
-            hsc.channel_window(values, np.array([0.0]), np.array([0, 1]), "trend")
+            gd.channel_window(values, np.array([0.0]), np.array([0, 1]), "trend")
 
 
 def composed_hop(params, target, neighbors):

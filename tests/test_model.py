@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_difference, relative_gradient_error
+from conftest import assert_same_group_inputs, finite_difference, relative_gradient_error
 from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import model as md
 from mcan import nnlayers as nn
-from mcan.errors import ConfigError, SchemaError, ShapeMismatch
+from mcan.errors import ConfigError, MissingDataError, SchemaError, ShapeMismatch
 
 
 def small_config(**overrides):
@@ -85,6 +85,49 @@ class TestEligibility:
                 for j, idx in foot.items():
                     assert idx.min() >= 0
                     assert (idx.max() + 1) * view.interval(j) <= wall
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("ablations", [frozenset(), frozenset({"ntr", "nd"}),
+                                           frozenset({"nde", "nw"})])
+    def test_batched_equals_stacked_single_rows(self, view, ablations):
+        config = small_config(ablations=ablations)
+        rng = np.random.default_rng(47)
+        for road in range(view.graph.size):
+            times = rng.permutation(md.eligible_times(view, config, road))[:9]
+            batched = md.assemble_group(view, config, road, times)
+            rows = [md.assemble_group(view, config, road, [t]) for t in times]
+            stacked = md.GroupInputs(
+                road=road,
+                times=np.concatenate([r.times for r in rows]),
+                target_windows={ch: np.concatenate([r.target_windows[ch] for r in rows])
+                                for ch in rows[0].target_windows},
+                hop_windows={
+                    ch: [{j: np.concatenate([r.hop_windows[ch][k][j] for r in rows]) for j in layer}
+                         for k, layer in enumerate(hops)]
+                    for ch, hops in rows[0].hop_windows.items()
+                },
+                **{name: None if getattr(rows[0], name) is None
+                   else np.concatenate([getattr(r, name) for r in rows])
+                   for name in ("prev_speed", "ybar_at_t", "recent", "daily", "weekly", "static",
+                                "dynamic", "target_speed", "target_trend", "target_deviation")},
+            )
+            assert_same_group_inputs(batched, stacked)
+
+    def test_too_early_time_names_branch_and_t(self, view):
+        config = small_config()
+        road = 0
+        first = int(md.eligible_times(view, config, road)[0])
+        early = config.weekly_steps * 7 * view.slots_per_day(road) - 2
+        with pytest.raises(MissingDataError, match=f"weekly branch lacks history at t={early}"):
+            md.assemble_group(view, config, road, [first, early, first + 1])
+
+    def test_too_early_time_names_channel(self, view):
+        # no temporal branch reaches back past the hour window here
+        config = small_config(recent_steps=1, ablations=frozenset({"nd", "nw"}))
+        road = int(np.argmin([view.interval(r) for r in range(view.graph.size)]))
+        with pytest.raises(MissingDataError, match="speed window reaches index -"):
+            md.assemble_group(view, config, road, [2, 30])
 
 
 class TestForward:
@@ -363,6 +406,29 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=f"missing key '{named}'"):
             md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("hops", "2"), ("hidden_size", 5.0), ("horizon", True), ("alpha", "0.2"),
+        ("beta", None), ("alpha", float("nan")), ("ablations", "nd"), ("ablations", [1]),
+    ])
+    def test_wrongly_typed_config_names_key(self, tmp_path, view, key, value):
+        params = md.init_mcan(small_config(), np.random.default_rng(67))
+        path = tmp_path / "checkpoint.json"
+        md.save_checkpoint(path, params, np.zeros(4), np.ones(4), view.ybar)
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=f"'config.{key}' must be"):
+            md.load_checkpoint(path)
+
+    def test_integer_loss_weight_accepted(self, tmp_path, view):
+        params = md.init_mcan(small_config(), np.random.default_rng(67))
+        path = tmp_path / "checkpoint.json"
+        md.save_checkpoint(path, params, np.zeros(4), np.ones(4), view.ybar)
+        doc = json.loads(path.read_text())
+        doc["config"]["alpha"] = 1
+        path.write_text(json.dumps(doc))
+        assert md.load_checkpoint(path)[0].config.alpha == 1
 
     def test_values_not_filling_shape_rejected(self, tmp_path, view):
         params = md.init_mcan(small_config(), np.random.default_rng(71))

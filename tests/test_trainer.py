@@ -1,12 +1,17 @@
 """Tests for normalization, fold splitting, training, metrics, and the baseline."""
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_same_group_inputs
 from mcan import graphdata as gd
 from mcan import model as md
 from mcan import trainer as tr
-from mcan.errors import MissingDataError, TrainingDivergence
+from mcan.errors import ConfigError, MissingDataError, TrainingDivergence
 
 
 def tiny_dataset(seed=3, days=16, n_roads=2, **overrides):
@@ -121,7 +126,8 @@ class TestKfold:
                     assert not np.any((walls >= lo) & (walls <= hi))
 
     def test_fast_filter_matches_footprint_oracle(self, raw_view, model_config):
-        # the interval-arithmetic filter agrees with enumerating the footprint
+        # the vectorised interval-arithmetic filter agrees with enumerating the
+        # footprint, for every eligible time of the road at once
         rng = np.random.default_rng(23)
         eligible = tr.eligible_samples(raw_view, model_config)
         for _ in range(200):
@@ -130,14 +136,31 @@ class TestKfold:
             width = int(rng.integers(60, 3000))
             lo = wall + int(rng.integers(-30000, 3000))
             window = (lo, lo + width)
-            fast = tr._sample_touches_window(raw_view, model_config, (road, t), window)
+            times = md.eligible_times(raw_view, model_config, road)
+            fast = tr._touches_window(raw_view, model_config, road, times, window)
+            row = int(np.flatnonzero(times == t)[0])
             walls = [md.target_indices(model_config, t) * raw_view.interval(road)]
             walls += [
                 idx * raw_view.interval(j)
                 for j, idx in md.sample_footprint(raw_view, model_config, road, t).items()
             ]
             oracle = any(np.any((w >= window[0]) & (w <= window[1])) for w in walls)
-            assert fast == oracle, (road, t, window)
+            assert bool(fast[row]) == oracle, (road, t, window)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_selected_fold_equals_fold_of_full_split(self, raw_view, model_config, k, shuffled):
+        full = tr.kfold_split(raw_view, model_config, k, seed=4, shuffled=shuffled)
+        for i in range(k):
+            (one,) = tr.kfold_split(raw_view, model_config, k, seed=4, shuffled=shuffled,
+                                    indices=[i])
+            assert one.index == i
+            assert one.train == full[i].train and one.test == full[i].test
+            assert one.test_wall == full[i].test_wall
+
+    def test_selected_fold_out_of_range_rejected(self, raw_view, model_config):
+        with pytest.raises(ConfigError, match="fold index"):
+            tr.kfold_split(raw_view, model_config, 5, seed=1, indices=[5])
 
     def test_shuffled_folds_partition_without_filtering(self, raw_view, model_config):
         folds = tr.kfold_split(raw_view, model_config, 5, seed=1, shuffled=True)
@@ -292,3 +315,66 @@ class TestBaseline:
         report = tr.historical_average_baseline(dataset, fold, mc.horizon)
         assert report.sample_count * mc.horizon > 1500
         assert abs(report.rmse - sigma) / sigma < 0.10
+
+
+@st.composite
+def leak_cases(draw):
+    """A small random graph, interval menu and model config, a fold pick and a seed."""
+    weekly_steps = draw(st.integers(0, 1))
+    daily_steps = draw(st.integers(0, 2))
+    generator = gd.GeneratorConfig(
+        n_roads=draw(st.integers(2, 4)),
+        edge_density=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        intervals=tuple(draw(st.lists(st.sampled_from([5, 10, 15, 30]), min_size=1, max_size=3,
+                                      unique=True))),
+        days=(7 * weekly_steps if weekly_steps else daily_steps) + draw(st.integers(4, 5)),
+        coupling=0.3, obs_noise=1.0, weekly_amplitude=1.0, weather_impact=1.0,
+    )
+    config = tiny_train_config(
+        recent_steps=draw(st.integers(1, 4)), daily_steps=daily_steps,
+        weekly_steps=weekly_steps, horizon=draw(st.integers(1, 3)), hops=draw(st.integers(1, 2)),
+        ablations=tuple(draw(st.lists(st.sampled_from(md.ABLATION_FLAGS), max_size=2,
+                                      unique=True))),
+        folds=draw(st.integers(3, 5)),
+    )
+    return generator, config, draw(st.integers(0, 4)), draw(st.integers(0, 2**16))
+
+
+class TestLeakProperty:
+    @settings(max_examples=20, deadline=timedelta(seconds=10), derandomize=True)
+    @given(leak_cases())
+    def test_test_window_values_never_reach_training(self, case):
+        # Black-box form of the leak-free claim: rewrite every value whose
+        # wall-clock minute lies in the fold's test window; nothing training
+        # sees (scaler, daily averages, any training sample's inputs or
+        # targets) may change by a single bit.
+        generator, config, fold_pick, seed = case
+        clean = gd.generate_synthetic(generator, seed)
+        perturbed = gd.generate_synthetic(generator, seed)
+        mc = config.model_config(clean)
+        (fold,) = tr.kfold_split(md.build_view(clean), mc, config.folds, seed,
+                                 indices=[fold_pick % config.folds])
+        lo, hi = fold.test_wall
+        rng = np.random.default_rng(seed)
+        for road, s in enumerate(perturbed.series):
+            walls = np.arange(len(s)) * perturbed.graph.nodes[road].interval_minutes
+            inside = (walls >= lo) & (walls <= hi)
+            s.values[inside] += rng.uniform(1.0, 10.0, size=inside.sum())
+        assert not np.array_equal(clean.series[fold.test[0][0]].values,
+                                  perturbed.series[fold.test[0][0]].values)
+        (again,) = tr.kfold_split(md.build_view(perturbed), mc, config.folds, seed,
+                                  indices=[fold.index])
+        assert again.train == fold.train and again.test == fold.test
+
+        view_a, scaler_a = tr.fitted_view(clean, fold)
+        view_b, scaler_b = tr.fitted_view(perturbed, fold)
+        assert scaler_a.means.tobytes() == scaler_b.means.tobytes()
+        assert scaler_a.stds.tobytes() == scaler_b.stds.tobytes()
+        for ya, yb in zip(view_a.ybar, view_b.ybar):
+            assert ya.tobytes() == yb.tobytes()
+        by_road: dict[int, list[int]] = {}
+        for road, t in fold.train:
+            by_road.setdefault(road, []).append(t)
+        for road, times in by_road.items():
+            assert_same_group_inputs(md.assemble_group(view_a, mc, road, times),
+                                     md.assemble_group(view_b, mc, road, times))

@@ -345,39 +345,6 @@ def softmax(a, axis: int = -1) -> DiffValue:
     return _node(data, (a,), backward)
 
 
-def interleave_columns(raw, fill, raw_cols: Array, fill_cols: Array, width: int) -> DiffValue:
-    """Assemble ``(B, width)`` from raw columns and fill columns.
-
-    ``raw`` is ``(B, L)``; ``fill`` is ``(len(fill_cols),)`` (shared across the
-    batch) or ``(B, len(fill_cols))`` or None when there is nothing to fill.
-    """
-    raw = _lift(raw)
-    if raw.data.ndim != 2:
-        raise ShapeMismatch(f"interleave_columns: raw must be 2-D, got {raw.shape}")
-    batch = raw.data.shape[0]
-    data = np.empty((batch, width), dtype=np.float64)
-    data[:, raw_cols] = raw.data
-    parents: tuple[DiffValue, ...]
-    if fill is None:
-        if len(fill_cols):
-            raise ShapeMismatch("interleave_columns: fill columns present but no fill values")
-        parents = (raw,)
-    else:
-        fill = _lift(fill)
-        data[:, fill_cols] = fill.data
-        parents = (raw, fill)
-
-    def backward(g):
-        _accumulate(raw, np.ascontiguousarray(g[:, raw_cols]))
-        if fill is not None:
-            gf = g[:, fill_cols]
-            if fill.data.ndim == 1:
-                gf = gf.sum(axis=0)
-            _accumulate(fill, np.ascontiguousarray(gf))
-
-    return _node(data, parents, backward)
-
-
 def dropout(x: DiffValue, rate: float, training: bool, rng: np.random.Generator | None = None) -> DiffValue:
     """Inverted dropout: scale survivors by 1/(1-rate) so evaluation is identity."""
     if not 0.0 <= rate < 1.0:

@@ -200,6 +200,26 @@ def cmd_train(config: dict) -> int:
     return 0
 
 
+def _fitting_checkpoint(config: dict, dataset: gd.TrafficDataset):
+    """``md.load_checkpoint`` of the configured path, refused before any
+    forward unless its road count, every road's slots per day (the length of
+    its daily averages) and the context code counts match ``dataset``."""
+    path = config["checkpoint_path"]
+    params, means, stds, ybar, cfg = md.load_checkpoint(path)
+    if len(means) != dataset.graph.size:
+        raise ConfigError(f"checkpoint was trained on {len(means)} roads but the dataset has "
+                          f"{dataset.graph.size}")
+    for road, node in enumerate(dataset.graph.nodes):
+        if len(ybar[road]) != node.slots_per_day:
+            raise SchemaError(f"{path}: road {road} has {len(ybar[road])} daily-average slots in the "
+                              f"checkpoint but {node.slots_per_day} slots per day in the dataset")
+    for key in ("weather_code_count", "road_type_count"):
+        if getattr(params.config, key) != getattr(dataset, key):
+            raise SchemaError(f"{path}: checkpoint key 'config.{key}' is {getattr(params.config, key)} "
+                              f"but the dataset has {getattr(dataset, key)}")
+    return params, means, stds, ybar, cfg
+
+
 def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
                   path="checkpoint") -> tr.Fold:
     view = md.build_view(dataset)
@@ -213,12 +233,7 @@ def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
 
 def cmd_evaluate(config: dict) -> int:
     dataset = _dataset(config)
-    params, means, stds, ybar, cfg = md.load_checkpoint(config["checkpoint_path"])
-    if len(means) != dataset.graph.size:
-        raise ConfigError(
-            f"checkpoint was trained on {len(means)} roads but the dataset has "
-            f"{dataset.graph.size}"
-        )
+    params, means, stds, ybar, cfg = _fitting_checkpoint(config, dataset)
     fold = _rebuild_fold(dataset, params, cfg, config["checkpoint_path"])
     split_name = config.get("eval_split", "test")
     if split_name not in ("test", "train"):
@@ -249,12 +264,7 @@ def cmd_evaluate(config: dict) -> int:
 
 def cmd_predict(config: dict) -> int:
     dataset = _dataset(config)
-    params, means, stds, ybar, _ = md.load_checkpoint(config["checkpoint_path"])
-    if len(means) != dataset.graph.size:
-        raise ConfigError(
-            f"checkpoint was trained on {len(means)} roads but the dataset has "
-            f"{dataset.graph.size}"
-        )
+    params, means, stds, ybar, _ = _fitting_checkpoint(config, dataset)
     view = md.build_view(dataset, means=means, stds=stds, ybar=ybar)
     count = config.get("predict_count", 1)
     if count < 1:

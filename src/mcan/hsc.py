@@ -7,16 +7,18 @@ correlation-kernel graph convolution filters, encode the hop-feature sequence
 and the target's own window with two LSTM stacks, and emit the channel output
 through a fully connected head.
 
-Each non-empty hop is one autodiff node (:func:`gcn_hop`): a batched bilinear
-score over all of the hop's neighbors, the Chebyshev kernel and the sum over
-neighbors, with a hand-written backward pass.  :func:`correlation_scores` and
-:func:`_kernel_response` compose the same arithmetic one neighbor at a time
-and serve as the tests' reference.
+A batch mixes target roads: each hop's neighbors are one padded
+``(N_max, B, embed_len)`` tensor with a ``(N_max, B)`` mask, embedded by one
+node (:func:`embed_windows`) and aggregated by one (:func:`gcn_hop`, with a
+hand-written backward pass).  :func:`correlation_scores` and
+:func:`_kernel_response` compose the hop one neighbor at a time as the tests'
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from . import autodiff as ad
 from . import graphdata as gd
 from . import nnlayers as nn
 from .autodiff import DiffValue
-from .errors import ConfigError, MissingDataError, ShapeMismatch
+from .errors import ConfigError, MissingDataError
 from .nnlayers import CpaParams, Dropout, FnnParams, LstmStack
 
 CHANNELS = ("speed", "trend", "deviation")
@@ -34,9 +36,11 @@ CHANNELS = ("speed", "trend", "deviation")
 # Embedding: the replace rule plus CPA gap filling
 
 
+@cache
 def embedding_positions(length: int, embed_len: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Raw and fill positions for spreading ``length`` observations over
-    ``embed_len`` slots; returns (raw_positions, fill_positions, spacing).
+    ``embed_len`` slots; returns (raw_positions, fill_positions, spacing),
+    cached, with read-only arrays.
 
     Raw observation m lands at position m * (spacing + 1).  A single
     observation is placed at position 0 (the consistent limit of the rule).
@@ -50,6 +54,7 @@ def embedding_positions(length: int, embed_len: int) -> tuple[np.ndarray, np.nda
     mask = np.zeros(embed_len, dtype=bool)
     mask[raw] = True
     fill = np.flatnonzero(~mask)
+    raw.flags.writeable = fill.flags.writeable = False
     return raw, fill, spacing
 
 
@@ -69,23 +74,10 @@ class EmbeddedVector:
 def embed_series(x, embed_len: int, cpa: CpaParams) -> EmbeddedVector:
     """Embed one channel window (length 1..embed_len) into ``embed_len`` slots."""
     x = np.asarray(x, dtype=np.float64)
-    dv = embed_windows(x.reshape(1, -1), embed_len, cpa)
-    raw, fill, _ = embedding_positions(len(x), embed_len)
+    dv = embed_windows(spread_windows(x[None], embed_len), np.array([len(x)]), cpa)
     mask = np.zeros(embed_len, dtype=bool)
-    mask[fill] = True
+    mask[embedding_positions(len(x), embed_len)[1]] = True
     return EmbeddedVector(values=dv.data[0].copy(), filled_mask=mask)
-
-
-def embed_windows(windows: np.ndarray, embed_len: int, cpa: CpaParams) -> DiffValue:
-    """Differentiable batched embedding: ``(B, L)`` raw windows to ``(B, embed_len)``."""
-    windows = np.asarray(windows, dtype=np.float64)
-    raw, fill, _ = embedding_positions(windows.shape[1], embed_len)
-    raw_dv = ad.constant(windows)
-    if len(fill) == 0:
-        return raw_dv
-    basis = nn.chebyshev_basis(_fill_arguments(fill, embed_len), cpa.order)  # (order, n_fill)
-    fill_dv = ad.matmul(ad.constant(basis.T), cpa.coefficients)  # (n_fill,)
-    return ad.interleave_columns(raw_dv, fill_dv, raw, fill, embed_len)
 
 
 def nearest_grid_indices(length: int, embed_len: int) -> np.ndarray:
@@ -99,10 +91,53 @@ def nearest_grid_indices(length: int, embed_len: int) -> np.ndarray:
     return np.clip(nearest, 0, length - 1)
 
 
-def copy_windows_to_grid(windows: np.ndarray, embed_len: int) -> DiffValue:
+def spread_windows(windows, embed_len: int, use_embedding: bool = True) -> np.ndarray:
+    """``(..., L)`` windows on the ``embed_len`` grid: the raw values at their
+    replace-rule positions and zeros at the fill positions (``R`` of the
+    embedding), or, under the no-embedding ablation, the nearest raw value in
+    every slot.  A window longer than ``embed_len`` has no replace-rule
+    placement: it spreads to zeros, and :func:`embed_windows` refuses it."""
     windows = np.asarray(windows, dtype=np.float64)
-    idx = nearest_grid_indices(windows.shape[1], embed_len)
-    return ad.constant(windows[:, idx])
+    length = windows.shape[-1]
+    if not use_embedding:
+        return windows[..., nearest_grid_indices(length, embed_len)]
+    out = np.zeros(windows.shape[:-1] + (embed_len,))
+    if length <= embed_len:
+        out[..., embedding_positions(length, embed_len)[0]] = windows
+    return out
+
+
+@cache
+def fill_basis(embed_len: int, order: int) -> np.ndarray:
+    """``A`` of the embedding per window length: ``A[L]`` is ``(embed_len,
+    order)``, T_1..T_order at each fill position's CPA argument and zero at
+    the raw positions; ``A[0]``, a padding slot, is zero throughout."""
+    table = np.zeros((embed_len + 1, embed_len, order))
+    for length in range(1, embed_len + 1):
+        fill = embedding_positions(length, embed_len)[1]
+        table[length, fill] = nn.chebyshev_basis(_fill_arguments(fill, embed_len), order).T
+    table.flags.writeable = False
+    return table
+
+
+def embed_windows(spread: np.ndarray, lengths: np.ndarray, cpa: CpaParams) -> DiffValue:
+    """Embeddings ``R + A @ coefficients`` as one node: the CPA fill is linear
+    in the coefficients, so windows of every length embed at once.  ``spread``
+    (..., embed_len) is ``R``; ``lengths`` gives each window's length, 0 for
+    a padding slot, whose ``A`` is zero."""
+    embed_len = spread.shape[-1]
+    if lengths.size and lengths.max() > embed_len:
+        raise ConfigError(f"window length {lengths.max()} exceeds embedding length {embed_len}")
+    basis = fill_basis(embed_len, cpa.order)
+    coefficients = cpa.coefficients
+    fills = basis @ coefficients.data  # (embed_len + 1, embed_len): the fill of each length
+
+    def backward(g):
+        per_length = np.zeros(fills.shape)
+        np.add.at(per_length, lengths, g)
+        ad._accumulate(coefficients, np.tensordot(per_length, basis, axes=2))
+
+    return ad._node(spread + fills[lengths], (coefficients,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +201,24 @@ def _kernel_response(params: GcnParams, scores: DiffValue) -> DiffValue:
     return out
 
 
-def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: list[DiffValue]) -> DiffValue:
-    """One hop's aggregated feature, sum_j f(u_ij), as a single autodiff node: (B, filters).
+def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: DiffValue,
+            mask: np.ndarray) -> DiffValue:
+    """One hop's feature sum_j f(u_ij) as a single autodiff node: (B, filters).
 
-    Scores every neighbor with one batched bilinear product, maps them
-    through the Chebyshev kernel and sums over neighbors, in the order
-    :func:`correlation_scores` and :func:`_kernel_response` compose it, so
-    the values are bit-identical.  The backward pass runs the derivative
-    recurrence T'_l = 2 T_{l-1} + 2x T'_{l-1} - T'_{l-2} and reaches
-    ``correlation``, ``kernel`` and every embedding that needs a gradient.
+    ``neighbors`` is ``(N, B, c)``, one padded slot per neighbor; ``mask``
+    ``(N, B)`` marks the slots that hold one, and the others add nothing to
+    the sum or to any gradient, whatever they hold.  Slots are scored and
+    mapped as :func:`correlation_scores` and :func:`_kernel_response` compose
+    it; the backward pass runs T'_l = 2 T_{l-1} + 2x T'_{l-1} - T'_{l-2}.
     """
-    if not neighbors:
-        raise ShapeMismatch("gcn_hop: a hop needs at least one neighbor")
     batch, c = target_emb.data.shape
     filters, order = params.filters, params.order
+    keep = np.asarray(mask, dtype=bool)[..., None]  # (N, B, 1)
     target = target_emb.data
-    emb = np.stack([e.data for e in neighbors])  # (N, B, c)
+    emb = np.where(keep, neighbors.data, 0.0)  # (N, B, c)
     corr_t = params.correlation.data.T.copy()  # (c, F*c)
     kernel = params.kernel.data  # (F, order)
-    mixed = np.matmul(emb, corr_t).reshape(len(neighbors), batch, filters, c)
+    mixed = np.matmul(emb, corr_t).reshape(len(emb), batch, filters, c)
     with np.errstate(over="ignore"):
         scores = 1.0 / (1.0 + np.exp(-(mixed * target[:, None, :]).sum(axis=3)))  # (N, B, F)
     mapped = scores * 2.0 - 1.0
@@ -192,11 +226,10 @@ def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: list[DiffValue]
     response = basis[0] * kernel[:, 0]
     for l in range(1, order):
         response = response + basis[l] * kernel[:, l]
-    total = response[0]
-    for r in response[1:]:
-        total = total + r
+    total = np.where(keep, response, 0.0).sum(axis=0)
 
     def backward(g):
+        g = np.where(keep, g, 0.0)  # (N, B, F)
         slopes = [np.ones_like(mapped)]  # T'_1 .. T'_order at the mapped scores
         if order >= 2:
             slopes.append(4.0 * mapped)
@@ -209,25 +242,21 @@ def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: list[DiffValue]
         ad._accumulate(params.correlation, d_mixed.reshape(-1, filters * c).T @ emb.reshape(-1, c))
         if target_emb._needs:
             ad._accumulate(target_emb, (d_scores[..., None] * mixed).sum(axis=(0, 2)))
-        if any(e._needs for e in neighbors):
-            d_emb = d_mixed.reshape(len(neighbors), batch, filters * c) @ corr_t.T
-            for e, d in zip(neighbors, d_emb):
-                ad._accumulate(e, d)
+        if neighbors._needs:
+            ad._accumulate(neighbors, d_mixed.reshape(len(emb), batch, filters * c) @ corr_t.T)
 
-    return ad._node(total, (params.correlation, params.kernel, target_emb, *neighbors), backward)
+    return ad._node(total, (params.correlation, params.kernel, target_emb, neighbors), backward)
 
 
-def gcn_hop_features(
-    params: GcnParams,
-    target_emb: DiffValue,
-    hop_embeddings: list[list[DiffValue]],
-) -> list[DiffValue]:
-    """Aggregate each hop's neighbors into a (B, filters) feature; empty hops are zero."""
+def gcn_hop_features(params: GcnParams, target_emb: DiffValue, hop_embeddings: list[DiffValue],
+                     hop_masks: list[np.ndarray]) -> list[DiffValue]:
+    """Aggregate each hop's ``(N, B, c)`` neighbor slots into a (B, filters)
+    feature; a hop without a neighbor in any row is a zero constant."""
     batch = target_emb.data.shape[0]
     return [
-        gcn_hop(params, target_emb, neighbors) if neighbors
+        gcn_hop(params, target_emb, neighbors, mask) if mask.any()
         else ad.constant(np.zeros((batch, params.filters)))
-        for neighbors in hop_embeddings
+        for neighbors, mask in zip(hop_embeddings, hop_masks)
     ]
 
 
@@ -244,7 +273,7 @@ def gcn_aggregate(
     if missing:
         raise MissingDataError(f"gcn_aggregate: missing embeddings for roads {missing}")
 
-    def as_dv(road):
+    def values(road):
         e = embeddings[road]
         values = e.values if isinstance(e, EmbeddedVector) else np.asarray(e, dtype=np.float64)
         if values.shape != (params.embed_len,):
@@ -252,10 +281,13 @@ def gcn_aggregate(
                 f"gcn_aggregate: road {road} embedding has shape {values.shape}, "
                 f"expected ({params.embed_len},)"
             )
-        return ad.constant(values.reshape(1, -1))
+        return values
 
-    hop_embs = [[as_dv(road) for road in sorted(layer)] for layer in layers]
-    features = gcn_hop_features(params, as_dv(target), hop_embs)
+    hops = [np.reshape([values(road) for road in sorted(layer)], (len(layer), 1, params.embed_len))
+            for layer in layers]
+    features = gcn_hop_features(params, ad.constant(values(target)[None]),
+                                [ad.constant(h) for h in hops],
+                                [np.ones(h.shape[:2], dtype=bool) for h in hops])
     return [f.data[0].copy() for f in features]
 
 
@@ -320,53 +352,42 @@ def init_hsc(
     )
 
 
-def embed_channel_windows(params: HscParams, windows: np.ndarray) -> DiffValue:
-    if params.cpa is None:
-        return copy_windows_to_grid(windows, params.gcn.embed_len)
-    return embed_windows(windows, params.gcn.embed_len, params.cpa)
+def embed_channel_windows(params: HscParams, spread: np.ndarray, lengths: np.ndarray) -> DiffValue:
+    """The channel's embeddings of spread windows (constants under ``nemb``)."""
+    return ad.constant(spread) if params.cpa is None else embed_windows(spread, lengths, params.cpa)
 
 
-def hsc_forward_batch(
-    params: HscParams,
-    target_windows: np.ndarray,
-    hop_neighbor_windows: list[dict[int, np.ndarray]],
-    drop: Dropout | None = None,
-) -> DiffValue:
-    """Batched channel prediction.
+@dataclass
+class ChannelInputs:
+    """One channel's HSC inputs for B rows that may target different roads:
+    raw target windows (B, L_max), zero-padded on the right, their
+    ``lengths`` (B,) and their spread (:func:`spread_windows`) ``target``
+    (B, c); per hop, spread neighbor windows (B, N_k, c), one slot per
+    neighbor, and their lengths (B, N_k), 0 marking a padding slot."""
 
-    ``target_windows`` is ``(B, L_target)``; ``hop_neighbor_windows[k]`` maps
-    each hop-(k+1) neighbor road to its ``(B, L_road)`` windows.
-    """
-    target_emb = embed_channel_windows(params, target_windows)
-    hop_embs = [
-        [embed_channel_windows(params, win) for _, win in sorted(neighbors.items())]
-        for neighbors in hop_neighbor_windows
-    ]
-    hop_features = gcn_hop_features(params.gcn, target_emb, hop_embs)
+    windows: np.ndarray
+    lengths: np.ndarray
+    target: np.ndarray
+    hops: list[np.ndarray]
+    hop_lengths: list[np.ndarray]
+
+
+def hsc_forward_batch(params: HscParams, inputs: ChannelInputs,
+                      drop: Dropout | None = None) -> DiffValue:
+    """Batched channel prediction, (B, out_width).  The self LSTM reads raw
+    windows, whose length is the target's interval class, so it runs once per
+    run of rows of equal length; its outputs concatenate in row order."""
+    target_emb = embed_channel_windows(params, inputs.target, inputs.lengths)
+    hop_embs = [embed_channel_windows(params, spread.swapaxes(0, 1), lengths.T)
+                for spread, lengths in zip(inputs.hops, inputs.hop_lengths)]
+    hop_features = gcn_hop_features(params.gcn, target_emb, hop_embs,
+                                    [lengths.T > 0 for lengths in inputs.hop_lengths])
     h_neigh = nn.lstm_sequence(params.lstm_neigh, hop_features, drop)
-    h_self = nn.lstm_sequence(params.lstm_self, target_windows.T[:, :, None], drop)
-    joined = ad.concat([h_neigh, h_self], axis=1)
-    return nn.fnn_forward(params.head, joined, drop)
+    bounds = [0] + (np.flatnonzero(np.diff(inputs.lengths)) + 1).tolist() + [len(inputs.lengths)]
+    h_self = [
+        nn.lstm_sequence(params.lstm_self, inputs.windows[a:b, :inputs.lengths[a]].T[:, :, None], drop)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    h_self = h_self[0] if len(h_self) == 1 else ad.concat(h_self, axis=0)
+    return nn.fnn_forward(params.head, ad.concat([h_neigh, h_self], axis=1), drop)
 
-
-def hsc_forward(
-    params: HscParams,
-    target_window,
-    neighbor_windows: dict[int, np.ndarray],
-    graph: gd.RoadGraph,
-    target: int,
-) -> DiffValue:
-    """Single-sample channel prediction for ``target``; neighbor windows are
-    keyed by road id and grouped into hops from the graph."""
-    layers = gd.k_hop_neighbors(graph, target, params.gcn.hops)
-    hop_windows = []
-    for layer in layers:
-        missing = sorted(road for road in layer if road not in neighbor_windows)
-        if missing:
-            raise MissingDataError(f"hsc_forward: missing windows for neighbor roads {missing}")
-        hop_windows.append(
-            {road: np.asarray(neighbor_windows[road], dtype=np.float64).reshape(1, -1) for road in layer}
-        )
-    target_windows = np.asarray(target_window, dtype=np.float64).reshape(1, -1)
-    out = hsc_forward_batch(params, target_windows, hop_windows)
-    return ad.reshape(out, (-1,))

@@ -5,14 +5,14 @@ training loss.
 Samples are (road, time-index) pairs.  A sample at index ``t`` reads history
 strictly before ``t`` and predicts the speeds at ``t .. t+H-1``; the trend and
 deviation channels additionally supervise their value at ``t`` itself.
-The trainer drives the batched path (samples grouped by road so window lengths
-and neighbor sets agree); the per-sample functions mirror it one row at a time.
+A batch of samples of any target roads is one :class:`GroupInputs` and one
+forward graph; the per-sample functions run the same path on one row.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import hsc as hsc_mod
 from . import nnlayers as nn
 from .autodiff import DiffValue
 from .errors import ConfigError, MissingDataError, SchemaError, ShapeMismatch
-from .hsc import HscParams
+from .hsc import ChannelInputs, HscParams
 from .nnlayers import AttentionParams, Dropout, FnnParams, LstmStack
 
 ABLATION_FLAGS = ("ntr", "nde", "nd", "nw", "nemb")
@@ -377,12 +377,14 @@ def target_indices(config: ModelConfig, t: int) -> np.ndarray:
 
 @dataclass
 class GroupInputs:
-    """Stacked model inputs for a batch of samples sharing one target road."""
+    """Stacked model inputs for samples ``(roads[i], times[i])``, grouped by
+    the target road's interval class, then by road; ``positions[i]`` is row
+    i's place in the samples given to :func:`assemble_group`."""
 
-    road: int
+    roads: np.ndarray
     times: np.ndarray
-    target_windows: dict[str, np.ndarray]
-    hop_windows: dict[str, list[dict[int, np.ndarray]]]
+    positions: np.ndarray
+    channels: dict[str, ChannelInputs]
     prev_speed: np.ndarray  # (B, 1)
     ybar_at_t: np.ndarray  # (B, 1)
     recent: np.ndarray  # (B, recent_steps, 4)
@@ -394,15 +396,56 @@ class GroupInputs:
     target_trend: np.ndarray | None  # (B, 1)
     target_deviation: np.ndarray | None  # (B, 1)
 
+    def take(self, rows: np.ndarray) -> GroupInputs:
+        """The rows ``rows`` of every input, in that order."""
+        return _zip_inputs(lambda arrays: arrays[0][rows], [self])
 
-def assemble_group(view: DataView, config: ModelConfig, road: int, times) -> GroupInputs:
-    """Stack every input of the samples ``(road, t)`` for ``t`` in ``times``.
 
-    Each index set is one ``(B, L)`` array and each channel one gather, so the
-    cost does not grow with Python work per sample.
-    """
+def _zip_inputs(fn, parts: list):
+    """``fn`` of each list of corresponding arrays in nested inputs (None stays None)."""
+    first = parts[0]
+    if first is None:
+        return None
+    if is_dataclass(first):
+        return type(first)(**{f.name: _zip_inputs(fn, [getattr(p, f.name) for p in parts])
+                              for f in fields(first)})
+    if isinstance(first, dict):
+        return {k: _zip_inputs(fn, [p[k] for p in parts]) for k in first}
+    if isinstance(first, list):
+        return [_zip_inputs(fn, list(column)) for column in zip(*parts)]
+    return fn(parts)
+
+
+def _stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """Concatenate along rows, zero-padding raw windows and neighbor slots to
+    the widest part."""
+    shape = np.max([a.shape for a in arrays], axis=0)
+    shape[0] = sum(len(a) for a in arrays)
+    out = np.zeros(shape, dtype=np.result_type(*arrays))
+    start = 0
+    for a in arrays:
+        out[(slice(start, start + len(a)),) + tuple(slice(0, n) for n in a.shape[1:])] = a
+        start += len(a)
+    return out
+
+
+def assemble_group(view: DataView, config: ModelConfig, roads, times) -> GroupInputs:
+    """Stack every input of the samples ``(roads[i], times[i])`` (one road
+    stands for all), reordered stably by interval class and road.  Each
+    road's index sets are one ``(B_r, L)`` array and each channel one gather."""
     view.ensure_hops(config.hops)
     times = np.asarray(times, dtype=int)
+    roads = np.broadcast_to(np.asarray(roads, dtype=int), times.shape)
+    intervals = np.array([view.interval(r) for r in range(view.graph.size)])
+    order = np.lexsort((roads, intervals[roads]))
+    cuts = np.flatnonzero(np.diff(roads[order])) + 1
+    parts = [_assemble_road(view, config, int(roads[rows[0]]), times[rows], rows)
+             for rows in np.split(order, cuts)]
+    return parts[0] if len(parts) == 1 else _zip_inputs(_stack_rows, parts)
+
+
+def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.ndarray,
+                   positions: np.ndarray) -> GroupInputs:
     values = view.values[road]
     ybar = view.ybar[road]
     spd = view.slots_per_day(road)
@@ -421,42 +464,52 @@ def assemble_group(view: DataView, config: ModelConfig, road: int, times) -> Gro
               if config.use_weekly else None)
 
     channels = config.channels()
+    batch, c = len(times), config.embed_len
 
     def windows(j: int) -> dict[str, np.ndarray]:
         idx = hsc_mod.hour_window_indices(times, interval, view.interval(j))
         return {ch: gd.channel_window(view.values[j], view.ybar[j], idx, ch) for ch in channels}
 
-    target_windows = windows(road)
-    hop_windows: dict[str, list[dict[int, np.ndarray]]] = {ch: [] for ch in channels}
-    for layer in view.hop_layers[road]:
-        per_road = {j: windows(j) for j in sorted(layer)}
-        for ch in channels:
-            hop_windows[ch].append({j: w[ch] for j, w in per_road.items()})
+    def spread(w: np.ndarray) -> np.ndarray:
+        return hsc_mod.spread_windows(w, c, config.use_embedding)
+
+    target = windows(road)
+    layers = [sorted(layer) for layer in view.hop_layers[road]]
+    hops = [[windows(j) for j in layer] for layer in layers]
+    hop_lengths = [np.tile(np.array([hsc_mod.hour_window_length(view.interval(j)) for j in layer],
+                                    dtype=int), (batch, 1)) for layer in layers]
+    inputs = {
+        ch: ChannelInputs(
+            windows=target[ch],
+            lengths=np.full(batch, target[ch].shape[1]),
+            target=spread(target[ch]),
+            hops=[np.stack([spread(w[ch]) for w in hop], axis=1) if hop else np.zeros((batch, 0, c))
+                  for hop in hops],
+            hop_lengths=hop_lengths,
+        )
+        for ch in channels
+    }
 
     horizon_idx = times[:, None] + np.arange(config.horizon)[None, :]
     if horizon_idx.max() >= len(values):
         raise MissingDataError(
             f"road {road}: sample at t={times.max()} needs {config.horizon} future values"
         )
-    target_speed = values[horizon_idx]
-    target_trend = (values[times] - values[times - 1]).reshape(-1, 1) if config.use_trend else None
-    target_dev = (values[times] - ybar[times % spd]).reshape(-1, 1) if config.use_deviation else None
-
     return GroupInputs(
-        road=road,
+        roads=np.full(batch, road),
         times=times,
-        target_windows=target_windows,
-        hop_windows=hop_windows,
+        positions=positions,
+        channels=inputs,
         prev_speed=values[times - 1].reshape(-1, 1),
         ybar_at_t=ybar[times % spd].reshape(-1, 1),
         recent=recent,
         daily=daily,
         weekly=weekly,
-        static=np.tile(view.static_features[road], (len(times), 1)),
+        static=np.tile(view.static_features[road], (batch, 1)),
         dynamic=view.dynamic_features[road][gd.recent_indices(times, config.recent_steps)],
-        target_speed=target_speed,
-        target_trend=target_trend,
-        target_deviation=target_dev,
+        target_speed=values[horizon_idx],
+        target_trend=(values[times] - values[times - 1]).reshape(-1, 1) if config.use_trend else None,
+        target_deviation=(values[times] - ybar[times % spd]).reshape(-1, 1) if config.use_deviation else None,
     )
 
 
@@ -470,9 +523,7 @@ def _msc_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
     features: dict[str, DiffValue] = {}
     outputs: dict[str, DiffValue] = {}
     for ch in config.channels():
-        out = hsc_mod.hsc_forward_batch(
-            params.hsc[ch], gi.target_windows[ch], gi.hop_windows[ch], drop
-        )
+        out = hsc_mod.hsc_forward_batch(params.hsc[ch], gi.channels[ch], drop)
         outputs[ch] = out
         if ch == "speed":
             head_in = out
@@ -489,21 +540,22 @@ def _sequence_steps(stacked: np.ndarray) -> np.ndarray:
     return stacked.transpose(1, 0, 2)
 
 
-def _mtc_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
+def _mtc_components(params: McanParams, recent: np.ndarray, daily: np.ndarray | None,
+                    weekly: np.ndarray | None, drop: Dropout | None):
     config = params.config
-    if gi.recent.shape[1] != config.recent_steps:
+    if recent.shape[1] != config.recent_steps:
         raise ShapeMismatch(
-            f"recent input has {gi.recent.shape[1]} steps, expected {config.recent_steps}"
+            f"recent input has {recent.shape[1]} steps, expected {config.recent_steps}"
         )
-    out = {"recent": nn.lstm_sequence(params.lstm_recent, _sequence_steps(gi.recent), drop)}
+    out = {"recent": nn.lstm_sequence(params.lstm_recent, _sequence_steps(recent), drop)}
     if config.use_daily:
-        if gi.daily is None or gi.daily.shape[1] != config.daily_steps:
+        if daily is None or daily.shape[1] != config.daily_steps:
             raise ShapeMismatch(f"daily input must have {config.daily_steps} steps")
-        out["daily"] = nn.lstm_sequence(params.lstm_daily, _sequence_steps(gi.daily), drop)
+        out["daily"] = nn.lstm_sequence(params.lstm_daily, _sequence_steps(daily), drop)
     if config.use_weekly:
-        if gi.weekly is None or gi.weekly.shape[1] != config.weekly_steps:
+        if weekly is None or weekly.shape[1] != config.weekly_steps:
             raise ShapeMismatch(f"weekly input must have {config.weekly_steps} steps")
-        out["weekly"] = nn.lstm_sequence(params.lstm_weekly, _sequence_steps(gi.weekly), drop)
+        out["weekly"] = nn.lstm_sequence(params.lstm_weekly, _sequence_steps(weekly), drop)
     return out
 
 
@@ -517,7 +569,7 @@ def _context_components(params: McanParams, static: np.ndarray, dynamic: np.ndar
 def fusion_components(params: McanParams, gi: GroupInputs, drop: Dropout | None = None):
     """All enabled component vectors in canonical order, plus channel outputs."""
     msc_features, channel_outputs = _msc_components(params, gi, drop)
-    mtc = _mtc_components(params, gi, drop)
+    mtc = _mtc_components(params, gi.recent, gi.daily, gi.weekly, drop)
     ctx_static, ctx_dynamic = _context_components(params, gi.static, gi.dynamic, drop)
     components = [msc_features[ch] for ch in params.config.channels()]
     components.append(mtc["recent"])
@@ -551,26 +603,14 @@ def msc_forward(params: McanParams, road: int, t: int, graph: gd.RoadGraph, data
 
 def mtc_forward(params: McanParams, temporal: gd.TemporalInputs) -> dict[str, np.ndarray]:
     """Summary vectors of the recent/daily/weekly LSTMs for one sample."""
-    gi_recent = np.column_stack(
-        [temporal.recent_speed, temporal.recent_trend, temporal.recent_deviation,
-         temporal.recent_average]
-    )[None, :, :]
-    daily = np.column_stack(
-        [temporal.daily_speed, temporal.daily_trend, temporal.daily_deviation]
-    )[None, :, :] if params.config.use_daily else None
-    weekly = np.column_stack(
-        [temporal.weekly_speed, temporal.weekly_trend, temporal.weekly_deviation]
-    )[None, :, :] if params.config.use_weekly else None
-    gi = GroupInputs(
-        road=-1, times=np.array([0]), target_windows={}, hop_windows={},
-        prev_speed=np.zeros((1, 1)), ybar_at_t=np.zeros((1, 1)),
-        recent=gi_recent, daily=daily, weekly=weekly,
-        static=np.zeros((1, params.config.static_width)),
-        dynamic=np.zeros((1, params.config.recent_steps, params.config.dynamic_width)),
-        target_speed=np.zeros((1, params.config.horizon)),
-        target_trend=None, target_deviation=None,
+    t = temporal
+    out = _mtc_components(
+        params,
+        np.column_stack([t.recent_speed, t.recent_trend, t.recent_deviation, t.recent_average])[None],
+        np.column_stack([t.daily_speed, t.daily_trend, t.daily_deviation])[None],
+        np.column_stack([t.weekly_speed, t.weekly_trend, t.weekly_deviation])[None],
+        None,
     )
-    out = _mtc_components(params, gi, None)
     return {name: v.data[0].copy() for name, v in out.items()}
 
 

@@ -276,52 +276,18 @@ def fitted_view(dataset: gd.TrafficDataset, fold: Fold) -> tuple[md.DataView, Sc
 # Batch plumbing
 
 
-def _subset_group(gi: md.GroupInputs, rows: np.ndarray) -> md.GroupInputs:
-    pick = lambda a: None if a is None else a[rows]
-    return md.GroupInputs(
-        road=gi.road,
-        times=gi.times[rows],
-        target_windows={ch: w[rows] for ch, w in gi.target_windows.items()},
-        hop_windows={
-            ch: [{j: w[rows] for j, w in layer.items()} for layer in layers]
-            for ch, layers in gi.hop_windows.items()
-        },
-        prev_speed=gi.prev_speed[rows],
-        ybar_at_t=gi.ybar_at_t[rows],
-        recent=gi.recent[rows],
-        daily=pick(gi.daily),
-        weekly=pick(gi.weekly),
-        static=gi.static[rows],
-        dynamic=gi.dynamic[rows],
-        target_speed=gi.target_speed[rows],
-        target_trend=pick(gi.target_trend),
-        target_deviation=pick(gi.target_deviation),
-    )
-
-
 class SampleCache:
-    """Pre-assembled model inputs for a fixed sample set, sliceable per batch."""
+    """Pre-assembled inputs of a fixed sample set: one row table, sliced per batch."""
 
     def __init__(self, view: md.DataView, config: md.ModelConfig, samples: list[Sample]):
-        self.groups: dict[int, md.GroupInputs] = {}
-        self.row_of: dict[Sample, int] = {}
-        by_road: dict[int, list[int]] = {}
-        for road, t in samples:
-            by_road.setdefault(road, []).append(t)
-        for road in sorted(by_road):
-            times = sorted(by_road[road])
-            self.groups[road] = md.assemble_group(view, config, road, times)
-            for row, t in enumerate(times):
-                self.row_of[(road, t)] = row
+        pairs = np.asarray(samples, dtype=int).reshape(-1, 2)
+        self.table = md.assemble_group(view, config, pairs[:, 0], pairs[:, 1])
+        self.row_of = {samples[pos]: row for row, pos in enumerate(self.table.positions.tolist())}
 
-    def batch_groups(self, batch: list[Sample]) -> list[md.GroupInputs]:
-        rows_by_road: dict[int, list[int]] = {}
-        for sample in batch:
-            rows_by_road.setdefault(sample[0], []).append(self.row_of[sample])
-        return [
-            _subset_group(self.groups[road], np.asarray(sorted(rows), dtype=int))
-            for road, rows in sorted(rows_by_road.items())
-        ]
+    def batch_groups(self, batch: list[Sample]) -> md.GroupInputs:
+        """The batch's rows as one group, in table order (so grouped by
+        interval class)."""
+        return self.table.take(np.sort([self.row_of[sample] for sample in batch]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +306,30 @@ class TrainResult:
 
 
 def _first_nonfinite(params: md.McanParams, loss_value: float) -> str:
-    if not np.isfinite(loss_value):
-        for name, p in md.named_parameters(params):
-            if not np.all(np.isfinite(p.data)):
-                return name
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                return f"grad of {name}"
-        return "loss"
     for name, p in md.named_parameters(params):
         if not np.all(np.isfinite(p.data)):
             return name
+        if not np.isfinite(loss_value) and p.grad is not None and not np.all(np.isfinite(p.grad)):
+            return f"grad of {name}"
     return "loss"
+
+
+def _adam_step(params: md.McanParams, leaves: list, state: ad.AdamState, gi: md.GroupInputs,
+               drop: md.Dropout | None) -> float:
+    """One forward, backward and Adam update; returns the loss.  The step's
+    graph is released on return, before the next one is built."""
+    speed, trend, dev = md.forward_group(params, gi, drop)
+    total = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend,
+                          dev, gi.target_deviation, params.config.alpha, params.config.beta)
+    ad.zero_grads(leaves)
+    total.backward()
+    value = total.item()
+    if not np.isfinite(value):
+        raise TrainingDivergence(
+            f"non-finite training loss; first non-finite tensor: {_first_nonfinite(params, value)}"
+        )
+    ad.adam_step(leaves, None, state)
+    return value
 
 
 def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
@@ -387,25 +366,8 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
         order = rng_shuffle.permutation(count)
         epoch_loss = 0.0
         for start in range(0, count, config.batch_size):
-            batch = [train_samples[i] for i in order[start : start + config.batch_size]]
-            total = None
-            for gi in cache.batch_groups(batch):
-                speed, trend, dev = md.forward_group(params, gi, drop)
-                part = md.loss_batch(
-                    speed, gi.target_speed, trend, gi.target_trend,
-                    dev, gi.target_deviation, mc.alpha, mc.beta,
-                )
-                total = part if total is None else ad.add(total, part)
-            ad.zero_grads(leaves)
-            total.backward()
-            value = total.item()
-            if not np.isfinite(value):
-                raise TrainingDivergence(
-                    f"non-finite training loss; first non-finite tensor: "
-                    f"{_first_nonfinite(params, value)}"
-                )
-            ad.adam_step(leaves, None, state)
-            epoch_loss += value
+            gi = cache.batch_groups([train_samples[i] for i in order[start : start + config.batch_size]])
+            epoch_loss += _adam_step(params, leaves, state, gi, drop)
         for p in leaves:
             if not np.all(np.isfinite(p.data)):
                 raise TrainingDivergence(
@@ -463,26 +425,19 @@ def compute_metrics(truth: np.ndarray, predictions: np.ndarray) -> MetricsReport
 def predict_samples(params: md.McanParams, view: md.DataView, samples: list[Sample],
                     batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Denormalized (truth, prediction) arrays of shape (samples, horizon),
-    rows in the order of ``samples``."""
+    rows in the order of ``samples``, which run in chunks of ``batch_size``."""
     if not samples:
         raise MissingDataError("no samples to evaluate")
-    config = params.config
-    horizon = config.horizon
-    truth = np.empty((len(samples), horizon))
-    preds = np.empty((len(samples), horizon))
-    by_road: dict[int, list[int]] = {}
-    for pos, (road, _) in enumerate(samples):
-        by_road.setdefault(road, []).append(pos)
-    for road in sorted(by_road):
-        positions = by_road[road]
-        times = [samples[pos][1] for pos in positions]
-        for start in range(0, len(times), batch_size):
-            chunk_pos = positions[start : start + batch_size]
-            chunk_times = times[start : start + batch_size]
-            gi = md.assemble_group(view, config, road, chunk_times)
-            speed, _, _ = md.forward_group(params, gi, None)
-            truth[chunk_pos] = view.denormalize(road, gi.target_speed)
-            preds[chunk_pos] = view.denormalize(road, speed.data)
+    truth = np.empty((len(samples), params.config.horizon))
+    preds = np.empty((len(samples), params.config.horizon))
+    pairs = np.asarray(samples, dtype=int).reshape(-1, 2)
+    for start in range(0, len(pairs), batch_size):
+        chunk = pairs[start : start + batch_size]
+        gi = md.assemble_group(view, params.config, chunk[:, 0], chunk[:, 1])
+        speed, _, _ = md.forward_group(params, gi, None)
+        rows, roads = start + gi.positions, gi.roads[:, None]
+        truth[rows] = view.denormalize(roads, gi.target_speed)
+        preds[rows] = view.denormalize(roads, speed.data)
     return truth, preds
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 
@@ -47,20 +49,20 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray, indices=N
     return worst
 
 
-def group_input_arrays(gi):
+def group_input_arrays(gi, prefix=""):
     """``(name, array or None)`` for every input a ``GroupInputs`` holds, in
     its own order, so two assemblies can be compared bit for bit."""
-    for name, value in vars(gi).items():
-        if name == "hop_windows":
-            for ch, hops in value.items():
-                for k, layer in enumerate(hops):
-                    for j, windows in layer.items():
-                        yield f"{name}.{ch}.{k}.{j}", windows
-        elif isinstance(value, dict):
-            for ch, windows in value.items():
-                yield f"{name}.{ch}", windows
-        else:
-            yield name, value
+    if dataclasses.is_dataclass(gi):
+        items = ((f.name, getattr(gi, f.name)) for f in dataclasses.fields(gi))
+    elif isinstance(gi, dict):
+        items = gi.items()
+    elif isinstance(gi, list):
+        items = enumerate(gi)
+    else:
+        yield prefix, gi
+        return
+    for key, value in items:
+        yield from group_input_arrays(value, f"{prefix}.{key}" if prefix else str(key))
 
 
 def assert_same_group_inputs(a, b):

@@ -154,24 +154,6 @@ def test_softmax_gradient():
     assert relative_gradient_error(x.grad, numeric) < 1e-5
 
 
-def test_interleave_columns_forward_and_gradient():
-    raw = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    fill = ad.parameter(np.array([10.0, 20.0]))
-    raw_cols = np.array([0, 2])
-    fill_cols = np.array([1, 3])
-    out = ad.interleave_columns(raw, fill, raw_cols, fill_cols, 4)
-    assert np.array_equal(out.data, [[1.0, 10.0, 2.0, 20.0], [3.0, 10.0, 4.0, 20.0]])
-
-    def forward():
-        o = ad.interleave_columns(raw, fill, raw_cols, fill_cols, 4)
-        return ad.vsum(ad.square(o))
-
-    forward().backward()
-    for p in (raw, fill):
-        numeric = finite_difference(lambda: forward().item(), p)
-        assert relative_gradient_error(p.grad, numeric) < 1e-5
-
-
 def test_vsum_axis_and_mean_gradients():
     rng = np.random.default_rng(13)
     x = ad.parameter(rng.normal(size=(3, 4, 2)))

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config handling, exit codes, artifacts, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,51 @@ class TestPredict:
             assert cli.main(["predict", "--config", config]) == 0
         assert (tmp_path / "p1" / "predictions.csv").read_bytes() == \
             (tmp_path / "p2" / "predictions.csv").read_bytes()
+
+
+def run_on(tmp_path, command, data, checkpoint, name):
+    config = write_config(
+        tmp_path / f"{name}.json",
+        graph_path=str(data / "graph.json"),
+        series_path=str(data / "series.csv"),
+        context_path=str(data / "context.csv"),
+        checkpoint_path=str(checkpoint),
+        output_dir=str(tmp_path / name),
+    )
+    return cli.main([command, "--config", config])
+
+
+class TestCheckpointFitsDataset:
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_other_sampling_interval_is_runtime_error(self, tmp_path, trained_dir, capsys, command):
+        # the same graph regenerated with every road at 60 minutes: the
+        # 30-minute roads' 48-slot daily averages meet 24-slot days
+        assert cli.main(generate_args(tmp_path, "data60", intervals=[60])) == 0
+        code = run_on(tmp_path, command, tmp_path / "data60", trained_dir / "checkpoint.json", "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"road \d+ has 48 daily-average slots in the checkpoint "
+                         r"but 24 slots per day in the dataset", err), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_fewer_weather_codes_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys,
+                                                  command):
+        data = tmp_path / "calm"
+        data.mkdir()
+        for name in ("graph.json", "series.csv"):
+            (data / name).write_bytes((data_dir / name).read_bytes())
+        header, *rows = (data_dir / "context.csv").read_text().splitlines()
+        column = header.split(",").index("weather_code")
+        calm = [",".join("0" if k == column else v for k, v in enumerate(row.split(",")))
+                for row in rows]
+        (data / "context.csv").write_text("\n".join([header] + calm) + "\n")
+        trained = json.loads((trained_dir / "checkpoint.json").read_text())["config"]
+        code = run_on(tmp_path, command, data, trained_dir / "checkpoint.json", "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"'config.weather_code_count' is {trained['weather_code_count']} "
+                f"but the dataset has 1") in err, err
 
 
 class TestCorrelate:

@@ -82,7 +82,8 @@ class TestEmbedSeries:
         windows = np.array([[1.0, 2.0, 3.0]])
 
         def forward():
-            return ad.vsum(ad.square(hsc.embed_windows(windows, 9, cpa)))
+            return ad.vsum(ad.square(hsc.embed_windows(hsc.spread_windows(windows, 9),
+                                                       np.array([3]), cpa)))
 
         forward().backward()
         numeric = finite_difference(lambda: forward().item(), cpa.coefficients)
@@ -105,6 +106,63 @@ class TestEmbedSeries:
                 assert abs(int(raw_coarse[m]) - int(raw_fine[m_fine])) <= spacing + 1
 
 
+class TestEmbedWindows:
+    """The batched embedding R + A @ coefficients over padded slots."""
+
+    def lengths_and_spread(self, rng, c=6):
+        # (N=3, B=4) slots: mixed lengths, padding (0), and an all-padding row
+        lengths = np.array([[3, 6, 1, 0], [2, 0, 4, 0], [0, 0, 5, 0]])
+        spread = np.zeros(lengths.shape + (c,))
+        for idx in np.ndindex(lengths.shape):
+            if lengths[idx]:
+                spread[idx] = hsc.spread_windows(rng.normal(size=lengths[idx]), c)
+        return lengths, spread
+
+    def test_equals_per_window_embedding_and_leaves_padding_alone(self):
+        rng = np.random.default_rng(41)
+        cpa = make_cpa(rng.normal(size=4))
+        lengths, spread = self.lengths_and_spread(rng)
+        spread[lengths == 0] = rng.normal(size=((lengths == 0).sum(), 6))  # garbage
+        out = hsc.embed_windows(spread, lengths, cpa).data
+        for idx in np.ndindex(lengths.shape):
+            if lengths[idx]:
+                raw = spread[idx][hsc.embedding_positions(lengths[idx], 6)[0]]
+                assert np.abs(out[idx] - hsc.embed_series(raw, 6, cpa).values).max() < 1e-14
+            else:
+                assert np.array_equal(out[idx], spread[idx])
+
+    def test_finite_difference_with_padded_slots(self):
+        rng = np.random.default_rng(43)
+        cpa = make_cpa(rng.normal(size=4))
+        lengths, spread = self.lengths_and_spread(rng)
+        weights = rng.normal(size=spread.shape)
+
+        def forward():
+            return ad.vsum(ad.multiply(ad.square(hsc.embed_windows(spread, lengths, cpa)), weights))
+
+        forward().backward()
+        numeric = finite_difference(lambda: forward().item(), cpa.coefficients)
+        assert relative_gradient_error(cpa.coefficients.grad, numeric) < 1e-6
+
+    def test_window_longer_than_grid_rejected(self):
+        # assembly spreads such a window to zeros; the embedding refuses it
+        spread = hsc.spread_windows(np.ones((2, 12)), 6)
+        assert not spread.any()
+        with pytest.raises(ConfigError, match="window length 12 exceeds embedding length 6"):
+            hsc.embed_windows(spread, np.array([12, 12]), make_cpa([0.1, 0.2]))
+
+    def test_fill_basis_is_zero_at_raw_positions_and_padding(self):
+        table = hsc.fill_basis(12, 5)
+        assert not table[0].any()
+        for length in range(1, 13):
+            raw, fill, _ = hsc.embedding_positions(length, 12)
+            assert not table[length, raw].any()
+            assert np.array_equal(
+                table[length, fill],
+                nn.chebyshev_basis(2.0 * fill / 12 - 1.0, 5).T,
+            )
+
+
 class TestNearestGrid:
     def test_full_length_is_identity(self):
         assert np.array_equal(hsc.nearest_grid_indices(12, 12), np.arange(12))
@@ -115,8 +173,8 @@ class TestNearestGrid:
         assert np.all(np.diff(idx) >= 0)
         rng = np.random.default_rng(0)
         win = rng.normal(size=(2, 6))
-        grid = hsc.copy_windows_to_grid(win, 12)
-        assert np.array_equal(grid.data, win[:, idx])
+        grid = hsc.spread_windows(win, 12, use_embedding=False)
+        assert np.array_equal(grid, win[:, idx])
 
 
 def single_filter_gcn(matrix, kernel, hops=1):
@@ -193,10 +251,11 @@ class TestGcn:
         rng = np.random.default_rng(13)
         params = hsc.init_gcn(rng, 4, 3, 3, 1)
         target = ad.constant(rng.normal(size=(2, 4)))
-        neighbors = [ad.constant(rng.normal(size=(2, 4))) for _ in range(4)]
-        out1 = hsc.gcn_hop_features(params, target, [neighbors])[0].data
-        perm = [neighbors[i] for i in (2, 0, 3, 1)]
-        out2 = hsc.gcn_hop_features(params, target, [perm])[0].data
+        neighbors = rng.normal(size=(4, 2, 4))
+        mask = np.ones((4, 2), dtype=bool)
+        out1 = hsc.gcn_hop_features(params, target, [ad.constant(neighbors)], [mask])[0].data
+        perm = ad.constant(neighbors[[2, 0, 3, 1]])
+        out2 = hsc.gcn_hop_features(params, target, [perm], [mask])[0].data
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -232,6 +291,22 @@ def line3_graph(intervals=(10, 20, 30)):
     return gd.RoadGraph(nodes, [(0, 1), (1, 2)])
 
 
+def single_forward(params, target_window, neighbor_windows, graph, target):
+    """One sample's channel prediction for ``target`` through the batched
+    forward (B = 1); neighbor windows are keyed by road id and grouped into
+    hops from the graph."""
+    c, use_embedding = params.gcn.embed_len, params.cpa is not None
+    hops, hop_lengths = [], []
+    for layer in gd.k_hop_neighbors(graph, target, params.gcn.hops):
+        windows = [np.asarray(neighbor_windows[road], dtype=np.float64) for road in sorted(layer)]
+        hops.append(np.reshape([hsc.spread_windows(w, c, use_embedding) for w in windows], (1, -1, c)))
+        hop_lengths.append(np.array([[len(w) for w in windows]], dtype=int).reshape(1, -1))
+    window = np.asarray(target_window, dtype=np.float64).reshape(1, -1)
+    inputs = hsc.ChannelInputs(window, np.array([window.shape[1]]),
+                               hsc.spread_windows(window, c, use_embedding), hops, hop_lengths)
+    return ad.reshape(hsc.hsc_forward_batch(params, inputs), (-1,))
+
+
 class TestHscForward:
     def test_zero_network_outputs_head_bias(self):
         rng = np.random.default_rng(19)
@@ -246,7 +321,7 @@ class TestHscForward:
             layer.bias.data[:] = 0.0
         graph = line3_graph()
         windows = {1: np.arange(1.0, 4.0), 2: np.arange(1.0, 3.0)}
-        out = hsc.hsc_forward(params, np.arange(1.0, 7.0), windows, graph, 0)
+        out = single_forward(params, np.arange(1.0, 7.0), windows, graph, 0)
         assert np.array_equal(out.data, np.zeros(2))
 
     def test_isolated_target_depends_only_on_self_window(self):
@@ -254,10 +329,10 @@ class TestHscForward:
         params = tiny_hsc(rng)
         graph = gd.RoadGraph([gd.RoadSegment(0, 1.0, 0, 1, 0, 10)], [])
         win_a = np.arange(1.0, 7.0)
-        out_a = hsc.hsc_forward(params, win_a, {}, graph, 0)
-        out_b = hsc.hsc_forward(params, win_a.copy(), {}, graph, 0)
+        out_a = single_forward(params, win_a, {}, graph, 0)
+        out_b = single_forward(params, win_a.copy(), {}, graph, 0)
         assert np.array_equal(out_a.data, out_b.data)
-        out_c = hsc.hsc_forward(params, win_a + 1.0, {}, graph, 0)
+        out_c = single_forward(params, win_a + 1.0, {}, graph, 0)
         assert not np.array_equal(out_a.data, out_c.data)
 
     def test_gradient_check_all_parameter_groups(self):
@@ -268,7 +343,7 @@ class TestHscForward:
         neighbor_windows = {1: rng.uniform(0, 1, size=3), 2: rng.uniform(0, 1, size=2)}
 
         def forward():
-            out = hsc.hsc_forward(params, target_window, neighbor_windows, graph, 0)
+            out = single_forward(params, target_window, neighbor_windows, graph, 0)
             return ad.vsum(ad.square(out))
 
         forward().backward()
@@ -292,7 +367,7 @@ class TestHscForward:
         params = tiny_hsc(rng, use_embedding=False)
         assert params.cpa is None
         graph = line3_graph()
-        out = hsc.hsc_forward(params, rng.uniform(0, 1, 6),
+        out = single_forward(params, rng.uniform(0, 1, 6),
                               {1: rng.uniform(0, 1, 3), 2: rng.uniform(0, 1, 2)}, graph, 0)
         assert out.data.shape == (2,)
 
@@ -303,9 +378,14 @@ class TestHscForward:
         targets = rng.uniform(0, 1, size=(3, 6))
         neigh1 = rng.uniform(0, 1, size=(3, 3))
         neigh2 = rng.uniform(0, 1, size=(3, 2))
-        batched = hsc.hsc_forward_batch(params, targets, [{1: neigh1}, {2: neigh2}])
+        inputs = hsc.ChannelInputs(
+            windows=targets, lengths=np.full(3, 6), target=hsc.spread_windows(targets, 6),
+            hops=[hsc.spread_windows(neigh1, 6)[:, None], hsc.spread_windows(neigh2, 6)[:, None]],
+            hop_lengths=[np.full((3, 1), 3), np.full((3, 1), 2)],
+        )
+        batched = hsc.hsc_forward_batch(params, inputs)
         for b in range(3):
-            single = hsc.hsc_forward(params, targets[b], {1: neigh1[b], 2: neigh2[b]}, graph, 0)
+            single = single_forward(params, targets[b], {1: neigh1[b], 2: neigh2[b]}, graph, 0)
             assert np.abs(batched.data[b] - single.data).max() < 1e-12
 
 
@@ -336,9 +416,11 @@ class TestHourWindows:
 
 
 def composed_hop(params, target, neighbors):
-    """Reference for the fused hop: per-neighbor scores and kernel response."""
+    """Reference for the fused hop: per-neighbor scores and kernel response,
+    one ``(B, c)`` neighbor at a time from the ``(N, B, c)`` stack."""
     total = None
-    for emb in neighbors:
+    for n in range(neighbors.data.shape[0]):
+        emb = neighbors[n]
         response = hsc._kernel_response(params, hsc.correlation_scores(params, target, emb))
         total = response if total is None else ad.add(total, response)
     return total
@@ -351,8 +433,8 @@ class TestGcnHop:
         rng = np.random.default_rng(200 + 10 * order + count)
         params = hsc.init_gcn(rng, 6, 3, order, 2)
         target = ad.constant(rng.normal(scale=2.0, size=(5, 6)))
-        neighbors = [ad.constant(rng.normal(scale=2.0, size=(5, 6))) for _ in range(count)]
-        fused = hsc.gcn_hop(params, target, neighbors)
+        neighbors = ad.constant(rng.normal(scale=2.0, size=(count, 5, 6)))
+        fused = hsc.gcn_hop(params, target, neighbors, np.ones((count, 5), dtype=bool))
         assert fused.data.shape == (5, 3)
         assert np.abs(fused.data - composed_hop(params, target, neighbors).data).max() < 1e-12
 
@@ -360,26 +442,29 @@ class TestGcnHop:
         rng = np.random.default_rng(211)
         params = hsc.init_gcn(rng, 4, 2, 3, 3)
         target = ad.parameter(rng.normal(size=(3, 4)))
-        neighbor = ad.constant(rng.normal(size=(3, 4)))
-        features = hsc.gcn_hop_features(params, target, [[], [neighbor], []])
+        empty = ad.constant(np.zeros((0, 3, 4)))
+        neighbor = ad.constant(rng.normal(size=(1, 3, 4)))
+        masks = [np.zeros((0, 3), dtype=bool), np.ones((1, 3), dtype=bool), np.zeros((0, 3), dtype=bool)]
+        features = hsc.gcn_hop_features(params, target, [empty, neighbor, empty], masks)
         assert np.array_equal(features[0].data, np.zeros((3, 2)))
         assert np.array_equal(features[2].data, np.zeros((3, 2)))
         assert not features[0].requires_grad and not features[0]._parents
-        assert np.abs(features[1].data - composed_hop(params, target, [neighbor]).data).max() < 1e-12
+        assert np.abs(features[1].data - composed_hop(params, target, neighbor).data).max() < 1e-12
 
     @pytest.mark.parametrize("order", [1, 2, 5])
     def test_finite_difference_every_parent(self, order):
         rng = np.random.default_rng(223 + order)
         params = hsc.init_gcn(rng, 3, 2, order, 1)
         target = ad.parameter(rng.normal(size=(2, 3)))
-        neighbors = [ad.parameter(rng.normal(size=(2, 3))) for _ in range(3)]
+        neighbors = ad.parameter(rng.normal(size=(3, 2, 3)))
+        mask = np.ones((3, 2), dtype=bool)
         weights = rng.normal(size=(2, 2))
 
         def forward():
-            return ad.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors), weights))
+            return ad.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
 
         forward().backward()
-        for p in [params.correlation, params.kernel, target] + neighbors:
+        for p in [params.correlation, params.kernel, target, neighbors]:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-6
 
@@ -387,10 +472,11 @@ class TestGcnHop:
         rng = np.random.default_rng(227)
         params = hsc.init_gcn(rng, 5, 3, 5, 1)
         target = ad.parameter(rng.normal(size=(4, 5)))
-        neighbors = [ad.parameter(rng.normal(size=(4, 5))) for _ in range(3)]
-        parents = [params.correlation, params.kernel, target] + neighbors
+        neighbors = ad.parameter(rng.normal(size=(3, 4, 5)))
+        mask = np.ones((3, 4), dtype=bool)
+        parents = [params.correlation, params.kernel, target, neighbors]
         grads = []
-        for run in (hsc.gcn_hop, composed_hop):
+        for run in (lambda *a: hsc.gcn_hop(*a, mask), composed_hop):
             for p in parents:
                 p.zero_grad()
             ad.vsum(ad.square(run(params, target, neighbors))).backward()
@@ -398,13 +484,51 @@ class TestGcnHop:
         for fused, composed in zip(*grads):
             assert np.abs(fused - composed).max() <= 1e-12 * max(1.0, np.abs(composed).max())
 
+    def masked_case(self, rng):
+        # N=3 slots, B=4 rows; row 3 is all padding, rows 1-2 are partly padded
+        mask = np.array([[1, 1, 1, 0], [1, 0, 1, 0], [1, 0, 0, 0]], dtype=bool)
+        neighbors = rng.normal(size=(3, 4, 3))
+        neighbors[~mask] = rng.normal(scale=50.0, size=((~mask).sum(), 3))  # garbage
+        return mask, neighbors
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_masked_finite_difference_every_parent(self, order):
+        rng = np.random.default_rng(231 + order)
+        params = hsc.init_gcn(rng, 3, 2, order, 1)
+        target = ad.parameter(rng.normal(size=(4, 3)))
+        mask, values = self.masked_case(rng)
+        neighbors = ad.parameter(values)
+        weights = rng.normal(size=(4, 2))
+
+        def forward():
+            return ad.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
+
+        forward().backward()
+        for p in [params.correlation, params.kernel, target, neighbors]:
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+        assert not neighbors.grad[~mask].any()
+        assert not target.grad[3].any()
+
+    def test_masked_slots_equal_dropping_them(self):
+        rng = np.random.default_rng(233)
+        params = hsc.init_gcn(rng, 3, 2, 4, 1)
+        target = ad.constant(rng.normal(size=(4, 3)))
+        mask, values = self.masked_case(rng)
+        out = hsc.gcn_hop(params, target, ad.constant(values), mask).data
+        assert np.array_equal(out[3], np.zeros(2))  # an all-padding row is today's zero
+        for b in range(3):
+            kept = ad.constant(values[mask[:, b], b][:, None, :])
+            alone = hsc.gcn_hop(params, target[b:b + 1], kept, np.ones((len(kept.data), 1), bool))
+            assert np.abs(out[b] - alone.data[0]).max() < 1e-12
+
     def test_constant_embeddings_get_no_gradient(self):
         # Under the no-embedding ablation the windows are constants: only the
         # filter parameters take a gradient.
         rng = np.random.default_rng(229)
         params = hsc.init_gcn(rng, 4, 2, 3, 1)
         target = ad.constant(rng.normal(size=(3, 4)))
-        neighbors = [ad.constant(rng.normal(size=(3, 4))) for _ in range(2)]
-        ad.vsum(hsc.gcn_hop(params, target, neighbors)).backward()
-        assert target.grad is None and all(n.grad is None for n in neighbors)
+        neighbors = ad.constant(rng.normal(size=(2, 3, 4)))
+        ad.vsum(hsc.gcn_hop(params, target, neighbors, np.ones((2, 3), dtype=bool))).backward()
+        assert target.grad is None and neighbors.grad is None
         assert params.correlation.grad is not None and params.kernel.grad is not None

@@ -1,11 +1,12 @@
 """Tests for the assembled prediction model: channels, fusion, loss, checkpoints."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from conftest import assert_same_group_inputs, finite_difference, relative_gradient_error
+from conftest import finite_difference, group_input_arrays, relative_gradient_error
 from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import model as md
@@ -54,6 +55,30 @@ def view(dataset):
     return md.build_view(dataset)
 
 
+@pytest.fixture(scope="module")
+def mixed_view():
+    """Five z-scored roads in three interval classes (20, 30 and 60 min).
+    Roads 3 and 4 form their own component, so their second hop is empty
+    while road 1's first hop has two neighbors: a road-mixed batch pads
+    both neighbor axes and the raw target windows."""
+    dataset = small_dataset(n_roads=5)
+    graph = gd.RoadGraph(list(dataset.graph.nodes), [(0, 1), (1, 2), (3, 4)])
+    dataset = dataclasses.replace(dataset, graph=graph)
+    assert {node.interval_minutes for node in graph.nodes} == {20, 30, 60}
+    means = np.array([s.values.mean() for s in dataset.series])
+    stds = np.array([s.values.std() for s in dataset.series])
+    return md.build_view(dataset, means=means, stds=stds)
+
+
+def mixed_samples(view, config, per_road=4, seed=71):
+    """``per_road`` random eligible samples of every road, shuffled together."""
+    rng = np.random.default_rng(seed)
+    samples = [(road, int(t)) for road in range(view.graph.size)
+               for t in rng.choice(md.eligible_times(view, config, road), per_road, replace=False)]
+    pairs = np.array(samples)[rng.permutation(len(samples))]
+    return pairs[:, 0], pairs[:, 1]
+
+
 class TestAblationParsing:
     def test_combined_names_expand(self):
         assert md.parse_ablations(["ntr-nde"]) == frozenset({"ntr", "nde"})
@@ -95,24 +120,42 @@ class TestAssembly:
         rng = np.random.default_rng(47)
         for road in range(view.graph.size):
             times = rng.permutation(md.eligible_times(view, config, road))[:9]
-            batched = md.assemble_group(view, config, road, times)
-            rows = [md.assemble_group(view, config, road, [t]) for t in times]
-            stacked = md.GroupInputs(
-                road=road,
-                times=np.concatenate([r.times for r in rows]),
-                target_windows={ch: np.concatenate([r.target_windows[ch] for r in rows])
-                                for ch in rows[0].target_windows},
-                hop_windows={
-                    ch: [{j: np.concatenate([r.hop_windows[ch][k][j] for r in rows]) for j in layer}
-                         for k, layer in enumerate(hops)]
-                    for ch, hops in rows[0].hop_windows.items()
-                },
-                **{name: None if getattr(rows[0], name) is None
-                   else np.concatenate([getattr(r, name) for r in rows])
-                   for name in ("prev_speed", "ybar_at_t", "recent", "daily", "weekly", "static",
-                                "dynamic", "target_speed", "target_trend", "target_deviation")},
-            )
-            assert_same_group_inputs(batched, stacked)
+            batched = md.assemble_group(view, config, np.full(len(times), road), times)
+            rows = [dict(group_input_arrays(md.assemble_group(view, config, [road], [t])))
+                    for t in times]
+            assert np.array_equal(batched.positions, np.arange(len(times)))
+            for name, x in group_input_arrays(batched):
+                if name == "positions":
+                    continue
+                if x is None:
+                    assert all(r[name] is None for r in rows), name
+                    continue
+                stacked = np.concatenate([r[name] for r in rows])
+                assert (x.dtype, x.shape) == (stacked.dtype, stacked.shape), name
+                assert x.tobytes() == stacked.tobytes(), name
+
+    @pytest.mark.parametrize("ablations", [frozenset(), frozenset({"nemb"})])
+    def test_road_mixed_rows_equal_single_rows_plus_zero_padding(self, mixed_view, ablations):
+        config = small_config(ablations=ablations)
+        roads, times = mixed_samples(mixed_view, config)
+        batched = md.assemble_group(mixed_view, config, roads, times)
+        intervals = [mixed_view.interval(r) for r in batched.roads]
+        assert intervals == sorted(intervals)  # grouped by interval class
+        assert sorted(batched.positions.tolist()) == list(range(len(roads)))
+        assert np.array_equal(batched.roads, roads[batched.positions])
+        assert np.array_equal(batched.times, times[batched.positions])
+        for row, pos in enumerate(batched.positions):
+            single = dict(group_input_arrays(
+                md.assemble_group(mixed_view, config, [roads[pos]], [times[pos]])))
+            for name, x in group_input_arrays(batched):
+                if name == "positions" or x is None:
+                    assert name == "positions" or single[name] is None, name
+                    continue
+                got, ref = np.array(x[row]), single[name][0]
+                corner = tuple(slice(0, n) for n in ref.shape)  # narrower rows are zero-padded
+                assert got[corner].tobytes() == ref.tobytes(), name
+                got[corner] = 0
+                assert not got.any(), name
 
     def test_too_early_time_names_branch_and_t(self, view):
         config = small_config()
@@ -134,12 +177,13 @@ class TestForward:
     def test_group_batch_matches_per_sample(self, dataset, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(5))
-        road = 0
-        times = md.eligible_times(view, config, road)[:3]
-        gi = md.assemble_group(view, config, road, times)
+        roads = np.repeat(np.arange(dataset.graph.size), 3)
+        times = np.concatenate([md.eligible_times(view, config, r)[:3]
+                                for r in range(dataset.graph.size)])
+        gi = md.assemble_group(view, config, roads, times)
         speed, trend, dev = md.forward_group(params, gi)
-        for k, t in enumerate(times):
-            bundle = md.mcan_forward(params, road, int(t), dataset.graph, view)
+        for k, pos in enumerate(gi.positions):
+            bundle = md.mcan_forward(params, int(roads[pos]), int(times[pos]), dataset.graph, view)
             assert np.abs(bundle.speed - speed.data[k]).max() < 1e-12
             assert np.abs(bundle.trend - trend.data[k]).max() < 1e-12
             assert np.abs(bundle.deviation - dev.data[k]).max() < 1e-12
@@ -167,7 +211,7 @@ class TestForward:
         params = md.init_mcan(config, np.random.default_rng(11))
         road = 0
         t = int(md.eligible_times(view, config, road)[0])
-        gi = md.assemble_group(view, config, road, [t])
+        gi = md.assemble_group(view, config, [road], [t])
         components, _ = md.fusion_components(params, gi)
         assert len(components) == 4  # speed channel, recent, two context summaries
 
@@ -176,7 +220,7 @@ class TestForward:
         params = md.init_mcan(config, np.random.default_rng(13))
         road = 0
         t = int(md.eligible_times(view, config, road)[0])
-        gi = md.assemble_group(view, config, road, [t])
+        gi = md.assemble_group(view, config, [road], [t])
         components, _ = md.fusion_components(params, gi)
         assert len(components) == 8  # 3 channels + 3 temporal + 2 context
 
@@ -200,7 +244,7 @@ class TestForward:
         params = md.init_mcan(config, np.random.default_rng(17))
         road = 0
         t = int(md.eligible_times(view, config, road)[0])
-        gi = md.assemble_group(view, config, road, [t])
+        gi = md.assemble_group(view, config, [road], [t])
 
         def forward():
             speed, trend, dev = md.forward_group(params, gi)
@@ -226,7 +270,7 @@ class TestForward:
         params = md.init_mcan(config, np.random.default_rng(23))
         road = 0
         t = int(md.eligible_times(view, config, road)[0])
-        gi = md.assemble_group(view, config, road, [t])
+        gi = md.assemble_group(view, config, [road], [t])
         speed, trend, dev = md.forward_group(params, gi)
         total = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend,
                               dev, gi.target_deviation, config.alpha, config.beta)
@@ -234,6 +278,74 @@ class TestForward:
         w = params.msc_heads["trend"].layers[0].weight
         assert w.grad is not None
         assert np.abs(w.grad[1]).max() > 0  # row 1 multiplies the previous speed
+
+
+def batch_loss(params, gi):
+    """Eval-mode outputs of one forward over ``gi`` and its loss, backward run."""
+    config = params.config
+    speed, trend, dev = md.forward_group(params, gi)
+    md.loss_batch(speed, gi.target_speed, trend, gi.target_trend, dev, gi.target_deviation,
+                  config.alpha, config.beta).backward()
+    return [None if v is None else v.data for v in (speed, trend, dev)]
+
+
+def gradients(params):
+    return {name: p.grad.copy() for name, p in md.named_parameters(params)}
+
+
+class TestRoadMixedForward:
+    @pytest.mark.parametrize("ablations", [()] + [(name,) for name in md.ABLATION_NAMES])
+    def test_mixed_batch_equals_one_road_at_a_time(self, mixed_view, ablations):
+        config = small_config(ablations=md.parse_ablations(ablations), lstm_layers=2)
+        params = md.init_mcan(config, np.random.default_rng(73))
+        leaves = md.parameter_list(params)
+        roads, times = mixed_samples(mixed_view, config)
+        gi = md.assemble_group(mixed_view, config, roads, times)
+        assert len(np.unique(gi.channels["speed"].lengths)) == 3
+        assert any(not lengths.any() for lengths in gi.channels["speed"].hop_lengths[1])
+
+        ad.zero_grads(leaves)
+        mixed = batch_loss(params, gi)
+        mixed_grads = gradients(params)
+        ad.zero_grads(leaves)
+        per_road = [np.full_like(out, np.nan) if out is not None else None for out in mixed]
+        for road in range(mixed_view.graph.size):
+            sub = md.assemble_group(mixed_view, config, road, times[roads == road])
+            rows = [np.flatnonzero((gi.roads == road) & (gi.times == t))[0] for t in sub.times]
+            for out, part in zip(per_road, batch_loss(params, sub)):
+                if out is not None:
+                    out[rows] = part
+        for got, ref in zip(mixed, per_road):
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        for name, ref in gradients(params).items():
+            assert np.abs(mixed_grads[name] - ref).max() <= 1e-10 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("ablations", [(), ("nemb",)])
+    def test_garbage_in_padded_slots_changes_nothing(self, mixed_view, ablations):
+        config = small_config(ablations=md.parse_ablations(ablations))
+        params = md.init_mcan(config, np.random.default_rng(79))
+        leaves = md.parameter_list(params)
+        gi = md.assemble_group(mixed_view, config, *mixed_samples(mixed_view, config))
+        ad.zero_grads(leaves)
+        clean = batch_loss(params, gi)
+        clean_grads = gradients(params)
+
+        dirty = gi.take(np.arange(len(gi.times)))  # a copy
+        padded = 0
+        for inputs in dirty.channels.values():
+            beyond = np.arange(inputs.windows.shape[1]) >= inputs.lengths[:, None]
+            inputs.windows[beyond] = np.nan
+            for spread, lengths in zip(inputs.hops, inputs.hop_lengths):
+                spread[lengths == 0] = np.nan
+                padded += int((lengths == 0).sum())
+        assert padded > 0
+        ad.zero_grads(leaves)
+        for got, ref in zip(batch_loss(params, dirty), clean):
+            assert (got is None and ref is None) or np.array_equal(got, ref)
+        for name, ref in gradients(params).items():
+            assert np.array_equal(clean_grads[name], ref), name
 
 
 class TestMsc:

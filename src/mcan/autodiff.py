@@ -326,12 +326,6 @@ def vsum(a, axis=None, keepdims: bool = False) -> DiffValue:
     return _node(np.asarray(data), (a,), backward)
 
 
-def vmean(a, axis=None, keepdims: bool = False) -> DiffValue:
-    a = _lift(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return multiply(vsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def softmax(a, axis: int = -1) -> DiffValue:
     a = _lift(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -345,14 +339,12 @@ def softmax(a, axis: int = -1) -> DiffValue:
     return _node(data, (a,), backward)
 
 
-def dropout(x: DiffValue, rate: float, training: bool, rng: np.random.Generator | None = None) -> DiffValue:
+def dropout(x: DiffValue, rate: float, rng: np.random.Generator) -> DiffValue:
     """Inverted dropout: scale survivors by 1/(1-rate) so evaluation is identity."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("dropout in training mode needs an rng")
     keep = rng.random(x.data.shape) >= rate
     mask = keep.astype(np.float64) / (1.0 - rate)
     return multiply(x, mask)
@@ -381,14 +373,12 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(params: list[DiffValue], grads, state: AdamState) -> None:
-    """Standard Adam update with bias correction, in place on ``params``."""
+def adam_step(params: list[DiffValue], state: AdamState) -> None:
+    """Standard Adam update with bias correction, in place on ``params``, from
+    their ``grad`` (zero where it is None)."""
     if not state.m:
         state.initialize(params)
-    if grads is None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-    if len(grads) != len(params):
-        raise ShapeMismatch(f"adam_step: {len(params)} params but {len(grads)} grads")
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.step
@@ -405,7 +395,7 @@ def adam_step(params: list[DiffValue], grads, state: AdamState) -> None:
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:
     """Xavier/Glorot uniform initialization for a weight matrix."""
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)

@@ -81,6 +81,19 @@ def _parse_override(text: str):
         return key, raw
 
 
+def _typed(key: str, value, kind: type):
+    """``value`` as a ``kind`` (integral numbers count as ints, booleans as
+    neither ints nor floats), or a ConfigError naming ``key``."""
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if kind is int and isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and float(value).is_integer():
+        return int(value)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def _validated(command: str, config: dict) -> dict:
     allowed = COMMAND_KEYS[command]
     unknown = sorted(set(config) - set(allowed))
@@ -95,14 +108,9 @@ def _validated(command: str, config: dict) -> dict:
     for key, kind in allowed.items():
         if key not in config or config[key] is None:
             continue
-        value = config[key]
-        if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            config[key] = float(value)
-        elif kind is int and isinstance(value, (int, float)) and not isinstance(value, bool) \
-                and float(value).is_integer():
-            config[key] = int(value)
-        elif not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        config[key] = _typed(key, config[key], kind)
+        if key == "intervals":
+            config[key] = [_typed(key, v, int) for v in config[key]]
     return config
 
 
@@ -170,6 +178,12 @@ def _train_config(config: dict) -> tr.TrainConfig:
     return tr.TrainConfig(**kwargs)
 
 
+def _graph_echo(dataset: gd.TrafficDataset) -> dict:
+    """The dataset's edges and span, as ``train`` records them in the checkpoint."""
+    return {"edges": sorted([a, b] for a, b in dataset.graph.edges),
+            "span_minutes": dataset.span_minutes}
+
+
 def cmd_train(config: dict) -> int:
     dataset = _dataset(config)
     train_config = _train_config(config)
@@ -189,6 +203,7 @@ def cmd_train(config: dict) -> int:
             "learning_rate": train_config.learning_rate,
             "dropout": train_config.dropout,
             "max_train_samples": train_config.max_train_samples,
+            **_graph_echo(dataset),
         },
     )
     history = out / "loss_history.csv"
@@ -203,7 +218,8 @@ def cmd_train(config: dict) -> int:
 def _fitting_checkpoint(config: dict, dataset: gd.TrafficDataset):
     """``md.load_checkpoint`` of the configured path, refused before any
     forward unless its road count, every road's slots per day (the length of
-    its daily averages) and the context code counts match ``dataset``."""
+    its daily averages), the context code counts, the edges and the span
+    match ``dataset``."""
     path = config["checkpoint_path"]
     params, means, stds, ybar, cfg = md.load_checkpoint(path)
     if len(means) != dataset.graph.size:
@@ -217,6 +233,12 @@ def _fitting_checkpoint(config: dict, dataset: gd.TrafficDataset):
         if getattr(params.config, key) != getattr(dataset, key):
             raise SchemaError(f"{path}: checkpoint key 'config.{key}' is {getattr(params.config, key)} "
                               f"but the dataset has {getattr(dataset, key)}")
+    for key, value in _graph_echo(dataset).items():
+        if key not in cfg:
+            raise SchemaError(f"{path}: checkpoint is missing key 'config.{key}'")
+        if cfg[key] != value:
+            raise SchemaError(f"{path}: checkpoint key 'config.{key}' is {cfg[key]} "
+                              f"but the dataset has {value}")
     return params, means, stds, ybar, cfg
 
 

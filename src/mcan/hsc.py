@@ -1,15 +1,16 @@
 """Heterogeneous spatial correlation model for one measurement channel.
 
-Pipeline per target road: embed every involved road's past-hour channel window
-into a shared length (raw values spread by the replace rule, gaps filled by a
-learnable Chebyshev approximation), aggregate 1..h hop neighbors through
-correlation-kernel graph convolution filters, encode the hop-feature sequence
-and the target's own window with two LSTM stacks, and emit the channel output
-through a fully connected head.
+Pipeline for a batch of samples: embed every involved road's past-hour
+channel window into a shared length (raw values spread by the replace rule,
+gaps filled by a learnable Chebyshev polynomial approximation, the CPA),
+aggregate 1..h hop neighbors through correlation-kernel graph convolution
+filters, encode the hop-feature sequence and the target's own window with two
+LSTM stacks, and emit the channel output through a fully connected head.
 
 A batch mixes target roads: each hop's neighbors are one padded
 ``(N_max, B, embed_len)`` tensor with a ``(N_max, B)`` mask, embedded by one
-node (:func:`embed_windows`) and aggregated by one (:func:`gcn_hop`, with a
+node (:func:`embed_windows`, the CPA as ``R + A @ coefficients`` with ``A``
+from :func:`fill_basis`) and aggregated by one (:func:`gcn_hop`, with a
 hand-written backward pass).  :func:`correlation_scores` and
 :func:`_kernel_response` compose the hop one neighbor at a time as the tests'
 reference.
@@ -23,7 +24,6 @@ from functools import cache
 import numpy as np
 
 from . import autodiff as ad
-from . import graphdata as gd
 from . import nnlayers as nn
 from .autodiff import DiffValue
 from .errors import ConfigError, MissingDataError
@@ -61,23 +61,6 @@ def embedding_positions(length: int, embed_len: int) -> tuple[np.ndarray, np.nda
 def _fill_arguments(fill_positions: np.ndarray, embed_len: int) -> np.ndarray:
     # CPA argument j / c, affinely mapped onto the Chebyshev domain [-1, 1].
     return 2.0 * (fill_positions / embed_len) - 1.0
-
-
-@dataclass
-class EmbeddedVector:
-    """A fixed-length embedding; mask marks positions holding raw observations."""
-
-    values: np.ndarray
-    filled_mask: np.ndarray  # True where the value is a CPA fill
-
-
-def embed_series(x, embed_len: int, cpa: CpaParams) -> EmbeddedVector:
-    """Embed one channel window (length 1..embed_len) into ``embed_len`` slots."""
-    x = np.asarray(x, dtype=np.float64)
-    dv = embed_windows(spread_windows(x[None], embed_len), np.array([len(x)]), cpa)
-    mask = np.zeros(embed_len, dtype=bool)
-    mask[embedding_positions(len(x), embed_len)[1]] = True
-    return EmbeddedVector(values=dv.data[0].copy(), filled_mask=mask)
 
 
 def nearest_grid_indices(length: int, embed_len: int) -> np.ndarray:
@@ -258,37 +241,6 @@ def gcn_hop_features(params: GcnParams, target_emb: DiffValue, hop_embeddings: l
         else ad.constant(np.zeros((batch, params.filters)))
         for neighbors, mask in zip(hop_embeddings, hop_masks)
     ]
-
-
-def gcn_aggregate(
-    graph: gd.RoadGraph,
-    embeddings: dict[int, EmbeddedVector | np.ndarray],
-    params: GcnParams,
-    target: int,
-) -> list[np.ndarray]:
-    """Hop-feature sequence for one target road, evaluated to numpy arrays."""
-    layers = gd.k_hop_neighbors(graph, target, params.hops)
-    needed = {target} | set().union(*layers)
-    missing = sorted(road for road in needed if road not in embeddings)
-    if missing:
-        raise MissingDataError(f"gcn_aggregate: missing embeddings for roads {missing}")
-
-    def values(road):
-        e = embeddings[road]
-        values = e.values if isinstance(e, EmbeddedVector) else np.asarray(e, dtype=np.float64)
-        if values.shape != (params.embed_len,):
-            raise MissingDataError(
-                f"gcn_aggregate: road {road} embedding has shape {values.shape}, "
-                f"expected ({params.embed_len},)"
-            )
-        return values
-
-    hops = [np.reshape([values(road) for road in sorted(layer)], (len(layer), 1, params.embed_len))
-            for layer in layers]
-    features = gcn_hop_features(params, ad.constant(values(target)[None]),
-                                [ad.constant(h) for h in hops],
-                                [np.ones(h.shape[:2], dtype=bool) for h in hops])
-    return [f.data[0].copy() for f in features]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Samples are (road, time-index) pairs.  A sample at index ``t`` reads history
 strictly before ``t`` and predicts the speeds at ``t .. t+H-1``; the trend and
 deviation channels additionally supervise their value at ``t`` itself.
 A batch of samples of any target roads is one :class:`GroupInputs` and one
-forward graph; the per-sample functions run the same path on one row.
+forward graph; a single sample is a batch of one row.
 """
 
 from __future__ import annotations
@@ -129,15 +129,6 @@ class McanParams:
     context_dynamic: LstmStack
     fusion: AttentionParams
     output_head: FnnParams
-
-
-@dataclass
-class PredictionBundle:
-    """Model outputs for one sample, in the value space of its inputs."""
-
-    speed: np.ndarray  # length horizon
-    trend: np.ndarray | None  # length 1 unless the channel is ablated
-    deviation: np.ndarray | None
 
 
 def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
@@ -306,10 +297,6 @@ def build_view(
     )
 
 
-def _as_view(data) -> DataView:
-    return data if isinstance(data, DataView) else build_view(data)
-
-
 # ---------------------------------------------------------------------------
 # Sample eligibility and index footprints
 
@@ -365,10 +352,6 @@ def sample_footprint(view: DataView, config: ModelConfig, road: int, t: int) -> 
         # the trend gather also touches each index's predecessor
         footprint[j] = np.unique(np.concatenate([merged, merged - 1]))
     return footprint
-
-
-def target_indices(config: ModelConfig, t: int) -> np.ndarray:
-    return np.arange(t, t + config.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -540,37 +523,35 @@ def _sequence_steps(stacked: np.ndarray) -> np.ndarray:
     return stacked.transpose(1, 0, 2)
 
 
-def _mtc_components(params: McanParams, recent: np.ndarray, daily: np.ndarray | None,
-                    weekly: np.ndarray | None, drop: Dropout | None):
+def _mtc_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
     config = params.config
-    if recent.shape[1] != config.recent_steps:
+    if gi.recent.shape[1] != config.recent_steps:
         raise ShapeMismatch(
-            f"recent input has {recent.shape[1]} steps, expected {config.recent_steps}"
+            f"recent input has {gi.recent.shape[1]} steps, expected {config.recent_steps}"
         )
-    out = {"recent": nn.lstm_sequence(params.lstm_recent, _sequence_steps(recent), drop)}
+    out = {"recent": nn.lstm_sequence(params.lstm_recent, _sequence_steps(gi.recent), drop)}
     if config.use_daily:
-        if daily is None or daily.shape[1] != config.daily_steps:
+        if gi.daily is None or gi.daily.shape[1] != config.daily_steps:
             raise ShapeMismatch(f"daily input must have {config.daily_steps} steps")
-        out["daily"] = nn.lstm_sequence(params.lstm_daily, _sequence_steps(daily), drop)
+        out["daily"] = nn.lstm_sequence(params.lstm_daily, _sequence_steps(gi.daily), drop)
     if config.use_weekly:
-        if weekly is None or weekly.shape[1] != config.weekly_steps:
+        if gi.weekly is None or gi.weekly.shape[1] != config.weekly_steps:
             raise ShapeMismatch(f"weekly input must have {config.weekly_steps} steps")
-        out["weekly"] = nn.lstm_sequence(params.lstm_weekly, _sequence_steps(weekly), drop)
+        out["weekly"] = nn.lstm_sequence(params.lstm_weekly, _sequence_steps(gi.weekly), drop)
     return out
 
 
-def _context_components(params: McanParams, static: np.ndarray, dynamic: np.ndarray,
-                        drop: Dropout | None):
-    static_summary = nn.fnn_forward(params.context_static, ad.constant(static), drop)
-    dynamic_summary = nn.lstm_sequence(params.context_dynamic, _sequence_steps(dynamic), drop)
+def _context_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
+    static_summary = nn.fnn_forward(params.context_static, ad.constant(gi.static), drop)
+    dynamic_summary = nn.lstm_sequence(params.context_dynamic, _sequence_steps(gi.dynamic), drop)
     return static_summary, dynamic_summary
 
 
 def fusion_components(params: McanParams, gi: GroupInputs, drop: Dropout | None = None):
     """All enabled component vectors in canonical order, plus channel outputs."""
     msc_features, channel_outputs = _msc_components(params, gi, drop)
-    mtc = _mtc_components(params, gi.recent, gi.daily, gi.weekly, drop)
-    ctx_static, ctx_dynamic = _context_components(params, gi.static, gi.dynamic, drop)
+    mtc = _mtc_components(params, gi, drop)
+    ctx_static, ctx_dynamic = _context_components(params, gi, drop)
     components = [msc_features[ch] for ch in params.config.channels()]
     components.append(mtc["recent"])
     if "daily" in mtc:
@@ -587,52 +568,6 @@ def forward_group(params: McanParams, gi: GroupInputs, drop: Dropout | None = No
     fused = nn.attention_fuse(params.fusion, components)
     speed = nn.fnn_forward(params.output_head, fused, drop)
     return speed, channel_outputs.get("trend"), channel_outputs.get("deviation")
-
-
-# ---------------------------------------------------------------------------
-# Per-sample surfaces
-
-
-def msc_forward(params: McanParams, road: int, t: int, graph: gd.RoadGraph, data) -> dict[str, np.ndarray]:
-    """Per-channel spatial feature vectors for one sample."""
-    view = _as_view(data)
-    gi = assemble_group(view, params.config, road, [t])
-    features, _ = _msc_components(params, gi, None)
-    return {ch: f.data[0].copy() for ch, f in features.items()}
-
-
-def mtc_forward(params: McanParams, temporal: gd.TemporalInputs) -> dict[str, np.ndarray]:
-    """Summary vectors of the recent/daily/weekly LSTMs for one sample."""
-    t = temporal
-    out = _mtc_components(
-        params,
-        np.column_stack([t.recent_speed, t.recent_trend, t.recent_deviation, t.recent_average])[None],
-        np.column_stack([t.daily_speed, t.daily_trend, t.daily_deviation])[None],
-        np.column_stack([t.weekly_speed, t.weekly_trend, t.weekly_deviation])[None],
-        None,
-    )
-    return {name: v.data[0].copy() for name, v in out.items()}
-
-
-def context_forward(params: McanParams, static: np.ndarray, dynamic: np.ndarray):
-    """Static and dynamic context summaries for one sample."""
-    if len(dynamic) == 0:
-        raise MissingDataError("context_forward: dynamic sequence is empty")
-    s, d = _context_components(params, np.asarray(static)[None, :],
-                               np.asarray(dynamic)[None, :, :], None)
-    return s.data[0].copy(), d.data[0].copy()
-
-
-def mcan_forward(params: McanParams, road: int, t: int, graph: gd.RoadGraph, data) -> PredictionBundle:
-    """Full per-sample forward in evaluation mode (deterministic)."""
-    view = _as_view(data)
-    gi = assemble_group(view, params.config, road, [t])
-    speed, trend, deviation = forward_group(params, gi, None)
-    return PredictionBundle(
-        speed=speed.data[0].copy(),
-        trend=trend.data[0].copy() if trend is not None else None,
-        deviation=deviation.data[0].copy() if deviation is not None else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -666,21 +601,6 @@ def loss_batch(
         term = ad.vsum(ad.square(ad.subtract(pred, ad.constant(target))))
         total = ad.add(total, ad.multiply(term, weight))
     return total
-
-
-def loss(bundle: PredictionBundle, speed_target, trend_target, deviation_target,
-         alpha: float, beta: float) -> float:
-    """Per-sample loss value on plain arrays (same arithmetic as training)."""
-    value = loss_batch(
-        ad.constant(np.asarray(bundle.speed)[None, :]),
-        np.asarray(speed_target, dtype=np.float64)[None, :],
-        ad.constant(np.asarray(bundle.trend)[None, :]) if bundle.trend is not None else None,
-        np.asarray(trend_target, dtype=np.float64)[None, :] if bundle.trend is not None else None,
-        ad.constant(np.asarray(bundle.deviation)[None, :]) if bundle.deviation is not None else None,
-        np.asarray(deviation_target, dtype=np.float64)[None, :] if bundle.deviation is not None else None,
-        alpha, beta,
-    )
-    return value.item()
 
 
 # ---------------------------------------------------------------------------

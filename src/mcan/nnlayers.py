@@ -1,9 +1,9 @@
 """Differentiable building blocks: Chebyshev features, LSTM, FNN, attention fusion.
 
-All forward functions accept either a single vector or a ``(batch, dim)``
-matrix; the batched form is what the trainer uses.  Parameters are plain
-dataclasses holding :class:`~mcan.autodiff.DiffValue` leaves so one
-``named_parameters`` walk can feed both the optimizer and the checkpoint.
+Every forward function takes ``(batch, dim)`` rows; a single sample is a
+batch of one.  Parameters are plain dataclasses holding
+:class:`~mcan.autodiff.DiffValue` leaves so one ``named_parameters`` walk can
+feed both the optimizer and the checkpoint.
 
 Each LSTM layer runs over its whole sequence as one autodiff node
 (:func:`lstm_layer`) with a hand-written backward pass through time; the
@@ -30,7 +30,7 @@ class Dropout:
     rng: np.random.Generator
 
     def apply(self, x: DiffValue) -> DiffValue:
-        return ad.dropout(x, self.rate, training=True, rng=self.rng)
+        return ad.dropout(x, self.rate, self.rng)
 
 
 def _maybe_drop(x: DiffValue, drop: Dropout | None) -> DiffValue:
@@ -80,26 +80,6 @@ class CpaParams:
     @property
     def order(self) -> int:
         return self.coefficients.data.shape[0]
-
-
-def cpa_eval(params: CpaParams, x) -> DiffValue:
-    """Sum of v_l * T_l(x); linear in the coefficients, differentiable in both.
-
-    ``x`` may be a float, a numpy array (treated as constant) or a DiffValue
-    already mapped into [-1, 1].
-    """
-    if isinstance(x, DiffValue):
-        feats = chebyshev_features(x, params.order)
-        out = ad.multiply(feats[0], params.coefficients[0])
-        for l in range(1, params.order):
-            out = ad.add(out, ad.multiply(feats[l], params.coefficients[l]))
-        return out
-    basis = chebyshev_basis(x, params.order)  # (order,) + x.shape
-    flat = basis.reshape(params.order, -1).T  # (n, order)
-    values = ad.matmul(ad.constant(flat), params.coefficients)  # (n,)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return ad.reshape(values, ())
-    return ad.reshape(values, np.asarray(x).shape)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +151,7 @@ def lstm_step(params: LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffVal
     evaluation run :func:`lstm_layer` instead; this is the readable form of
     the cell equations that the tests hold the fused layer to.
     """
-    x = x if isinstance(x, DiffValue) else ad.constant(x)
-    vector_in = x.data.ndim == 1
-    if vector_in:
-        x = ad.reshape(x, (1, x.data.shape[0]))
-        h_prev = ad.reshape(h_prev, (1, -1)) if isinstance(h_prev, DiffValue) else ad.constant(np.reshape(h_prev, (1, -1)))
-        c_prev = ad.reshape(c_prev, (1, -1)) if isinstance(c_prev, DiffValue) else ad.constant(np.reshape(c_prev, (1, -1)))
-    else:
-        h_prev = h_prev if isinstance(h_prev, DiffValue) else ad.constant(h_prev)
-        c_prev = c_prev if isinstance(c_prev, DiffValue) else ad.constant(c_prev)
+    x, h_prev, c_prev = (ad._lift(v) for v in (x, h_prev, c_prev))
     if x.data.shape[1] != params.input_size:
         raise ShapeMismatch(
             f"lstm_step: input width {x.data.shape[1]} != expected {params.input_size}"
@@ -190,8 +162,6 @@ def lstm_step(params: LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffVal
     candidate = ad.tanh(ad.matmul(x, params.w_cx) + ad.matmul(h_prev, params.w_ch) + params.b_c)
     c_new = gate_i * candidate + gate_f * c_prev
     h_new = gate_o * ad.tanh(c_new)
-    if vector_in:
-        return ad.reshape(h_new, (-1,)), ad.reshape(c_new, (-1,))
     return h_new, c_new
 
 
@@ -218,8 +188,6 @@ def lstm_layer(params: LstmParams, inputs) -> DiffValue:
         x = np.stack([s.data if isinstance(s, DiffValue) else np.asarray(s, dtype=np.float64)
                       for s in inputs])
         sources = [(s, t) for t, s in enumerate(inputs) if isinstance(s, DiffValue) and s._needs]
-    if x.ndim == 2:  # a sequence of unbatched vectors
-        x = x[:, None, :]
     if x.ndim != 3 or x.shape[2] != params.input_size:
         raise ShapeMismatch(
             f"lstm_layer: input of shape {x.shape} does not have width {params.input_size}"
@@ -281,29 +249,24 @@ def lstm_layer(params: LstmParams, inputs) -> DiffValue:
     return ad._node(h_seq[1:], leaves + tuple(s for s, _ in sources), backward)
 
 
-def lstm_sequence(stack: LstmStack | LstmParams, inputs, drop: Dropout | None = None) -> DiffValue:
-    """Run a (stacked) LSTM over a sequence of inputs; returns the final hidden state.
+def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> DiffValue:
+    """Run a stacked LSTM over a sequence of inputs; returns the final hidden state.
 
-    ``inputs`` is a sequence of per-step vectors or ``(batch, dim)`` values
-    (a ``(T, batch, dim)`` array is one); the initial hidden and cell states
+    ``inputs`` is a sequence of per-step ``(batch, dim)`` values (a
+    ``(T, batch, dim)`` array is one); the initial hidden and cell states
     are zero.  Each layer is one :func:`lstm_layer` node.  Dropout, when
     active, is applied to the hidden sequence between layers as one
     ``(T, B, H)`` mask, which draws the same random numbers as one ``(B, H)``
     mask per step.
     """
-    if isinstance(stack, LstmParams):
-        stack = LstmStack([stack])
     if len(inputs) == 0:
         raise ShapeMismatch("lstm_sequence: empty input sequence")
-    first = inputs[0]
-    vector_in = (first.data if isinstance(first, DiffValue) else np.asarray(first)).ndim == 1
     seq = inputs
     for depth, cell in enumerate(stack.cells):
         if depth > 0:
             seq = _maybe_drop(seq, drop)
         seq = lstm_layer(cell, seq)
-    h_final = seq[-1]
-    return ad.reshape(h_final, (-1,)) if vector_in else h_final
+    return seq[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +350,23 @@ def init_attention(rng, input_size: int, output_size: int) -> AttentionParams:
 def _attention_parts(params: AttentionParams, components):
     if len(components) == 0:
         raise ShapeMismatch("attention_fuse: no components to fuse")
-    comps = [c if isinstance(c, DiffValue) else ad.constant(c) for c in components]
-    batched = comps[0].data.ndim == 2
-    projected = []
-    scores = []
-    for c in comps:
-        p = ad.matmul(c, params.projection)
-        projected.append(p)
-        s = ad.matmul(p, params.query)  # (batch,) or scalar
-        scores.append(ad.reshape(s, (-1, 1)) if batched else ad.reshape(s, (1,)))
-    stacked = ad.concat(scores, axis=1 if batched else 0)  # (batch, k) or (k,)
-    weights = ad.softmax(stacked, axis=-1)
-    return projected, weights, batched
+    projected = [ad.matmul(c, params.projection) for c in components]
+    scores = [ad.reshape(ad.matmul(p, params.query), (-1, 1)) for p in projected]
+    weights = ad.softmax(ad.concat(scores, axis=1), axis=-1)  # (batch, k)
+    return projected, weights
 
 
 def attention_weights(params: AttentionParams, components) -> np.ndarray:
     """Softmax weights the fusion assigns to each component (for inspection)."""
-    _, weights, _ = _attention_parts(params, components)
+    _, weights = _attention_parts(params, components)
     return weights.data
 
 
 def attention_fuse(params: AttentionParams, components) -> DiffValue:
     """Dot-product attention over projected components: weighted sum by softmax scores."""
-    projected, weights, batched = _attention_parts(params, components)
+    projected, weights = _attention_parts(params, components)
     out = None
     for k, p in enumerate(projected):
-        w = weights[:, k : k + 1] if batched else weights[k]
-        term = ad.multiply(p, w)
+        term = ad.multiply(p, weights[:, k : k + 1])
         out = term if out is None else ad.add(out, term)
     return out

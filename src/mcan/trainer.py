@@ -245,10 +245,6 @@ def normalize_apply(scaler: Scaler, road: int, values: np.ndarray) -> np.ndarray
     return (np.asarray(values, dtype=np.float64) - scaler.means[road]) / scaler.stds[road]
 
 
-def normalize_invert(scaler: Scaler, road: int, values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64) * scaler.stds[road] + scaler.means[road]
-
-
 def fit_daily_averages(dataset: gd.TrafficDataset, scaler: Scaler,
                        day_masks: list[np.ndarray]) -> list[np.ndarray]:
     """Frozen per-slot averages over training days, in normalized units."""
@@ -328,7 +324,7 @@ def _adam_step(params: md.McanParams, leaves: list, state: ad.AdamState, gi: md.
         raise TrainingDivergence(
             f"non-finite training loss; first non-finite tensor: {_first_nonfinite(params, value)}"
         )
-    ad.adam_step(leaves, None, state)
+    ad.adam_step(leaves, state)
     return value
 
 

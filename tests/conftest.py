@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 
+from mcan import model as md
+
 
 def finite_difference(loss_fn, value, eps: float = 1e-5, indices=None) -> np.ndarray:
     """Central-difference gradient of ``loss_fn()`` w.r.t. entries of ``value.data``.
@@ -76,3 +78,12 @@ def assert_same_group_inputs(a, b):
             x, y = np.asarray(x), np.asarray(y)
             assert (x.dtype, x.shape) == (y.dtype, y.shape), name
             assert x.tobytes() == y.tobytes(), name
+
+
+def single_row(view, config, road=0, t=None, **replaced):
+    """One sample of ``road`` (at its first eligible time unless ``t`` is
+    given) as a B = 1 ``GroupInputs``, with the inputs in ``replaced``
+    swapped in."""
+    if t is None:
+        t = int(md.eligible_times(view, config, road)[0])
+    return dataclasses.replace(md.assemble_group(view, config, road, [t]), **replaced)

@@ -99,9 +99,11 @@ def test_criterion_2_embedding_correctness():
             assert np.all(np.diff(raw) > 0) or length == 1
             assert raw[-1] < c
             x = rng.uniform(0, 60, size=length)
-            emb = hsc.embed_series(x, c, cpa)
-            assert np.array_equal(emb.values[raw], x)  # bit-exact round trip
-            assert np.array_equal(np.flatnonzero(emb.filled_mask), fill)
+            emb = hsc.embed_windows(hsc.spread_windows(x[None], c), np.array([length]), cpa)
+            assert np.array_equal(emb.data[0, raw], x)  # bit-exact round trip
+            # the CPA fills exactly the fill positions
+            filled = hsc.fill_basis(c, cpa.order)[length].any(axis=1)
+            assert np.array_equal(np.flatnonzero(filled), fill)
     elapsed = time.time() - started
     report("criterion 2 (embedding correctness)", elapsed < 1.0,
            f"exhaustive (L, c) sweep up to c=24 in {elapsed * 1000:.0f}ms (< 1s)")
@@ -134,9 +136,9 @@ def test_criterion_4_lstm_oracle():
         p = nn.init_lstm(rng, 4, 6)
         for b in (p.b_i, p.b_f, p.b_o, p.b_c):
             b.data[:] = rng.normal(size=b.data.shape)
-        x = rng.normal(size=4)
-        h_prev = rng.normal(size=6)
-        c_prev = rng.normal(size=6)
+        x = rng.normal(size=(1, 4))
+        h_prev = rng.normal(size=(1, 6))
+        c_prev = rng.normal(size=(1, 6))
         h, c = nn.lstm_step(p, x, h_prev, c_prev)
         i = sig(x @ p.w_ix.data + h_prev @ p.w_ih.data + p.b_i.data)
         f = sig(x @ p.w_fx.data + h_prev @ p.w_fh.data + p.b_f.data)

@@ -154,7 +154,7 @@ def test_softmax_gradient():
     assert relative_gradient_error(x.grad, numeric) < 1e-5
 
 
-def test_vsum_axis_and_mean_gradients():
+def test_vsum_axis_gradients():
     rng = np.random.default_rng(13)
     x = ad.parameter(rng.normal(size=(3, 4, 2)))
 
@@ -165,19 +165,15 @@ def test_vsum_axis_and_mean_gradients():
     numeric = finite_difference(lambda: forward().item(), x)
     assert relative_gradient_error(x.grad, numeric) < 1e-5
 
-    x.zero_grad()
-    loss = ad.vmean(x)
-    loss.backward()
-    assert np.allclose(x.grad, np.full(x.shape, 1.0 / x.data.size))
-
 
 class TestAdam:
     def test_first_step_unit_gradient(self):
         # m_hat = v_hat = 1 after one step with g = 1, so the update is
         # -lr / (1 + eps) which is within 1e-9 of -lr.
         p = ad.parameter(np.zeros(4))
+        p.grad = np.ones(4)
         state = ad.AdamState(learning_rate=0.0001)
-        ad.adam_step([p], [np.ones(4)], state)
+        ad.adam_step([p], state)
         assert np.abs(p.data - (-0.0001)).max() < 1e-9
         assert state.step == 1
 
@@ -185,7 +181,11 @@ class TestAdam:
         p = ad.parameter(np.array([1.0, -2.0]))
         before = p.data.copy()
         state = ad.AdamState()
-        ad.adam_step([p], [np.zeros(2)], state)
+        p.grad = np.zeros(2)
+        ad.adam_step([p], state)
+        assert np.array_equal(p.data, before)
+        p.grad = None  # a parameter the loss did not reach
+        ad.adam_step([p], state)
         assert np.array_equal(p.data, before)
 
     def test_two_steps_constant_gradient_monotone(self):
@@ -194,35 +194,30 @@ class TestAdam:
         # close to -lr * sign(g).
         for g_sign in (1.0, -1.0):
             p = ad.parameter(np.zeros(1))
+            p.grad = np.full(1, g_sign)
             state = ad.AdamState(learning_rate=0.01)
-            ad.adam_step([p], [np.full(1, g_sign)], state)
+            ad.adam_step([p], state)
             first = p.data.copy()
-            ad.adam_step([p], [np.full(1, g_sign)], state)
+            ad.adam_step([p], state)
             assert state.step == 2
             assert np.sign(first[0]) == -g_sign
             assert np.sign(p.data[0] - first[0]) == -g_sign
 
 
 class TestDropout:
-    def test_evaluation_is_identity(self):
-        x = ad.constant(np.arange(10.0))
-        out = ad.dropout(x, 0.7, training=False)
-        assert np.array_equal(out.data, x.data)
-
-    def test_rate_zero_identity_in_both_modes(self):
+    def test_rate_zero_is_identity(self):
         x = ad.constant(np.arange(5.0))
         rng = np.random.default_rng(0)
-        assert np.array_equal(ad.dropout(x, 0.0, True, rng).data, x.data)
-        assert np.array_equal(ad.dropout(x, 0.0, False).data, x.data)
+        assert np.array_equal(ad.dropout(x, 0.0, rng).data, x.data)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):
-            ad.dropout(ad.constant(np.ones(3)), 1.0, True, np.random.default_rng(0))
+            ad.dropout(ad.constant(np.ones(3)), 1.0, np.random.default_rng(0))
 
     def test_survivor_fraction_concentrates(self):
         rng = np.random.default_rng(42)
         x = ad.constant(np.ones(100_000))
-        out = ad.dropout(x, 0.5, training=True, rng=rng)
+        out = ad.dropout(x, 0.5, rng)
         survivors = np.count_nonzero(out.data) / out.data.size
         assert 0.49 <= survivors <= 0.51
         # Inverted scaling: survivors are exactly 1 / (1 - rate).

@@ -81,6 +81,13 @@ class TestGenerate:
     def test_usage_error_without_command(self):
         assert cli.main([]) == 1
 
+    @pytest.mark.parametrize("intervals", ['["a"]', "[true]", "[30, 2.5]"])
+    def test_non_integer_interval_is_usage_error(self, tmp_path, capsys, intervals):
+        args = generate_args(tmp_path) + ["--set", f"intervals={intervals}"]
+        assert cli.main(args) == 1
+        assert "config key 'intervals' must be int" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, trained_dir):
@@ -284,6 +291,30 @@ class TestCheckpointFitsDataset:
         err = capsys.readouterr().err
         assert (f"'config.weather_code_count' is {trained['weather_code_count']} "
                 f"but the dataset has 1") in err, err
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("change,key,trained,given", [
+        ({"edge_density": 0.3}, "edges", "[[0, 1], [0, 2], [1, 2]]", "[[1, 2]]"),
+        ({"days": 17}, "span_minutes", "23040", "24480"),
+    ])
+    def test_other_edges_or_span_is_runtime_error(self, tmp_path, trained_dir, capsys, command,
+                                                   change, key, trained, given):
+        # the same seed keeps every road's interval and the code counts
+        assert cli.main(generate_args(tmp_path, "other", **change)) == 0
+        code = run_on(tmp_path, command, tmp_path / "other", trained_dir / "checkpoint.json", "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'config.{key}' is {trained} but the dataset has {given}" in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_without_graph_keys_is_runtime_error(self, tmp_path, data_dir, trained_dir,
+                                                            capsys):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        del doc["config"]["edges"]
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        assert run_on(tmp_path, "evaluate", data_dir, tmp_path / "old.json", "out") == 2
+        assert "checkpoint is missing key 'config.edges'" in capsys.readouterr().err
 
 
 class TestCorrelate:

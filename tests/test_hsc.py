@@ -63,19 +63,21 @@ class TestEmbedSeries:
         cpa = make_cpa(rng.normal(size=5))
         for c, length in ((12, 6), (12, 3), (12, 12), (7, 1), (24, 11)):
             x = rng.uniform(0, 50, size=length)
-            emb = hsc.embed_series(x, c, cpa)
+            emb = hsc.embed_windows(hsc.spread_windows(x[None], c), np.array([length]), cpa).data[0]
             raw, fill, _ = hsc.embedding_positions(length, c)
-            assert np.array_equal(emb.values[raw], x)
-            assert not emb.filled_mask[raw].any()
-            assert emb.filled_mask[fill].all()
+            assert np.array_equal(emb[raw], x)
+            # the fill basis reaches every fill position and no raw one
+            basis = hsc.fill_basis(c, cpa.order)[length]
+            assert not basis[raw].any()
+            assert basis[fill].any(axis=1).all()
 
     def test_fill_values_are_cpa_of_mapped_position(self):
         cpa = make_cpa([1.0, 0.0, 0.0])
         x = np.array([5.0, 9.0, 13.0])
-        emb = hsc.embed_series(x, 12, cpa)
-        fill = np.flatnonzero(emb.filled_mask)
+        emb = hsc.embed_windows(hsc.spread_windows(x[None], 12), np.array([3]), cpa).data[0]
+        fill = hsc.embedding_positions(len(x), 12)[1]
         # coefficients pick T_1, so the fill equals the mapped argument 2*(j/12)-1
-        assert np.allclose(emb.values[fill], 2.0 * (fill / 12.0) - 1.0, atol=1e-14)
+        assert np.allclose(emb[fill], 2.0 * (fill / 12.0) - 1.0, atol=1e-14)
 
     def test_gradient_flows_to_cpa_coefficients(self):
         cpa = make_cpa([0.2, -0.3, 0.4])
@@ -127,7 +129,9 @@ class TestEmbedWindows:
         for idx in np.ndindex(lengths.shape):
             if lengths[idx]:
                 raw = spread[idx][hsc.embedding_positions(lengths[idx], 6)[0]]
-                assert np.abs(out[idx] - hsc.embed_series(raw, 6, cpa).values).max() < 1e-14
+                alone = hsc.embed_windows(hsc.spread_windows(raw[None], 6), lengths[idx][None],
+                                          cpa).data[0]
+                assert np.abs(out[idx] - alone).max() < 1e-14
             else:
                 assert np.array_equal(out[idx], spread[idx])
 
@@ -194,58 +198,50 @@ class TestGcn:
     def test_zero_matrix_single_neighbor_hand_value(self):
         # u = sigmoid(0) = 0.5, mapped argument 0, T_1(0) = 0, kernel [1,0,0,0,0]
         params = single_filter_gcn(np.zeros((4, 4)), [1.0, 0.0, 0.0, 0.0, 0.0])
-        graph = gd.RoadGraph(
-            [gd.RoadSegment(i, 1.0, 0, 1, 0, 60) for i in range(2)], [(0, 1)]
-        )
         rng = np.random.default_rng(1)
-        embeddings = {0: rng.normal(size=4), 1: rng.normal(size=4)}
-        features = hsc.gcn_aggregate(graph, embeddings, params, 0)
+        target, neighbor = rng.normal(size=4), rng.normal(size=4)
+        features = hsc.gcn_hop_features(params, ad.constant(target[None]),
+                                        [ad.constant(neighbor[None, None])], [np.ones((1, 1), bool)])
         assert len(features) == 1
-        assert features[0].shape == (1,)
-        assert features[0][0] == pytest.approx(0.0, abs=1e-15)
+        assert features[0].data.shape == (1, 1)
+        assert features[0].data[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_full_formula_hand_evaluation(self):
         rng = np.random.default_rng(7)
         matrix = rng.normal(size=(3, 3))
         kernel = rng.normal(size=4)
         params = single_filter_gcn(matrix, kernel)
-        graph = gd.RoadGraph(
-            [gd.RoadSegment(i, 1.0, 0, 1, 0, 60) for i in range(3)], [(0, 1), (0, 2)]
-        )
         e = {i: rng.normal(size=3) for i in range(3)}
-        features = hsc.gcn_aggregate(graph, e, params, 0)
+        neighbors = ad.constant(np.stack([e[1], e[2]])[:, None])  # (N=2, B=1, c)
+        features = hsc.gcn_hop_features(params, ad.constant(e[0][None]), [neighbors],
+                                        [np.ones((2, 1), bool)])
         expected = 0.0
         for j in (1, 2):
             u = 1.0 / (1.0 + np.exp(-(e[0] @ matrix @ e[j])))
             basis = nn.chebyshev_basis(2.0 * u - 1.0, 4)
             expected += kernel @ basis
-        assert features[0][0] == pytest.approx(expected, abs=1e-12)
+        assert features[0].data[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_no_neighbors_all_zero(self):
         params = single_filter_gcn(np.ones((3, 3)), [0.5, 0.5], hops=2)
-        graph = gd.RoadGraph([gd.RoadSegment(0, 1.0, 0, 1, 0, 60)], [])
-        features = hsc.gcn_aggregate(graph, {0: np.ones(3)}, params, 0)
-        assert all(np.array_equal(f, np.zeros(1)) for f in features)
+        empty = ad.constant(np.zeros((0, 1, 3)))
+        features = hsc.gcn_hop_features(params, ad.constant(np.ones((1, 3))), [empty, empty],
+                                        [np.zeros((0, 1), bool)] * 2)
+        assert len(features) == 2
+        assert all(np.array_equal(f.data, np.zeros((1, 1))) for f in features)
 
     def test_two_identical_neighbors_double_single(self):
         rng = np.random.default_rng(11)
         params = single_filter_gcn(rng.normal(size=(3, 3)), rng.normal(size=3))
-        nodes = [gd.RoadSegment(i, 1.0, 0, 1, 0, 60) for i in range(3)]
-        pair_graph = gd.RoadGraph(list(nodes), [(0, 1), (0, 2)])
-        single_graph = gd.RoadGraph(list(nodes), [(0, 1)])
         shared = rng.normal(size=3)
-        e = {0: rng.normal(size=3), 1: shared, 2: shared.copy()}
-        double = hsc.gcn_aggregate(pair_graph, e, params, 0)[0][0]
-        single = hsc.gcn_aggregate(single_graph, e, params, 0)[0][0]
-        assert double == pytest.approx(2.0 * single, rel=1e-12)
+        target = ad.constant(rng.normal(size=(1, 3)))
 
-    def test_missing_neighbor_embedding_rejected(self):
-        params = single_filter_gcn(np.zeros((3, 3)), [1.0])
-        graph = gd.RoadGraph(
-            [gd.RoadSegment(i, 1.0, 0, 1, 0, 60) for i in range(2)], [(0, 1)]
-        )
-        with pytest.raises(MissingDataError, match="roads \\[1\\]"):
-            hsc.gcn_aggregate(graph, {0: np.zeros(3)}, params, 0)
+        def hop(*neighbors):
+            stacked = ad.constant(np.stack(neighbors)[:, None])  # (N, B=1, c)
+            mask = np.ones((len(neighbors), 1), bool)
+            return hsc.gcn_hop_features(params, target, [stacked], [mask])[0].data[0, 0]
+
+        assert hop(shared, shared.copy()) == pytest.approx(2.0 * hop(shared), rel=1e-12)
 
     def test_permutation_invariant_within_hop(self):
         rng = np.random.default_rng(13)

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_difference, group_input_arrays, relative_gradient_error
+from conftest import finite_difference, group_input_arrays, relative_gradient_error, single_row
 from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import model as md
@@ -183,28 +183,25 @@ class TestForward:
         gi = md.assemble_group(view, config, roads, times)
         speed, trend, dev = md.forward_group(params, gi)
         for k, pos in enumerate(gi.positions):
-            bundle = md.mcan_forward(params, int(roads[pos]), int(times[pos]), dataset.graph, view)
-            assert np.abs(bundle.speed - speed.data[k]).max() < 1e-12
-            assert np.abs(bundle.trend - trend.data[k]).max() < 1e-12
-            assert np.abs(bundle.deviation - dev.data[k]).max() < 1e-12
+            row = md.forward_group(params, single_row(view, config, int(roads[pos]), int(times[pos])))
+            for single, batched in zip(row, (speed, trend, dev)):
+                assert single.data.shape == (1,) + batched.data.shape[1:]
+                assert np.abs(single.data[0] - batched.data[k]).max() < 1e-12
 
     def test_deterministic_in_evaluation_mode(self, dataset, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(7))
-        road = 1
-        t = int(md.eligible_times(view, config, road)[0])
-        a = md.mcan_forward(params, road, t, dataset.graph, view)
-        b = md.mcan_forward(params, road, t, dataset.graph, view)
-        assert np.array_equal(a.speed, b.speed)
-        assert np.array_equal(a.trend, b.trend)
+        gi = single_row(view, config, road=1)
+        a = md.forward_group(params, gi)
+        b = md.forward_group(params, gi)
+        assert np.array_equal(a[0].data, b[0].data)
+        assert np.array_equal(a[1].data, b[1].data)
 
     def test_horizon_one_gives_single_scalar(self, dataset, view):
         config = small_config(horizon=1)
         params = md.init_mcan(config, np.random.default_rng(9))
-        road = 0
-        t = int(md.eligible_times(view, config, road)[0])
-        bundle = md.mcan_forward(params, road, t, dataset.graph, view)
-        assert bundle.speed.shape == (1,)
+        speed, _, _ = md.forward_group(params, single_row(view, config))
+        assert speed.data.shape == (1, 1)
 
     def test_component_count_with_all_ablations(self, dataset, view):
         config = small_config(ablations=frozenset({"ntr", "nde", "nd", "nw"}))
@@ -352,9 +349,7 @@ class TestMsc:
     def test_only_speed_channel_under_double_ablation(self, dataset, view):
         config = small_config(ablations=md.parse_ablations(["ntr-nde"]))
         params = md.init_mcan(config, np.random.default_rng(29))
-        road = 0
-        t = int(md.eligible_times(view, config, road)[0])
-        features = md.msc_forward(params, road, t, dataset.graph, view)
+        features, _ = md._msc_components(params, single_row(view, config), None)
         assert set(features) == {"speed"}
 
     def test_zero_networks_give_zero_features(self, dataset, view):
@@ -364,112 +359,105 @@ class TestMsc:
             for layer in head.layers:
                 layer.weight.data[:] = 0.0
                 layer.bias.data[:] = 0.0
-        road = 0
-        t = int(md.eligible_times(view, config, road)[0])
-        features = md.msc_forward(params, road, t, dataset.graph, view)
+        features, _ = md._msc_components(params, single_row(view, config), None)
         for ch, vec in features.items():
             # zero weights make every head output its (zero) bias, but hidden
             # sigmoid layers put the output through the zero weight matrix too
-            assert np.array_equal(vec, np.zeros(config.hidden_size))
+            assert np.array_equal(vec.data, np.zeros((1, config.hidden_size)))
 
 
 class TestMtc:
     def test_double_temporal_ablation_keeps_recent_only(self, dataset, view):
         config = small_config(ablations=md.parse_ablations(["nd-nw"]))
         params = md.init_mcan(config, np.random.default_rng(37))
-        road = 0
-        t = int(md.eligible_times(view, config, road)[0])
-        temporal = gd.build_temporal_inputs(
-            view.values[road], view.ybar[road], t, config.recent_steps, 0, 0,
-            view.slots_per_day(road),
-        )
-        out = md.mtc_forward(params, temporal)
+        gi = single_row(view, config)
+        assert gi.daily is None and gi.weekly is None
+        out = md._mtc_components(params, gi, None)
         assert set(out) == {"recent"}
 
     def test_wrong_recent_length_rejected(self, dataset, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(41))
-        road = 0
-        t = int(md.eligible_times(view, config, road)[0])
-        temporal = gd.build_temporal_inputs(
-            view.values[road], view.ybar[road], t, config.recent_steps - 1,
-            config.daily_steps, config.weekly_steps, view.slots_per_day(road),
-        )
-        with pytest.raises(ShapeMismatch, match="recent"):
-            md.mtc_forward(params, temporal)
+        t = int(md.eligible_times(view, config, 0)[0])
+        short = small_config(recent_steps=config.recent_steps - 1)
+        gi = single_row(view, short, t=t)
+        assert gi.recent.shape == (1, config.recent_steps - 1, 4)
+        with pytest.raises(ShapeMismatch, match="recent input has 2 steps, expected 3"):
+            md.forward_group(params, gi)
 
 
 class TestContext:
-    def test_road_type_changes_static_summary(self, dataset):
+    def test_road_type_changes_static_summary(self, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(43))
         static_a = np.array([0.5, 1, 0, 0, 0, 2, 1], dtype=np.float64)
         static_b = static_a.copy()
         static_b[1:5] = [0, 1, 0, 0]  # different one-hot road type
         dyn = np.zeros((config.recent_steps, config.dynamic_width))
-        sum_a, _ = md.context_forward(params, static_a, dyn)
-        sum_b, _ = md.context_forward(params, static_b, dyn)
-        assert not np.allclose(sum_a, sum_b)
+        sum_a, _ = md._context_components(params, single_row(view, config, static=static_a[None],
+                                                             dynamic=dyn[None]), None)
+        sum_b, _ = md._context_components(params, single_row(view, config, static=static_b[None],
+                                                             dynamic=dyn[None]), None)
+        assert not np.allclose(sum_a.data, sum_b.data)
 
-    def test_holiday_flip_changes_dynamic_summary(self, dataset):
+    def test_holiday_flip_changes_dynamic_summary(self, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(47))
         rng = np.random.default_rng(49)
         dyn = rng.uniform(0, 1, size=(config.recent_steps, config.dynamic_width))
         flipped = dyn.copy()
         flipped[:, config.weather_code_count] = 1.0 - flipped[:, config.weather_code_count]
-        static = np.zeros(config.static_width)
-        _, d1 = md.context_forward(params, static, dyn)
-        _, d2 = md.context_forward(params, static, flipped)
-        assert not np.allclose(d1, d2)
+        static = np.zeros((1, config.static_width))
+        _, d1 = md._context_components(params, single_row(view, config, static=static,
+                                                          dynamic=dyn[None]), None)
+        _, d2 = md._context_components(params, single_row(view, config, static=static,
+                                                          dynamic=flipped[None]), None)
+        assert not np.allclose(d1.data, d2.data)
+
+
+def row(*values):
+    """A B = 1 prediction of ``values``."""
+    return ad.constant([values])
 
 
 class TestLoss:
     def test_perfect_predictions_zero(self):
-        bundle = md.PredictionBundle(
-            speed=np.array([3.0, 4.0]), trend=np.array([0.5]), deviation=np.array([-1.0])
-        )
-        out = md.loss(bundle, [3.0, 4.0], [0.5], [-1.0], 0.2, 0.2)
-        assert out == 0.0
+        out = md.loss_batch(row(3.0, 4.0), np.array([[3.0, 4.0]]), row(0.5), np.array([[0.5]]),
+                            row(-1.0), np.array([[-1.0]]), 0.2, 0.2)
+        assert out.item() == 0.0
 
     def test_weight_collapse_reduces_to_speed_error(self):
-        bundle = md.PredictionBundle(
-            speed=np.array([1.0, 2.0]), trend=np.array([9.0]), deviation=np.array([9.0])
-        )
-        out = md.loss(bundle, [0.0, 0.0], [0.0], [0.0], 0.0, 0.0)
-        assert out == pytest.approx(5.0)
+        out = md.loss_batch(row(1.0, 2.0), np.zeros((1, 2)), row(9.0), np.zeros((1, 1)),
+                            row(9.0), np.zeros((1, 1)), 0.0, 0.0)
+        assert out.item() == pytest.approx(5.0)
 
     def test_hand_computed_value(self):
         # residuals: speed [1, -1], trend [2], deviation [3] with weights 0.2
-        bundle = md.PredictionBundle(
-            speed=np.array([2.0, 1.0]), trend=np.array([2.0]), deviation=np.array([3.0])
-        )
-        out = md.loss(bundle, [1.0, 2.0], [0.0], [0.0], 0.2, 0.2)
-        assert out == pytest.approx(4.6)
+        out = md.loss_batch(row(2.0, 1.0), np.array([[1.0, 2.0]]), row(2.0), np.zeros((1, 1)),
+                            row(3.0), np.zeros((1, 1)), 0.2, 0.2)
+        assert out.item() == pytest.approx(4.6)
 
     def test_length_mismatch_rejected(self):
-        bundle = md.PredictionBundle(speed=np.array([1.0, 2.0]), trend=None, deviation=None)
         with pytest.raises(ShapeMismatch, match="speed"):
-            md.loss(bundle, [1.0], None, None, 0.2, 0.2)
+            md.loss_batch(row(1.0, 2.0), np.array([[1.0]]), None, None, None, None, 0.2, 0.2)
 
     def test_loss_nonnegative_random(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
-            bundle = md.PredictionBundle(
-                speed=rng.normal(size=3), trend=rng.normal(size=1), deviation=rng.normal(size=1)
-            )
-            out = md.loss(bundle, rng.normal(size=3), rng.normal(size=1), rng.normal(size=1),
-                          0.2, 0.2)
-            assert out >= 0.0
+            speed, trend, deviation = rng.normal(size=3), rng.normal(size=1), rng.normal(size=1)
+            out = md.loss_batch(row(*speed), rng.normal(size=(1, 3)), row(*trend),
+                                rng.normal(size=(1, 1)), row(*deviation), rng.normal(size=(1, 1)),
+                                0.2, 0.2)
+            assert out.item() >= 0.0
 
 
 class TestFusionWeights:
     def test_removing_component_renormalizes_rest(self):
         rng = np.random.default_rng(59)
         params = nn.init_attention(rng, 4, 4)
-        comps = [rng.normal(size=4) for _ in range(5)]
-        w_full = nn.attention_weights(params, comps)
-        w_cut = nn.attention_weights(params, comps[:-1])
+        comps = [rng.normal(size=(1, 4)) for _ in range(5)]
+        w_full = nn.attention_weights(params, comps)[0]
+        w_cut = nn.attention_weights(params, comps[:-1])[0]
         assert np.allclose(w_cut, w_full[:-1] / (1.0 - w_full[-1]), atol=1e-12)
         assert w_cut.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -492,11 +480,10 @@ class TestCheckpoint:
         originals = dict(md.named_parameters(params))
         for name, p in md.named_parameters(loaded):
             assert np.array_equal(p.data, originals[name].data), name
-        road = 0
-        t = int(md.eligible_times(view, config, road)[0])
-        a = md.mcan_forward(params, road, t, dataset.graph, view)
-        b = md.mcan_forward(loaded, road, t, dataset.graph, view)
-        assert np.array_equal(a.speed, b.speed)
+        gi = single_row(view, config)
+        a, _, _ = md.forward_group(params, gi)
+        b, _, _ = md.forward_group(loaded, gi)
+        assert np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("keys,named", [
         (("config", "hops"), "config.hops"),

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import finite_difference, relative_gradient_error
 from mcan import autodiff as ad
+from mcan import hsc
 from mcan import nnlayers as nn
 from mcan.errors import ShapeMismatch
 
@@ -51,34 +52,48 @@ class TestChebyshev:
 
 
 class TestCpa:
+    """The CPA fill of the embedding, ``A @ coefficients`` (``hsc.fill_basis``
+    holds ``A``), at fill position j of a length-1 window on a grid of c
+    slots: sum_l v_l T_l(2j/c - 1)."""
+
+    def embed(self, coefficients, embed_len):
+        cpa = nn.CpaParams(ad.parameter(np.asarray(coefficients, dtype=np.float64)))
+        return cpa, hsc.embed_windows(np.zeros((1, embed_len)), np.array([1]), cpa)
+
     def test_first_coefficient_picks_linear_term(self):
-        params = nn.CpaParams(ad.parameter(np.array([1.0, 0.0, 0.0, 0.0, 0.0])))
-        for x in (-0.8, -0.1, 0.4, 1.0):
-            assert nn.cpa_eval(params, x).item() == pytest.approx(x)
+        # on a 20-slot grid, positions 2, 9 and 14 map to -0.8, -0.1 and 0.4
+        _, out = self.embed([1.0, 0.0, 0.0, 0.0, 0.0], 20)
+        for j, x in ((2, -0.8), (9, -0.1), (14, 0.4)):
+            assert out.data[0, j] == pytest.approx(x)
 
     def test_zero_coefficients_give_zero(self):
-        params = nn.CpaParams(ad.parameter(np.zeros(5)))
-        assert nn.cpa_eval(params, 0.37).item() == 0.0
+        _, out = self.embed(np.zeros(5), 12)
+        assert np.array_equal(out.data, np.zeros((1, 12)))
 
     def test_two_term_hand_value(self):
-        # 0.5*T_1(0.5) + 0.5*T_2(0.5) = 0.5*0.5 + 0.5*(-0.5) = 0
-        params = nn.CpaParams(ad.parameter(np.array([0.5, 0.5])))
-        assert nn.cpa_eval(params, 0.5).item() == pytest.approx(0.0)
+        # 0.5*T_1(x) + 0.5*T_2(x) at x = -0.5, 0, 0.5 (positions 1..3 of 4):
+        # 0.5*(-0.5) + 0.5*(-0.5) = -0.5, 0 + 0.5*(-1) = -0.5, 0.5*0.5 + 0.5*(-0.5) = 0
+        _, out = self.embed([0.5, 0.5], 4)
+        assert out.data[0, 1:] == pytest.approx([-0.5, -0.5, 0.0])
 
     def test_gradient_wrt_coefficients_is_basis(self):
-        v = ad.parameter(np.array([0.3, -0.2, 0.7]))
-        params = nn.CpaParams(v)
-        x = 0.31
-        out = nn.cpa_eval(params, x)
-        out.backward()
-        assert np.allclose(v.grad, nn.chebyshev_basis(x, 3))
+        cpa, out = self.embed([0.3, -0.2, 0.7], 10)
+        pick = np.zeros((1, 10))
+        pick[0, 8] = 1.0  # position 8 maps to 0.6
+        ad.vsum(ad.multiply(out, pick)).backward()
+        assert np.allclose(cpa.coefficients.grad, nn.chebyshev_basis(0.6, 3))
 
     def test_gradient_wrt_input(self):
-        v = ad.parameter(np.array([0.3, -0.2, 0.7, 0.1]))
-        params = nn.CpaParams(v)
+        # the differentiable series sum_l v_l T_l(x) over chebyshev_features
+        v = np.array([0.3, -0.2, 0.7, 0.1])
         x = ad.parameter(np.array(0.4))
-        nn.cpa_eval(params, x).backward()
-        numeric = finite_difference(lambda: nn.cpa_eval(params, x).item(), x)
+
+        def forward():
+            feats = nn.chebyshev_features(x, len(v))
+            return sum(ad.multiply(f, c) for f, c in zip(feats, v))
+
+        forward().backward()
+        numeric = finite_difference(lambda: forward().item(), x)
         assert relative_gradient_error(x.grad, numeric) < 1e-6
 
 
@@ -108,15 +123,15 @@ def straight_line_lstm(p, x, h_prev, c_prev):
 class TestLstm:
     def test_zero_parameters_zero_state(self):
         p = zero_lstm(3, 4)
-        h, c = nn.lstm_step(p, np.zeros(3), np.zeros(4), np.zeros(4))
-        assert np.array_equal(h.data, np.zeros(4))
-        assert np.array_equal(c.data, np.zeros(4))
+        h, c = nn.lstm_step(p, np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
+        assert np.array_equal(h.data, np.zeros((1, 4)))
+        assert np.array_equal(c.data, np.zeros((1, 4)))
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_lstm(2, 3)
         p.b_f.data[:] = 30.0
-        c_prev = np.array([0.7, -1.2, 2.0])
-        _, c = nn.lstm_step(p, np.ones(2), np.zeros(3), c_prev)
+        c_prev = np.array([[0.7, -1.2, 2.0]])
+        _, c = nn.lstm_step(p, np.ones((1, 2)), np.zeros((1, 3)), c_prev)
         assert np.abs(c.data - c_prev).max() < 1e-6
 
     def test_matches_straight_line_oracle(self):
@@ -125,9 +140,9 @@ class TestLstm:
             p = nn.init_lstm(rng, 3, 5)
             for b in (p.b_i, p.b_f, p.b_o, p.b_c):
                 b.data[:] = rng.normal(size=b.data.shape)
-            x = rng.normal(size=3)
-            h_prev = rng.normal(size=5)
-            c_prev = rng.normal(size=5)
+            x = rng.normal(size=(1, 3))
+            h_prev = rng.normal(size=(1, 5))
+            c_prev = rng.normal(size=(1, 5))
             h, c = nn.lstm_step(p, x, h_prev, c_prev)
             h_ref, c_ref = straight_line_lstm(p, x, h_prev, c_prev)
             assert np.abs(h.data - h_ref).max() < 1e-12
@@ -136,32 +151,32 @@ class TestLstm:
     def test_hidden_is_bounded_by_one(self):
         rng = np.random.default_rng(37)
         p = nn.init_lstm(rng, 4, 6)
-        h = np.zeros(6)
-        c = np.zeros(6)
+        h = np.zeros((1, 6))
+        c = np.zeros((1, 6))
         for _ in range(50):
-            hv, cv = nn.lstm_step(p, rng.normal(scale=5.0, size=4), h, c)
+            hv, cv = nn.lstm_step(p, rng.normal(scale=5.0, size=(1, 4)), h, c)
             h, c = hv.data, cv.data
             assert np.abs(h).max() <= 1.0
 
     def test_sequence_length_one_equals_single_step(self):
         rng = np.random.default_rng(41)
         p = nn.init_lstm(rng, 2, 3)
-        x = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
         h_seq = nn.lstm_sequence(nn.LstmStack([p]), [x])
-        h_step, _ = nn.lstm_step(p, x, np.zeros(3), np.zeros(3))
+        h_step, _ = nn.lstm_step(p, x, np.zeros((1, 3)), np.zeros((1, 3)))
         assert np.array_equal(h_seq.data, h_step.data)
 
     def test_zero_parameters_any_sequence_is_zero(self):
         stack = nn.LstmStack([zero_lstm(2, 3)])
         rng = np.random.default_rng(43)
-        out = nn.lstm_sequence(stack, [rng.normal(size=2) for _ in range(5)])
-        assert np.array_equal(out.data, np.zeros(3))
+        out = nn.lstm_sequence(stack, [rng.normal(size=(1, 2)) for _ in range(5)])
+        assert np.array_equal(out.data, np.zeros((1, 3)))
 
     def test_stack_output_width(self):
         rng = np.random.default_rng(47)
         stack = nn.init_lstm_stack(rng, 4, 36, 3)
-        out = nn.lstm_sequence(stack, [rng.normal(size=4) for _ in range(3)])
-        assert out.data.shape == (36,)
+        out = nn.lstm_sequence(stack, [rng.normal(size=(1, 4)) for _ in range(3)])
+        assert out.data.shape == (1, 36)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(53)
@@ -173,7 +188,7 @@ class TestLstm:
         rng = np.random.default_rng(59)
         p = nn.init_lstm(rng, 3, 4)
         with pytest.raises(ShapeMismatch, match="width"):
-            nn.lstm_step(p, np.zeros(5), np.zeros(4), np.zeros(4))
+            nn.lstm_step(p, np.zeros((1, 5)), np.zeros((1, 4)), np.zeros((1, 4)))
 
     def test_batched_matches_vector_rows(self):
         rng = np.random.default_rng(61)
@@ -181,8 +196,8 @@ class TestLstm:
         seq = [rng.normal(size=(5, 3)) for _ in range(4)]
         batched = nn.lstm_sequence(stack, seq)
         for row in range(5):
-            single = nn.lstm_sequence(stack, [s[row] for s in seq])
-            assert np.abs(batched.data[row] - single.data).max() < 1e-12
+            single = nn.lstm_sequence(stack, [s[row:row + 1] for s in seq])
+            assert np.abs(batched.data[row] - single.data[0]).max() < 1e-12
 
     def test_gradient_check(self):
         rng = np.random.default_rng(67)
@@ -203,14 +218,14 @@ class TestFnn:
     def test_identity_network(self):
         layers = [nn.FnnLayer(ad.parameter(np.eye(3)), ad.parameter(np.zeros(3)), "identity")]
         params = nn.FnnParams(layers)
-        x = np.array([1.0, -2.0, 0.5])
+        x = np.array([[1.0, -2.0, 0.5]])
         assert np.array_equal(nn.fnn_forward(params, x).data, x)
 
     def test_constant_network_returns_bias(self):
         bias = np.array([2.0, -1.0])
         layers = [nn.FnnLayer(ad.parameter(np.zeros((3, 2))), ad.parameter(bias), "identity")]
         params = nn.FnnParams(layers)
-        assert np.array_equal(nn.fnn_forward(params, np.ones(3)).data, bias)
+        assert np.array_equal(nn.fnn_forward(params, np.ones((1, 3))).data, bias[None])
 
     def test_hand_set_two_by_two(self):
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -219,7 +234,7 @@ class TestFnn:
             nn.FnnLayer(ad.parameter(w1), ad.parameter(np.zeros(2)), "sigmoid"),
             nn.FnnLayer(ad.parameter(w2), ad.parameter(np.zeros(2)), "identity"),
         ])
-        x = np.array([0.5, -0.5])
+        x = np.array([[0.5, -0.5]])
         hidden = 1.0 / (1.0 + np.exp(-(x @ w1)))
         expected = hidden @ w2
         assert np.allclose(nn.fnn_forward(params, x).data, expected, atol=1e-14)
@@ -228,7 +243,7 @@ class TestFnn:
         rng = np.random.default_rng(71)
         params = nn.init_fnn(rng, 4, [3], 2)
         with pytest.raises(ShapeMismatch, match="width"):
-            nn.fnn_forward(params, np.zeros(5))
+            nn.fnn_forward(params, np.zeros((1, 5)))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(73)
@@ -249,30 +264,30 @@ class TestAttention:
     def test_single_component_gets_weight_one(self):
         rng = np.random.default_rng(79)
         params = nn.init_attention(rng, 4, 3)
-        comp = rng.normal(size=4)
+        comp = rng.normal(size=(1, 4))
         fused = nn.attention_fuse(params, [comp])
         assert np.allclose(fused.data, comp @ params.projection.data, atol=1e-14)
-        assert np.allclose(nn.attention_weights(params, [comp]), [1.0])
+        assert np.allclose(nn.attention_weights(params, [comp]), [[1.0]])
 
     def test_identical_components_split_evenly(self):
         rng = np.random.default_rng(83)
         params = nn.init_attention(rng, 4, 4)
-        comp = rng.normal(size=4)
+        comp = rng.normal(size=(1, 4))
         weights = nn.attention_weights(params, [comp, comp])
-        assert np.allclose(weights, [0.5, 0.5], atol=1e-14)
+        assert np.allclose(weights, [[0.5, 0.5]], atol=1e-14)
 
     def test_scores_ln2_zero_weights(self):
         # Scores [ln 2, 0] -> softmax [2/3, 1/3].
         proj = ad.parameter(np.eye(1))
         query = ad.parameter(np.array([1.0]))
         params = nn.AttentionParams(proj, query)
-        weights = nn.attention_weights(params, [np.array([np.log(2.0)]), np.array([0.0])])
-        assert np.abs(weights - [2.0 / 3.0, 1.0 / 3.0]).max() < 1e-12
+        weights = nn.attention_weights(params, [np.array([[np.log(2.0)]]), np.array([[0.0]])])
+        assert np.abs(weights - [[2.0 / 3.0, 1.0 / 3.0]]).max() < 1e-12
 
     def test_weights_form_probability_vector(self):
         rng = np.random.default_rng(89)
         params = nn.init_attention(rng, 5, 4)
-        comps = [rng.normal(size=5) for _ in range(6)]
+        comps = [rng.normal(size=(1, 5)) for _ in range(6)]
         weights = nn.attention_weights(params, comps)
         assert np.all(weights > 0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -280,10 +295,10 @@ class TestAttention:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(97)
         params = nn.init_attention(rng, 5, 4)
-        comps = [rng.normal(size=5) for _ in range(4)]
+        comps = [rng.normal(size=(1, 5)) for _ in range(4)]
         perm = [2, 0, 3, 1]
-        w = nn.attention_weights(params, comps)
-        w_perm = nn.attention_weights(params, [comps[i] for i in perm])
+        w = nn.attention_weights(params, comps)[0]
+        w_perm = nn.attention_weights(params, [comps[i] for i in perm])[0]
         assert np.allclose(w_perm, w[perm], atol=1e-14)
 
     def test_empty_component_list_rejected(self):
@@ -298,8 +313,8 @@ class TestAttention:
         comps = [rng.normal(size=(4, 3)) for _ in range(3)]
         fused = nn.attention_fuse(params, comps)
         for row in range(4):
-            single = nn.attention_fuse(params, [c[row] for c in comps])
-            assert np.abs(fused.data[row] - single.data).max() < 1e-12
+            single = nn.attention_fuse(params, [c[row:row + 1] for c in comps])
+            assert np.abs(fused.data[row] - single.data[0]).max() < 1e-12
 
     def test_gradient_check(self):
         rng = np.random.default_rng(107)
@@ -328,7 +343,7 @@ def step_chain(stack, steps, drop=None):
             h, c = nn.lstm_step(cell, x, h, c)
             outputs.append(h)
         if depth < len(stack.cells) - 1 and drop is not None:
-            outputs = [ad.dropout(o, drop.rate, training=True, rng=drop.rng) for o in outputs]
+            outputs = [ad.dropout(o, drop.rate, drop.rng) for o in outputs]
         steps = outputs
     return h
 
@@ -359,12 +374,13 @@ class TestLstmLayer:
         assert np.abs(fused.data - step_chain(stack, seq).data).max() < 1e-12
 
     @pytest.mark.parametrize("steps,layers", [(1, 1), (5, 2), (3, 3)])
-    def test_vector_inputs_match_step_chain(self, steps, layers):
+    def test_single_row_inputs_match_step_chain(self, steps, layers):
+        # one sample as a single (1, width) row per step
         rng = np.random.default_rng(109 + steps)
         stack = random_stack(rng, 3, 4, layers)
-        seq = [rng.normal(size=3) for _ in range(steps)]
+        seq = [rng.normal(size=(1, 3)) for _ in range(steps)]
         fused = nn.lstm_sequence(stack, seq)
-        assert fused.data.shape == (4,)
+        assert fused.data.shape == (1, 4)
         assert np.abs(fused.data - step_chain(stack, seq).data).max() < 1e-12
 
     def test_layer_returns_every_hidden_state(self):

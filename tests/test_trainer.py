@@ -56,7 +56,8 @@ class TestNormalization:
         masks = [np.ones(dataset.days, dtype=bool)] * dataset.graph.size
         scaler = tr.normalize_fit(dataset, masks)
         values = dataset.series[0].values
-        back = tr.normalize_invert(scaler, 0, tr.normalize_apply(scaler, 0, values))
+        view = md.build_view(dataset, means=scaler.means, stds=scaler.stds)
+        back = view.denormalize(0, tr.normalize_apply(scaler, 0, values))
         assert np.abs(back - values).max() < 1e-12
 
     def test_transformed_training_mean_is_zero(self, dataset):
@@ -119,7 +120,7 @@ class TestKfold:
         for fold in folds[:2] + folds[-1:]:
             lo, hi = fold.test_wall
             for road, t in fold.train[::7]:
-                target_walls = md.target_indices(model_config, t) * raw_view.interval(road)
+                target_walls = np.arange(t, t + model_config.horizon) * raw_view.interval(road)
                 assert not np.any((target_walls >= lo) & (target_walls <= hi))
                 for j, idx in md.sample_footprint(raw_view, model_config, road, t).items():
                     walls = idx * raw_view.interval(j)
@@ -139,7 +140,7 @@ class TestKfold:
             times = md.eligible_times(raw_view, model_config, road)
             fast = tr._touches_window(raw_view, model_config, road, times, window)
             row = int(np.flatnonzero(times == t)[0])
-            walls = [md.target_indices(model_config, t) * raw_view.interval(road)]
+            walls = [np.arange(t, t + model_config.horizon) * raw_view.interval(road)]
             walls += [
                 idx * raw_view.interval(j)
                 for j, idx in md.sample_footprint(raw_view, model_config, road, t).items()

@@ -10,7 +10,7 @@ differences at tight tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class DiffValue:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse pass from a scalar-shaped node; accumulates into leaf grads."""
@@ -350,47 +347,47 @@ def dropout(x: DiffValue, rate: float, rng: np.random.Generator) -> DiffValue:
     return multiply(x, mask)
 
 
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()
+def pack(leaves: list[DiffValue]) -> tuple[Array, Array]:
+    """Pack the leaves, in order, into one value vector ``theta`` and one
+    zeroed ``grad`` vector; each leaf's ``data`` and ``grad`` become views of
+    its slice.  Rebinding a packed leaf's ``data`` or ``grad`` detaches it."""
+    theta = np.concatenate([p.data.reshape(-1) for p in leaves])
+    grad = np.zeros_like(theta)
+    offset = 0
+    for p in leaves:
+        shape, end = p.data.shape, offset + p.data.size
+        p.data, p.grad = theta[offset:end].reshape(shape), grad[offset:end].reshape(shape)
+        offset = end
+    return theta, grad
 
 
 @dataclass
 class AdamState:
-    """Adam optimizer state for a fixed parameter list."""
+    """Adam optimizer state of one parameter vector."""
 
     learning_rate: float = 0.0001
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
-
-    def initialize(self, params: list[DiffValue]) -> None:
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
-        self.step = 0
+    m: Array | None = None
+    v: Array | None = None
 
 
-def adam_step(params: list[DiffValue], state: AdamState) -> None:
-    """Standard Adam update with bias correction, in place on ``params``, from
-    their ``grad`` (zero where it is None)."""
-    if not state.m:
-        state.initialize(params)
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+def adam_step(theta: Array, grad: Array, state: AdamState) -> None:
+    """Adam with bias correction (Kingma & Ba, arXiv:1412.6980), in place on
+    the vector ``theta`` from the same-shape ``grad``."""
+    if grad.shape != theta.shape:
+        raise ShapeMismatch(f"adam_step: grad shape {grad.shape} != param shape {theta.shape}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     state.step += 1
     b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** state.step
-    bias2 = 1.0 - b2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"adam_step: grad shape {g.shape} != param shape {p.data.shape}")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / bias1
-        v_hat = state.v[i] / bias2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    state.m = b1 * state.m + (1.0 - b1) * grad
+    state.v = b2 * state.v + (1.0 - b2) * (grad * grad)
+    m_hat = state.m / (1.0 - b1 ** state.step)
+    v_hat = state.v / (1.0 - b2 ** state.step)
+    theta -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> Array:

@@ -223,8 +223,8 @@ def _fitting_checkpoint(config: dict, dataset: gd.TrafficDataset):
     path = config["checkpoint_path"]
     params, means, stds, ybar, cfg = md.load_checkpoint(path)
     if len(means) != dataset.graph.size:
-        raise ConfigError(f"checkpoint was trained on {len(means)} roads but the dataset has "
-                          f"{dataset.graph.size}")
+        raise SchemaError(f"{path}: checkpoint was trained on {len(means)} roads but the dataset "
+                          f"has {dataset.graph.size}")
     for road, node in enumerate(dataset.graph.nodes):
         if len(ybar[road]) != node.slots_per_day:
             raise SchemaError(f"{path}: road {road} has {len(ybar[road])} daily-average slots in the "

@@ -117,7 +117,9 @@ class ModelConfig:
 
 @dataclass
 class McanParams:
-    """Complete learnable state; disabled branches hold no parameters."""
+    """Complete learnable state; disabled branches hold no parameters.  Every
+    leaf's ``data`` and ``grad`` are views of the ``theta`` and ``grad``
+    vectors, in :func:`named_parameters` order."""
 
     config: ModelConfig
     hsc: dict[str, HscParams]
@@ -129,6 +131,8 @@ class McanParams:
     context_dynamic: LstmStack
     fusion: AttentionParams
     output_head: FnnParams
+    theta: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
 
 
 def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
@@ -154,7 +158,7 @@ def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
         )
         head_in = 1 if channel == "speed" else 2
         msc_heads[channel] = nn.init_fnn(rng, head_in, fnn_hidden, hidden)
-    return McanParams(
+    params = McanParams(
         config=config,
         hsc=hsc,
         msc_heads=msc_heads,
@@ -166,6 +170,8 @@ def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
         fusion=nn.init_attention(rng, hidden, hidden),
         output_head=nn.init_fnn(rng, hidden, fnn_hidden, config.horizon),
     )
+    params.theta, params.grad = ad.pack([p for _, p in named_parameters(params)])
+    return params
 
 
 def _lstm_parameters(prefix: str, stack: LstmStack):
@@ -204,14 +210,6 @@ def named_parameters(params: McanParams):
     yield "fusion.projection", params.fusion.projection
     yield "fusion.query", params.fusion.query
     yield from _fnn_parameters("output_head", params.output_head)
-
-
-def parameter_list(params: McanParams) -> list[DiffValue]:
-    return [p for _, p in named_parameters(params)]
-
-
-def count_parameters(params: McanParams) -> int:
-    return sum(p.data.size for p in parameter_list(params))
 
 
 # ---------------------------------------------------------------------------

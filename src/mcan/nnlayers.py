@@ -2,8 +2,9 @@
 
 Every forward function takes ``(batch, dim)`` rows; a single sample is a
 batch of one.  Parameters are plain dataclasses holding
-:class:`~mcan.autodiff.DiffValue` leaves so one ``named_parameters`` walk can
-feed both the optimizer and the checkpoint.
+:class:`~mcan.autodiff.DiffValue` leaves; ``model.init_mcan`` makes them views
+of one parameter vector, which the optimizer updates, and the
+``named_parameters`` walk names them for the checkpoint.
 
 Each LSTM layer runs over its whole sequence as one autodiff node
 (:func:`lstm_layer`) with a hand-written backward pass through time; the

@@ -114,10 +114,6 @@ def _samples(roads: np.ndarray, times: np.ndarray) -> list[Sample]:
     return list(zip(roads.tolist(), times.tolist()))
 
 
-def eligible_samples(view: md.DataView, config: md.ModelConfig) -> list[Sample]:
-    return _samples(*_eligible_arrays(view, config))
-
-
 def _touches_window(view: md.DataView, config: md.ModelConfig, road: int, times: np.ndarray,
                     wall: tuple[int, int]) -> np.ndarray:
     """Per time: whether sample ``(road, t)`` reads or predicts an index whose
@@ -305,26 +301,26 @@ def _first_nonfinite(params: md.McanParams, loss_value: float) -> str:
     for name, p in md.named_parameters(params):
         if not np.all(np.isfinite(p.data)):
             return name
-        if not np.isfinite(loss_value) and p.grad is not None and not np.all(np.isfinite(p.grad)):
+        if not np.isfinite(loss_value) and not np.all(np.isfinite(p.grad)):
             return f"grad of {name}"
     return "loss"
 
 
-def _adam_step(params: md.McanParams, leaves: list, state: ad.AdamState, gi: md.GroupInputs,
+def _adam_step(params: md.McanParams, state: ad.AdamState, gi: md.GroupInputs,
                drop: md.Dropout | None) -> float:
     """One forward, backward and Adam update; returns the loss.  The step's
     graph is released on return, before the next one is built."""
     speed, trend, dev = md.forward_group(params, gi, drop)
     total = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend,
                           dev, gi.target_deviation, params.config.alpha, params.config.beta)
-    ad.zero_grads(leaves)
+    params.grad.fill(0.0)
     total.backward()
     value = total.item()
     if not np.isfinite(value):
         raise TrainingDivergence(
             f"non-finite training loss; first non-finite tensor: {_first_nonfinite(params, value)}"
         )
-    ad.adam_step(leaves, state)
+    ad.adam_step(params.theta, params.grad, state)
     return value
 
 
@@ -352,7 +348,6 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
 
     params = md.init_mcan(mc, rng_init)
     cache = SampleCache(view, mc, train_samples)
-    leaves = md.parameter_list(params)
     state = ad.AdamState(learning_rate=config.learning_rate)
     drop = md.Dropout(config.dropout, rng_drop) if config.dropout > 0 else None
 
@@ -363,12 +358,11 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
         epoch_loss = 0.0
         for start in range(0, count, config.batch_size):
             gi = cache.batch_groups([train_samples[i] for i in order[start : start + config.batch_size]])
-            epoch_loss += _adam_step(params, leaves, state, gi, drop)
-        for p in leaves:
-            if not np.all(np.isfinite(p.data)):
-                raise TrainingDivergence(
-                    f"non-finite parameter after update: {_first_nonfinite(params, epoch_loss)}"
-                )
+            epoch_loss += _adam_step(params, state, gi, drop)
+        if not np.isfinite(params.theta).all():
+            raise TrainingDivergence(
+                f"non-finite parameter after update: {_first_nonfinite(params, epoch_loss)}"
+            )
         history.append(epoch_loss / count)
     return TrainResult(
         params=params, scaler=scaler, ybar=view.ybar, history=history,
@@ -441,13 +435,6 @@ def evaluate(params: md.McanParams, view: md.DataView, samples: list[Sample]) ->
     """Evaluation-mode metrics on a sample split, in km/h."""
     truth, preds = predict_samples(params, view, samples)
     return compute_metrics(truth, preds)
-
-
-def evaluate_result(result: TrainResult, dataset: gd.TrafficDataset,
-                    samples: list[Sample] | None = None) -> MetricsReport:
-    view = md.build_view(dataset, means=result.scaler.means, stds=result.scaler.stds,
-                         ybar=result.ybar)
-    return evaluate(result.params, view, samples if samples is not None else result.fold.test)
 
 
 def historical_average_baseline(dataset: gd.TrafficDataset, fold: Fold, horizon: int,

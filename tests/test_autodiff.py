@@ -61,7 +61,7 @@ def test_backward_idempotent_after_zero_grad():
     x = ad.parameter(2.0)
 
     def run():
-        x.zero_grad()
+        x.grad = None
         loss = ad.square(ad.sigmoid(x))
         loss.backward()
         return float(x.grad)
@@ -166,42 +166,56 @@ def test_vsum_axis_gradients():
     assert relative_gradient_error(x.grad, numeric) < 1e-5
 
 
+def test_pack_makes_leaves_views():
+    leaves = [ad.parameter(2.0), ad.parameter(np.arange(6.0).reshape(2, 3)),
+              ad.parameter(np.array([7.0]))]
+    theta, grad = ad.pack(leaves)
+    assert np.array_equal(theta, [2.0, 0, 1, 2, 3, 4, 5, 7.0])
+    assert np.array_equal(grad, np.zeros(8))
+    assert [p.data.shape for p in leaves] == [p.grad.shape for p in leaves] == [(), (2, 3), (1,)]
+    ad.vsum(ad.multiply(leaves[1], 3.0)).backward()
+    assert np.array_equal(grad, [0, 3, 3, 3, 3, 3, 3, 0])
+    theta += 1.0
+    assert float(leaves[0].data) == 3.0 and leaves[1].data[1, 2] == 6.0
+
+
 class TestAdam:
     def test_first_step_unit_gradient(self):
         # m_hat = v_hat = 1 after one step with g = 1, so the update is
         # -lr / (1 + eps) which is within 1e-9 of -lr.
-        p = ad.parameter(np.zeros(4))
-        p.grad = np.ones(4)
+        theta = np.zeros(4)
         state = ad.AdamState(learning_rate=0.0001)
-        ad.adam_step([p], state)
-        assert np.abs(p.data - (-0.0001)).max() < 1e-9
+        ad.adam_step(theta, np.ones(4), state)
+        assert np.abs(theta - (-0.0001)).max() < 1e-9
         assert state.step == 1
 
     def test_zero_gradient_is_fixed_point(self):
         p = ad.parameter(np.array([1.0, -2.0]))
-        before = p.data.copy()
+        unreached = ad.parameter(np.array([3.0]))  # a parameter the loss does not reach
+        theta, grad = ad.pack([p, unreached])
+        before = theta.copy()
         state = ad.AdamState()
-        p.grad = np.zeros(2)
-        ad.adam_step([p], state)
-        assert np.array_equal(p.data, before)
-        p.grad = None  # a parameter the loss did not reach
-        ad.adam_step([p], state)
-        assert np.array_equal(p.data, before)
+        ad.adam_step(theta, grad, state)
+        assert np.array_equal(theta, before)
+        ad.vsum(ad.square(p)).backward()
+        ad.adam_step(theta, grad, state)
+        assert not np.array_equal(p.data, before[:2])
+        assert np.array_equal(unreached.data, before[2:])
 
     def test_two_steps_constant_gradient_monotone(self):
         # Constant g: both steps move opposite to sign(g); hand-evaluating the
         # formulas gives m_hat = g, v_hat = g^2 each step, so each update is
         # close to -lr * sign(g).
         for g_sign in (1.0, -1.0):
-            p = ad.parameter(np.zeros(1))
-            p.grad = np.full(1, g_sign)
+            theta = np.zeros(1)
+            grad = np.full(1, g_sign)
             state = ad.AdamState(learning_rate=0.01)
-            ad.adam_step([p], state)
-            first = p.data.copy()
-            ad.adam_step([p], state)
+            ad.adam_step(theta, grad, state)
+            first = theta.copy()
+            ad.adam_step(theta, grad, state)
             assert state.step == 2
             assert np.sign(first[0]) == -g_sign
-            assert np.sign(p.data[0] - first[0]) == -g_sign
+            assert np.sign(theta[0] - first[0]) == -g_sign
 
 
 class TestDropout:

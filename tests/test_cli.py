@@ -274,6 +274,17 @@ class TestCheckpointFitsDataset:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_other_road_count_is_runtime_error(self, tmp_path, trained_dir, capsys, command):
+        # the 4-road graph of the same generator seed
+        assert cli.main(generate_args(tmp_path, "four", n_roads=4)) == 0
+        checkpoint = trained_dir / "checkpoint.json"
+        code = run_on(tmp_path, command, tmp_path / "four", checkpoint, "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{checkpoint}: checkpoint was trained on 3 roads but the dataset has 4" in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_fewer_weather_codes_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys,
                                                   command):
         data = tmp_path / "calm"

@@ -474,7 +474,7 @@ class TestGcnHop:
         grads = []
         for run in (lambda *a: hsc.gcn_hop(*a, mask), composed_hop):
             for p in parents:
-                p.zero_grad()
+                p.grad = None
             ad.vsum(ad.square(run(params, target, neighbors))).backward()
             grads.append([p.grad.copy() for p in parents])
         for fused, composed in zip(*grads):

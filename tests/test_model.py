@@ -227,9 +227,9 @@ class TestForward:
             small_config(ablations=frozenset({"ntr", "nde", "nd", "nw"})),
             np.random.default_rng(1),
         )
-        assert md.count_parameters(cut) < md.count_parameters(full)
+        assert cut.theta.size < full.theta.size
         nemb = md.init_mcan(small_config(ablations=frozenset({"nemb"})), np.random.default_rng(1))
-        assert md.count_parameters(nemb) < md.count_parameters(full)
+        assert nemb.theta.size < full.theta.size
 
     def test_end_to_end_gradients_match_finite_differences(self, dataset):
         # z-scored view: keeps the loss surface small enough for the
@@ -256,8 +256,7 @@ class TestForward:
             size = p.data.size
             idx = sorted(rng.choice(size, size=min(3, size), replace=False).tolist())
             numeric = finite_difference(lambda: forward().item(), p, indices=idx)
-            err = relative_gradient_error(p.grad if p.grad is not None else np.zeros_like(p.data),
-                                          numeric, indices=idx)
+            err = relative_gradient_error(p.grad, numeric, indices=idx)
             assert err < 1e-4, f"gradient mismatch for {name}: {err}"
 
     def test_gradient_reaches_previous_speed_column(self, dataset, view):
@@ -295,16 +294,15 @@ class TestRoadMixedForward:
     def test_mixed_batch_equals_one_road_at_a_time(self, mixed_view, ablations):
         config = small_config(ablations=md.parse_ablations(ablations), lstm_layers=2)
         params = md.init_mcan(config, np.random.default_rng(73))
-        leaves = md.parameter_list(params)
         roads, times = mixed_samples(mixed_view, config)
         gi = md.assemble_group(mixed_view, config, roads, times)
         assert len(np.unique(gi.channels["speed"].lengths)) == 3
         assert any(not lengths.any() for lengths in gi.channels["speed"].hop_lengths[1])
 
-        ad.zero_grads(leaves)
+        params.grad.fill(0.0)
         mixed = batch_loss(params, gi)
         mixed_grads = gradients(params)
-        ad.zero_grads(leaves)
+        params.grad.fill(0.0)
         per_road = [np.full_like(out, np.nan) if out is not None else None for out in mixed]
         for road in range(mixed_view.graph.size):
             sub = md.assemble_group(mixed_view, config, road, times[roads == road])
@@ -323,9 +321,8 @@ class TestRoadMixedForward:
     def test_garbage_in_padded_slots_changes_nothing(self, mixed_view, ablations):
         config = small_config(ablations=md.parse_ablations(ablations))
         params = md.init_mcan(config, np.random.default_rng(79))
-        leaves = md.parameter_list(params)
         gi = md.assemble_group(mixed_view, config, *mixed_samples(mixed_view, config))
-        ad.zero_grads(leaves)
+        params.grad.fill(0.0)
         clean = batch_loss(params, gi)
         clean_grads = gradients(params)
 
@@ -338,7 +335,7 @@ class TestRoadMixedForward:
                 spread[lengths == 0] = np.nan
                 padded += int((lengths == 0).sum())
         assert padded > 0
-        ad.zero_grads(leaves)
+        params.grad.fill(0.0)
         for got, ref in zip(batch_loss(params, dirty), clean):
             assert (got is None and ref is None) or np.array_equal(got, ref)
         for name, ref in gradients(params).items():
@@ -460,6 +457,40 @@ class TestFusionWeights:
         w_cut = nn.attention_weights(params, comps[:-1])[0]
         assert np.allclose(w_cut, w_full[:-1] / (1.0 - w_full[-1]), atol=1e-12)
         assert w_cut.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_leaves_view_vectors(params):
+    """Every named leaf's ``data`` and ``grad`` read their own slice of
+    ``params.theta`` and ``params.grad``, the slices tiling each vector in
+    ``named_parameters`` order."""
+    for vector, of in ((params.theta, lambda p: p.data), (params.grad, lambda p: p.grad)):
+        saved = vector.copy()
+        vector[:] = np.arange(vector.size)
+        offset = 0
+        for name, p in md.named_parameters(params):
+            leaf = of(p)
+            assert leaf.shape == p.data.shape and np.shares_memory(leaf, vector), name
+            assert np.array_equal(leaf.reshape(-1), np.arange(offset, offset + leaf.size)), name
+            offset += leaf.size
+        assert offset == vector.size
+        vector[:] = saved
+
+
+class TestParameterVector:
+    @pytest.mark.parametrize("ablations", [(), ("ntr-nde", "nd", "nemb")])
+    def test_leaves_are_views_after_init(self, ablations):
+        params = md.init_mcan(small_config(ablations=md.parse_ablations(ablations)),
+                              np.random.default_rng(3))
+        assert not params.grad.any()
+        assert_leaves_view_vectors(params)
+
+    def test_leaves_are_views_after_load(self, tmp_path, view):
+        params = md.init_mcan(small_config(), np.random.default_rng(5))
+        path = tmp_path / "checkpoint.json"
+        md.save_checkpoint(path, params, np.zeros(4), np.ones(4), view.ybar)
+        loaded = md.load_checkpoint(path)[0]
+        assert np.array_equal(loaded.theta, params.theta)
+        assert_leaves_view_vectors(loaded)
 
 
 class TestCheckpoint:

@@ -449,7 +449,7 @@ class TestLstmLayer:
         grads = []
         for run in (nn.lstm_sequence, step_chain):
             for p in parents:
-                p.zero_grad()
+                p.grad = None
             ad.vsum(ad.square(run(stack, seq))).backward()
             grads.append([p.grad.copy() for p in parents])
         for fused, chain in zip(*grads):

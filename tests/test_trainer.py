@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_group_inputs
+from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import model as md
 from mcan import trainer as tr
@@ -81,7 +82,8 @@ class TestNormalization:
 class TestKfold:
     def test_blocks_partition_eligible_samples(self, raw_view, model_config):
         folds = tr.kfold_split(raw_view, model_config, 5, seed=1)
-        eligible = set(tr.eligible_samples(raw_view, model_config))
+        roads, times = tr._eligible_arrays(raw_view, model_config)
+        eligible = set(zip(roads.tolist(), times.tolist()))
         test_union = set()
         for fold in folds:
             block = set(fold.test)
@@ -90,11 +92,11 @@ class TestKfold:
         assert test_union == eligible
 
     def test_equal_block_sizes_when_divisible(self, raw_view, model_config):
-        eligible = tr.eligible_samples(raw_view, model_config)
+        roads, _ = tr._eligible_arrays(raw_view, model_config)
         k = 5
         folds = tr.kfold_split(raw_view, model_config, k, seed=1)
         sizes = [len(f.test) for f in folds]
-        assert sum(sizes) == len(eligible)
+        assert sum(sizes) == len(roads)
         assert max(sizes) - min(sizes) <= 1
 
     def test_same_seed_same_partition(self, raw_view, model_config):
@@ -130,9 +132,10 @@ class TestKfold:
         # the vectorised interval-arithmetic filter agrees with enumerating the
         # footprint, for every eligible time of the road at once
         rng = np.random.default_rng(23)
-        eligible = tr.eligible_samples(raw_view, model_config)
+        eligible_roads, eligible_times = tr._eligible_arrays(raw_view, model_config)
         for _ in range(200):
-            road, t = eligible[rng.integers(len(eligible))]
+            pick = rng.integers(len(eligible_roads))
+            road, t = int(eligible_roads[pick]), int(eligible_times[pick])
             wall = int(t * raw_view.interval(road))
             width = int(rng.integers(60, 3000))
             lo = wall + int(rng.integers(-30000, 3000))
@@ -165,9 +168,9 @@ class TestKfold:
 
     def test_shuffled_folds_partition_without_filtering(self, raw_view, model_config):
         folds = tr.kfold_split(raw_view, model_config, 5, seed=1, shuffled=True)
-        eligible = tr.eligible_samples(raw_view, model_config)
+        roads, _ = tr._eligible_arrays(raw_view, model_config)
         for fold in folds:
-            assert len(fold.train) + len(fold.test) == len(eligible)
+            assert len(fold.train) + len(fold.test) == len(roads)
             assert fold.test_wall is None
 
 
@@ -272,13 +275,80 @@ class TestTrain:
         with pytest.raises(TrainingDivergence, match="non-finite"):
             tr.train(bad, tiny_train_config(epochs=1))
 
+    def test_nonfinite_parameter_after_update_names_leaf(self, dataset, monkeypatch):
+        config = tiny_train_config(epochs=1, batch_size=64, max_train_samples=20)  # one step
+        offset = 0
+        for name, p in md.named_parameters(md.init_mcan(config.model_config(dataset),
+                                                        np.random.default_rng(0))):
+            if name == "fusion.query":
+                break
+            offset += p.data.size
+        adam_step = ad.adam_step
+
+        def poisoned(theta, grad, state):
+            adam_step(theta, grad, state)
+            theta[offset + 1] = np.nan
+
+        monkeypatch.setattr(ad, "adam_step", poisoned)
+        with pytest.raises(TrainingDivergence,
+                           match=r"^non-finite parameter after update: fusion\.query$"):
+            tr.train(dataset, config)
+
     def test_evaluate_result_on_test_fold(self, dataset):
         config = tiny_train_config(epochs=1)
         result = tr.train(dataset, config)
-        report = tr.evaluate_result(result, dataset)
+        view, _ = tr.fitted_view(dataset, result.fold)
+        report = tr.evaluate(result.params, view, result.fold.test)
         assert report.sample_count == len(result.fold.test)
         assert np.isfinite(report.rmse)
         assert report.per_step_rmse.shape == (config.horizon,)
+
+
+def per_leaf_adam(leaves, state, learning_rate, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as one update per leaf, from each leaf's own ``grad`` (zero where
+    None): the reference for the vector update."""
+    if not state:
+        state.update(step=0, m=[np.zeros_like(p.data) for p in leaves],
+                     v=[np.zeros_like(p.data) for p in leaves])
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in leaves]
+    state["step"] += 1
+    bias1 = 1.0 - b1 ** state["step"]
+    bias2 = 1.0 - b2 ** state["step"]
+    m, v = state["m"], state["v"]
+    for i, (p, g) in enumerate(zip(leaves, grads)):
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        m_hat = m[i] / bias1
+        v_hat = v[i] / bias2
+        p.data -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestVectorAdam:
+    def test_bit_identical_to_per_leaf_loop(self, dataset, raw_view, model_config):
+        fold = tr.kfold_split(raw_view, model_config, 5, seed=1, indices=[4])[0]
+        view, _ = tr.fitted_view(dataset, fold)
+        gi = tr.SampleCache(view, model_config, fold.train[:24]).table
+        params = md.init_mcan(model_config, np.random.default_rng(31))
+        reference = md.init_mcan(model_config, np.random.default_rng(31))
+        leaves = [p for _, p in md.named_parameters(reference)]
+        state, ref_state = ad.AdamState(learning_rate=0.01), {}
+        drop = md.Dropout(0.3, np.random.default_rng(37))
+        ref_drop = md.Dropout(0.3, np.random.default_rng(37))
+        for _ in range(3):
+            loss = tr._adam_step(params, state, gi, drop)
+            for p in leaves:
+                p.grad = None
+            speed, trend, dev = md.forward_group(reference, gi, ref_drop)
+            ref_loss = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend,
+                                     dev, gi.target_deviation, model_config.alpha,
+                                     model_config.beta)
+            ref_loss.backward()
+            per_leaf_adam(leaves, ref_state, 0.01)
+            assert loss == ref_loss.item()
+            assert params.theta.tobytes() == reference.theta.tobytes()
+        assert state.step == ref_state["step"] == 3
+        assert not np.array_equal(params.theta, md.init_mcan(model_config,
+                                                              np.random.default_rng(31)).theta)
 
 
 class TestBaseline:

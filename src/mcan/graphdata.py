@@ -8,9 +8,9 @@ is needed anywhere.  A road observing every ``T`` minutes has
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -489,55 +489,57 @@ def generate_planted_pair(
 
 # ---------------------------------------------------------------------------
 # File formats
+#
+# series.csv and context.csv are plain comma-separated text: an exact header,
+# then one line per (road, slot), cells split at every comma with no quoting,
+# numbers in Python ``int``/``float`` syntax.  The loader converts each column
+# with one call and checks each rule on whole arrays; a failure names the
+# earliest offending file line (1-based, blank lines counted) as a row-by-row
+# reader would.
+
+SERIES_HEADER = ["road_id", "slot_index", "speed_kmh"]
+CONTEXT_HEADER = ["road_id", "slot_index", "weather_code", "holiday_flag", "day_of_week"]
+NODE_FIELDS = {"id": int, "length_m": float, "road_type": int, "lanes": int,
+               "traffic_lights": int, "interval_minutes": int}
 
 
 def write_dataset(dataset: TrafficDataset, graph_path, series_path, context_path) -> None:
     """Write the three dataset files; output is byte-stable for a fixed dataset."""
     graph_doc = {
-        "nodes": [
-            {
-                "id": node.id,
-                "length_m": node.length_m,
-                "road_type": node.road_type,
-                "lanes": node.lanes,
-                "traffic_lights": node.traffic_lights,
-                "interval_minutes": node.interval_minutes,
-            }
-            for node in dataset.graph.nodes
-        ],
+        "nodes": [{key: getattr(node, key) for key in NODE_FIELDS} for node in dataset.graph.nodes],
         "edges": [list(edge) for edge in dataset.graph.edges],
     }
     Path(graph_path).write_text(json.dumps(graph_doc, indent=2, sort_keys=True) + "\n")
 
     with open(series_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["road_id", "slot_index", "speed_kmh"])
+        fh.write(",".join(SERIES_HEADER) + "\r\n")
         for s in dataset.series:
-            for slot, value in enumerate(s.values):
-                writer.writerow([s.road_id, slot, repr(float(value))])
+            fh.writelines(f"{s.road_id},{slot},{value!r}\r\n" for slot, value in enumerate(s.values.tolist()))
 
     with open(context_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["road_id", "slot_index", "weather_code", "holiday_flag", "day_of_week"])
+        fh.write(",".join(CONTEXT_HEADER) + "\r\n")
         for road_id, ctx in enumerate(dataset.contexts):
-            for slot in range(len(ctx.weather)):
-                writer.writerow(
-                    [road_id, slot, int(ctx.weather[slot]), int(ctx.holiday[slot]), int(ctx.day_of_week[slot])]
-                )
+            codes = zip(ctx.weather.tolist(), ctx.holiday.tolist(), ctx.day_of_week.tolist())
+            fh.writelines(f"{road_id},{slot},{w},{h},{d}\r\n" for slot, (w, h, d) in enumerate(codes))
 
 
-def _parse_int(row_no: int, field_name: str, raw: str, path) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError(f"{path}: row {row_no}: field {field_name!r} is not an integer: {raw!r}") from None
-
-
-def _parse_float(row_no: int, field_name: str, raw: str, path) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise SchemaError(f"{path}: row {row_no}: field {field_name!r} is not a number: {raw!r}") from None
+def typed_value(value, kind: type, what: str):
+    """``value`` if it is a ``kind``: ``int`` (not a boolean), ``float`` (any
+    finite number), ``bool`` or ``list`` (of strings); otherwise a SchemaError
+    saying ``what`` must be one."""
+    if kind is bool or isinstance(value, bool):
+        ok = kind is bool and isinstance(value, bool)
+    elif kind is float:  # exact for ints too: 10**400 is no float64
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if not ok:
+        expected = {int: "an integer", float: "a finite number", bool: "a boolean",
+                    list: "a list of strings"}[kind]
+        raise SchemaError(f"{what} must be {expected}, got {value!r}")
+    return value
 
 
 def load_graph(graph_path) -> RoadGraph:
@@ -545,134 +547,193 @@ def load_graph(graph_path) -> RoadGraph:
         doc = json.loads(Path(graph_path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{graph_path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(key), list) for key in ("nodes", "edges")):
         raise SchemaError(f"{graph_path}: expected an object with 'nodes' and 'edges' arrays")
     nodes = []
     for k, entry in enumerate(doc["nodes"]):
-        for key in ("id", "length_m", "road_type", "lanes", "traffic_lights", "interval_minutes"):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{graph_path}: node entry {k}: expected an object, got {entry!r}")
+        for key in NODE_FIELDS:
             if key not in entry:
                 raise SchemaError(f"{graph_path}: node entry {k}: missing field {key!r}")
-        nodes.append(
-            RoadSegment(
-                id=int(entry["id"]),
-                length_m=float(entry["length_m"]),
-                road_type=int(entry["road_type"]),
-                lanes=int(entry["lanes"]),
-                traffic_lights=int(entry["traffic_lights"]),
-                interval_minutes=int(entry["interval_minutes"]),
+        nodes.append(RoadSegment(**{
+            key: kind(typed_value(entry[key], kind, f"{graph_path}: node entry {k}: field {key!r}"))
+            for key, kind in NODE_FIELDS.items()
+        }))
+    edges = []
+    for k, edge in enumerate(doc["edges"]):
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in edge)):
+            raise SchemaError(
+                f"{graph_path}: edge entry {k}: expected a pair of integer node ids, got {edge!r}"
             )
-        )
-    edges = [(int(a), int(b)) for a, b in doc["edges"]]
+        edges.append(tuple(edge))
     return RoadGraph(nodes, edges)
 
 
-def _load_rows(path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(no, row) for no, row in enumerate(reader, start=1) if row]
+def _read_columns(path, header: list[str]) -> tuple[np.ndarray, list[list[str]]]:
+    """The 1-based file line of each data row and the raw cells of each column.
+
+    Lines end in LF, CRLF or CR; blank lines are skipped but counted."""
+    text = Path(path).read_text()
+    # Line and field bounds from the UTF-8 bytes, where "\n" and "," are
+    # single bytes that no other character's encoding contains.
+    buf = np.frombuffer(text.encode(), np.uint8)
+    ends = np.concatenate(([-1], np.flatnonzero(buf == ord("\n")), [buf.size]))
+    filled = np.diff(ends) > 1
+    numbers = np.flatnonzero(filled) + 1
+    fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends))[filled] + 1
+    rows = list(filter(None, text.split("\n")))
+    del text, buf
     if not rows:
         raise SchemaError(f"{path}: empty file")
-    header_no, header = rows[0]
-    if [h.strip() for h in header] != expected_header:
-        raise SchemaError(f"{path}: row {header_no}: expected header {expected_header}, got {header}")
-    for no, row in rows[1:]:
-        if len(row) != len(expected_header):
-            raise SchemaError(f"{path}: row {no}: expected {len(expected_header)} fields, got {len(row)}")
-    return rows[1:]
+    got = rows[0].split(",")
+    if [h.strip() for h in got] != header:
+        raise SchemaError(f"{path}: row {numbers[0]}: expected header {header}, got {got}")
+    rows, numbers, fields = rows[1:], numbers[1:], fields[1:]
+    bad = np.flatnonzero(fields != len(header))
+    if bad.size:
+        raise SchemaError(
+            f"{path}: row {numbers[bad[0]]}: expected {len(header)} fields, got {fields[bad[0]]}"
+        )
+    cells = ",".join(rows).split(",") if rows else []
+    return numbers, [cells[j::len(header)] for j in range(len(header))]
+
+
+def _parse_column(cells: list[str], kind: type) -> tuple[np.ndarray, int]:
+    """``cells`` converted by ``kind`` (``int`` into int64, ``float`` into
+    float64) and the index of the first cell it refuses, ``len(cells)`` if none."""
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        # ids, slots and codes repeat: convert each distinct cell once
+        convert = {raw: int(raw) for raw in set(cells)}.__getitem__ if kind is int else float
+        return np.fromiter(map(convert, cells), dtype, len(cells)), len(cells)
+    except (ValueError, OverflowError):
+        values = np.zeros(len(cells), dtype)
+        for i, raw in enumerate(cells):
+            try:
+                values[i] = kind(raw)
+            except (ValueError, OverflowError):
+                return values, i
+        raise
+
+
+def _refusal(name: str, raw: str, kind: type) -> str:
+    try:
+        kind(raw)
+    except ValueError:
+        return f"field {name!r} is not {'an integer' if kind is int else 'a number'}: {raw!r}"
+    return f"field {name!r} is outside the 64-bit integer range: {raw!r}"
+
+
+def _parse_columns(header: list[str], cells: list[list[str]], kinds) -> tuple[list[np.ndarray], list]:
+    """Each column converted by its kind and cut to the rows before the first
+    refused cell of any column, plus one row check per column (see
+    :func:`_raise_earliest`) that names that cell."""
+    parsed = [_parse_column(column, kind) for column, kind in zip(cells, kinds)]
+    valid = min(first for _, first in parsed)
+    checks = [
+        ([first] if first < len(column) else [], lambda i, n=name, c=column, k=kind: _refusal(n, c[i], k))
+        for name, column, kind, (_, first) in zip(header, cells, kinds, parsed)
+    ]
+    return [values[:valid] for values, _ in parsed], checks
+
+
+def _raise_earliest(path, numbers: np.ndarray, checks: list) -> None:
+    """``checks`` pairs, in the order one row is checked, the indices of the
+    rows a rule refuses with that rule's message for a row index; raise a
+    SchemaError for the earliest refused row."""
+    firsts = [(int(np.min(rows)), k) for k, (rows, _) in enumerate(checks) if len(rows)]
+    if firsts:
+        i, k = min(firsts)
+        raise SchemaError(f"{path}: row {numbers[i]}: {checks[k][1](i)}")
+
+
+def _repeats(road: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Indices of the rows whose (road, slot) an earlier row already has."""
+    order = np.lexsort((slot, road))  # stable: equal keys stay in file order
+    road, slot = road[order], slot[order]
+    return order[1:][(road[1:] == road[:-1]) & (slot[1:] == slot[:-1])]
+
+
+def _per_road(values: np.ndarray, positions: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """``values`` placed at ``positions`` and split into one array per road."""
+    out = np.empty_like(values)
+    out[positions] = values
+    return np.split(out, np.cumsum(counts)[:-1])
 
 
 def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
     """Load and cross-validate the three dataset files."""
     graph = load_graph(graph_path)
     n = graph.size
+    intervals = np.array([node.interval_minutes for node in graph.nodes], dtype=np.int64)
 
-    per_road_speeds: dict[int, dict[int, float]] = {}
-    for no, row in _load_rows(series_path, ["road_id", "slot_index", "speed_kmh"]):
-        road = _parse_int(no, "road_id", row[0], series_path)
-        slot = _parse_int(no, "slot_index", row[1], series_path)
-        speed = _parse_float(no, "speed_kmh", row[2], series_path)
-        if not 0 <= road < n:
-            raise SchemaError(f"{series_path}: row {no}: road_id {road} not in graph")
-        if not math.isfinite(speed):
-            raise SchemaError(f"{series_path}: row {no}: field 'speed_kmh' is not finite: {row[2]!r}")
-        if speed < 0:
-            raise SchemaError(f"{series_path}: row {no}: negative speed {speed}")
-        slots = per_road_speeds.setdefault(road, {})
-        if slot in slots:
-            raise SchemaError(f"{series_path}: row {no}: duplicate slot {slot} for road {road}")
-        slots[slot] = speed
-
-    missing = [i for i in range(n) if i not in per_road_speeds]
+    numbers, cells = _read_columns(series_path, SERIES_HEADER)
+    (road, slot, speed), refused = _parse_columns(SERIES_HEADER, cells, (int, int, float))
+    _raise_earliest(series_path, numbers, refused + [
+        (np.flatnonzero((road < 0) | (road >= n)), lambda i: f"road_id {road[i]} not in graph"),
+        (np.flatnonzero(~np.isfinite(speed)), lambda i: f"field 'speed_kmh' is not finite: {cells[2][i]!r}"),
+        (np.flatnonzero(speed < 0), lambda i: f"negative speed {float(speed[i])}"),
+        (_repeats(road, slot), lambda i: f"duplicate slot {slot[i]} for road {road[i]}"),
+    ])
+    del numbers, cells, refused  # free the raw cells before the next file is read
+    counts = np.bincount(road, minlength=n)
+    missing = np.flatnonzero(counts == 0).tolist()
     if missing:
         raise MissingDataError(f"{series_path}: roads without any series: {missing}")
-
-    span = None
-    series = []
-    for i in range(n):
-        slots = per_road_speeds[i]
-        count = len(slots)
-        if sorted(slots) != list(range(count)):
+    # Slots are distinct per road, so they are 0..count-1 iff none is outside.
+    gapped = np.bincount(road[(slot < 0) | (slot >= counts[road])], minlength=n) > 0
+    spans = counts * intervals
+    bad = np.flatnonzero(gapped | (spans != spans[:1]))
+    if bad.size:
+        i = bad[0]
+        if gapped[i]:
             raise SchemaError(f"{series_path}: road {i}: slot indices must be contiguous from 0")
-        road_span = count * graph.nodes[i].interval_minutes
-        if span is None:
-            span = road_span
-        elif road_span != span:
-            raise SchemaError(
-                f"{series_path}: road {i}: {count} rows at interval "
-                f"{graph.nodes[i].interval_minutes} min covers {road_span} min, "
-                f"inconsistent with {span} min for earlier roads"
-            )
-        series.append(SpeedSeries(road_id=i, start_slot=0, values=np.array([slots[s] for s in range(count)])))
+        raise SchemaError(
+            f"{series_path}: road {i}: {counts[i]} rows at interval {intervals[i]} min covers "
+            f"{spans[i]} min, inconsistent with {spans[0]} min for earlier roads"
+        )
+    span = int(spans[0]) if n else None
     if span is None or span % MINUTES_PER_DAY != 0:
         raise SchemaError(f"{series_path}: observation span {span} min is not whole days")
+    starts = np.cumsum(counts) - counts
+    series = [
+        SpeedSeries(road_id=i, start_slot=0, values=values)
+        for i, values in enumerate(_per_road(speed, starts[road] + slot, counts))
+    ]
 
-    per_road_ctx: dict[int, dict[int, tuple[int, int, int]]] = {}
-    for no, row in _load_rows(
-        context_path, ["road_id", "slot_index", "weather_code", "holiday_flag", "day_of_week"]
-    ):
-        road = _parse_int(no, "road_id", row[0], context_path)
-        slot = _parse_int(no, "slot_index", row[1], context_path)
-        weather = _parse_int(no, "weather_code", row[2], context_path)
-        holiday = _parse_int(no, "holiday_flag", row[3], context_path)
-        dow = _parse_int(no, "day_of_week", row[4], context_path)
-        if not 0 <= road < n:
-            raise SchemaError(f"{context_path}: row {no}: road_id {road} not in graph")
-        if weather < 0:
-            raise SchemaError(f"{context_path}: row {no}: weather_code must be >= 0")
-        if holiday not in (0, 1):
-            raise SchemaError(f"{context_path}: row {no}: holiday_flag must be 0 or 1")
-        if not 0 <= dow <= 6:
-            raise SchemaError(f"{context_path}: row {no}: day_of_week must be in 0..6")
-        per_road_ctx.setdefault(road, {})[slot] = (weather, holiday, dow)
-
-    contexts = []
-    max_weather = 0
-    for i in range(n):
-        rows = per_road_ctx.get(i)
-        expected = len(series[i])
-        if rows is None:
+    numbers, cells = _read_columns(context_path, CONTEXT_HEADER)
+    (road, slot, weather, holiday, dow), refused = _parse_columns(CONTEXT_HEADER, cells, (int,) * 5)
+    _raise_earliest(context_path, numbers, refused + [
+        (np.flatnonzero((road < 0) | (road >= n)), lambda i: f"road_id {road[i]} not in graph"),
+        (np.flatnonzero(weather < 0), lambda i: "weather_code must be >= 0"),
+        (np.flatnonzero((holiday != 0) & (holiday != 1)), lambda i: "holiday_flag must be 0 or 1"),
+        (np.flatnonzero((dow < 0) | (dow > 6)), lambda i: "day_of_week must be in 0..6"),
+        (_repeats(road, slot), lambda i: f"duplicate slot {slot[i]} for road {road[i]}"),
+    ])
+    present = np.bincount(road, minlength=n)
+    outside = np.bincount(road[(slot < 0) | (slot >= counts[road])], minlength=n) > 0
+    bad = np.flatnonzero((present != counts) | outside)
+    if bad.size:
+        i = bad[0]
+        if present[i] == 0:
             raise MissingDataError(f"{context_path}: road {i} has no context rows")
-        if sorted(rows) != list(range(expected)):
-            raise SchemaError(
-                f"{context_path}: road {i}: context slots must match the series (0..{expected - 1})"
-            )
-        weather = np.array([rows[s][0] for s in range(expected)], dtype=np.int64)
-        max_weather = max(max_weather, int(weather.max()))
-        contexts.append(
-            ContextFeatures(
-                static=np.array([]),
-                weather=weather,
-                holiday=np.array([rows[s][1] for s in range(expected)], dtype=np.int64),
-                day_of_week=np.array([rows[s][2] for s in range(expected)], dtype=np.int64),
-            )
+        raise SchemaError(
+            f"{context_path}: road {i}: context slots must match the series (0..{counts[i] - 1})"
         )
+    positions = starts[road] + slot
+    contexts = [
+        ContextFeatures(static=np.array([]), weather=w, holiday=h, day_of_week=d)
+        for w, h, d in zip(*(_per_road(codes, positions, counts) for codes in (weather, holiday, dow)))
+    ]
 
     dataset = TrafficDataset(
         graph=graph,
         series=series,
         contexts=contexts,
         span_minutes=span,
-        weather_code_count=max_weather + 1,
+        weather_code_count=int(weather.max()) + 1,
         road_type_count=max(node.road_type for node in graph.nodes) + 1,
     )
     _assemble_static_features(dataset)

@@ -212,6 +212,18 @@ def named_parameters(params: McanParams):
     yield from _fnn_parameters("output_head", params.output_head)
 
 
+def first_nonfinite(params: McanParams, grads: bool = False) -> str | None:
+    """Name of the first leaf in :func:`named_parameters` order holding a
+    non-finite value (with ``grads``, ``"grad of <name>"`` when only its
+    gradient does), or None."""
+    for name, p in named_parameters(params):
+        if not np.isfinite(p.data).all():
+            return name
+        if grads and not np.isfinite(p.grad).all():
+            return f"grad of {name}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Data view: per-road normalized values, daily averages, context features
 
@@ -639,23 +651,10 @@ def _entry(mapping, key: str, path, where: str = ""):
 
 
 def config_entry(cfg, key: str, kind: type, path):
-    """``cfg[key]`` of a checkpoint's config echo, checked to be a ``kind``:
-    ``int`` (not a boolean), ``float`` (any finite number), ``bool`` or
-    ``list`` (of strings); a SchemaError names the key otherwise."""
-    value = _entry(cfg, key, path, "config.")
-    if kind is bool or isinstance(value, bool):
-        ok = kind is bool and isinstance(value, bool)
-    elif kind is float:
-        ok = isinstance(value, (int, float)) and np.isfinite(value)
-    elif kind is int:
-        ok = isinstance(value, int)
-    else:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    if not ok:
-        expected = {int: "an integer", float: "a finite number", bool: "a boolean",
-                    list: "a list of strings"}[kind]
-        raise SchemaError(f"{path}: checkpoint key 'config.{key}' must be {expected}, got {value!r}")
-    return value
+    """``cfg[key]`` of a checkpoint's config echo, checked to be a ``kind`` by
+    :func:`graphdata.typed_value`; a SchemaError names the key otherwise."""
+    return gd.typed_value(_entry(cfg, key, path, "config."), kind,
+                          f"{path}: checkpoint key 'config.{key}'")
 
 
 def load_checkpoint(path):
@@ -696,6 +695,8 @@ def load_checkpoint(path):
             raise SchemaError(
                 f"{path}: parameter {name!r} values do not fill shape {list(p.data.shape)}"
             ) from None
+    if not np.isfinite(params.theta).all():
+        raise SchemaError(f"{path}: parameter {first_nonfinite(params)!r} has a non-finite value")
     state = _entry(doc, "state", path)
     means = np.asarray(_entry(state, "mean", path, "state."), dtype=np.float64)
     stds = np.asarray(_entry(state, "std", path, "state."), dtype=np.float64)
@@ -704,4 +705,11 @@ def load_checkpoint(path):
         np.asarray(_entry(daily, str(road), path, "state.daily_average."), dtype=np.float64)
         for road in range(len(means))
     ]
+    scaler = {"state.mean": means, "state.std": stds,
+              **{f"state.daily_average.{road}": y for road, y in enumerate(ybar)}}
+    for key, values in scaler.items():
+        if not np.isfinite(values).all():
+            raise SchemaError(f"{path}: checkpoint key {key!r} has a non-finite value")
+    if np.any(stds <= 0):
+        raise SchemaError(f"{path}: checkpoint key 'state.std' has a value <= 0")
     return params, means, stds, ybar, cfg

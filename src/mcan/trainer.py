@@ -298,12 +298,7 @@ class TrainResult:
 
 
 def _first_nonfinite(params: md.McanParams, loss_value: float) -> str:
-    for name, p in md.named_parameters(params):
-        if not np.all(np.isfinite(p.data)):
-            return name
-        if not np.isfinite(loss_value) and not np.all(np.isfinite(p.grad)):
-            return f"grad of {name}"
-    return "loss"
+    return md.first_nonfinite(params, grads=not np.isfinite(loss_value)) or "loss"
 
 
 def _adam_step(params: md.McanParams, state: ad.AdamState, gi: md.GroupInputs,

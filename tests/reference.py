@@ -1,0 +1,153 @@
+"""Scalar references the tests compare the vectorised program against.
+
+``load_dataset`` here reads ``series.csv`` and ``context.csv`` the way the
+loader used to, one ``csv.reader`` row and one ``int()``/``float()`` call at a
+time, and raises the first error in file order.  ``graphdata.load_dataset``
+must return bit-identical arrays and raise the same exception type and
+message on every input this reader splits the same way (no quotes).
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+
+import numpy as np
+
+from mcan import graphdata as gd
+from mcan.errors import MissingDataError, SchemaError
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _parse_int(row_no: int, field_name: str, raw: str, path) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise SchemaError(f"{path}: row {row_no}: field {field_name!r} is not an integer: {raw!r}") from None
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise SchemaError(f"{path}: row {row_no}: field {field_name!r} is outside the 64-bit integer range: "
+                          f"{raw!r}")
+    return value
+
+
+def _parse_float(row_no: int, field_name: str, raw: str, path) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise SchemaError(f"{path}: row {row_no}: field {field_name!r} is not a number: {raw!r}") from None
+
+
+def _load_rows(path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        rows = [(no, row) for no, row in enumerate(reader, start=1) if row]
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header_no, header = rows[0]
+    if [h.strip() for h in header] != expected_header:
+        raise SchemaError(f"{path}: row {header_no}: expected header {expected_header}, got {header}")
+    for no, row in rows[1:]:
+        if len(row) != len(expected_header):
+            raise SchemaError(f"{path}: row {no}: expected {len(expected_header)} fields, got {len(row)}")
+    return rows[1:]
+
+
+def load_dataset(graph_path, series_path, context_path) -> gd.TrafficDataset:
+    """Row-by-row twin of :func:`mcan.graphdata.load_dataset`."""
+    graph = gd.load_graph(graph_path)
+    n = graph.size
+
+    per_road_speeds: dict[int, dict[int, float]] = {}
+    for no, row in _load_rows(series_path, gd.SERIES_HEADER):
+        road = _parse_int(no, "road_id", row[0], series_path)
+        slot = _parse_int(no, "slot_index", row[1], series_path)
+        speed = _parse_float(no, "speed_kmh", row[2], series_path)
+        if not 0 <= road < n:
+            raise SchemaError(f"{series_path}: row {no}: road_id {road} not in graph")
+        if not math.isfinite(speed):
+            raise SchemaError(f"{series_path}: row {no}: field 'speed_kmh' is not finite: {row[2]!r}")
+        if speed < 0:
+            raise SchemaError(f"{series_path}: row {no}: negative speed {speed}")
+        slots = per_road_speeds.setdefault(road, {})
+        if slot in slots:
+            raise SchemaError(f"{series_path}: row {no}: duplicate slot {slot} for road {road}")
+        slots[slot] = speed
+
+    missing = [i for i in range(n) if i not in per_road_speeds]
+    if missing:
+        raise MissingDataError(f"{series_path}: roads without any series: {missing}")
+
+    span = None
+    series = []
+    for i in range(n):
+        slots = per_road_speeds[i]
+        count = len(slots)
+        if sorted(slots) != list(range(count)):
+            raise SchemaError(f"{series_path}: road {i}: slot indices must be contiguous from 0")
+        road_span = count * graph.nodes[i].interval_minutes
+        if span is None:
+            span = road_span
+        elif road_span != span:
+            raise SchemaError(
+                f"{series_path}: road {i}: {count} rows at interval "
+                f"{graph.nodes[i].interval_minutes} min covers {road_span} min, "
+                f"inconsistent with {span} min for earlier roads"
+            )
+        values = np.array([slots[s] for s in range(count)])
+        series.append(gd.SpeedSeries(road_id=i, start_slot=0, values=values))
+    if span is None or span % gd.MINUTES_PER_DAY != 0:
+        raise SchemaError(f"{series_path}: observation span {span} min is not whole days")
+
+    per_road_ctx: dict[int, dict[int, tuple[int, int, int]]] = {}
+    for no, row in _load_rows(context_path, gd.CONTEXT_HEADER):
+        road = _parse_int(no, "road_id", row[0], context_path)
+        slot = _parse_int(no, "slot_index", row[1], context_path)
+        weather = _parse_int(no, "weather_code", row[2], context_path)
+        holiday = _parse_int(no, "holiday_flag", row[3], context_path)
+        dow = _parse_int(no, "day_of_week", row[4], context_path)
+        if not 0 <= road < n:
+            raise SchemaError(f"{context_path}: row {no}: road_id {road} not in graph")
+        if weather < 0:
+            raise SchemaError(f"{context_path}: row {no}: weather_code must be >= 0")
+        if holiday not in (0, 1):
+            raise SchemaError(f"{context_path}: row {no}: holiday_flag must be 0 or 1")
+        if not 0 <= dow <= 6:
+            raise SchemaError(f"{context_path}: row {no}: day_of_week must be in 0..6")
+        slots = per_road_ctx.setdefault(road, {})
+        if slot in slots:
+            raise SchemaError(f"{context_path}: row {no}: duplicate slot {slot} for road {road}")
+        slots[slot] = (weather, holiday, dow)
+
+    contexts = []
+    max_weather = 0
+    for i in range(n):
+        rows = per_road_ctx.get(i)
+        expected = len(series[i])
+        if rows is None:
+            raise MissingDataError(f"{context_path}: road {i} has no context rows")
+        if sorted(rows) != list(range(expected)):
+            raise SchemaError(
+                f"{context_path}: road {i}: context slots must match the series (0..{expected - 1})"
+            )
+        weather = np.array([rows[s][0] for s in range(expected)], dtype=np.int64)
+        max_weather = max(max_weather, int(weather.max()))
+        contexts.append(
+            gd.ContextFeatures(
+                static=np.array([]),
+                weather=weather,
+                holiday=np.array([rows[s][1] for s in range(expected)], dtype=np.int64),
+                day_of_week=np.array([rows[s][2] for s in range(expected)], dtype=np.int64),
+            )
+        )
+
+    dataset = gd.TrafficDataset(
+        graph=graph,
+        series=series,
+        contexts=contexts,
+        span_minutes=span,
+        weather_code_count=max_weather + 1,
+        road_type_count=max(node.road_type for node in graph.nodes) + 1,
+    )
+    gd._assemble_static_features(dataset)
+    return dataset

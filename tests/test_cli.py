@@ -132,6 +132,45 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "series.csv: row 6: field 'speed_kmh' is not finite" in err
 
+    def test_duplicate_context_row_is_runtime_error(self, tmp_path, data_dir, capsys):
+        bad = tmp_path / "dup_data"
+        bad.mkdir()
+        for name in ("graph.json", "series.csv"):
+            (bad / name).write_bytes((data_dir / name).read_bytes())
+        lines = (data_dir / "context.csv").read_text().splitlines()
+        (bad / "context.csv").write_text("\n".join(lines + ["0,3,7,0,0"]) + "\n")
+        assert cli.main(train_args(tmp_path, bad, "dup_run")) == 2
+        err = capsys.readouterr().err
+        assert f"context.csv: row {len(lines) + 1}: duplicate slot 3 for road 0" in err, err
+        assert not (tmp_path / "dup_run").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda doc: doc["nodes"][1].update(interval_minutes="x"),
+                     "node entry 1: field 'interval_minutes' must be an integer, got 'x'", id="string"),
+        pytest.param(lambda doc: doc["nodes"][0].update(length_m=None),
+                     "node entry 0: field 'length_m' must be a finite number, got None", id="null"),
+        pytest.param(lambda doc: doc.update(edges=[[0]]),
+                     "edge entry 0: expected a pair of integer node ids, got [0]", id="short-edge"),
+        pytest.param(lambda doc: doc["nodes"].append(5),
+                     "node entry 3: expected an object, got 5", id="bare-node"),
+        pytest.param(lambda doc: doc["nodes"][0].update(id=0.5),
+                     "node entry 0: field 'id' must be an integer, got 0.5", id="float-id"),
+        pytest.param(lambda doc: doc["nodes"][2].update(length_m=10**400),
+                     "node entry 2: field 'length_m' must be a finite number, got 1000", id="huge-length"),
+    ])
+    def test_malformed_graph_field_is_runtime_error(self, tmp_path, data_dir, capsys, edit, message):
+        bad = tmp_path / "bad_graph"
+        bad.mkdir()
+        for name in ("series.csv", "context.csv"):
+            (bad / name).write_bytes((data_dir / name).read_bytes())
+        doc = json.loads((data_dir / "graph.json").read_text())
+        edit(doc)
+        (bad / "graph.json").write_text(json.dumps(doc))
+        assert cli.main(train_args(tmp_path, bad, "graph_run")) == 2
+        err = capsys.readouterr().err
+        assert f"{bad / 'graph.json'}: {message}" in err, err
+        assert "Traceback" not in err
+
 
 class TestEvaluate:
     def test_metrics_table_and_summary(self, tmp_path, data_dir, trained_dir, capsys):
@@ -326,6 +365,31 @@ class TestCheckpointFitsDataset:
         (tmp_path / "old.json").write_text(json.dumps(doc))
         assert run_on(tmp_path, "evaluate", data_dir, tmp_path / "old.json", "out") == 2
         assert "checkpoint is missing key 'config.edges'" in capsys.readouterr().err
+
+
+class TestCheckpointValuesFinite:
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, float("nan")),
+                     "parameter 'fusion.query' has a non-finite value", id="parameter-nan"),
+        pytest.param(lambda doc: doc["state"]["mean"].__setitem__(1, float("nan")),
+                     "checkpoint key 'state.mean' has a non-finite value", id="mean-nan"),
+        pytest.param(lambda doc: doc["state"]["std"].__setitem__(2, float("inf")),
+                     "checkpoint key 'state.std' has a non-finite value", id="std-inf"),
+        pytest.param(lambda doc: doc["state"]["std"].__setitem__(0, 0.0),
+                     "checkpoint key 'state.std' has a value <= 0", id="std-zero"),
+        pytest.param(lambda doc: doc["state"]["daily_average"]["2"].__setitem__(5, float("-inf")),
+                     "checkpoint key 'state.daily_average.2' has a non-finite value", id="daily-inf"),
+    ])
+    def test_non_finite_value_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys,
+                                               command, edit, message):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        edit(doc)
+        broken = tmp_path / "nonfinite.json"
+        broken.write_text(json.dumps(doc))
+        assert run_on(tmp_path, command, data_dir, broken, "out") == 2
+        assert f"{broken}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCorrelate:

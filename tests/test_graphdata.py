@@ -1,8 +1,13 @@
 """Tests for graph/series types, derived channels, windows, generator, and file IO."""
 
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from mcan import graphdata as gd
 from mcan.errors import ConfigError, MissingDataError, SchemaError
 
@@ -356,3 +361,139 @@ class TestPlantedPair:
         a, b, slots_per_day = gd.generate_planted_pair(seed=1, days=10)
         assert len(a) == len(b) == 10 * slots_per_day
         assert np.all(a.values >= 0) and np.all(b.values >= 0)
+
+
+def written_dataset(tmp_path, n_roads=2, intervals=(60,), days=1, seed=5):
+    config = gd.GeneratorConfig(n_roads=n_roads, edge_density=1.0, intervals=intervals, days=days,
+                                weather_impact=1.0)
+    paths = (tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "c.csv")
+    gd.write_dataset(gd.generate_synthetic(config, seed), *paths)
+    return paths
+
+
+def outcome(load, paths):
+    """What ``load`` makes of ``paths``: the error's type and message, or every
+    loaded array's dtype and bytes."""
+    try:
+        d = load(*paths)
+    except (SchemaError, MissingDataError) as exc:
+        return type(exc).__name__, str(exc)
+    arrays = [s.values for s in d.series]
+    arrays += [a for c in d.contexts for a in (c.static, c.weather, c.holiday, c.day_of_week)]
+    return (d.span_minutes, d.weather_code_count, d.road_type_count, d.graph.edges,
+            [(s.road_id, s.start_slot) for s in d.series], [(a.dtype.str, a.tobytes()) for a in arrays])
+
+
+# A corrupt cell never holds a comma, a quote or a line break: csv.reader
+# (the reference) would re-split or unquote it, the loader takes it verbatim.
+CELL_TEXT = st.text(st.characters(blacklist_characters=',"\r\n\x00', blacklist_categories=("Cs",)),
+                    max_size=5)
+
+
+@st.composite
+def corruptions(draw):
+    """One change to one CSV file: which file, what, where, and the new cell."""
+    target = draw(st.sampled_from(("s.csv", "c.csv")))
+    kind = draw(st.sampled_from(("text", "nonfinite", "negative", "range", "remove", "duplicate", "fields")))
+    row, column, other = draw(st.integers(0, 10**6)), draw(st.integers(0, 4)), draw(st.integers(0, 10**6))
+    if kind == "text":
+        value = draw(CELL_TEXT)
+    elif kind == "nonfinite":
+        value = draw(st.sampled_from(("nan", "inf", "-inf", "NaN", "Infinity", "-nan")))
+    elif kind == "negative":
+        value = draw(st.sampled_from(("-1", "-0.5", "-1e-300", "-0", "-0.0")))
+    else:
+        value = str(draw(st.sampled_from((-1, 2, 3, 4, 7, 9, 100))))
+    return target, kind, row, column, other, value
+
+
+def corrupt(path, kind, row, column, other, value):
+    lines = path.read_text().splitlines()
+    header, data = lines[:1], lines[1:]
+    i = row % len(data)
+    cells = data[i].split(",")
+    if kind in ("nonfinite", "negative") and len(cells) == 3:
+        column = 2  # the speed column of series.csv
+    if kind in ("text", "nonfinite", "negative", "range"):
+        cells[column % len(cells)] = value
+        data[i] = ",".join(cells)
+    elif kind == "remove":
+        del data[i]
+    elif kind == "duplicate":
+        data.insert(other % (len(data) + 1), data[i])
+    elif kind == "fields":  # one cell too many or too few
+        data[i] = ",".join(cells + [value] if other % 2 else cells[:-1])
+    path.write_text("\r\n".join(header + data) + "\r\n", newline="")
+
+
+class TestLoaderOracle:
+    # Up to two corruptions, so that rows failing different rules compete
+    # for the one error reported.
+    @settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True)
+    @given(st.integers(1, 3), st.lists(st.sampled_from((60, 120, 240)), min_size=1, max_size=3, unique=True),
+           st.integers(0, 10_000), st.lists(corruptions(), max_size=2))
+    def test_same_outcome_as_row_by_row_reader(self, tmp_path_factory, n_roads, intervals, seed, changes):
+        tmp_path = tmp_path_factory.mktemp("oracle")
+        paths = written_dataset(tmp_path, n_roads, tuple(intervals), seed=seed)
+        for target, *change in changes:
+            corrupt(tmp_path / target, *change)
+        expected = outcome(reference.load_dataset, paths)
+        assert outcome(gd.load_dataset, paths) == expected
+        if not changes:
+            assert isinstance(expected[0], int)
+
+    def test_benchmark_sized_dataset_bit_identical(self, tmp_path):
+        paths = written_dataset(tmp_path, n_roads=10, intervals=(5, 10, 15), days=28, seed=3)
+        loaded = outcome(gd.load_dataset, paths)
+        assert isinstance(loaded[0], int)
+        assert loaded == outcome(reference.load_dataset, paths)
+
+
+class TestCsvFormat:
+    # The corrupted series line is file line 4 (header, slots 0 and 1, then 2).
+    @pytest.mark.parametrize("join,blank_lines_before", [
+        pytest.param("\n".join, 0, id="LF"),
+        pytest.param("\r\n".join, 0, id="CRLF"),
+        pytest.param("\r".join, 0, id="CR"),
+        pytest.param("\r\n\r\n".join, 3, id="blank-lines"),
+    ])
+    def test_line_endings_and_blank_lines(self, tmp_path, join, blank_lines_before):
+        paths = written_dataset(tmp_path)
+        clean = outcome(gd.load_dataset, paths)
+        for path in paths[1:]:
+            path.write_text(join(path.read_text().splitlines()) + "\n", newline="")
+        assert outcome(gd.load_dataset, paths) == clean
+        data = [line for line in paths[1].read_text().splitlines() if line]
+        data[3] = "0,2,fast"
+        paths[1].write_text(join(data) + "\n", newline="")
+        row = 4 + blank_lines_before
+        message = f"{paths[1]}: row {row}: field 'speed_kmh' is not a number: 'fast'"
+        assert outcome(gd.load_dataset, paths) == ("SchemaError", message)
+        assert outcome(reference.load_dataset, paths) == ("SchemaError", message)
+
+    def test_quoted_cell_is_not_an_integer(self, tmp_path):
+        paths = written_dataset(tmp_path)
+        lines = paths[1].read_text().splitlines()
+        lines[3] = '0,"2",' + lines[3].split(",")[2]
+        paths[1].write_text("\n".join(lines) + "\n")
+        message = r"s\.csv: row 4: field 'slot_index' is not an integer: '\"2\"'"
+        with pytest.raises(SchemaError, match=message):
+            gd.load_dataset(*paths)
+
+    def test_integer_beyond_64_bits_named(self, tmp_path):
+        paths = written_dataset(tmp_path)
+        lines = paths[2].read_text().splitlines()
+        lines[5] = "0,4,99999999999999999999,0,0"
+        paths[2].write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"c\.csv: row 6: field 'weather_code' is outside the 64-bit"):
+            gd.load_dataset(*paths)
+
+    def test_duplicate_context_row_rejected(self, tmp_path):
+        # Kept silently before: the last row won, and weather 7 made the model
+        # expect eight weather codes.
+        paths = written_dataset(tmp_path)
+        text = paths[2].read_text()
+        paths[2].write_text(text + "0,3,7,0,0\r\n", newline="")
+        row = len(text.splitlines()) + 1
+        with pytest.raises(SchemaError, match=rf"c\.csv: row {row}: duplicate slot 3 for road 0"):
+            gd.load_dataset(*paths)

@@ -57,18 +57,14 @@ class CorrelationSeries:
 
 
 def _measurement_series(series: gd.SpeedSeries, slots_per_day: int, measurement: str) -> np.ndarray:
+    """The measurement at every index of ``series``, gathered by
+    :func:`graphdata.channel_window` (nan at index 0 for trend)."""
     values = series.values
-    if measurement == "speed":
-        return values
-    if measurement == "trend":
-        # index u holds the trend at u (undefined at 0, padded with nan)
-        out = np.full(len(values), np.nan)
-        out[1:] = gd.compute_trend(values)
-        return out
-    if measurement == "deviation":
-        average = gd.compute_daily_average(values, slots_per_day)
-        return gd.compute_deviation(values, average)
-    raise ConfigError(f"unknown measurement {measurement!r}; valid: {MEASUREMENTS}")
+    first = 1 if measurement == "trend" else 0
+    average = gd.compute_daily_average(values, slots_per_day) if measurement == "deviation" else None
+    out = np.full(len(values), np.nan)
+    out[first:] = gd.channel_window(values, average, np.arange(first, len(values)), measurement)
+    return out
 
 
 def multifold_correlation_report(

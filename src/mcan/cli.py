@@ -61,7 +61,7 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(gd.read_text(path, ConfigError))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:

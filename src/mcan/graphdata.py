@@ -115,22 +115,6 @@ class SpeedSeries:
 
 
 @dataclass
-class TemporalInputs:
-    """Recent / daily-periodic / weekly-periodic history windows for one sample."""
-
-    recent_speed: np.ndarray
-    recent_trend: np.ndarray
-    recent_deviation: np.ndarray
-    recent_average: np.ndarray
-    daily_speed: np.ndarray
-    daily_trend: np.ndarray
-    daily_deviation: np.ndarray
-    weekly_speed: np.ndarray
-    weekly_trend: np.ndarray
-    weekly_deviation: np.ndarray
-
-
-@dataclass
 class ContextFeatures:
     """Static road descriptors plus the per-slot dynamic factor codes."""
 
@@ -160,14 +144,6 @@ class TrafficDataset:
 # Channel derivation
 
 
-def compute_trend(values) -> np.ndarray:
-    """First differences: output[t-1] = values[t] - values[t-1]."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) < 2:
-        raise MissingDataError(f"trend needs at least 2 observations, got {len(values)}")
-    return np.diff(values)
-
-
 def compute_daily_average(values, slots_per_day: int) -> np.ndarray:
     """Per-slot mean over whole days; the span must be a multiple of slots_per_day."""
     values = np.asarray(values, dtype=np.float64)
@@ -179,16 +155,6 @@ def compute_daily_average(values, slots_per_day: int) -> np.ndarray:
             f"is not a positive multiple of {slots_per_day}"
         )
     return values.reshape(-1, slots_per_day).mean(axis=0)
-
-
-def compute_deviation(values, daily_average) -> np.ndarray:
-    """Deviation from the same daily slot's historical average."""
-    values = np.asarray(values, dtype=np.float64)
-    daily_average = np.asarray(daily_average, dtype=np.float64)
-    if len(daily_average) < 1:
-        raise MissingDataError("daily average must have at least one slot")
-    slots = np.arange(len(values)) % len(daily_average)
-    return values - daily_average[slots]
 
 
 # ---------------------------------------------------------------------------
@@ -249,31 +215,35 @@ def build_temporal_inputs(
     daily_steps: int,
     weekly_steps: int,
     slots_per_day: int,
-) -> TemporalInputs:
-    """Assemble the three history windows ending just before index ``t``.
+) -> dict[str, np.ndarray | None]:
+    """The three history branches ending just before index ``t``, by name:
+    ``recent`` stacks speed, trend, deviation and daily average as
+    ``(..., recent_steps, 4)``; ``daily`` and ``weekly`` stack speed, trend
+    and deviation as ``(..., steps, 3)``, or are None with zero steps.
 
-    ``t`` is one time (windows of shape ``(L,)``) or a ``(B,)`` array of times
-    (windows of shape ``(B, L)``).  Only indices strictly below ``t`` are ever
-    read (trend additionally reads one step further back).  Raises naming the
-    branch that lacks history and the earliest time.
+    ``t`` is one time or a ``(B,)`` array of times.  Only indices strictly
+    below ``t`` are ever read (trend additionally reads one step further
+    back).  Raises naming the branch that lacks history and the earliest time.
     """
     branches = {
         "recent": recent_indices(t, recent_steps),
         "daily": periodic_indices(t, daily_steps, slots_per_day),
         "weekly": periodic_indices(t, weekly_steps, 7 * slots_per_day),
     }
+    out = {}
     for name, idx in branches.items():
-        # zero steps means that branch is disabled (ablations); skip it
+        if idx.shape[-1] == 0:  # zero steps: the branch is disabled (ablations)
+            out[name] = None
+            continue
         if idx.size and idx.min() < 1:  # trend at index u reads u-1
             raise MissingDataError(
                 f"{name} branch lacks history at t={np.min(t)}: needs index {idx.min()}, minimum is 1"
             )
-    windows = {
-        f"{name}_{channel}": channel_window(values, daily_average, idx, channel)
-        for name, idx in branches.items()
-        for channel in ("speed", "trend", "deviation")
-    }
-    return TemporalInputs(**windows, recent_average=daily_average[branches["recent"] % slots_per_day])
+        columns = [channel_window(values, daily_average, idx, ch) for ch in ("speed", "trend", "deviation")]
+        if name == "recent":
+            columns.append(daily_average[idx % slots_per_day])
+        out[name] = np.stack(columns, axis=-1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +473,17 @@ NODE_FIELDS = {"id": int, "length_m": float, "road_type": int, "lanes": int,
                "traffic_lights": int, "interval_minutes": int}
 
 
+def read_text(path, error: type = SchemaError) -> str:
+    """The text of ``path`` read as UTF-8 (LF, CRLF and CR line ends become
+    ``"\\n"``); bytes that are not UTF-8 raise ``error`` naming the file and
+    the byte offset of the first one."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # read() decodes the whole file in one call
+        raise error(f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                    f"at offset {exc.start}") from None
+
+
 def write_dataset(dataset: TrafficDataset, graph_path, series_path, context_path) -> None:
     """Write the three dataset files; output is byte-stable for a fixed dataset."""
     graph_doc = {
@@ -544,7 +525,7 @@ def typed_value(value, kind: type, what: str):
 
 def load_graph(graph_path) -> RoadGraph:
     try:
-        doc = json.loads(Path(graph_path).read_text())
+        doc = json.loads(read_text(graph_path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{graph_path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not all(isinstance(doc.get(key), list) for key in ("nodes", "edges")):
@@ -575,7 +556,7 @@ def _read_columns(path, header: list[str]) -> tuple[np.ndarray, list[list[str]]]
     """The 1-based file line of each data row and the raw cells of each column.
 
     Lines end in LF, CRLF or CR; blank lines are skipped but counted."""
-    text = Path(path).read_text()
+    text = read_text(path)
     # Line and field bounds from the UTF-8 bytes, where "\n" and "," are
     # single bytes that no other character's encoding contains.
     buf = np.frombuffer(text.encode(), np.uint8)

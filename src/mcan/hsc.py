@@ -252,12 +252,19 @@ def hour_window_length(interval_minutes: int) -> int:
     return max(1, 60 // interval_minutes)
 
 
+def hour_window_end(t, target_interval: int, road_interval: int) -> np.ndarray:
+    """One past the last index of ``road``'s past-hour window for a sample
+    anchored at the target road's slot ``t`` (wall-clock alignment, flooring
+    to the road's last completed slot)."""
+    return (np.asarray(t) * target_interval) // road_interval
+
+
 def hour_window_indices(t, target_interval: int, road_interval: int) -> np.ndarray:
-    """Indices of ``road``'s past-hour window for a sample anchored at the
-    target road's slot ``t`` (wall-clock alignment, flooring to the road's
-    last completed slot).  A ``(B,)`` array of times gives ``(B, L)``."""
-    local_t = (np.asarray(t) * target_interval) // road_interval
-    return local_t[..., None] + np.arange(-hour_window_length(road_interval), 0)
+    """Indices of ``road``'s past-hour window, the :func:`hour_window_length`
+    slots before :func:`hour_window_end`.  A ``(B,)`` array of times gives
+    ``(B, L)``."""
+    end = hour_window_end(t, target_interval, road_interval)
+    return end[..., None] + np.arange(-hour_window_length(road_interval), 0)
 
 
 # ---------------------------------------------------------------------------

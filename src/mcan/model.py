@@ -5,6 +5,7 @@ training loss.
 Samples are (road, time-index) pairs.  A sample at index ``t`` reads history
 strictly before ``t`` and predicts the speeds at ``t .. t+H-1``; the trend and
 deviation channels additionally supervise their value at ``t`` itself.
+:func:`read_spans` lists those indices once, for eligibility and the leak filter.
 A batch of samples of any target roads is one :class:`GroupInputs` and one
 forward graph; a single sample is a batch of one row.
 """
@@ -308,60 +309,37 @@ def build_view(
 
 
 # ---------------------------------------------------------------------------
-# Sample eligibility and index footprints
+# Read spans: the one statement of what a sample reads
+
+
+def read_spans(view: DataView, config: ModelConfig, road: int, times) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Every ``(road j, first index, last index)`` range, inclusive, that the
+    samples ``(road, t)`` for ``t`` in ``times`` read or predict, each bound a
+    ``(B,)`` array: the targets, the recent block, each daily and weekly
+    point, and each involved road's past-hour window, every read range with
+    the predecessor its trend reads."""
+    view.ensure_hops(config.hops)
+    times = np.asarray(times, dtype=int)
+    spd = view.slots_per_day(road)
+    spans = [(road, times, times + config.horizon - 1),
+             (road, times - config.recent_steps - 1, times - 1)]
+    for used, steps, period in ((config.use_daily, config.daily_steps, spd),
+                                (config.use_weekly, config.weekly_steps, 7 * spd)):
+        if used:
+            spans += [(road, u - 1, u) for u in gd.periodic_indices(times, steps, period).T]
+    for j in sorted({road}.union(*view.hop_layers[road])):
+        end = hsc_mod.hour_window_end(times, view.interval(road), view.interval(j))
+        spans.append((j, end - hsc_mod.hour_window_length(view.interval(j)) - 1, end - 1))
+    return spans
 
 
 def eligible_times(view: DataView, config: ModelConfig, road: int) -> np.ndarray:
-    """Sample times with full input history and a full prediction horizon."""
-    view.ensure_hops(config.hops)
-    length = len(view.values[road])
-    spd = view.slots_per_day(road)
-    start = config.recent_steps + 1
-    if config.use_daily:
-        start = max(start, config.daily_steps * spd + 1)
-    if config.use_weekly:
-        start = max(start, config.weekly_steps * 7 * spd + 1)
-    interval = view.interval(road)
-    involved = {road} | set().union(*view.hop_layers[road])
-    for j in involved:
-        t_interval = view.interval(j)
-        window = hsc_mod.hour_window_length(t_interval)
-        # need floor(t * interval / t_interval) >= window + 1
-        start = max(start, -((-(window + 1) * t_interval) // interval))
-    end = length - config.horizon  # inclusive upper bound is end - 1 + horizon
-    if start >= end + 1:
-        return np.array([], dtype=int)
-    times = np.arange(start, end + 1)
-    # the neighbor windows must also stay inside each neighbor's series
-    for j in involved:
-        t_interval = view.interval(j)
-        local_t = (times * interval) // t_interval
-        times = times[local_t <= len(view.values[j])]
-    return times
-
-
-def sample_footprint(view: DataView, config: ModelConfig, road: int, t: int) -> dict[int, np.ndarray]:
-    """All history indices a sample reads, per road (targets excluded)."""
-    view.ensure_hops(config.hops)
-    spd = view.slots_per_day(road)
-    own = [gd.recent_indices(t, config.recent_steps)]
-    if config.use_daily:
-        own.append(gd.periodic_indices(t, config.daily_steps, spd))
-    if config.use_weekly:
-        own.append(gd.periodic_indices(t, config.weekly_steps, 7 * spd))
-    footprint: dict[int, np.ndarray] = {}
-    interval = view.interval(road)
-    involved = {road} | set().union(*view.hop_layers[road])
-    for j in sorted(involved):
-        idx = hsc_mod.hour_window_indices(t, interval, view.interval(j))
-        parts = [idx]
-        if j == road:
-            parts.extend(own)
-            parts.append(np.array([t - 1]))
-        merged = np.unique(np.concatenate(parts))
-        # the trend gather also touches each index's predecessor
-        footprint[j] = np.unique(np.concatenate([merged, merged - 1]))
-    return footprint
+    """Sample times whose every read span lies inside its road's series."""
+    times = np.arange(len(view.values[road]))
+    inside = np.ones(len(times), dtype=bool)
+    for j, first, last in read_spans(view, config, road, times):
+        inside &= (first >= 0) & (last < len(view.values[j]))
+    return times[inside]
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +422,13 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
     spd = view.slots_per_day(road)
     interval = view.interval(road)
 
-    tv = gd.build_temporal_inputs(
+    temporal = gd.build_temporal_inputs(
         values, ybar, times,
         config.recent_steps,
         config.daily_steps if config.use_daily else 0,
         config.weekly_steps if config.use_weekly else 0,
         spd,
     )
-    recent = np.stack([tv.recent_speed, tv.recent_trend, tv.recent_deviation, tv.recent_average], axis=-1)
-    daily = np.stack([tv.daily_speed, tv.daily_trend, tv.daily_deviation], axis=-1) if config.use_daily else None
-    weekly = (np.stack([tv.weekly_speed, tv.weekly_trend, tv.weekly_deviation], axis=-1)
-              if config.use_weekly else None)
-
     channels = config.channels()
     batch, c = len(times), config.embed_len
 
@@ -495,9 +468,7 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
         channels=inputs,
         prev_speed=values[times - 1].reshape(-1, 1),
         ybar_at_t=ybar[times % spd].reshape(-1, 1),
-        recent=recent,
-        daily=daily,
-        weekly=weekly,
+        **temporal,
         static=np.tile(view.static_features[road], (batch, 1)),
         dynamic=view.dynamic_features[road][gd.recent_indices(times, config.recent_steps)],
         target_speed=values[horizon_idx],
@@ -664,7 +635,7 @@ def load_checkpoint(path):
     one raises :class:`SchemaError` naming it.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(gd.read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid checkpoint JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -3,10 +3,11 @@
 Cross-validation uses contiguous-in-time test blocks: eligible (road, t)
 samples are ordered by wall-clock time and cut into k blocks.  For a given
 fold, normalization statistics and daily averages are fitted only on days that
-do not touch the test block's wall-clock window, and training samples whose
-input windows or targets reach into that window are dropped, so no test value
-ever influences fitting or gradients.  A config flag restores shuffled folds
-(which inherently overlap) for parity with conventional shuffled evaluation.
+do not touch the test block's wall-clock window, and training samples with a
+read span (:func:`model.read_spans`, the same spans that decide eligibility)
+reaching into that window are dropped, so no test value ever influences
+fitting or gradients.  A config flag restores shuffled folds (which inherently
+overlap) for parity with conventional shuffled evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphdata as gd
-from . import hsc as hsc_mod
 from . import model as md
 from .errors import ConfigError, MissingDataError, TrainingDivergence
 
@@ -116,33 +116,13 @@ def _samples(roads: np.ndarray, times: np.ndarray) -> list[Sample]:
 
 def _touches_window(view: md.DataView, config: md.ModelConfig, road: int, times: np.ndarray,
                     wall: tuple[int, int]) -> np.ndarray:
-    """Per time: whether sample ``(road, t)`` reads or predicts an index whose
-    wall-clock minute falls inside ``wall`` (inclusive).
-
-    Interval arithmetic over the index sets ``md.sample_footprint`` enumerates;
-    every sample of one road shares the interval, slots per day and hop set,
-    so the whole ``times`` array is tested at once.
-    """
+    """Per time: whether any read span of sample ``(road, t)``
+    (:func:`model.read_spans`) has a wall-clock minute inside ``wall``
+    (inclusive)."""
     lo, hi = wall
-    interval = view.interval(road)
-
-    def hits(first_idx, last_idx, step_minutes: int) -> np.ndarray:
-        return (last_idx * step_minutes >= lo) & (first_idx * step_minutes <= hi)
-
-    times = np.asarray(times, dtype=int)
-    touched = hits(times, times + config.horizon - 1, interval)  # targets
-    touched |= hits(times - config.recent_steps - 1, times - 1, interval)  # recent block
-    spd = view.slots_per_day(road)
-    for used, steps, period in ((config.use_daily, config.daily_steps, spd),
-                                (config.use_weekly, config.weekly_steps, 7 * spd)):
-        if used:
-            u = gd.periodic_indices(times, steps, period)  # each read with its predecessor
-            touched |= hits(u - 1, u, interval).any(axis=1)
-    for j in {road} | set().union(*view.hop_layers[road]):
-        j_interval = view.interval(j)
-        local_t = (times * interval) // j_interval
-        length = hsc_mod.hour_window_length(j_interval)
-        touched |= hits(local_t - length - 1, local_t - 1, j_interval)
+    touched = np.zeros(len(times), dtype=bool)
+    for j, first, last in md.read_spans(view, config, road, times):
+        touched |= (last * view.interval(j) >= lo) & (first * view.interval(j) <= hi)
     return touched
 
 
@@ -193,20 +173,17 @@ def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
     return folds
 
 
-def training_day_masks(dataset: gd.TrafficDataset, fold: Fold) -> list[np.ndarray]:
-    """Per road: which whole days are safe to use for fitting (no test overlap)."""
-    days = dataset.days
-    masks = []
-    for road in range(dataset.graph.size):
-        mask = np.ones(days, dtype=bool)
-        if fold.test_wall is not None:
-            lo, hi = fold.test_wall
-            for day in range(days):
-                day_lo, day_hi = day * gd.MINUTES_PER_DAY, (day + 1) * gd.MINUTES_PER_DAY - 1
-                if day_hi >= lo and day_lo <= hi:
-                    mask[day] = False
-        masks.append(mask)
-    return masks
+def training_day_mask(dataset: gd.TrafficDataset, fold: Fold) -> np.ndarray:
+    """Which whole days are safe to use for fitting: those that do not
+    overlap the fold's test wall-clock window (every day when it has none)."""
+    if fold.test_wall is None:
+        return np.ones(dataset.days, dtype=bool)
+    lo, hi = fold.test_wall
+    day_lo = np.arange(dataset.days) * gd.MINUTES_PER_DAY
+    mask = (day_lo + gd.MINUTES_PER_DAY - 1 < lo) | (day_lo > hi)
+    if not mask.any():
+        raise MissingDataError(f"fold {fold.index}: the test window leaves no training days to fit on")
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +198,13 @@ class Scaler:
     stds: np.ndarray
 
 
-def normalize_fit(dataset: gd.TrafficDataset, day_masks: list[np.ndarray]) -> Scaler:
+def normalize_fit(dataset: gd.TrafficDataset, day_mask: np.ndarray) -> Scaler:
     n = dataset.graph.size
     means = np.zeros(n)
     stds = np.ones(n)
     for road in range(n):
         spd = dataset.graph.nodes[road].slots_per_day
-        mask = np.repeat(day_masks[road], spd)
-        training = dataset.series[road].values[mask]
-        if len(training) == 0:
-            raise MissingDataError(f"road {road}: no training days to fit normalization")
+        training = dataset.series[road].values[np.repeat(day_mask, spd)]
         means[road] = training.mean()
         std = training.std()
         stds[road] = std if std > 1e-12 else 1.0  # constant series fallback
@@ -242,24 +216,19 @@ def normalize_apply(scaler: Scaler, road: int, values: np.ndarray) -> np.ndarray
 
 
 def fit_daily_averages(dataset: gd.TrafficDataset, scaler: Scaler,
-                       day_masks: list[np.ndarray]) -> list[np.ndarray]:
+                       day_mask: np.ndarray) -> list[np.ndarray]:
     """Frozen per-slot averages over training days, in normalized units."""
-    ybar = []
-    for road in range(dataset.graph.size):
-        spd = dataset.graph.nodes[road].slots_per_day
-        normalized = normalize_apply(scaler, road, dataset.series[road].values)
-        by_day = normalized.reshape(-1, spd)
-        mask = day_masks[road]
-        if not mask.any():
-            raise MissingDataError(f"road {road}: no training days to fit daily averages")
-        ybar.append(by_day[mask].mean(axis=0))
-    return ybar
+    return [
+        normalize_apply(scaler, road, dataset.series[road].values)
+        .reshape(-1, node.slots_per_day)[day_mask].mean(axis=0)
+        for road, node in enumerate(dataset.graph.nodes)
+    ]
 
 
 def fitted_view(dataset: gd.TrafficDataset, fold: Fold) -> tuple[md.DataView, Scaler]:
-    masks = training_day_masks(dataset, fold)
-    scaler = normalize_fit(dataset, masks)
-    ybar = fit_daily_averages(dataset, scaler, masks)
+    mask = training_day_mask(dataset, fold)
+    scaler = normalize_fit(dataset, mask)
+    ybar = fit_daily_averages(dataset, scaler, mask)
     view = md.build_view(dataset, means=scaler.means, stds=scaler.stds, ybar=ybar)
     return view, scaler
 
@@ -435,14 +404,9 @@ def evaluate(params: md.McanParams, view: md.DataView, samples: list[Sample]) ->
 def historical_average_baseline(dataset: gd.TrafficDataset, fold: Fold, horizon: int,
                                 samples: list[Sample] | None = None) -> MetricsReport:
     """Predict the training-day per-slot mean speed for every horizon step."""
-    masks = training_day_masks(dataset, fold)
-    averages = []
-    for road in range(dataset.graph.size):
-        spd = dataset.graph.nodes[road].slots_per_day
-        by_day = dataset.series[road].values.reshape(-1, spd)
-        if not masks[road].any():
-            raise MissingDataError(f"road {road}: no training days for the baseline")
-        averages.append(by_day[masks[road]].mean(axis=0))
+    mask = training_day_mask(dataset, fold)
+    averages = [series.values.reshape(-1, node.slots_per_day)[mask].mean(axis=0)
+                for series, node in zip(dataset.series, dataset.graph.nodes)]
     split = samples if samples is not None else fold.test
     if not split:
         raise MissingDataError("no samples to evaluate")

@@ -5,6 +5,9 @@ loader used to, one ``csv.reader`` row and one ``int()``/``float()`` call at a
 time, and raises the first error in file order.  ``graphdata.load_dataset``
 must return bit-identical arrays and raise the same exception type and
 message on every input this reader splits the same way (no quotes).
+
+``sample_footprint`` enumerates, index by index, the history a sample reads;
+the fold leak filter built on ``model.read_spans`` must agree with it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 import numpy as np
 
 from mcan import graphdata as gd
+from mcan import hsc
+from mcan import model as md
 from mcan.errors import MissingDataError, SchemaError
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -151,3 +156,27 @@ def load_dataset(graph_path, series_path, context_path) -> gd.TrafficDataset:
     )
     gd._assemble_static_features(dataset)
     return dataset
+
+
+def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: int) -> dict[int, np.ndarray]:
+    """All history indices a sample reads, per road (targets excluded)."""
+    view.ensure_hops(config.hops)
+    spd = view.slots_per_day(road)
+    own = [gd.recent_indices(t, config.recent_steps)]
+    if config.use_daily:
+        own.append(gd.periodic_indices(t, config.daily_steps, spd))
+    if config.use_weekly:
+        own.append(gd.periodic_indices(t, config.weekly_steps, 7 * spd))
+    footprint: dict[int, np.ndarray] = {}
+    interval = view.interval(road)
+    involved = {road} | set().union(*view.hop_layers[road])
+    for j in sorted(involved):
+        idx = hsc.hour_window_indices(t, interval, view.interval(j))
+        parts = [idx]
+        if j == road:
+            parts.extend(own)
+            parts.append(np.array([t - 1]))
+        merged = np.unique(np.concatenate(parts))
+        # the trend gather also touches each index's predecessor
+        footprint[j] = np.unique(np.concatenate([merged, merged - 1]))
+    return footprint

@@ -326,7 +326,7 @@ def test_criterion_9_metrics_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 10: byte-identical reruns of generate / train / evaluate
+# Criterion 10: byte-identical reruns of generate / correlate / train / evaluate / predict
 
 
 def test_criterion_10_determinism(tmp_path):
@@ -339,11 +339,18 @@ def test_criterion_10_determinism(tmp_path):
             "weather_impact": 1.0, "seed": 5, "output_dir": str(base / "data"),
         }))
         assert cli.main(["generate", "--config", str(gen_cfg)]) == 0
+        data_paths = {key: str(base / "data" / name) for key, name in (
+            ("graph_path", "graph.json"), ("series_path", "series.csv"),
+            ("context_path", "context.csv"))}
+        corr_cfg = tmp_path / f"corr_{tag}.json"
+        corr_cfg.write_text(json.dumps({
+            **data_paths, "output_dir": str(base / "corr"),
+            "road_a": 0, "road_b": 1, "window_days": 7,
+        }))
+        assert cli.main(["correlate", "--config", str(corr_cfg)]) == 0
         train_cfg = tmp_path / f"train_{tag}.json"
         train_cfg.write_text(json.dumps({
-            "graph_path": str(base / "data" / "graph.json"),
-            "series_path": str(base / "data" / "series.csv"),
-            "context_path": str(base / "data" / "context.csv"),
+            **data_paths,
             "output_dir": str(base / "run"),
             "epochs": 2, "batch_size": 32, "learning_rate": 0.002, "dropout": 0.4,
             "recent_steps": 3, "daily_steps": 1, "weekly_steps": 1, "horizon": 2,
@@ -354,20 +361,21 @@ def test_criterion_10_determinism(tmp_path):
         assert cli.main(["train", "--config", str(train_cfg)]) == 0
         eval_cfg = tmp_path / f"eval_{tag}.json"
         eval_cfg.write_text(json.dumps({
-            "graph_path": str(base / "data" / "graph.json"),
-            "series_path": str(base / "data" / "series.csv"),
-            "context_path": str(base / "data" / "context.csv"),
+            **data_paths,
             "checkpoint_path": str(base / "run" / "checkpoint.json"),
             "output_dir": str(base / "eval"),
         }))
         assert cli.main(["evaluate", "--config", str(eval_cfg)]) == 0
+        assert cli.main(["predict", "--config", str(eval_cfg), "--set", f"output_dir={base / 'pred'}",
+                         "--set", "predict_count=3"]) == 0
         return base
 
     a = run_all("a")
     b = run_all("b")
     compared = []
-    for rel in ("data/graph.json", "data/series.csv", "data/context.csv",
-                "run/checkpoint.json", "run/loss_history.csv", "eval/metrics.csv"):
+    for rel in ("data/graph.json", "data/series.csv", "data/context.csv", "corr/correlations.csv",
+                "run/checkpoint.json", "run/loss_history.csv", "eval/metrics.csv",
+                "pred/predictions.csv"):
         same = (a / rel).read_bytes() == (b / rel).read_bytes()
         compared.append((rel, same))
     ok = all(same for _, same in compared)

@@ -428,3 +428,38 @@ class TestCorrelate:
                                   tmp_path / "o1" / "series.csv",
                                   tmp_path / "o1" / "context.csv")
         assert dataset.days == 8
+
+
+def with_byte(source, target, offset, byte=0xE9):
+    """Copy ``source`` to ``target`` with the byte at ``offset`` replaced."""
+    data = bytearray(source.read_bytes())
+    data[offset] = byte
+    target.write_bytes(bytes(data))
+    return target
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("name", ["graph.json", "series.csv", "context.csv"])
+    def test_data_file_is_runtime_error(self, tmp_path, data_dir, capsys, name):
+        bad = tmp_path / "latin1_data"
+        bad.mkdir()
+        for other in ("graph.json", "series.csv", "context.csv"):
+            (bad / other).write_bytes((data_dir / other).read_bytes())
+        with_byte(data_dir / name, bad / name, 62)
+        assert cli.main(train_args(tmp_path, bad, "latin1_run")) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad / name}: not UTF-8 text: byte 0xe9 at offset 62" in err, err
+        assert not (tmp_path / "latin1_run").exists()
+
+    def test_checkpoint_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
+        broken = with_byte(trained_dir / "checkpoint.json", tmp_path / "latin1.json", 40)
+        assert run_on(tmp_path, "evaluate", data_dir, broken, "latin1_eval") == 2
+        assert f"error: {broken}: not UTF-8 text: byte 0xe9 at offset 40" in capsys.readouterr().err
+
+    def test_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        write_config(config, n_roads=2, output_dir=str(tmp_path / "gen"))
+        with_byte(config, config, 5)
+        assert cli.main(["generate", "--config", str(config)]) == 1
+        assert f"error: {config}: not UTF-8 text: byte 0xe9 at offset 5" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()

@@ -96,19 +96,33 @@ class TestKHopNeighbors:
                 assert layers[k] == set(np.flatnonzero(layers_oracle[k][node]))
 
 
+def trend(values) -> np.ndarray:
+    """The trend channel at every index that has a predecessor."""
+    values = np.asarray(values, dtype=np.float64)
+    return gd.channel_window(values, None, np.arange(1, len(values)), "trend")
+
+
+def deviation(values, average) -> np.ndarray:
+    """The deviation channel at every index."""
+    values = np.asarray(values, dtype=np.float64)
+    return gd.channel_window(values, np.asarray(average, dtype=np.float64),
+                             np.arange(len(values)), "deviation")
+
+
 class TestChannels:
     def test_trend_definition(self):
-        assert np.array_equal(gd.compute_trend([10.0, 12.0, 11.0]), [2.0, -1.0])
+        assert np.array_equal(trend([10.0, 12.0, 11.0]), [2.0, -1.0])
 
     def test_trend_constant_series(self):
-        assert np.array_equal(gd.compute_trend([7.0, 7.0, 7.0, 7.0]), [0.0, 0.0, 0.0])
+        assert np.array_equal(trend([7.0, 7.0, 7.0, 7.0]), [0.0, 0.0, 0.0])
 
     def test_trend_single_step(self):
-        assert np.array_equal(gd.compute_trend([0.0, 5.0]), [5.0])
+        assert np.array_equal(trend([0.0, 5.0]), [5.0])
 
     def test_trend_too_short_rejected(self):
-        with pytest.raises(MissingDataError):
-            gd.compute_trend([3.0])
+        # index 0 has no predecessor to difference against
+        with pytest.raises(MissingDataError, match="trend"):
+            gd.channel_window(np.array([3.0]), None, np.array([0]), "trend")
 
     def test_daily_average_two_days(self):
         assert np.array_equal(gd.compute_daily_average([10.0, 20.0, 14.0, 24.0], 2), [12.0, 22.0])
@@ -126,15 +140,15 @@ class TestChannels:
             gd.compute_daily_average([1.0, 2.0, 3.0], 2)
 
     def test_deviation_definition(self):
-        assert gd.compute_deviation([20.0], [17.0])[0] == 3.0
+        assert deviation([20.0], [17.0])[0] == 3.0
 
     def test_deviation_of_tiled_average_is_zero(self):
         avg = np.array([5.0, 9.0, 4.0])
         values = np.tile(avg, 4)
-        assert np.array_equal(gd.compute_deviation(values, avg), np.zeros(12))
+        assert np.array_equal(deviation(values, avg), np.zeros(12))
 
     def test_deviation_hand_values(self):
-        out = gd.compute_deviation([12.0, 22.0, 10.0, 24.0], [12.0, 22.0])
+        out = deviation([12.0, 22.0, 10.0, 24.0], [12.0, 22.0])
         assert np.array_equal(out, [0.0, 0.0, -2.0, 2.0])
 
     def test_mean_centering_identity(self):
@@ -144,14 +158,13 @@ class TestChannels:
             days = int(rng.integers(1, 6))
             values = rng.uniform(0, 60, size=slots * days)
             avg = gd.compute_daily_average(values, slots)
-            dev = gd.compute_deviation(values, avg)
+            dev = deviation(values, avg)
             assert abs(dev.sum()) < 1e-9
 
     def test_trend_cumsum_reconstructs_series(self):
         rng = np.random.default_rng(13)
         values = rng.uniform(0, 60, size=50)
-        trend = gd.compute_trend(values)
-        rebuilt = values[0] + np.concatenate([[0.0], np.cumsum(trend)])
+        rebuilt = values[0] + np.concatenate([[0.0], np.cumsum(trend(values))])
         assert np.allclose(rebuilt, values, atol=1e-12)
 
 
@@ -161,7 +174,8 @@ class TestTemporalInputs:
         avg = gd.compute_daily_average(values, 5)
         out = gd.build_temporal_inputs(values, avg, t=5, recent_steps=2, daily_steps=0,
                                        weekly_steps=0, slots_per_day=5)
-        assert np.array_equal(out.recent_speed, [4.0, 5.0])
+        assert np.array_equal(out["recent"][:, 0], [4.0, 5.0])
+        assert out["daily"] is None and out["weekly"] is None
 
     def test_daily_one_period_back(self):
         slots_per_day = 4
@@ -169,7 +183,29 @@ class TestTemporalInputs:
         avg = gd.compute_daily_average(values[:16], slots_per_day)
         out = gd.build_temporal_inputs(values, avg, t=6, recent_steps=2, daily_steps=1,
                                        weekly_steps=0, slots_per_day=slots_per_day)
-        assert np.array_equal(out.daily_speed, [values[2]])
+        assert np.array_equal(out["daily"][:, 0], [values[2]])
+
+    def test_branches_stack_the_channel_gathers(self):
+        # each branch column is channel_window of that branch's indices, for
+        # a batch of times as for one
+        rng = np.random.default_rng(29)
+        spd = 6
+        values = rng.uniform(0, 50, size=spd * 10)
+        avg = gd.compute_daily_average(values, spd)
+        times = np.array([7 * spd + 1, 8 * spd + 3, 9 * spd])
+        out = gd.build_temporal_inputs(values, avg, times, recent_steps=3, daily_steps=2,
+                                       weekly_steps=1, slots_per_day=spd)
+        branches = {"recent": gd.recent_indices(times, 3), "daily": gd.periodic_indices(times, 2, spd),
+                    "weekly": gd.periodic_indices(times, 1, 7 * spd)}
+        for name, idx in branches.items():
+            columns = [gd.channel_window(values, avg, idx, ch) for ch in ("speed", "trend", "deviation")]
+            if name == "recent":
+                columns.append(avg[idx % spd])
+            assert out[name].tobytes() == np.stack(columns, axis=-1).tobytes(), name
+        one = gd.build_temporal_inputs(values, avg, int(times[1]), recent_steps=3, daily_steps=2,
+                                       weekly_steps=1, slots_per_day=spd)
+        for name in branches:
+            assert np.array_equal(one[name], out[name][1]), name
 
     def test_default_window_indices_five_minute_road(self):
         slots_per_day = 288

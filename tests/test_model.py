@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from conftest import finite_difference, group_input_arrays, relative_gradient_error, single_row
 from mcan import autodiff as ad
 from mcan import graphdata as gd
@@ -89,7 +93,55 @@ class TestAblationParsing:
             md.parse_ablations(["bogus"])
 
 
+@st.composite
+def eligibility_cases(draw):
+    """A small random graph and interval menu, a model config, and a seed."""
+    weekly_steps = draw(st.integers(0, 1))
+    daily_steps = draw(st.integers(0, 1))
+    generator = gd.GeneratorConfig(
+        n_roads=draw(st.integers(1, 4)),
+        edge_density=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        intervals=tuple(draw(st.lists(st.sampled_from([5, 10, 15, 20, 30, 60]), min_size=1,
+                                      max_size=3, unique=True))),
+        days=(7 * weekly_steps if weekly_steps else daily_steps) + draw(st.integers(0, 2)) + 1,
+    )
+    config = small_config(
+        recent_steps=draw(st.integers(1, 8)), daily_steps=daily_steps, weekly_steps=weekly_steps,
+        horizon=draw(st.integers(1, 4)), hops=draw(st.integers(1, 2)), embed_len=12,
+        ablations=frozenset(draw(st.sets(st.sampled_from(md.ABLATION_FLAGS)))),
+    )
+    return generator, config, draw(st.integers(0, 2**16))
+
+
 class TestEligibility:
+    @settings(max_examples=30, deadline=timedelta(seconds=10), derandomize=True)
+    @given(eligibility_cases())
+    def test_eligible_exactly_when_assembly_succeeds(self, case):
+        # Black-box form of the eligibility rule: a time is eligible exactly
+        # when its one-row group assembles, and assembly refuses every other
+        # time with MissingDataError.  Without the trend channel, eligibility
+        # still asks for each hour window's trend predecessor, one slot more
+        # than assembly reads, so there it need only imply assembly.
+        generator, config, seed = case
+        view = md.build_view(gd.generate_synthetic(generator, seed))
+        rng = np.random.default_rng(seed)
+        for road in range(view.graph.size):
+            length = len(view.values[road])
+            eligible = md.eligible_times(view, config, road)
+            edges = [0, length] if len(eligible) == 0 else [eligible[0], eligible[-1] + 1]
+            probes = {int(t) for edge in edges for t in range(edge - 3, edge + 3)}
+            probes |= set(rng.integers(0, length, size=4).tolist())
+            for t in sorted(t for t in probes if 0 <= t < length):
+                try:
+                    md.assemble_group(view, config, [road], [t])
+                    assembles = True
+                except MissingDataError:
+                    assembles = False
+                if config.use_trend:
+                    assert assembles == (t in eligible), (road, t)
+                else:
+                    assert assembles or t not in eligible, (road, t)
+
     def test_eligible_times_have_full_history_and_future(self, dataset, view):
         config = small_config()
         for road in range(dataset.graph.size):
@@ -105,7 +157,7 @@ class TestEligibility:
         for road in range(dataset.graph.size):
             times = md.eligible_times(view, config, road)
             for t in rng.choice(times, size=3):
-                foot = md.sample_footprint(view, config, road, int(t))
+                foot = reference.sample_footprint(view, config, road, int(t))
                 wall = int(t) * view.interval(road)
                 for j, idx in foot.items():
                     assert idx.min() >= 0

@@ -1,5 +1,6 @@
 """Tests for normalization, fold splitting, training, metrics, and the baseline."""
 
+import dataclasses
 from datetime import timedelta
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import assert_same_group_inputs
 from mcan import autodiff as ad
 from mcan import graphdata as gd
@@ -54,16 +56,14 @@ def model_config(dataset):
 
 class TestNormalization:
     def test_round_trip_exact(self, dataset):
-        masks = [np.ones(dataset.days, dtype=bool)] * dataset.graph.size
-        scaler = tr.normalize_fit(dataset, masks)
+        scaler = tr.normalize_fit(dataset, np.ones(dataset.days, dtype=bool))
         values = dataset.series[0].values
         view = md.build_view(dataset, means=scaler.means, stds=scaler.stds)
         back = view.denormalize(0, tr.normalize_apply(scaler, 0, values))
         assert np.abs(back - values).max() < 1e-12
 
     def test_transformed_training_mean_is_zero(self, dataset):
-        masks = [np.ones(dataset.days, dtype=bool)] * dataset.graph.size
-        scaler = tr.normalize_fit(dataset, masks)
+        scaler = tr.normalize_fit(dataset, np.ones(dataset.days, dtype=bool))
         for road in range(dataset.graph.size):
             z = tr.normalize_apply(scaler, road, dataset.series[road].values)
             assert abs(z.mean()) < 1e-9
@@ -72,8 +72,7 @@ class TestNormalization:
         dataset = tiny_dataset(days=2, noise=0.0, obs_noise=0.0, coupling=0.0,
                                weekly_amplitude=0.0, weather_impact=0.0)
         dataset.series[0].values[:] = 25.0
-        masks = [np.ones(dataset.days, dtype=bool)] * dataset.graph.size
-        scaler = tr.normalize_fit(dataset, masks)
+        scaler = tr.normalize_fit(dataset, np.ones(dataset.days, dtype=bool))
         assert scaler.stds[0] == 1.0
         z = tr.normalize_apply(scaler, 0, dataset.series[0].values)
         assert np.array_equal(z, np.zeros_like(z))
@@ -124,13 +123,13 @@ class TestKfold:
             for road, t in fold.train[::7]:
                 target_walls = np.arange(t, t + model_config.horizon) * raw_view.interval(road)
                 assert not np.any((target_walls >= lo) & (target_walls <= hi))
-                for j, idx in md.sample_footprint(raw_view, model_config, road, t).items():
+                for j, idx in reference.sample_footprint(raw_view, model_config, road, t).items():
                     walls = idx * raw_view.interval(j)
                     assert not np.any((walls >= lo) & (walls <= hi))
 
     def test_fast_filter_matches_footprint_oracle(self, raw_view, model_config):
-        # the vectorised interval-arithmetic filter agrees with enumerating the
-        # footprint, for every eligible time of the road at once
+        # the span-based filter agrees with enumerating the footprint, for
+        # every eligible time of the road at once
         rng = np.random.default_rng(23)
         eligible_roads, eligible_times = tr._eligible_arrays(raw_view, model_config)
         for _ in range(200):
@@ -146,7 +145,7 @@ class TestKfold:
             walls = [np.arange(t, t + model_config.horizon) * raw_view.interval(road)]
             walls += [
                 idx * raw_view.interval(j)
-                for j, idx in md.sample_footprint(raw_view, model_config, road, t).items()
+                for j, idx in reference.sample_footprint(raw_view, model_config, road, t).items()
             ]
             oracle = any(np.any((w >= window[0]) & (w <= window[1])) for w in walls)
             assert bool(fast[row]) == oracle, (road, t, window)
@@ -178,13 +177,25 @@ class TestTrainingDayMasks:
     def test_masks_exclude_test_days_only(self, dataset, raw_view, model_config):
         folds = tr.kfold_split(raw_view, model_config, 5, seed=1)
         fold = folds[2]
-        masks = tr.training_day_masks(dataset, fold)
+        mask = tr.training_day_mask(dataset, fold)
         lo, hi = fold.test_wall
-        for road in range(dataset.graph.size):
-            for day in range(dataset.days):
-                day_lo, day_hi = day * 1440, (day + 1) * 1440 - 1
-                overlaps = day_hi >= lo and day_lo <= hi
-                assert masks[road][day] == (not overlaps)
+        assert mask.shape == (dataset.days,)
+        for day in range(dataset.days):
+            day_lo, day_hi = day * 1440, (day + 1) * 1440 - 1
+            overlaps = day_hi >= lo and day_lo <= hi
+            assert mask[day] == (not overlaps)
+
+    @pytest.mark.parametrize("wall,kept", [((1440, 2879), [0, 2, 3]), ((1439, 2880), [3]),
+                                           ((1440, 1440), [0, 2, 3]), (None, [0, 1, 2, 3])])
+    def test_window_edges_at_midnight(self, dataset, wall, kept):
+        fold = tr.Fold(index=0, train=[], test=[], test_wall=wall)
+        mask = tr.training_day_mask(dataclasses.replace(dataset, span_minutes=4 * 1440), fold)
+        assert np.flatnonzero(mask).tolist() == kept
+
+    def test_window_over_every_day_refused(self, dataset):
+        fold = tr.Fold(index=3, train=[], test=[], test_wall=(0, dataset.span_minutes))
+        with pytest.raises(MissingDataError, match="fold 3: the test window leaves no training days"):
+            tr.fitted_view(dataset, fold)
 
 
 class TestMetrics:

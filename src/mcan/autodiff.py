@@ -6,17 +6,25 @@ acyclic computation graph; calling :meth:`DiffValue.backward` on a scalar
 result fills ``grad`` on every node that requires it.  Everything is double
 precision so analytic gradients can be verified against central finite
 differences at tight tolerances.
+
+Inside :func:`no_tape` the ops compute the same values but record no
+parents and no backward rule, so each op's inputs and the arrays its backward
+would read are freed as soon as the forward moves past them; ``backward``
+refuses to run there.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, McanError, ShapeMismatch
 
 Array = np.ndarray
+
+_taping = True  # False inside no_tape()
 
 
 class DiffValue:
@@ -41,6 +49,8 @@ class DiffValue:
 
     def backward(self) -> None:
         """Reverse pass from a scalar-shaped node; accumulates into leaf grads."""
+        if not _taping:
+            raise McanError("backward called inside autodiff.no_tape(), where no graph is recorded")
         if self.data.size != 1:
             raise ShapeMismatch(f"backward requires a scalar loss, got shape {self.data.shape}")
         # Iterative topological order; graphs here can be deeper than the
@@ -120,9 +130,24 @@ def _accumulate(node: DiffValue, g: Array) -> None:
         node.grad += g
 
 
+@contextmanager
+def no_tape():
+    """Scope in which ops record no graph, for forwards nothing will
+    differentiate: the values are unchanged, the memory a backward pass would
+    need is not kept, and :meth:`DiffValue.backward` raises.  The scope is
+    process-wide, not per thread; the previous state returns on exit, also
+    when the body raises."""
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
 def _node(data: Array, parents: tuple[DiffValue, ...], backward) -> DiffValue:
     out = DiffValue(data)
-    if any(p._needs for p in parents):
+    if _taping and any(p._needs for p in parents):
         out._needs = True
         out._parents = parents
         out._backward = backward

@@ -32,8 +32,7 @@ TRAIN_KEYS = {
     "weekly_steps": int, "horizon": int, "folds": int, "fold_index": int,
     "ablations": list, "embed_len": int, "hops": int, "filters": int,
     "cpa_order": int, "gcn_order": int, "hidden_size": int, "lstm_layers": int,
-    "fnn_layers": int, "max_train_samples": int, "max_test_samples": int,
-    "shuffled_folds": bool,
+    "fnn_layers": int, "max_train_samples": int, "shuffled_folds": bool,
 }
 PATH_KEYS = {"graph_path": str, "series_path": str, "context_path": str,
              "checkpoint_path": str, "output_dir": str}
@@ -185,9 +184,10 @@ def _graph_echo(dataset: gd.TrafficDataset) -> dict:
 
 
 def cmd_train(config: dict) -> int:
-    dataset = _dataset(config)
     train_config = _train_config(config)
-    md.parse_ablations(train_config.ablations)  # fail fast on unknown flags
+    train_config.validate()  # fail fast, before the dataset is read
+    md.parse_ablations(train_config.ablations)
+    dataset = _dataset(config)
     result = tr.train(dataset, train_config)
     out = _out_dir(config)
     checkpoint = out / "checkpoint.json"
@@ -254,14 +254,16 @@ def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
 
 
 def cmd_evaluate(config: dict) -> int:
-    dataset = _dataset(config)
-    params, means, stds, ybar, cfg = _fitting_checkpoint(config, dataset)
-    fold = _rebuild_fold(dataset, params, cfg, config["checkpoint_path"])
     split_name = config.get("eval_split", "test")
     if split_name not in ("test", "train"):
         raise ConfigError(f"eval_split must be 'test' or 'train', got {split_name!r}")
-    samples = fold.test if split_name == "test" else fold.train
     cap = config.get("max_eval_samples")
+    if cap is not None and cap < 1:
+        raise ConfigError(f"max_eval_samples must be >= 1, got {cap}")
+    dataset = _dataset(config)
+    params, means, stds, ybar, cfg = _fitting_checkpoint(config, dataset)
+    fold = _rebuild_fold(dataset, params, cfg, config["checkpoint_path"])
+    samples = fold.test if split_name == "test" else fold.train
     if cap is not None and len(samples) > cap:
         rng = np.random.default_rng(config.get("seed", 0))
         keep = rng.choice(len(samples), cap, replace=False)

@@ -11,9 +11,7 @@ A batch mixes target roads: each hop's neighbors are one padded
 ``(N_max, B, embed_len)`` tensor with a ``(N_max, B)`` mask, embedded by one
 node (:func:`embed_windows`, the CPA as ``R + A @ coefficients`` with ``A``
 from :func:`fill_basis`) and aggregated by one (:func:`gcn_hop`, with a
-hand-written backward pass).  :func:`correlation_scores` and
-:func:`_kernel_response` compose the hop one neighbor at a time as the tests'
-reference.
+hand-written backward pass).
 """
 
 from __future__ import annotations
@@ -156,43 +154,15 @@ def init_gcn(rng, embed_len: int, filters: int, order: int, hops: int) -> GcnPar
     )
 
 
-def correlation_scores(params: GcnParams, target_emb: DiffValue, neighbor_emb: DiffValue) -> DiffValue:
-    """Sigmoid bilinear scores u = sigma(e_i' M_f e_j) for every filter: (B, filters).
-
-    Composed from elementary ops for one neighbor; the forward pass runs
-    :func:`gcn_hop` instead, and the tests hold it to this.
-    """
-    batch = target_emb.data.shape[0]
-    c = params.embed_len
-    mixed = ad.matmul(neighbor_emb, ad.transpose(params.correlation))  # (B, F*c)
-    mixed = ad.reshape(mixed, (batch, params.filters, c))
-    target3 = ad.reshape(target_emb, (batch, 1, c))
-    return ad.sigmoid(ad.vsum(ad.multiply(mixed, target3), axis=2))
-
-
-def _kernel_response(params: GcnParams, scores: DiffValue) -> DiffValue:
-    """f(u) = sum_l z_l T_l(2u - 1) per filter, summed over the kernel orders.
-
-    Composed reference for :func:`gcn_hop`, kept for the tests.
-    """
-    mapped = ad.subtract(ad.multiply(scores, 2.0), 1.0)
-    feats = nn.chebyshev_features(mapped, params.order)
-    out = None
-    for l, feat in enumerate(feats):
-        term = ad.multiply(feat, params.kernel[:, l])
-        out = term if out is None else ad.add(out, term)
-    return out
-
-
 def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: DiffValue,
             mask: np.ndarray) -> DiffValue:
     """One hop's feature sum_j f(u_ij) as a single autodiff node: (B, filters).
 
     ``neighbors`` is ``(N, B, c)``, one padded slot per neighbor; ``mask``
     ``(N, B)`` marks the slots that hold one, and the others add nothing to
-    the sum or to any gradient, whatever they hold.  Slots are scored and
-    mapped as :func:`correlation_scores` and :func:`_kernel_response` compose
-    it; the backward pass runs T'_l = 2 T_{l-1} + 2x T'_{l-1} - T'_{l-2}.
+    the sum or to any gradient, whatever they hold.  A slot's filter scores
+    are u = sigma(e_i' M_f e_j) and its response sum_l z_l T_l(2u - 1); the
+    backward pass runs T'_l = 2 T_{l-1} + 2x T'_{l-1} - T'_{l-2}.
     """
     batch, c = target_emb.data.shape
     filters, order = params.filters, params.order

@@ -60,18 +60,6 @@ def chebyshev_basis(x, order: int) -> np.ndarray:
     return out
 
 
-def chebyshev_features(x: DiffValue, order: int) -> list[DiffValue]:
-    """Differentiable T_1(x)..T_order(x) via the recurrence; x must lie in [-1, 1]."""
-    if order < 1:
-        raise ConfigError(f"chebyshev order must be >= 1, got {order}")
-    feats = [x]
-    if order >= 2:
-        feats.append(ad.subtract(ad.multiply(ad.square(x), 2.0), 1.0))
-    for _ in range(2, order):
-        feats.append(ad.subtract(ad.multiply(ad.multiply(x, feats[-1]), 2.0), feats[-2]))
-    return feats
-
-
 @dataclass
 class CpaParams:
     """Learnable coefficients of a truncated Chebyshev approximation."""

@@ -51,13 +51,14 @@ class TrainConfig:
     lstm_layers: int = 3
     fnn_layers: int = 3
     max_train_samples: int | None = None
-    max_test_samples: int | None = None
     shuffled_folds: bool = False
 
     def validate(self) -> None:
         for name in ("epochs", "batch_size", "horizon", "recent_steps"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.max_train_samples is not None and self.max_train_samples < 1:
+            raise ConfigError(f"max_train_samples must be >= 1, got {self.max_train_samples}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not 0.0 <= self.dropout < 1.0:
@@ -379,19 +380,24 @@ def compute_metrics(truth: np.ndarray, predictions: np.ndarray) -> MetricsReport
 def predict_samples(params: md.McanParams, view: md.DataView, samples: list[Sample],
                     batch_size: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Denormalized (truth, prediction) arrays of shape (samples, horizon),
-    rows in the order of ``samples``, which run in chunks of ``batch_size``."""
+    rows in the order of ``samples``, which run in chunks of ``batch_size``.
+
+    The forwards run inside :func:`autodiff.no_tape`: nothing here takes a
+    gradient, so no chunk keeps a backward graph (the LSTM gate activations
+    and state sequences, the GCN scores) alive past its own forward."""
     if not samples:
         raise MissingDataError("no samples to evaluate")
     truth = np.empty((len(samples), params.config.horizon))
     preds = np.empty((len(samples), params.config.horizon))
     pairs = np.asarray(samples, dtype=int).reshape(-1, 2)
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start : start + batch_size]
-        gi = md.assemble_group(view, params.config, chunk[:, 0], chunk[:, 1])
-        speed, _, _ = md.forward_group(params, gi, None)
-        rows, roads = start + gi.positions, gi.roads[:, None]
-        truth[rows] = view.denormalize(roads, gi.target_speed)
-        preds[rows] = view.denormalize(roads, speed.data)
+    with ad.no_tape():
+        for start in range(0, len(pairs), batch_size):
+            chunk = pairs[start : start + batch_size]
+            gi = md.assemble_group(view, params.config, chunk[:, 0], chunk[:, 1])
+            speed, _, _ = md.forward_group(params, gi, None)
+            rows, roads = start + gi.positions, gi.roads[:, None]
+            truth[rows] = view.denormalize(roads, gi.target_speed)
+            preds[rows] = view.denormalize(roads, speed.data)
     return truth, preds
 
 

@@ -8,6 +8,11 @@ message on every input this reader splits the same way (no quotes).
 
 ``sample_footprint`` enumerates, index by index, the history a sample reads;
 the fold leak filter built on ``model.read_spans`` must agree with it.
+
+``chebyshev_features``, ``correlation_scores`` and ``kernel_response`` compose
+the CPA series and one GCN hop from elementary autodiff ops, one neighbor at a
+time; ``hsc.gcn_hop`` and ``hsc.embed_windows`` must match them by value and
+by gradient.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ import math
 
 import numpy as np
 
+from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import hsc
 from mcan import model as md
-from mcan.errors import MissingDataError, SchemaError
+from mcan.autodiff import DiffValue
+from mcan.errors import ConfigError, MissingDataError, SchemaError
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -180,3 +187,35 @@ def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: in
         # the trend gather also touches each index's predecessor
         footprint[j] = np.unique(np.concatenate([merged, merged - 1]))
     return footprint
+
+
+def chebyshev_features(x: DiffValue, order: int) -> list[DiffValue]:
+    """Differentiable T_1(x)..T_order(x) via the recurrence; x must lie in [-1, 1]."""
+    if order < 1:
+        raise ConfigError(f"chebyshev order must be >= 1, got {order}")
+    feats = [x]
+    if order >= 2:
+        feats.append(ad.subtract(ad.multiply(ad.square(x), 2.0), 1.0))
+    for _ in range(2, order):
+        feats.append(ad.subtract(ad.multiply(ad.multiply(x, feats[-1]), 2.0), feats[-2]))
+    return feats
+
+
+def correlation_scores(params: hsc.GcnParams, target_emb: DiffValue, neighbor_emb: DiffValue) -> DiffValue:
+    """Sigmoid bilinear scores u = sigma(e_i' M_f e_j) for every filter: (B, filters)."""
+    batch = target_emb.data.shape[0]
+    c = params.embed_len
+    mixed = ad.matmul(neighbor_emb, ad.transpose(params.correlation))  # (B, F*c)
+    mixed = ad.reshape(mixed, (batch, params.filters, c))
+    target3 = ad.reshape(target_emb, (batch, 1, c))
+    return ad.sigmoid(ad.vsum(ad.multiply(mixed, target3), axis=2))
+
+
+def kernel_response(params: hsc.GcnParams, scores: DiffValue) -> DiffValue:
+    """f(u) = sum_l z_l T_l(2u - 1) per filter, summed over the kernel orders."""
+    mapped = ad.subtract(ad.multiply(scores, 2.0), 1.0)
+    out = None
+    for l, feat in enumerate(chebyshev_features(mapped, params.order)):
+        term = ad.multiply(feat, params.kernel[:, l])
+        out = term if out is None else ad.add(out, term)
+    return out

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import finite_difference, relative_gradient_error
 from mcan import autodiff as ad
-from mcan.errors import ConfigError, ShapeMismatch
+from mcan.errors import ConfigError, McanError, ShapeMismatch
 
 
 def test_sigmoid_at_zero():
@@ -55,6 +55,17 @@ def test_backward_requires_scalar():
     x = ad.parameter(np.ones(3))
     with pytest.raises(ShapeMismatch, match="scalar"):
         (x * 2.0).backward()
+
+
+def test_backward_refused_inside_no_tape():
+    x = ad.parameter(3.0)
+    loss = ad.square(x)
+    with ad.no_tape():
+        with pytest.raises(McanError, match="no_tape"):
+            loss.backward()
+    assert x.grad is None
+    loss.backward()
+    assert x.grad == pytest.approx(6.0)
 
 
 def test_backward_idempotent_after_zero_grad():

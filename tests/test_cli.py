@@ -115,6 +115,18 @@ class TestTrain:
         assert doc["config"]["ablations"] == ["nde", "ntr", "nw"]
         assert not any(name.startswith("hsc_trend") for name in doc["parameters"])
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_sample_cap_below_one_is_usage_error(self, tmp_path, data_dir, capsys, cap):
+        args = train_args(tmp_path, data_dir, "cap") + ["--set", f"max_train_samples={cap}"]
+        assert cli.main(args) == 1
+        assert f"max_train_samples must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not (tmp_path / "cap").exists()
+
+    def test_max_test_samples_is_unknown_key(self, tmp_path, data_dir, capsys):
+        args = train_args(tmp_path, data_dir, "cap") + ["--set", "max_test_samples=-7"]
+        assert cli.main(args) == 1
+        assert "unknown config keys for 'train': max_test_samples" in capsys.readouterr().err
+
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         args = train_args(tmp_path, tmp_path / "nowhere", "gone")
         assert cli.main(args) == 2
@@ -201,6 +213,22 @@ class TestEvaluate:
             eval_split="train", max_eval_samples=20,
         )
         assert cli.main(["evaluate", "--config", config]) == 0
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_sample_cap_below_one_is_usage_error(self, tmp_path, data_dir, trained_dir, capsys,
+                                                 cap):
+        config = write_config(
+            tmp_path / "eval_cap.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            checkpoint_path=str(trained_dir / "checkpoint.json"),
+            output_dir=str(tmp_path / "eval_cap"),
+        )
+        args = ["evaluate", "--config", config, "--set", f"max_eval_samples={cap}"]
+        assert cli.main(args) == 1
+        assert f"max_eval_samples must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not (tmp_path / "eval_cap").exists()
 
     def test_bad_split_name_usage_error(self, tmp_path, data_dir, trained_dir, capsys):
         config = write_config(

@@ -1,6 +1,7 @@
 """Tests for normalization, fold splitting, training, metrics, and the baseline."""
 
 import dataclasses
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -360,6 +361,74 @@ class TestVectorAdam:
         assert state.step == ref_state["step"] == 3
         assert not np.array_equal(params.theta, md.init_mcan(model_config,
                                                               np.random.default_rng(31)).theta)
+
+
+def taped_predictions(params, view, samples, batch_size):
+    """``predict_samples``'s loop with the tape on: each chunk's graph is
+    recorded, and ``speed`` keeps it alive while the next chunk's is built."""
+    truth = np.empty((len(samples), params.config.horizon))
+    preds = np.empty((len(samples), params.config.horizon))
+    pairs = np.asarray(samples, dtype=int).reshape(-1, 2)
+    for start in range(0, len(pairs), batch_size):
+        chunk = pairs[start : start + batch_size]
+        gi = md.assemble_group(view, params.config, chunk[:, 0], chunk[:, 1])
+        speed, _, _ = md.forward_group(params, gi, None)
+        rows, roads = start + gi.positions, gi.roads[:, None]
+        truth[rows] = view.denormalize(roads, gi.target_speed)
+        preds[rows] = view.denormalize(roads, speed.data)
+    return truth, preds
+
+
+class TestTapeFreePrediction:
+    @pytest.fixture(scope="class")
+    def setup(self, dataset):
+        config = tiny_train_config(hidden_size=16, embed_len=6, filters=4, hops=2)
+        mc = config.model_config(dataset)
+        fold = tr.kfold_split(md.build_view(dataset), mc, 5, seed=1, indices=[4])[0]
+        view, _ = tr.fitted_view(dataset, fold)
+        params = md.init_mcan(mc, np.random.default_rng(41))
+        samples = fold.train[::-1][:64] + fold.test[:64]  # two chunks of 64, roads mixed
+        return params, view, samples, fold
+
+    def test_bit_identical_to_taped_forwards(self, setup):
+        params, view, samples, _ = setup
+        truth, preds = tr.predict_samples(params, view, samples, batch_size=64)
+        ref_truth, ref_preds = taped_predictions(params, view, samples, batch_size=64)
+        assert truth.tobytes() == ref_truth.tobytes()
+        assert preds.tobytes() == ref_preds.tobytes()
+
+    def test_forward_in_scope_records_no_graph(self, setup):
+        params, view, samples, _ = setup
+        pairs = np.asarray(samples[:16])
+        with ad.no_tape():
+            gi = md.assemble_group(view, params.config, pairs[:, 0], pairs[:, 1])
+            outputs = md.forward_group(params, gi, None)
+        for out in outputs:
+            assert out._parents == () and out._backward is None and not out._needs
+        taped = md.forward_group(params, gi, None)
+        assert all(out._parents and out._backward is not None for out in taped)
+
+    def test_scope_restored_after_error_inside(self, setup):
+        params, view, _, fold = setup
+        with pytest.raises(MissingDataError, match="lacks history at t=0"):
+            tr.predict_samples(params, view, [(0, 0)])
+        fresh = md.init_mcan(params.config, np.random.default_rng(43))
+        gi = tr.SampleCache(view, params.config, fold.train[:16]).table
+        tr._adam_step(fresh, ad.AdamState(learning_rate=0.01), gi, None)
+        assert np.count_nonzero(fresh.grad) > fresh.grad.size // 2
+
+    def test_peak_memory_at_most_half_of_taped(self, setup):
+        params, view, samples, _ = setup
+
+        def peak(predict):
+            tracemalloc.start()
+            try:
+                predict(params, view, samples, batch_size=64)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(tr.predict_samples) <= 0.5 * peak(taped_predictions)
 
 
 class TestBaseline:

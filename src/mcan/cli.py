@@ -287,12 +287,12 @@ def cmd_evaluate(config: dict) -> int:
 
 
 def cmd_predict(config: dict) -> int:
-    dataset = _dataset(config)
-    params, means, stds, ybar, _ = _fitting_checkpoint(config, dataset)
-    view = md.build_view(dataset, means=means, stds=stds, ybar=ybar)
     count = config.get("predict_count", 1)
     if count < 1:
         raise ConfigError(f"predict_count must be >= 1, got {count}")
+    dataset = _dataset(config)
+    params, means, stds, ybar, _ = _fitting_checkpoint(config, dataset)
+    view = md.build_view(dataset, means=means, stds=stds, ybar=ybar)
     roads = [config["predict_road"]] if "predict_road" in config else range(dataset.graph.size)
     lines = ["road_id,t,step,speed_kmh"]
     for road in roads:

@@ -48,10 +48,6 @@ class RoadSegment:
     def slots_per_day(self) -> int:
         return MINUTES_PER_DAY // self.interval_minutes
 
-    @property
-    def slots_per_week(self) -> int:
-        return 7 * self.slots_per_day
-
 
 @dataclass
 class RoadGraph:
@@ -98,7 +94,6 @@ class SpeedSeries:
     """Regularly spaced speed observations for one road."""
 
     road_id: int
-    start_slot: int  # slot of day 0 the series begins at (always 0 here)
     values: np.ndarray  # km/h, one value per interval
 
     def __post_init__(self):
@@ -377,7 +372,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> TrafficDataset:
         if config.obs_noise > 0.0:
             values = values + rng.standard_normal(len(values)) * config.obs_noise
         values = np.maximum(values, 0.0)
-        series.append(SpeedSeries(road_id=i, start_slot=0, values=values))
+        series.append(SpeedSeries(road_id=i, values=values))
         days_of_slots = slot_minutes // MINUTES_PER_DAY
         contexts.append(
             ContextFeatures(
@@ -451,8 +446,8 @@ def generate_planted_pair(
     values_a = np.maximum(values_a, 0.0)
     values_b = np.maximum(values_b, 0.0)
     return (
-        SpeedSeries(road_id=0, start_slot=0, values=values_a),
-        SpeedSeries(road_id=1, start_slot=0, values=values_b),
+        SpeedSeries(road_id=0, values=values_a),
+        SpeedSeries(road_id=1, values=values_b),
         slots_per_day,
     )
 
@@ -680,7 +675,7 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
         raise SchemaError(f"{series_path}: observation span {span} min is not whole days")
     starts = np.cumsum(counts) - counts
     series = [
-        SpeedSeries(road_id=i, start_slot=0, values=values)
+        SpeedSeries(road_id=i, values=values)
         for i, values in enumerate(_per_road(speed, starts[road] + slot, counts))
     ]
 

@@ -135,22 +135,20 @@ class GcnParams:
 
     correlation: DiffValue  # (filters * embed_len, embed_len)
     kernel: DiffValue  # (filters, order)
-    filters: int
-    hops: int
-    embed_len: int
+
+    @property
+    def filters(self) -> int:
+        return self.kernel.data.shape[0]
 
     @property
     def order(self) -> int:
         return self.kernel.data.shape[1]
 
 
-def init_gcn(rng, embed_len: int, filters: int, order: int, hops: int) -> GcnParams:
+def init_gcn(rng, embed_len: int, filters: int, order: int) -> GcnParams:
     return GcnParams(
         correlation=ad.parameter(ad.xavier_uniform(rng, (filters * embed_len, embed_len))),
         kernel=ad.parameter(ad.xavier_uniform(rng, (filters, order))),
-        filters=filters,
-        hops=hops,
-        embed_len=embed_len,
     )
 
 
@@ -258,7 +256,6 @@ def init_hsc(
     rng,
     channel: str,
     embed_len: int,
-    hops: int,
     filters: int,
     cpa_order: int,
     gcn_order: int,
@@ -274,7 +271,7 @@ def init_hsc(
     return HscParams(
         channel=channel,
         cpa=cpa,
-        gcn=init_gcn(rng, embed_len, filters, gcn_order, hops),
+        gcn=init_gcn(rng, embed_len, filters, gcn_order),
         lstm_self=nn.init_lstm_stack(rng, 1, hidden_size, lstm_layers),
         lstm_neigh=nn.init_lstm_stack(rng, filters, hidden_size, lstm_layers),
         head=nn.init_fnn(rng, 2 * hidden_size, fnn_hidden, out_width),

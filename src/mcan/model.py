@@ -147,7 +147,6 @@ def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
             rng,
             channel=channel,
             embed_len=config.embed_len,
-            hops=config.hops,
             filters=config.filters,
             cpa_order=config.cpa_order,
             gcn_order=config.gcn_order,
@@ -177,8 +176,7 @@ def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
 
 def _lstm_parameters(prefix: str, stack: LstmStack):
     for k, cell in enumerate(stack.cells):
-        for name in ("w_ix", "w_ih", "w_fx", "w_fh", "w_ox", "w_oh", "w_cx", "w_ch",
-                     "b_i", "b_f", "b_o", "b_c"):
+        for name in ("w_x", "w_h", "b"):
             yield f"{prefix}.{k}.{name}", getattr(cell, name)
 
 
@@ -588,7 +586,7 @@ def loss_batch(
 # Checkpoints
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, params: McanParams, means: np.ndarray, stds: np.ndarray,
@@ -632,7 +630,8 @@ def load_checkpoint(path):
     """Returns (params, means, stds, ybar, config echo dict).
 
     Every key the loader reads is checked first; a missing or wrongly typed
-    one raises :class:`SchemaError` naming it.
+    one, or a config echo that ``ModelConfig.validate`` refuses, raises
+    :class:`SchemaError` naming the file.
     """
     try:
         doc = json.loads(gd.read_text(path))
@@ -650,7 +649,10 @@ def load_checkpoint(path):
         for f in fields(ModelConfig)
     }
     config = ModelConfig(**{**values, "ablations": frozenset(values["ablations"])})
-    params = init_mcan(config, np.random.default_rng(0))
+    try:
+        params = init_mcan(config, np.random.default_rng(0))
+    except ConfigError as exc:
+        raise SchemaError(f"{path}: invalid checkpoint config: {exc}") from None
     stored = _entry(doc, "parameters", path)
     for name, p in named_parameters(params):
         entry = _entry(stored, name, path, "parameters.")

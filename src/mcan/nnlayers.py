@@ -6,10 +6,12 @@ batch of one.  Parameters are plain dataclasses holding
 of one parameter vector, which the optimizer updates, and the
 ``named_parameters`` walk names them for the checkpoint.
 
-Each LSTM layer runs over its whole sequence as one autodiff node
-(:func:`lstm_layer`) with a hand-written backward pass through time; the
-composed :func:`lstm_step` stays as the reference the tests check it
-against, by value and by finite differences.
+An LSTM cell is three leaves holding its gates' weights stacked.  Each LSTM
+layer runs over its whole sequence as one autodiff node (:func:`lstm_layer`)
+that computes with them as stored, with a hand-written backward pass through
+time; the composed :func:`lstm_step`, which reads gate k as ``w_x[k]``, stays
+as the reference the tests check it against, by value and by finite
+differences.
 """
 
 from __future__ import annotations
@@ -77,28 +79,20 @@ class CpaParams:
 
 @dataclass
 class LstmParams:
-    """Weights of one LSTM cell (one matrix per gate, as in the cell equations)."""
+    """Weights of one LSTM cell, stacked in gate order i, f, o (sigmoid
+    gates), c (tanh candidate): gate k reads ``w_x[k]``, ``w_h[k]``, ``b[k]``."""
 
-    w_ix: DiffValue
-    w_ih: DiffValue
-    w_fx: DiffValue
-    w_fh: DiffValue
-    w_ox: DiffValue
-    w_oh: DiffValue
-    w_cx: DiffValue
-    w_ch: DiffValue
-    b_i: DiffValue
-    b_f: DiffValue
-    b_o: DiffValue
-    b_c: DiffValue
+    w_x: DiffValue  # (4, in, H)
+    w_h: DiffValue  # (4, H, H)
+    b: DiffValue  # (4, H)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_ih.data.shape[0]
+        return self.w_h.data.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.w_ix.data.shape[0]
+        return self.w_x.data.shape[1]
 
 
 @dataclass
@@ -113,19 +107,13 @@ class LstmStack:
 
 
 def init_lstm(rng: np.random.Generator, input_size: int, hidden_size: int) -> LstmParams:
-    def w(n_in):
-        return ad.parameter(ad.xavier_uniform(rng, (n_in, hidden_size)))
-
-    def b():
-        return ad.parameter(np.zeros(hidden_size))
-
-    return LstmParams(
-        w_ix=w(input_size), w_ih=w(hidden_size),
-        w_fx=w(input_size), w_fh=w(hidden_size),
-        w_ox=w(input_size), w_oh=w(hidden_size),
-        w_cx=w(input_size), w_ch=w(hidden_size),
-        b_i=b(), b_f=b(), b_o=b(), b_c=b(),
-    )
+    """Xavier-uniform weights drawn gate by gate (input, then recurrent
+    matrix), then stacked; zero biases."""
+    draws = [ad.xavier_uniform(rng, (n_in, hidden_size))
+             for _ in range(4) for n_in in (input_size, hidden_size)]
+    return LstmParams(w_x=ad.parameter(np.stack(draws[0::2])),
+                      w_h=ad.parameter(np.stack(draws[1::2])),
+                      b=ad.parameter(np.zeros((4, hidden_size))))
 
 
 def init_lstm_stack(rng, input_size: int, hidden_size: int, layers: int) -> LstmStack:
@@ -145,10 +133,10 @@ def lstm_step(params: LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffVal
         raise ShapeMismatch(
             f"lstm_step: input width {x.data.shape[1]} != expected {params.input_size}"
         )
-    gate_i = ad.sigmoid(ad.matmul(x, params.w_ix) + ad.matmul(h_prev, params.w_ih) + params.b_i)
-    gate_f = ad.sigmoid(ad.matmul(x, params.w_fx) + ad.matmul(h_prev, params.w_fh) + params.b_f)
-    gate_o = ad.sigmoid(ad.matmul(x, params.w_ox) + ad.matmul(h_prev, params.w_oh) + params.b_o)
-    candidate = ad.tanh(ad.matmul(x, params.w_cx) + ad.matmul(h_prev, params.w_ch) + params.b_c)
+    pre = [ad.matmul(x, params.w_x[k]) + ad.matmul(h_prev, params.w_h[k]) + params.b[k]
+           for k in range(4)]
+    gate_i, gate_f, gate_o = (ad.sigmoid(p) for p in pre[:3])
+    candidate = ad.tanh(pre[3])
     c_new = gate_i * candidate + gate_f * c_prev
     h_new = gate_o * ad.tanh(c_new)
     return h_new, c_new
@@ -161,14 +149,14 @@ def lstm_layer(params: LstmParams, inputs) -> DiffValue:
     sequence of T per-step ``(B, in)`` values (arrays or DiffValues); the
     result is the ``(T, B, H)`` hidden sequence from zero initial states.
 
-    The four gates' weights are stacked so one batched matmul projects every
-    step's input and one per step mixes in the previous hidden state (the
+    The cell's stacked gate weights let one batched matmul project every
+    step's input and one per step mix in the previous hidden state (the
     gate fusion of Appleyard et al., arXiv:1604.01946).  BLAS still sees the
     per-gate ``(B, in) @ (in, H)`` products of :func:`lstm_step`, and each
     step adds and activates in its order, so the values equal those of a
     chain of cell updates bit for bit.  Backpropagation through time is
-    written out below and reaches the 12 gate leaves and every input that
-    requires a gradient.
+    written out below and reaches the three stacked leaves and every input
+    that requires a gradient.
     """
     if isinstance(inputs, DiffValue):
         x = inputs.data
@@ -183,13 +171,8 @@ def lstm_layer(params: LstmParams, inputs) -> DiffValue:
         )
     steps, batch, width = x.shape
     hidden = params.hidden_size
-    # Gate order i, f, o (sigmoid), then the tanh candidate c.
-    leaves = (params.w_ix, params.w_fx, params.w_ox, params.w_cx,
-              params.w_ih, params.w_fh, params.w_oh, params.w_ch,
-              params.b_i, params.b_f, params.b_o, params.b_c)
-    w_x = np.stack([p.data for p in leaves[0:4]])  # (4, in, H)
-    w_h = np.stack([p.data for p in leaves[4:8]])  # (4, H, H)
-    bias = np.stack([p.data for p in leaves[8:12]])[:, None, :]  # (4, 1, H)
+    w_x, w_h = params.w_x.data, params.w_h.data
+    bias = params.b.data[:, None, :]  # (4, 1, H)
     x_proj = np.matmul(x[:, None], w_x)  # (T, 4, B, H)
 
     acts = np.empty((steps, 4, batch, hidden))
@@ -225,17 +208,17 @@ def lstm_layer(params: LstmParams, inputs) -> DiffValue:
         d_flat = d_pre.reshape(4, steps * batch, hidden)
         x_flat = x.reshape(steps * batch, width)
         h_flat = h_seq[:-1].reshape(steps * batch, hidden)
-        grads = (list(x_flat.T @ d_flat) + list(h_flat.T @ d_flat)
-                 + list(d_flat.sum(axis=1)))
-        for leaf, grad in zip(leaves, grads):
-            ad._accumulate(leaf, grad)
+        ad._accumulate(params.w_x, x_flat.T @ d_flat)
+        ad._accumulate(params.w_h, h_flat.T @ d_flat)
+        ad._accumulate(params.b, d_flat.sum(axis=1))
         if sources:
             dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0)
             dx = dx.reshape(steps, batch, width)
             for source, where in sources:
                 ad._accumulate(source, dx[where].reshape(source.data.shape))
 
-    return ad._node(h_seq[1:], leaves + tuple(s for s, _ in sources), backward)
+    return ad._node(h_seq[1:], (params.w_x, params.w_h, params.b) + tuple(s for s, _ in sources),
+                    backward)
 
 
 def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> DiffValue:
@@ -266,7 +249,6 @@ def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> Diff
 class FnnLayer:
     weight: DiffValue  # (in, out)
     bias: DiffValue  # (out,)
-    activation: str  # "sigmoid" or "identity"
 
 
 @dataclass
@@ -285,15 +267,10 @@ class FnnParams:
 def init_fnn(rng, input_size: int, hidden_sizes: list[int], output_size: int) -> FnnParams:
     """Sigmoid hidden layers followed by an identity output layer."""
     sizes = [input_size] + list(hidden_sizes) + [output_size]
-    layers = []
-    for k in range(len(sizes) - 1):
-        act = "identity" if k == len(sizes) - 2 else "sigmoid"
-        layers.append(FnnLayer(
-            weight=ad.parameter(ad.xavier_uniform(rng, (sizes[k], sizes[k + 1]))),
-            bias=ad.parameter(np.zeros(sizes[k + 1])),
-            activation=act,
-        ))
-    return FnnParams(layers)
+    return FnnParams([
+        FnnLayer(ad.parameter(ad.xavier_uniform(rng, (n_in, n_out))), ad.parameter(np.zeros(n_out)))
+        for n_in, n_out in zip(sizes[:-1], sizes[1:])
+    ])
 
 
 def fnn_forward(params: FnnParams, x, drop: Dropout | None = None) -> DiffValue:
@@ -305,11 +282,8 @@ def fnn_forward(params: FnnParams, x, drop: Dropout | None = None) -> DiffValue:
     out = x
     for k, layer in enumerate(params.layers):
         out = ad.matmul(out, layer.weight) + layer.bias
-        if layer.activation == "sigmoid":
-            out = ad.sigmoid(out)
-            out = _maybe_drop(out, drop)
-        elif layer.activation != "identity":
-            raise ConfigError(f"unknown activation {layer.activation!r}")
+        if k < len(params.layers) - 1:
+            out = _maybe_drop(ad.sigmoid(out), drop)
     return out
 
 

@@ -51,6 +51,25 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray, indices=N
     return worst
 
 
+LSTM_LEAVES = ("w_x", "w_h", "b")
+
+
+def probe_indices(name, leaf, count, rng=None) -> list[int]:
+    """Flat indices of ``leaf`` to probe by finite differences: ``count`` of
+    them, or ``count`` in each gate slice of a stacked LSTM leaf (named
+    ``*.w_x``, ``*.w_h`` or ``*.b``, shape ``(4, ...)``) so that every gate is
+    reached.  The indices are the first ones, or drawn by ``rng``."""
+    def pick(size):
+        if rng is None:
+            return list(range(min(count, size)))
+        return sorted(rng.choice(size, size=min(count, size), replace=False).tolist())
+
+    if name.rsplit(".", 1)[-1] not in LSTM_LEAVES:
+        return pick(leaf.data.size)
+    per_gate = leaf.data[0].size
+    return [k * per_gate + i for k in range(4) for i in pick(per_gate)]
+
+
 def group_input_arrays(gi, prefix=""):
     """``(name, array or None)`` for every input a ``GroupInputs`` holds, in
     its own order, so two assemblies can be compared bit for bit."""

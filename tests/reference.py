@@ -13,6 +13,9 @@ the fold leak filter built on ``model.read_spans`` must agree with it.
 the CPA series and one GCN hop from elementary autodiff ops, one neighbor at a
 time; ``hsc.gcn_hop`` and ``hsc.embed_windows`` must match them by value and
 by gradient.
+
+``lstm_cell`` evaluates the LSTM cell equations in plain numpy, reading gate
+k from the stacked leaves; ``nnlayers.lstm_step`` must match it.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def load_dataset(graph_path, series_path, context_path) -> gd.TrafficDataset:
                 f"inconsistent with {span} min for earlier roads"
             )
         values = np.array([slots[s] for s in range(count)])
-        series.append(gd.SpeedSeries(road_id=i, start_slot=0, values=values))
+        series.append(gd.SpeedSeries(road_id=i, values=values))
     if span is None or span % gd.MINUTES_PER_DAY != 0:
         raise SchemaError(f"{series_path}: observation span {span} min is not whole days")
 
@@ -189,6 +192,16 @@ def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: in
     return footprint
 
 
+def lstm_cell(p, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:
+    """One straight-line cell update ``(h, c)``; gate k (order i, f, o, c)
+    reads ``p.w_x.data[k]``, ``p.w_h.data[k]`` and ``p.b.data[k]``."""
+    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+    pre = [x @ p.w_x.data[k] + h_prev @ p.w_h.data[k] + p.b.data[k] for k in range(4)]
+    i, f, o = (sig(v) for v in pre[:3])
+    c = i * np.tanh(pre[3]) + f * c_prev
+    return o * np.tanh(c), c
+
+
 def chebyshev_features(x: DiffValue, order: int) -> list[DiffValue]:
     """Differentiable T_1(x)..T_order(x) via the recurrence; x must lie in [-1, 1]."""
     if order < 1:
@@ -204,7 +217,7 @@ def chebyshev_features(x: DiffValue, order: int) -> list[DiffValue]:
 def correlation_scores(params: hsc.GcnParams, target_emb: DiffValue, neighbor_emb: DiffValue) -> DiffValue:
     """Sigmoid bilinear scores u = sigma(e_i' M_f e_j) for every filter: (B, filters)."""
     batch = target_emb.data.shape[0]
-    c = params.embed_len
+    c = params.correlation.data.shape[1]
     mixed = ad.matmul(neighbor_emb, ad.transpose(params.correlation))  # (B, F*c)
     mixed = ad.reshape(mixed, (batch, params.filters, c))
     target3 = ad.reshape(target_emb, (batch, 1, c))

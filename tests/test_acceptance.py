@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finite_difference, relative_gradient_error
+import reference
+from conftest import finite_difference, probe_indices, relative_gradient_error
 from mcan import analysis as an
 from mcan import autodiff as ad
 from mcan import cli
@@ -62,8 +63,7 @@ def test_criterion_1_gradient_integrity():
     worst = 0.0
     rng = np.random.default_rng(19)
     for name, p in md.named_parameters(params):
-        size = p.data.size
-        idx = sorted(rng.choice(size, size=min(4, size), replace=False).tolist())
+        idx = probe_indices(name, p, 4, rng)
         numeric = finite_difference(lambda: forward().item(), p, indices=idx)
         err = relative_gradient_error(p.grad, numeric, indices=idx)
         assert err < 1e-4, f"gradient mismatch for {name}: {err:.2e}"
@@ -130,22 +130,15 @@ def test_criterion_3_chebyshev_oracle():
 
 def test_criterion_4_lstm_oracle():
     rng = np.random.default_rng(4)
-    sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     worst = 0.0
     for _ in range(100):
         p = nn.init_lstm(rng, 4, 6)
-        for b in (p.b_i, p.b_f, p.b_o, p.b_c):
-            b.data[:] = rng.normal(size=b.data.shape)
+        p.b.data[:] = rng.normal(size=p.b.data.shape)
         x = rng.normal(size=(1, 4))
         h_prev = rng.normal(size=(1, 6))
         c_prev = rng.normal(size=(1, 6))
         h, c = nn.lstm_step(p, x, h_prev, c_prev)
-        i = sig(x @ p.w_ix.data + h_prev @ p.w_ih.data + p.b_i.data)
-        f = sig(x @ p.w_fx.data + h_prev @ p.w_fh.data + p.b_f.data)
-        o = sig(x @ p.w_ox.data + h_prev @ p.w_oh.data + p.b_o.data)
-        c_tilde = np.tanh(x @ p.w_cx.data + h_prev @ p.w_ch.data + p.b_c.data)
-        c_ref = i * c_tilde + f * c_prev
-        h_ref = o * np.tanh(c_ref)
+        h_ref, c_ref = reference.lstm_cell(p, x, h_prev, c_prev)
         worst = max(worst, float(np.abs(h.data - h_ref).max()),
                     float(np.abs(c.data - c_ref).max()))
     report("criterion 4 (lstm oracle)", worst < 1e-12,

@@ -70,8 +70,8 @@ class TestReport:
         rng = np.random.default_rng(9)
         values = np.tile(rng.uniform(10, 50, size=24), 10) + rng.normal(size=240) * 2.0
         values = np.maximum(values, 0.0)
-        a = gd.SpeedSeries(road_id=0, start_slot=0, values=values)
-        b = gd.SpeedSeries(road_id=1, start_slot=0, values=values.copy())
+        a = gd.SpeedSeries(road_id=0, values=values)
+        b = gd.SpeedSeries(road_id=1, values=values.copy())
         report = an.multifold_correlation_report(a, b, 60, 60, ["speed"], window_days=3)
         assert len(report) == 1
         for v in report[0].values:
@@ -132,8 +132,8 @@ class TestReport:
 
     def test_undefined_written_as_empty_field(self, tmp_path):
         values = np.tile(np.array([5.0, 5.0]), 12)  # constant: undefined everywhere
-        a = gd.SpeedSeries(road_id=0, start_slot=0, values=values)
-        b = gd.SpeedSeries(road_id=1, start_slot=0, values=values.copy())
+        a = gd.SpeedSeries(road_id=0, values=values)
+        b = gd.SpeedSeries(road_id=1, values=values.copy())
         report = an.multifold_correlation_report(a, b, 720, 720, ["speed"], window_days=2)
         assert all(v is None for v in report[0].values)
         path = tmp_path / "corr.csv"

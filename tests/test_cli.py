@@ -277,6 +277,42 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--config", config]) == 2
         assert f"'config.{key}' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("ablations", ["zz"], "unknown ablation flags ['zz']"),
+        ("hidden_size", 0, "hidden_size must be >= 1, got 0"),
+        ("horizon", -1, "horizon must be >= 1, got -1"),
+        ("daily_steps", -2, "daily_steps and weekly_steps must be >= 0"),
+        ("alpha", -1.0, "loss weights alpha and beta must be >= 0"),
+    ], ids=["ablations", "hidden_size", "horizon", "daily_steps", "alpha"])
+    def test_invalid_checkpoint_config_is_runtime_error(self, tmp_path, data_dir, trained_dir,
+                                                        capsys, key, value, message):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        doc["config"][key] = value
+        broken = tmp_path / "invalid.json"
+        broken.write_text(json.dumps(doc))
+        assert run_on(tmp_path, "evaluate", data_dir, broken, "out") == 2
+        assert f"error: {broken}: invalid checkpoint config: {message}" in capsys.readouterr().err
+
+    def test_format_version_1_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
+        # A version-1 file stores each LSTM cell as 12 per-gate leaves.
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        stored = doc["parameters"]
+        for name in [n for n in stored if n.rsplit(".", 1)[1] in ("w_x", "w_h", "b")]:
+            entry = stored.pop(name)
+            stacked = np.reshape(entry["values"], entry["shape"])
+            prefix, leaf = name.rsplit(".", 1)
+            for k, gate in enumerate("ifoc"):
+                gate_name = f"b_{gate}" if leaf == "b" else f"w_{gate}{leaf[-1]}"
+                stored[f"{prefix}.{gate_name}"] = {"shape": list(stacked[k].shape),
+                                                   "values": stacked[k].reshape(-1).tolist()}
+        assert "lstm_recent.0.w_ch" in stored and "lstm_recent.0.w_h" not in stored
+        doc["format_version"] = 1
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        assert run_on(tmp_path, "evaluate", data_dir, old, "out") == 2
+        assert f"{old}: unsupported checkpoint format version 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPredict:
     def test_rows_per_sample_match_horizon(self, tmp_path, data_dir, trained_dir):
@@ -313,6 +349,23 @@ class TestPredict:
             assert cli.main(["predict", "--config", config]) == 0
         assert (tmp_path / "p1" / "predictions.csv").read_bytes() == \
             (tmp_path / "p2" / "predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_is_usage_error_before_reading(self, tmp_path, data_dir, capsys, count):
+        missing = tmp_path / "missing.json"
+        assert run_on(tmp_path, "predict", data_dir, missing, "out") == 2  # the file is absent
+        capsys.readouterr()
+        config = write_config(
+            tmp_path / "pred_count.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            checkpoint_path=str(missing),
+            output_dir=str(tmp_path / "pred_count"),
+            predict_count=count,
+        )
+        assert cli.main(["predict", "--config", config]) == 1
+        assert f"predict_count must be >= 1, got {count}" in capsys.readouterr().err
 
 
 def run_on(tmp_path, command, data, checkpoint, name):

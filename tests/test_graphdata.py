@@ -389,7 +389,7 @@ class TestFileRoundTrip:
 
     def test_series_rejects_non_finite_values(self):
         with pytest.raises(SchemaError, match="road 3: non-finite speed value at slot 1"):
-            gd.SpeedSeries(road_id=3, start_slot=0, values=[40.0, np.nan, 41.0])
+            gd.SpeedSeries(road_id=3, values=[40.0, np.nan, 41.0])
 
 
 class TestPlantedPair:
@@ -417,7 +417,7 @@ def outcome(load, paths):
     arrays = [s.values for s in d.series]
     arrays += [a for c in d.contexts for a in (c.static, c.weather, c.holiday, c.day_of_week)]
     return (d.span_minutes, d.weather_code_count, d.road_type_count, d.graph.edges,
-            [(s.road_id, s.start_slot) for s in d.series], [(a.dtype.str, a.tobytes()) for a in arrays])
+            [s.road_id for s in d.series], [(a.dtype.str, a.tobytes()) for a in arrays])
 
 
 # A corrupt cell never holds a comma, a quote or a line break: csv.reader

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import finite_difference, relative_gradient_error
+from conftest import finite_difference, probe_indices, relative_gradient_error
 from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import hsc
@@ -182,16 +182,12 @@ class TestNearestGrid:
         assert np.array_equal(grid, win[:, idx])
 
 
-def single_filter_gcn(matrix, kernel, hops=1):
+def single_filter_gcn(matrix, kernel):
     matrix = np.asarray(matrix, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
-    c = matrix.shape[0]
     return hsc.GcnParams(
         correlation=ad.parameter(matrix.copy()),
         kernel=ad.parameter(kernel.reshape(1, -1).copy()),
-        filters=1,
-        hops=hops,
-        embed_len=c,
     )
 
 
@@ -224,7 +220,7 @@ class TestGcn:
         assert features[0].data[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_no_neighbors_all_zero(self):
-        params = single_filter_gcn(np.ones((3, 3)), [0.5, 0.5], hops=2)
+        params = single_filter_gcn(np.ones((3, 3)), [0.5, 0.5])
         empty = ad.constant(np.zeros((0, 1, 3)))
         features = hsc.gcn_hop_features(params, ad.constant(np.ones((1, 3))), [empty, empty],
                                         [np.zeros((0, 1), bool)] * 2)
@@ -246,7 +242,7 @@ class TestGcn:
 
     def test_permutation_invariant_within_hop(self):
         rng = np.random.default_rng(13)
-        params = hsc.init_gcn(rng, 4, 3, 3, 1)
+        params = hsc.init_gcn(rng, 4, 3, 3)
         target = ad.constant(rng.normal(size=(2, 4)))
         neighbors = rng.normal(size=(4, 2, 4))
         mask = np.ones((4, 2), dtype=bool)
@@ -258,7 +254,7 @@ class TestGcn:
     def test_scores_strictly_inside_unit_interval(self):
         # sigmoid keeps every Chebyshev argument inside (-1, 1): no clamping.
         rng = np.random.default_rng(17)
-        params = hsc.init_gcn(rng, 5, 4, 3, 1)
+        params = hsc.init_gcn(rng, 5, 4, 3)
         target = ad.constant(rng.normal(scale=3.0, size=(6, 5)))
         neighbor = ad.constant(rng.normal(scale=3.0, size=(6, 5)))
         u = reference.correlation_scores(params, target, neighbor).data
@@ -271,7 +267,6 @@ def tiny_hsc(rng, channel="speed", out_width=2, use_embedding=True):
         rng,
         channel=channel,
         embed_len=6,
-        hops=2,
         filters=2,
         cpa_order=3,
         gcn_order=3,
@@ -288,13 +283,13 @@ def line3_graph(intervals=(10, 20, 30)):
     return gd.RoadGraph(nodes, [(0, 1), (1, 2)])
 
 
-def single_forward(params, target_window, neighbor_windows, graph, target):
+def single_forward(params, target_window, neighbor_windows, graph, target, hop_count=2):
     """One sample's channel prediction for ``target`` through the batched
     forward (B = 1); neighbor windows are keyed by road id and grouped into
-    hops from the graph."""
-    c, use_embedding = params.gcn.embed_len, params.cpa is not None
+    ``hop_count`` hops from the graph."""
+    c, use_embedding = params.gcn.correlation.data.shape[1], params.cpa is not None
     hops, hop_lengths = [], []
-    for layer in gd.k_hop_neighbors(graph, target, params.gcn.hops):
+    for layer in gd.k_hop_neighbors(graph, target, hop_count):
         windows = [np.asarray(neighbor_windows[road], dtype=np.float64) for road in sorted(layer)]
         hops.append(np.reshape([hsc.spread_windows(w, c, use_embedding) for w in windows], (1, -1, c)))
         hop_lengths.append(np.array([[len(w) for w in windows]], dtype=int).reshape(1, -1))
@@ -310,9 +305,8 @@ class TestHscForward:
         params = tiny_hsc(rng)
         for stack in (params.lstm_self, params.lstm_neigh):
             for cell in stack.cells:
-                for name in ("w_ix", "w_ih", "w_fx", "w_fh", "w_ox", "w_oh", "w_cx", "w_ch",
-                             "b_i", "b_f", "b_o", "b_c"):
-                    getattr(cell, name).data[:] = 0.0
+                for leaf in (cell.w_x, cell.w_h, cell.b):
+                    leaf.data[:] = 0.0
         for layer in params.head.layers:
             layer.weight.data[:] = 0.0
             layer.bias.data[:] = 0.0
@@ -346,16 +340,18 @@ class TestHscForward:
         forward().backward()
         cell_s = params.lstm_self.cells[0]
         cell_n = params.lstm_neigh.cells[0]
+        # Up to 12 entries of each leaf; of a stacked LSTM leaf, 4 in each gate slice.
         probes = [
-            params.cpa.coefficients,
-            params.gcn.correlation,
-            params.gcn.kernel,
-            cell_s.w_ix, cell_s.b_c,
-            cell_n.w_fh, cell_n.b_o,
-            params.head.layers[0].weight, params.head.layers[1].bias,
+            ("cpa", params.cpa.coefficients, 12),
+            ("correlation", params.gcn.correlation, 12),
+            ("kernel", params.gcn.kernel, 12),
+            ("self.w_x", cell_s.w_x, 4), ("self.b", cell_s.b, 4),
+            ("neigh.w_h", cell_n.w_h, 4), ("neigh.b", cell_n.b, 4),
+            ("head.0.weight", params.head.layers[0].weight, 12),
+            ("head.1.bias", params.head.layers[1].bias, 12),
         ]
-        for p in probes:
-            idx = range(min(p.data.size, 12))
+        for name, p, count in probes:
+            idx = probe_indices(name, p, count)
             numeric = finite_difference(lambda: forward().item(), p, indices=idx)
             assert relative_gradient_error(p.grad, numeric, indices=idx) < 1e-4
 
@@ -429,7 +425,7 @@ class TestGcnHop:
     @pytest.mark.parametrize("count", [1, 4])
     def test_matches_composed_path(self, order, count):
         rng = np.random.default_rng(200 + 10 * order + count)
-        params = hsc.init_gcn(rng, 6, 3, order, 2)
+        params = hsc.init_gcn(rng, 6, 3, order)
         target = ad.constant(rng.normal(scale=2.0, size=(5, 6)))
         neighbors = ad.constant(rng.normal(scale=2.0, size=(count, 5, 6)))
         fused = hsc.gcn_hop(params, target, neighbors, np.ones((count, 5), dtype=bool))
@@ -438,7 +434,7 @@ class TestGcnHop:
 
     def test_empty_hops_are_zero_constants(self):
         rng = np.random.default_rng(211)
-        params = hsc.init_gcn(rng, 4, 2, 3, 3)
+        params = hsc.init_gcn(rng, 4, 2, 3)
         target = ad.parameter(rng.normal(size=(3, 4)))
         empty = ad.constant(np.zeros((0, 3, 4)))
         neighbor = ad.constant(rng.normal(size=(1, 3, 4)))
@@ -452,7 +448,7 @@ class TestGcnHop:
     @pytest.mark.parametrize("order", [1, 2, 5])
     def test_finite_difference_every_parent(self, order):
         rng = np.random.default_rng(223 + order)
-        params = hsc.init_gcn(rng, 3, 2, order, 1)
+        params = hsc.init_gcn(rng, 3, 2, order)
         target = ad.parameter(rng.normal(size=(2, 3)))
         neighbors = ad.parameter(rng.normal(size=(3, 2, 3)))
         mask = np.ones((3, 2), dtype=bool)
@@ -468,7 +464,7 @@ class TestGcnHop:
 
     def test_gradients_match_composed_path(self):
         rng = np.random.default_rng(227)
-        params = hsc.init_gcn(rng, 5, 3, 5, 1)
+        params = hsc.init_gcn(rng, 5, 3, 5)
         target = ad.parameter(rng.normal(size=(4, 5)))
         neighbors = ad.parameter(rng.normal(size=(3, 4, 5)))
         mask = np.ones((3, 4), dtype=bool)
@@ -492,7 +488,7 @@ class TestGcnHop:
     @pytest.mark.parametrize("order", [1, 3])
     def test_masked_finite_difference_every_parent(self, order):
         rng = np.random.default_rng(231 + order)
-        params = hsc.init_gcn(rng, 3, 2, order, 1)
+        params = hsc.init_gcn(rng, 3, 2, order)
         target = ad.parameter(rng.normal(size=(4, 3)))
         mask, values = self.masked_case(rng)
         neighbors = ad.parameter(values)
@@ -510,7 +506,7 @@ class TestGcnHop:
 
     def test_masked_slots_equal_dropping_them(self):
         rng = np.random.default_rng(233)
-        params = hsc.init_gcn(rng, 3, 2, 4, 1)
+        params = hsc.init_gcn(rng, 3, 2, 4)
         target = ad.constant(rng.normal(size=(4, 3)))
         mask, values = self.masked_case(rng)
         out = hsc.gcn_hop(params, target, ad.constant(values), mask).data
@@ -524,7 +520,7 @@ class TestGcnHop:
         # Under the no-embedding ablation the windows are constants: only the
         # filter parameters take a gradient.
         rng = np.random.default_rng(229)
-        params = hsc.init_gcn(rng, 4, 2, 3, 1)
+        params = hsc.init_gcn(rng, 4, 2, 3)
         target = ad.constant(rng.normal(size=(3, 4)))
         neighbors = ad.constant(rng.normal(size=(2, 3, 4)))
         ad.vsum(hsc.gcn_hop(params, target, neighbors, np.ones((2, 3), dtype=bool))).backward()

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import finite_difference, group_input_arrays, relative_gradient_error, single_row
+from conftest import (finite_difference, group_input_arrays, probe_indices,
+                      relative_gradient_error, single_row)
 from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import model as md
@@ -305,8 +306,7 @@ class TestForward:
         forward().backward()
         rng = np.random.default_rng(19)
         for name, p in md.named_parameters(params):
-            size = p.data.size
-            idx = sorted(rng.choice(size, size=min(3, size), replace=False).tolist())
+            idx = probe_indices(name, p, 3, rng)
             numeric = finite_difference(lambda: forward().item(), p, indices=idx)
             err = relative_gradient_error(p.grad, numeric, indices=idx)
             assert err < 1e-4, f"gradient mismatch for {name}: {err}"

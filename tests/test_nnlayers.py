@@ -100,28 +100,31 @@ class TestCpa:
 
 def zero_lstm(input_size, hidden_size):
     z = lambda *s: ad.parameter(np.zeros(s))
-    return nn.LstmParams(
-        w_ix=z(input_size, hidden_size), w_ih=z(hidden_size, hidden_size),
-        w_fx=z(input_size, hidden_size), w_fh=z(hidden_size, hidden_size),
-        w_ox=z(input_size, hidden_size), w_oh=z(hidden_size, hidden_size),
-        w_cx=z(input_size, hidden_size), w_ch=z(hidden_size, hidden_size),
-        b_i=z(hidden_size), b_f=z(hidden_size), b_o=z(hidden_size), b_c=z(hidden_size),
-    )
+    return nn.LstmParams(w_x=z(4, input_size, hidden_size), w_h=z(4, hidden_size, hidden_size),
+                         b=z(4, hidden_size))
 
 
-def straight_line_lstm(p, x, h_prev, c_prev):
-    """Independent evaluation of the cell equations with plain numpy."""
-    sig = lambda t: 1.0 / (1.0 + np.exp(-t))
-    i = sig(x @ p.w_ix.data + h_prev @ p.w_ih.data + p.b_i.data)
-    f = sig(x @ p.w_fx.data + h_prev @ p.w_fh.data + p.b_f.data)
-    o = sig(x @ p.w_ox.data + h_prev @ p.w_oh.data + p.b_o.data)
-    c_tilde = np.tanh(x @ p.w_cx.data + h_prev @ p.w_ch.data + p.b_c.data)
-    c = i * c_tilde + f * c_prev
-    h = o * np.tanh(c)
-    return h, c
+def cell_leaves(cell):
+    return [cell.w_x, cell.w_h, cell.b]
 
 
 class TestLstm:
+    def test_init_stacks_per_gate_draws(self):
+        # The gates' matrices are drawn one by one in the order w_ix, w_ih,
+        # w_fx, w_fh, w_ox, w_oh, w_cx, w_ch, so a seed gives the network it
+        # gave when every matrix was its own leaf.
+        p = nn.init_lstm(np.random.default_rng(7), 3, 5)
+        rng = np.random.default_rng(7)
+        per_gate = {}
+        for gate in "ifoc":
+            per_gate[f"w_{gate}x"] = ad.xavier_uniform(rng, (3, 5))
+            per_gate[f"w_{gate}h"] = ad.xavier_uniform(rng, (5, 5))
+        assert p.w_x.data.shape == (4, 3, 5) and p.w_h.data.shape == (4, 5, 5)
+        for k, gate in enumerate("ifoc"):
+            assert np.array_equal(p.w_x.data[k], per_gate[f"w_{gate}x"])
+            assert np.array_equal(p.w_h.data[k], per_gate[f"w_{gate}h"])
+        assert np.array_equal(p.b.data, np.zeros((4, 5)))
+
     def test_zero_parameters_zero_state(self):
         p = zero_lstm(3, 4)
         h, c = nn.lstm_step(p, np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
@@ -130,7 +133,7 @@ class TestLstm:
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_lstm(2, 3)
-        p.b_f.data[:] = 30.0
+        p.b.data[1] = 30.0  # forget gate
         c_prev = np.array([[0.7, -1.2, 2.0]])
         _, c = nn.lstm_step(p, np.ones((1, 2)), np.zeros((1, 3)), c_prev)
         assert np.abs(c.data - c_prev).max() < 1e-6
@@ -139,13 +142,12 @@ class TestLstm:
         rng = np.random.default_rng(31)
         for _ in range(20):
             p = nn.init_lstm(rng, 3, 5)
-            for b in (p.b_i, p.b_f, p.b_o, p.b_c):
-                b.data[:] = rng.normal(size=b.data.shape)
+            p.b.data[:] = rng.normal(size=p.b.data.shape)
             x = rng.normal(size=(1, 3))
             h_prev = rng.normal(size=(1, 5))
             c_prev = rng.normal(size=(1, 5))
             h, c = nn.lstm_step(p, x, h_prev, c_prev)
-            h_ref, c_ref = straight_line_lstm(p, x, h_prev, c_prev)
+            h_ref, c_ref = reference.lstm_cell(p, x, h_prev, c_prev)
             assert np.abs(h.data - h_ref).max() < 1e-12
             assert np.abs(c.data - c_ref).max() < 1e-12
 
@@ -209,22 +211,22 @@ class TestLstm:
             return ad.vsum(ad.square(nn.lstm_sequence(stack, seq)))
 
         forward().backward()
-        cell = stack.cells[0]
-        for p in (cell.w_ix, cell.w_fh, cell.b_c, stack.cells[1].w_oh):
+        # every entry, so all four gate slices of each stacked leaf
+        for p in cell_leaves(stack.cells[0]) + [stack.cells[1].w_h]:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-4
 
 
 class TestFnn:
     def test_identity_network(self):
-        layers = [nn.FnnLayer(ad.parameter(np.eye(3)), ad.parameter(np.zeros(3)), "identity")]
+        layers = [nn.FnnLayer(ad.parameter(np.eye(3)), ad.parameter(np.zeros(3)))]
         params = nn.FnnParams(layers)
         x = np.array([[1.0, -2.0, 0.5]])
         assert np.array_equal(nn.fnn_forward(params, x).data, x)
 
     def test_constant_network_returns_bias(self):
         bias = np.array([2.0, -1.0])
-        layers = [nn.FnnLayer(ad.parameter(np.zeros((3, 2))), ad.parameter(bias), "identity")]
+        layers = [nn.FnnLayer(ad.parameter(np.zeros((3, 2))), ad.parameter(bias))]
         params = nn.FnnParams(layers)
         assert np.array_equal(nn.fnn_forward(params, np.ones((1, 3))).data, bias[None])
 
@@ -232,8 +234,8 @@ class TestFnn:
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
         w2 = np.array([[1.0, 0.0], [1.0, 1.0]])
         params = nn.FnnParams([
-            nn.FnnLayer(ad.parameter(w1), ad.parameter(np.zeros(2)), "sigmoid"),
-            nn.FnnLayer(ad.parameter(w2), ad.parameter(np.zeros(2)), "identity"),
+            nn.FnnLayer(ad.parameter(w1), ad.parameter(np.zeros(2))),
+            nn.FnnLayer(ad.parameter(w2), ad.parameter(np.zeros(2))),
         ])
         x = np.array([[0.5, -0.5]])
         hidden = 1.0 / (1.0 + np.exp(-(x @ w1)))
@@ -352,14 +354,8 @@ def step_chain(stack, steps, drop=None):
 def random_stack(rng, input_size, hidden_size, layers):
     stack = nn.init_lstm_stack(rng, input_size, hidden_size, layers)
     for cell in stack.cells:
-        for b in (cell.b_i, cell.b_f, cell.b_o, cell.b_c):
-            b.data[:] = rng.normal(size=b.data.shape)
+        cell.b.data[:] = rng.normal(size=cell.b.data.shape)
     return stack
-
-
-def cell_leaves(cell):
-    return [cell.w_ix, cell.w_ih, cell.w_fx, cell.w_fh, cell.w_ox, cell.w_oh,
-            cell.w_cx, cell.w_ch, cell.b_i, cell.b_f, cell.b_o, cell.b_c]
 
 
 class TestLstmLayer:

@@ -280,17 +280,6 @@ def take(a, key) -> DiffValue:
     return _node(np.array(data), (a,), backward)
 
 
-def transpose(a) -> DiffValue:
-    a = _lift(a)
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose: expected a 2-D value, got {a.shape}")
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return _node(a.data.T.copy(), (a,), backward)
-
-
 def reshape(a, shape) -> DiffValue:
     a = _lift(a)
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,19 +22,8 @@ from . import model as md
 from . import trainer as tr
 from .errors import ConfigError, McanError, SchemaError
 
-GENERATOR_KEYS = {
-    "n_roads": int, "edge_density": float, "intervals": list, "days": int,
-    "coupling": float, "noise": float, "obs_noise": float,
-    "weekly_amplitude": float, "weather_impact": float,
-}
-TRAIN_KEYS = {
-    "epochs": int, "batch_size": int, "learning_rate": float, "dropout": float,
-    "alpha": float, "beta": float, "recent_steps": int, "daily_steps": int,
-    "weekly_steps": int, "horizon": int, "folds": int, "fold_index": int,
-    "ablations": list, "embed_len": int, "hops": int, "filters": int,
-    "cpa_order": int, "gcn_order": int, "hidden_size": int, "lstm_layers": int,
-    "fnn_layers": int, "max_train_samples": int, "shuffled_folds": bool,
-}
+GENERATOR_KEYS = {f.name: gd.field_kind(f) for f in fields(gd.GeneratorConfig)}
+TRAIN_KEYS = {f.name: gd.field_kind(f) for f in fields(tr.TrainConfig)}
 PATH_KEYS = {"graph_path": str, "series_path": str, "context_path": str,
              "checkpoint_path": str, "output_dir": str}
 COMMAND_KEYS = {
@@ -42,7 +32,7 @@ COMMAND_KEYS = {
         **PATH_KEYS, "seed": int, "road_a": int, "road_b": int,
         "measurements": list, "window_days": int, "wall_start": int, "wall_end": int,
     },
-    "train": {**PATH_KEYS, **TRAIN_KEYS, "seed": int},
+    "train": {**PATH_KEYS, **TRAIN_KEYS},
     "evaluate": {**PATH_KEYS, "seed": int, "eval_split": str, "max_eval_samples": int},
     "predict": {**PATH_KEYS, "seed": int, "predict_count": int, "predict_road": int},
 }
@@ -123,18 +113,23 @@ def _dataset(config: dict) -> gd.TrafficDataset:
     return gd.load_dataset(config["graph_path"], config["series_path"], config["context_path"])
 
 
+def _given(config: dict, keys: dict) -> dict:
+    """The entries of ``config`` named in ``keys``, JSON lists as tuples, as
+    keyword arguments for the config dataclass that ``keys`` was read from."""
+    return {key: tuple(config[key]) if isinstance(config[key], list) else config[key]
+            for key in keys if key in config}
+
+
+def _known_roads(dataset: gd.TrafficDataset, roads):
+    """``roads``, or a ConfigError naming the first that is not in the graph."""
+    for road in roads:
+        if not 0 <= road < dataset.graph.size:
+            raise ConfigError(f"road {road} is not in the graph (N={dataset.graph.size})")
+    return roads
+
+
 def cmd_generate(config: dict) -> int:
-    gen = gd.GeneratorConfig(
-        n_roads=config["n_roads"],
-        edge_density=config.get("edge_density", 0.5),
-        intervals=tuple(config.get("intervals", [5, 10, 15])),
-        days=config.get("days", 7),
-        coupling=config.get("coupling", 0.0),
-        noise=config.get("noise", 0.0),
-        obs_noise=config.get("obs_noise", 0.0),
-        weekly_amplitude=config.get("weekly_amplitude", 0.0),
-        weather_impact=config.get("weather_impact", 0.0),
-    )
+    gen = gd.GeneratorConfig(**_given(config, GENERATOR_KEYS))
     dataset = gd.generate_synthetic(gen, seed=config.get("seed", 0))
     out = _out_dir(config)
     paths = (out / "graph.json", out / "series.csv", out / "context.csv")
@@ -146,10 +141,7 @@ def cmd_generate(config: dict) -> int:
 
 def cmd_correlate(config: dict) -> int:
     dataset = _dataset(config)
-    road_a, road_b = config["road_a"], config["road_b"]
-    for road in (road_a, road_b):
-        if not 0 <= road < dataset.graph.size:
-            raise ConfigError(f"road {road} is not in the graph (N={dataset.graph.size})")
+    road_a, road_b = _known_roads(dataset, (config["road_a"], config["road_b"]))
     wall_range = None
     if "wall_start" in config or "wall_end" in config:
         wall_range = (config.get("wall_start", 0),
@@ -169,14 +161,6 @@ def cmd_correlate(config: dict) -> int:
     return 0
 
 
-def _train_config(config: dict) -> tr.TrainConfig:
-    kwargs = {key: config[key] for key in TRAIN_KEYS if key in config}
-    kwargs["seed"] = config.get("seed", 0)
-    if "ablations" in kwargs:
-        kwargs["ablations"] = tuple(kwargs["ablations"])
-    return tr.TrainConfig(**kwargs)
-
-
 def _graph_echo(dataset: gd.TrafficDataset) -> dict:
     """The dataset's edges and span, as ``train`` records them in the checkpoint."""
     return {"edges": sorted([a, b] for a, b in dataset.graph.edges),
@@ -184,28 +168,18 @@ def _graph_echo(dataset: gd.TrafficDataset) -> dict:
 
 
 def cmd_train(config: dict) -> int:
-    train_config = _train_config(config)
+    train_config = tr.TrainConfig(**_given(config, TRAIN_KEYS))
     train_config.validate()  # fail fast, before the dataset is read
-    md.parse_ablations(train_config.ablations)
     dataset = _dataset(config)
     result = tr.train(dataset, train_config)
+    # the run keys the model config does not hold; the seed is the fold seed
+    echo = {key: getattr(train_config, key) for key in TRAIN_KEYS
+            if not hasattr(result.model_config, key)}
+    echo.update(fold_seed=echo.pop("seed"), fold_index=result.fold.index, **_graph_echo(dataset))
     out = _out_dir(config)
     checkpoint = out / "checkpoint.json"
-    md.save_checkpoint(
-        checkpoint, result.params, result.scaler.means, result.scaler.stds, result.ybar,
-        extra_config={
-            "folds": train_config.folds,
-            "fold_index": result.fold.index,
-            "fold_seed": train_config.seed,
-            "shuffled_folds": train_config.shuffled_folds,
-            "epochs": train_config.epochs,
-            "batch_size": train_config.batch_size,
-            "learning_rate": train_config.learning_rate,
-            "dropout": train_config.dropout,
-            "max_train_samples": train_config.max_train_samples,
-            **_graph_echo(dataset),
-        },
-    )
+    md.save_checkpoint(checkpoint, result.params, result.scaler.means, result.scaler.stds,
+                       result.ybar, extra_config=echo)
     history = out / "loss_history.csv"
     lines = ["epoch,loss"] + [f"{e + 1},{repr(v)}" for e, v in enumerate(result.history)]
     history.write_text("\n".join(lines) + "\n")
@@ -291,13 +265,12 @@ def cmd_predict(config: dict) -> int:
     if count < 1:
         raise ConfigError(f"predict_count must be >= 1, got {count}")
     dataset = _dataset(config)
+    roads = _known_roads(dataset, [config["predict_road"]] if "predict_road" in config
+                         else range(dataset.graph.size))
     params, means, stds, ybar, _ = _fitting_checkpoint(config, dataset)
     view = md.build_view(dataset, means=means, stds=stds, ybar=ybar)
-    roads = [config["predict_road"]] if "predict_road" in config else range(dataset.graph.size)
     lines = ["road_id,t,step,speed_kmh"]
     for road in roads:
-        if not 0 <= road < dataset.graph.size:
-            raise ConfigError(f"road {road} is not in the graph (N={dataset.graph.size})")
         times = md.eligible_times(view, params.config, road)[-count:]
         if len(times) == 0:
             raise McanError(f"road {road} has no eligible prediction times")
@@ -353,7 +326,6 @@ def main(argv=None) -> int:
         if args.ablate:
             if args.command != "train":
                 raise ConfigError("--ablate only applies to the train command")
-            md.parse_ablations(args.ablate)
             existing = list(config.get("ablations", []))
             config["ablations"] = existing + [a for a in args.ablate if a not in existing]
         config = _validated(args.command, config)

@@ -499,6 +499,15 @@ def write_dataset(dataset: TrafficDataset, graph_path, series_path, context_path
             fh.writelines(f"{road_id},{slot},{w},{h},{d}\r\n" for slot, (w, h, d) in enumerate(codes))
 
 
+def field_kind(f) -> type:
+    """The JSON kind of config dataclass field ``f``, read from its default:
+    ``list`` for a tuple or frozenset, ``int`` for ``None`` (an optional
+    count or index), otherwise the default's type."""
+    if isinstance(f.default, (tuple, frozenset)):
+        return list
+    return int if f.default is None else type(f.default)
+
+
 def typed_value(value, kind: type, what: str):
     """``value`` if it is a ``kind``: ``int`` (not a boolean), ``float`` (any
     finite number), ``bool`` or ``list`` (of strings); otherwise a SchemaError

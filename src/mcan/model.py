@@ -644,10 +644,7 @@ def load_checkpoint(path):
             f"{path}: unsupported checkpoint format version {doc.get('format_version')}"
         )
     cfg = _entry(doc, "config", path)
-    values = {
-        f.name: config_entry(cfg, f.name, list if f.name == "ablations" else type(f.default), path)
-        for f in fields(ModelConfig)
-    }
+    values = {f.name: config_entry(cfg, f.name, gd.field_kind(f), path) for f in fields(ModelConfig)}
     config = ModelConfig(**{**values, "ablations": frozenset(values["ablations"])})
     try:
         params = init_mcan(config, np.random.default_rng(0))

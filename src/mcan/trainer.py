@@ -12,7 +12,7 @@ overlap) for parity with conventional shuffled evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class TrainConfig:
     shuffled_folds: bool = False
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "horizon", "recent_steps"):
+        for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_train_samples is not None and self.max_train_samples < 1:
@@ -67,27 +67,17 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.fold_index is not None and not 0 <= self.fold_index < self.folds:
             raise ConfigError(f"fold_index must be in [0, {self.folds}), got {self.fold_index}")
+        md.ModelConfig(**self.model_fields()).validate()
+
+    def model_fields(self) -> dict:
+        """The fields this config shares with ``ModelConfig``, ablation names
+        expanded to flags."""
+        shared = {f.name: getattr(self, f.name) for f in fields(md.ModelConfig) if hasattr(self, f.name)}
+        return {**shared, "ablations": md.parse_ablations(self.ablations)}
 
     def model_config(self, dataset: gd.TrafficDataset) -> md.ModelConfig:
-        return md.ModelConfig(
-            horizon=self.horizon,
-            recent_steps=self.recent_steps,
-            daily_steps=self.daily_steps,
-            weekly_steps=self.weekly_steps,
-            embed_len=self.embed_len,
-            hops=self.hops,
-            filters=self.filters,
-            cpa_order=self.cpa_order,
-            gcn_order=self.gcn_order,
-            hidden_size=self.hidden_size,
-            lstm_layers=self.lstm_layers,
-            fnn_layers=self.fnn_layers,
-            alpha=self.alpha,
-            beta=self.beta,
-            ablations=md.parse_ablations(self.ablations),
-            weather_code_count=dataset.weather_code_count,
-            road_type_count=dataset.road_type_count,
-        )
+        return md.ModelConfig(**self.model_fields(), weather_code_count=dataset.weather_code_count,
+                              road_type_count=dataset.road_type_count)
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +234,13 @@ class SampleCache:
     def __init__(self, view: md.DataView, config: md.ModelConfig, samples: list[Sample]):
         pairs = np.asarray(samples, dtype=int).reshape(-1, 2)
         self.table = md.assemble_group(view, config, pairs[:, 0], pairs[:, 1])
-        self.row_of = {samples[pos]: row for row, pos in enumerate(self.table.positions.tolist())}
+        self.row_of = np.argsort(self.table.positions)  # table row of each sample index
 
-    def batch_groups(self, batch: list[Sample]) -> md.GroupInputs:
-        """The batch's rows as one group, in table order (so grouped by
-        interval class)."""
-        return self.table.take(np.sort([self.row_of[sample] for sample in batch]))
+    def batch_groups(self, indices: np.ndarray) -> md.GroupInputs:
+        """The rows of the samples at ``indices`` (positions in the cached
+        sample list) as one group, in table order (so grouped by interval
+        class)."""
+        return self.table.take(np.sort(self.row_of[indices]))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
         order = rng_shuffle.permutation(count)
         epoch_loss = 0.0
         for start in range(0, count, config.batch_size):
-            gi = cache.batch_groups([train_samples[i] for i in order[start : start + config.batch_size]])
+            gi = cache.batch_groups(order[start : start + config.batch_size])
             epoch_loss += _adam_step(params, state, gi, drop)
         if not np.isfinite(params.theta).all():
             raise TrainingDivergence(

@@ -30,7 +30,7 @@ from mcan import graphdata as gd
 from mcan import hsc
 from mcan import model as md
 from mcan.autodiff import DiffValue
-from mcan.errors import ConfigError, MissingDataError, SchemaError
+from mcan.errors import ConfigError, MissingDataError, SchemaError, ShapeMismatch
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -214,11 +214,23 @@ def chebyshev_features(x: DiffValue, order: int) -> list[DiffValue]:
     return feats
 
 
+def transpose(a) -> DiffValue:
+    """The 2-D transpose as an autodiff node, for ``correlation_scores``."""
+    a = ad._lift(a)
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"transpose: expected a 2-D value, got {a.shape}")
+
+    def backward(g):
+        ad._accumulate(a, g.T)
+
+    return ad._node(a.data.T.copy(), (a,), backward)
+
+
 def correlation_scores(params: hsc.GcnParams, target_emb: DiffValue, neighbor_emb: DiffValue) -> DiffValue:
     """Sigmoid bilinear scores u = sigma(e_i' M_f e_j) for every filter: (B, filters)."""
     batch = target_emb.data.shape[0]
     c = params.correlation.data.shape[1]
-    mixed = ad.matmul(neighbor_emb, ad.transpose(params.correlation))  # (B, F*c)
+    mixed = ad.matmul(neighbor_emb, transpose(params.correlation))  # (B, F*c)
     mixed = ad.reshape(mixed, (batch, params.filters, c))
     target3 = ad.reshape(target_emb, (batch, 1, c))
     return ad.sigmoid(ad.vsum(ad.multiply(mixed, target3), axis=2))

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config handling, exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import re
 
@@ -8,6 +9,7 @@ import pytest
 
 from mcan import cli
 from mcan import graphdata as gd
+from mcan import model as md
 
 
 def write_config(path, **keys):
@@ -81,6 +83,19 @@ class TestGenerate:
     def test_usage_error_without_command(self):
         assert cli.main([]) == 1
 
+    def test_coupling_lag_matches_generator(self, tmp_path):
+        args = generate_args(tmp_path, "lag") + ["--set", "coupling_lag_minutes=20"]
+        assert cli.main(args) == 0
+        expected = gd.generate_synthetic(gd.GeneratorConfig(
+            n_roads=3, edge_density=1.0, intervals=(30, 60), days=16, coupling=0.3,
+            coupling_lag_minutes=20, noise=1.0, obs_noise=0.3, weekly_amplitude=1.5,
+            weather_impact=1.0,
+        ), seed=5)
+        names = ("graph.json", "series.csv", "context.csv")
+        gd.write_dataset(expected, *(tmp_path / name for name in names))
+        for name in names:
+            assert (tmp_path / "lag" / name).read_bytes() == (tmp_path / name).read_bytes()
+
     @pytest.mark.parametrize("intervals", ['["a"]', "[true]", "[30, 2.5]"])
     def test_non_integer_interval_is_usage_error(self, tmp_path, capsys, intervals):
         args = generate_args(tmp_path) + ["--set", f"intervals={intervals}"]
@@ -121,6 +136,28 @@ class TestTrain:
         assert cli.main(args) == 1
         assert f"max_train_samples must be >= 1, got {cap}" in capsys.readouterr().err
         assert not (tmp_path / "cap").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden_size", "0", "hidden_size must be >= 1, got 0"),
+        ("daily_steps", "-1", "daily_steps and weekly_steps must be >= 0"),
+        ("alpha", "-1.0", "loss weights alpha and beta must be >= 0"),
+        ("hops", "0", "hops must be >= 1, got 0"),
+        ("ablations", '["zz"]', "unknown ablation flag 'zz'"),
+    ])
+    def test_bad_model_key_is_usage_error_before_reading(self, tmp_path, capsys, key, value,
+                                                         message):
+        args = train_args(tmp_path, tmp_path / "nowhere", "bad") + ["--set", f"{key}={value}"]
+        assert cli.main(args) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
+    def test_checkpoint_echo_key_set(self, trained_dir):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        run_keys = {"folds", "fold_index", "fold_seed", "shuffled_folds", "epochs", "batch_size",
+                    "learning_rate", "dropout", "max_train_samples", "edges", "span_minutes"}
+        model_keys = {f.name for f in dataclasses.fields(md.ModelConfig)}
+        assert set(doc["config"]) == model_keys | run_keys
+        assert (doc["config"]["fold_index"], doc["config"]["fold_seed"]) == (4, 7)
 
     def test_max_test_samples_is_unknown_key(self, tmp_path, data_dir, capsys):
         args = train_args(tmp_path, data_dir, "cap") + ["--set", "max_test_samples=-7"]
@@ -349,6 +386,19 @@ class TestPredict:
             assert cli.main(["predict", "--config", config]) == 0
         assert (tmp_path / "p1" / "predictions.csv").read_bytes() == \
             (tmp_path / "p2" / "predictions.csv").read_bytes()
+
+    def test_unknown_road_is_usage_error_before_checkpoint(self, tmp_path, data_dir, capsys):
+        args = ["predict", "--config", write_config(
+            tmp_path / "pred_road.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            checkpoint_path=str(tmp_path / "missing.json"),
+            output_dir=str(tmp_path / "pred_road"),
+        ), "--set", "predict_road=99"]
+        assert cli.main(args) == 1
+        assert "road 99 is not in the graph (N=3)" in capsys.readouterr().err
+        assert not (tmp_path / "pred_road").exists()
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_count_below_one_is_usage_error_before_reading(self, tmp_path, data_dir, capsys, count):

@@ -239,6 +239,13 @@ class TestMetrics:
 
 
 class TestTrain:
+    def test_shared_model_fields_have_equal_defaults(self):
+        # TrainConfig repeats the ModelConfig defaults so that the CLI keys and
+        # perfbench's flat keyword arguments stay in one dataclass
+        shared = tr.TrainConfig().model_fields()
+        assert len(shared) == 15
+        assert md.ModelConfig(**shared) == md.ModelConfig()
+
     def test_single_batch_single_epoch_one_adam_step(self, dataset):
         config = tiny_train_config(epochs=1, batch_size=64, max_train_samples=20)
         result = tr.train(dataset, config)

@@ -24,6 +24,9 @@ from .errors import ConfigError, McanError, SchemaError
 
 GENERATOR_KEYS = {f.name: gd.field_kind(f) for f in fields(gd.GeneratorConfig)}
 TRAIN_KEYS = {f.name: gd.field_kind(f) for f in fields(tr.TrainConfig)}
+# JSON null leaves a key unset only where unset means something: a TrainConfig
+# field that defaults to None, or evaluate's sample cap
+NULLABLE_KEYS = {f.name for f in fields(tr.TrainConfig) if f.default is None} | {"max_eval_samples"}
 PATH_KEYS = {"graph_path": str, "series_path": str, "context_path": str,
              "checkpoint_path": str, "output_dir": str}
 COMMAND_KEYS = {
@@ -95,7 +98,7 @@ def _validated(command: str, config: dict) -> dict:
         if key not in config:
             raise ConfigError(f"{command!r} requires config key {key!r}")
     for key, kind in allowed.items():
-        if key not in config or config[key] is None:
+        if key not in config or (config[key] is None and key in NULLABLE_KEYS):
             continue
         config[key] = _typed(key, config[key], kind)
         if key == "intervals":

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -556,33 +557,128 @@ def load_graph(graph_path) -> RoadGraph:
     return RoadGraph(nodes, edges)
 
 
-def _read_columns(path, header: list[str]) -> tuple[np.ndarray, list[list[str]]]:
-    """The 1-based file line of each data row and the raw cells of each column.
+def _read_columns(path, header: list[str], kinds) -> tuple[np.ndarray, list[np.ndarray], list,
+                                                          Callable[[int, int], str]]:
+    """The 1-based file line of each data row, each column converted by its
+    kind (``int`` into int64, ``float`` into float64) and cut to the rows
+    before the first refused cell, one row check per column naming its first
+    refused cell (see :func:`_raise_earliest`), and ``cell(i, j)``, the raw
+    text of row i's cell j.
 
-    Lines end in LF, CRLF or CR; blank lines are skipped but counted."""
-    text = read_text(path)
+    Lines end in LF, CRLF or CR; blank lines are skipped but counted.  A
+    plain file (ASCII, every CR in a CRLF) whose cells :func:`_byte_columns`
+    takes is converted from its bytes; any other goes through
+    :func:`_text_columns`, with the same arrays and messages."""
+    data = Path(path).read_bytes()
+    buf, text = np.frombuffer(data + b"\n", np.uint8), None  # the extra "\n" ends the last line
+    newlines = np.flatnonzero(buf == ord("\n"))
+    ends = newlines - (buf[newlines - 1] == ord("\r"))  # each line's text ends before its CRLF
+    if not data.isascii() or np.count_nonzero(buf == ord("\r")) != np.count_nonzero(newlines - ends):
+        # not plain: the decoded text, where every line ends in "\n"
+        text = read_text(path)
+        buf = np.frombuffer(text.encode() + b"\n", np.uint8)
+        ends = newlines = np.flatnonzero(buf == ord("\n"))
+    del data
     # Line and field bounds from the UTF-8 bytes, where "\n" and "," are
     # single bytes that no other character's encoding contains.
-    buf = np.frombuffer(text.encode(), np.uint8)
-    ends = np.concatenate(([-1], np.flatnonzero(buf == ord("\n")), [buf.size]))
-    filled = np.diff(ends) > 1
+    starts = np.concatenate(([0], newlines[:-1] + 1))
+    filled = ends > starts
     numbers = np.flatnonzero(filled) + 1
-    fields = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends))[filled] + 1
-    rows = list(filter(None, text.split("\n")))
-    del text, buf
-    if not rows:
+    commas = np.flatnonzero(buf == ord(","))
+    fields = np.diff(np.searchsorted(commas, newlines), prepend=0)[filled] + 1
+    starts, ends = starts[filled], ends[filled]
+    if not numbers.size:
         raise SchemaError(f"{path}: empty file")
-    got = rows[0].split(",")
+    got = buf[starts[0]:ends[0]].tobytes().decode().split(",")
     if [h.strip() for h in got] != header:
         raise SchemaError(f"{path}: row {numbers[0]}: expected header {header}, got {got}")
-    rows, numbers, fields = rows[1:], numbers[1:], fields[1:]
+    # Cell (i, j) is buf[lo[j][i]:hi[j][i]]: the data lines hold every comma
+    # after the header, len(header) - 1 of them each.
+    inner = commas[np.searchsorted(commas, ends[0]):]
+    numbers, fields, starts, ends = numbers[1:], fields[1:], starts[1:], ends[1:]
     bad = np.flatnonzero(fields != len(header))
     if bad.size:
-        raise SchemaError(
-            f"{path}: row {numbers[bad[0]]}: expected {len(header)} fields, got {fields[bad[0]]}"
-        )
-    cells = ",".join(rows).split(",") if rows else []
-    return numbers, [cells[j::len(header)] for j in range(len(header))]
+        raise SchemaError(f"{path}: row {numbers[bad[0]]}: expected {len(header)} fields, got {fields[bad[0]]}")
+    inner = inner.reshape(-1, len(header) - 1).T.copy()
+    lo, hi = [starts, *(inner + 1)], [*inner, ends]
+    columns = None if text is not None else _byte_columns(buf, lo, hi, kinds)
+    if columns is not None:
+        return numbers, columns, [], lambda i, j: buf[lo[j][i]:hi[j][i]].tobytes().decode()
+    if text is None:  # plain but declined: CR occurs only in CRLF
+        text = buf[:-1].tobytes().decode().replace("\r\n", "\n")
+    return (numbers, *_text_columns(text, header, kinds))
+
+
+def _byte_columns(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, kinds) -> list[np.ndarray] | None:
+    """Column j of the cells ``buf[lo[j][i]:hi[j][i]]`` converted by
+    ``kinds[j]`` with no Python object per integer cell, or None unless every
+    ``int`` cell matches ``-?[0-9]{1,18}`` and ``float()`` takes every
+    ``float`` cell."""
+    columns = []
+    for j, kind in enumerate(kinds):
+        column = (_digit_column if kind is int else _float_column)(buf, lo[j], hi[j])
+        if column is None:
+            return None
+        columns.append(column)
+    return columns
+
+
+def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The cells ``buf[lo:hi]`` as int64 by digit arithmetic, or None unless
+    every one matches ``-?[0-9]{1,18}`` (18 digits always fit in 64 bits)."""
+    negative = buf[lo] == ord("-")
+    width = hi - lo - negative
+    if width.size and not 1 <= width.min() <= width.max() <= 18:
+        return None
+    values = np.zeros(len(lo), np.int64)
+    for p in range(int(width.max(initial=0)), 0, -1):  # the p-th digit from the right
+        digit = buf[hi - p] - np.uint8(ord("0"))  # wraps past 9 for bytes below "0"
+        if p > width.min():
+            digit[width < p] = 0
+        if (digit > 9).any():
+            return None
+        values *= 10
+        values += digit
+    return np.negative(values, where=negative, out=values)
+
+
+def _float_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """``float()`` of each cell ``buf[lo:hi]``, gathered with the byte after
+    it into one ``bytes`` split at "\n", or None if ``float()`` refuses one."""
+    ends = np.cumsum(hi + 1 - lo)  # each cell with the byte after it, end to end
+    # The byte index of each picked byte: a step of 1 inside a cell, a jump
+    # from the byte after one cell to the start of the next.  This int64
+    # index (about 7.6 MB for 52k rows) is the largest block set-up frees,
+    # and glibc raises its mmap and trim thresholds to that size, which
+    # keeps evaluation's per-chunk arrays on the heap.  A bool-mask gather
+    # frees no block that large: evaluation's arrays are then trimmed and
+    # faulted in again, at about 16 % of eval-readme samples/s on a 2-vCPU VM.
+    index = np.ones(ends[-1] if len(ends) else 0, np.int64)
+    index[:1] = lo[:1]
+    index[ends[:-1]] = lo[1:] - hi[:-1]
+    picked = buf[np.cumsum(index, out=index)]
+    picked[ends - 1] = ord("\n")
+    try:
+        return np.fromiter(map(float, picked.tobytes().split(b"\n")), np.float64, len(lo))
+    except ValueError:
+        return None
+
+
+def _text_columns(text: str, header: list[str], kinds) -> tuple[list[np.ndarray], list,
+                                                               Callable[[int, int], str]]:
+    """The columns, refusal checks and ``cell`` of :func:`_read_columns`
+    from the cells of ``text`` as ``str``, each converted by its kind."""
+    rows = list(filter(None, text.split("\n")))[1:]
+    flat = ",".join(rows).split(",") if rows else []
+    del rows
+    cells = [flat[j::len(header)] for j in range(len(header))]
+    parsed = [_parse_column(column, kind) for column, kind in zip(cells, kinds)]
+    valid = min(first for _, first in parsed)
+    checks = [
+        ([first] if first < len(column) else [], lambda i, n=name, c=column, k=kind: _refusal(n, c[i], k))
+        for name, column, kind, (_, first) in zip(header, cells, kinds, parsed)
+    ]
+    return [values[:valid] for values, _ in parsed], checks, lambda i, j: cells[j][i]
 
 
 def _parse_column(cells: list[str], kind: type) -> tuple[np.ndarray, int]:
@@ -611,19 +707,6 @@ def _refusal(name: str, raw: str, kind: type) -> str:
     return f"field {name!r} is outside the 64-bit integer range: {raw!r}"
 
 
-def _parse_columns(header: list[str], cells: list[list[str]], kinds) -> tuple[list[np.ndarray], list]:
-    """Each column converted by its kind and cut to the rows before the first
-    refused cell of any column, plus one row check per column (see
-    :func:`_raise_earliest`) that names that cell."""
-    parsed = [_parse_column(column, kind) for column, kind in zip(cells, kinds)]
-    valid = min(first for _, first in parsed)
-    checks = [
-        ([first] if first < len(column) else [], lambda i, n=name, c=column, k=kind: _refusal(n, c[i], k))
-        for name, column, kind, (_, first) in zip(header, cells, kinds, parsed)
-    ]
-    return [values[:valid] for values, _ in parsed], checks
-
-
 def _raise_earliest(path, numbers: np.ndarray, checks: list) -> None:
     """``checks`` pairs, in the order one row is checked, the indices of the
     rows a rule refuses with that rule's message for a row index; raise a
@@ -636,6 +719,8 @@ def _raise_earliest(path, numbers: np.ndarray, checks: list) -> None:
 
 def _repeats(road: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """Indices of the rows whose (road, slot) an earlier row already has."""
+    if np.all((road[1:] > road[:-1]) | ((road[1:] == road[:-1]) & (slot[1:] > slot[:-1]))):
+        return np.empty(0, dtype=np.int64)  # keys strictly increase, as written
     order = np.lexsort((slot, road))  # stable: equal keys stay in file order
     road, slot = road[order], slot[order]
     return order[1:][(road[1:] == road[:-1]) & (slot[1:] == slot[:-1])]
@@ -654,15 +739,14 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
     n = graph.size
     intervals = np.array([node.interval_minutes for node in graph.nodes], dtype=np.int64)
 
-    numbers, cells = _read_columns(series_path, SERIES_HEADER)
-    (road, slot, speed), refused = _parse_columns(SERIES_HEADER, cells, (int, int, float))
+    numbers, (road, slot, speed), refused, cell = _read_columns(series_path, SERIES_HEADER, (int, int, float))
     _raise_earliest(series_path, numbers, refused + [
         (np.flatnonzero((road < 0) | (road >= n)), lambda i: f"road_id {road[i]} not in graph"),
-        (np.flatnonzero(~np.isfinite(speed)), lambda i: f"field 'speed_kmh' is not finite: {cells[2][i]!r}"),
+        (np.flatnonzero(~np.isfinite(speed)), lambda i: f"field 'speed_kmh' is not finite: {cell(i, 2)!r}"),
         (np.flatnonzero(speed < 0), lambda i: f"negative speed {float(speed[i])}"),
         (_repeats(road, slot), lambda i: f"duplicate slot {slot[i]} for road {road[i]}"),
     ])
-    del numbers, cells, refused  # free the raw cells before the next file is read
+    del numbers, refused, cell  # free the raw cells before the next file is read
     counts = np.bincount(road, minlength=n)
     missing = np.flatnonzero(counts == 0).tolist()
     if missing:
@@ -688,8 +772,8 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
         for i, values in enumerate(_per_road(speed, starts[road] + slot, counts))
     ]
 
-    numbers, cells = _read_columns(context_path, CONTEXT_HEADER)
-    (road, slot, weather, holiday, dow), refused = _parse_columns(CONTEXT_HEADER, cells, (int,) * 5)
+    numbers, (road, slot, weather, holiday, dow), refused, _ = _read_columns(context_path, CONTEXT_HEADER,
+                                                                            (int,) * 5)
     _raise_earliest(context_path, numbers, refused + [
         (np.flatnonzero((road < 0) | (road >= n)), lambda i: f"road_id {road[i]} not in graph"),
         (np.flatnonzero(weather < 0), lambda i: "weather_code must be >= 0"),

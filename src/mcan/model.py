@@ -331,13 +331,37 @@ def read_spans(view: DataView, config: ModelConfig, road: int, times) -> list[tu
     return spans
 
 
+ELIGIBLE_PROBES = 96  # times per bracket and round in eligible_times
+
+
 def eligible_times(view: DataView, config: ModelConfig, road: int) -> np.ndarray:
-    """Sample times whose every read span lies inside its road's series."""
-    times = np.arange(len(view.values[road]))
-    inside = np.ones(len(times), dtype=bool)
-    for j, first, last in read_spans(view, config, road, times):
-        inside &= (first >= 0) & (last < len(view.values[j]))
-    return times[inside]
+    """Sample times whose every read span lies inside its road's series.
+
+    Every span bound is nondecreasing in ``t``.  So the times whose spans all
+    start at index 0 or later are a suffix of the series, the times whose
+    spans all end inside their series are a prefix, and the eligible times
+    are the one interval where both hold.  A k-ary bisection finds its two
+    ends: each round evaluates :func:`read_spans` once, at up to
+    ``ELIGIBLE_PROBES`` evenly spaced times per end, and narrows each end to
+    the gap between two of them."""
+    n = len(view.values[road])
+    # [lo, hi] around the first time whose spans all start at 0 or later,
+    # and around the first time with a span ending past its series (n: none)
+    brackets = [[0, n], [0, n]]
+    while any(lo < hi for lo, hi in brackets):
+        probes = [np.arange(lo, hi, (hi - lo) // ELIGIBLE_PROBES + 1) for lo, hi in brackets]
+        spans = read_spans(view, config, road, np.concatenate(probes))
+        starts = (np.stack([first for _, first, _ in spans]) >= 0).all(axis=0)
+        lengths = np.array([len(view.values[j]) for j, _, _ in spans])[:, None]
+        overruns = (np.stack([last for _, _, last in spans]) >= lengths).any(axis=0)
+        split = len(probes[0])
+        for bracket, times, fact in zip(brackets, probes, (starts[:split], overruns[split:])):
+            misses = int(np.count_nonzero(~fact))  # each fact holds from some time on
+            if misses:
+                bracket[0] = int(times[misses - 1]) + 1
+            if misses < len(times):
+                bracket[1] = int(times[misses])
+    return np.arange(brackets[0][0], brackets[1][0])
 
 
 # ---------------------------------------------------------------------------

@@ -407,11 +407,12 @@ def historical_average_baseline(dataset: gd.TrafficDataset, fold: Fold, horizon:
     split = samples if samples is not None else fold.test
     if not split:
         raise MissingDataError("no samples to evaluate")
-    truth = np.empty((len(split), horizon))
-    preds = np.empty((len(split), horizon))
-    for row, (road, t) in enumerate(split):
-        spd = dataset.graph.nodes[road].slots_per_day
-        idx = np.arange(t, t + horizon)
-        truth[row] = dataset.series[road].values[idx]
-        preds[row] = averages[road][idx % spd]
+    pairs = np.asarray(split, dtype=int).reshape(-1, 2)
+    steps = pairs[:, 1:] + np.arange(horizon)  # (samples, horizon) series indices
+    truth = np.empty(steps.shape)
+    preds = np.empty(steps.shape)
+    for road in np.unique(pairs[:, 0]):
+        rows = pairs[:, 0] == road
+        truth[rows] = dataset.series[road].values[steps[rows]]
+        preds[rows] = averages[road][steps[rows] % len(averages[road])]
     return compute_metrics(truth, preds)

@@ -8,6 +8,10 @@ message on every input this reader splits the same way (no quotes).
 
 ``sample_footprint`` enumerates, index by index, the history a sample reads;
 the fold leak filter built on ``model.read_spans`` must agree with it.
+``eligible_times`` checks ``read_spans`` at every time of a road, where
+``model.eligible_times`` bisects; ``historical_average_baseline`` predicts
+one sample at a time, where ``trainer.historical_average_baseline`` gathers
+each road's samples at once.  Each pair must agree exactly.
 
 ``chebyshev_features``, ``correlation_scores`` and ``kernel_response`` compose
 the CPA series and one GCN hop from elementary autodiff ops, one neighbor at a
@@ -29,6 +33,7 @@ from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import hsc
 from mcan import model as md
+from mcan import trainer as tr
 from mcan.autodiff import DiffValue
 from mcan.errors import ConfigError, MissingDataError, SchemaError, ShapeMismatch
 
@@ -190,6 +195,32 @@ def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: in
         # the trend gather also touches each index's predecessor
         footprint[j] = np.unique(np.concatenate([merged, merged - 1]))
     return footprint
+
+
+def eligible_times(view: md.DataView, config: md.ModelConfig, road: int) -> np.ndarray:
+    """Every sample time whose read spans all lie inside their series, each
+    time checked: the full scan ``model.eligible_times`` bisects."""
+    times = np.arange(len(view.values[road]))
+    inside = np.ones(len(times), dtype=bool)
+    for j, first, last in md.read_spans(view, config, road, times):
+        inside &= (first >= 0) & (last < len(view.values[j]))
+    return times[inside]
+
+
+def historical_average_baseline(dataset: gd.TrafficDataset, fold, horizon: int, samples=None):
+    """Per-sample twin of ``trainer.historical_average_baseline``."""
+    mask = tr.training_day_mask(dataset, fold)
+    averages = [series.values.reshape(-1, node.slots_per_day)[mask].mean(axis=0)
+                for series, node in zip(dataset.series, dataset.graph.nodes)]
+    split = samples if samples is not None else fold.test
+    truth = np.empty((len(split), horizon))
+    preds = np.empty((len(split), horizon))
+    for row, (road, t) in enumerate(split):
+        spd = dataset.graph.nodes[road].slots_per_day
+        idx = np.arange(t, t + horizon)
+        truth[row] = dataset.series[road].values[idx]
+        preds[row] = averages[road][idx % spd]
+    return tr.compute_metrics(truth, preds)
 
 
 def lstm_cell(p, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:

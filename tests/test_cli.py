@@ -221,6 +221,42 @@ class TestTrain:
         assert "Traceback" not in err
 
 
+class TestNullValues:
+    @pytest.mark.parametrize("command,key", [
+        ("generate", "days"), ("generate", "n_roads"), ("generate", "intervals"),
+        ("generate", "seed"), ("generate", "output_dir"),
+        ("train", "epochs"), ("train", "learning_rate"), ("train", "ablations"),
+        ("train", "shuffled_folds"), ("train", "seed"), ("train", "graph_path"),
+    ])
+    def test_null_is_usage_error_naming_key(self, tmp_path, data_dir, capsys, command, key):
+        args = generate_args(tmp_path, "out") if command == "generate" else train_args(tmp_path, data_dir, "out")
+        assert cli.main(args + ["--set", f"{key}=null"]) == 1
+        assert f"config key {key!r} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["fold_index", "max_train_samples"])
+    def test_null_means_default_for_optional_train_keys(self, tmp_path, data_dir, key):
+        args = train_args(tmp_path, data_dir, "null")
+        if key == "max_train_samples":  # the whole training fold: keep it small
+            args += ["--set", "epochs=1", "--set", "folds=8"]
+        assert cli.main(args + ["--set", f"{key}=null"]) == 0
+        doc = json.loads((tmp_path / "null" / "checkpoint.json").read_text())
+        assert doc["config"][key] == (None if key == "max_train_samples" else doc["config"]["folds"] - 1)
+
+    def test_null_cap_evaluates_whole_split(self, tmp_path, data_dir, trained_dir, capsys):
+        config = write_config(
+            tmp_path / "eval_null.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            checkpoint_path=str(trained_dir / "checkpoint.json"),
+            output_dir=str(tmp_path / "eval_null"),
+            max_eval_samples=None,
+        )
+        assert cli.main(["evaluate", "--config", config]) == 0
+        assert "test split:" in capsys.readouterr().out
+
+
 class TestEvaluate:
     def test_metrics_table_and_summary(self, tmp_path, data_dir, trained_dir, capsys):
         config = write_config(

@@ -462,6 +462,41 @@ def corrupt(path, kind, row, column, other, value):
     path.write_text("\r\n".join(header + data) + "\r\n", newline="")
 
 
+# Cells near the plain integer syntax (-?[0-9]{1,18}) that the loader reads
+# straight from the bytes: Python's int() or float() takes some of them, and
+# the loader must then decide exactly as the text reader does.
+NEAR_NUMERIC = ("+3", "3_0", " 3", "3 ", "\u0663", "007", "-0", "1" * 19, "9" * 19, "1" * 25, "1e3")
+# How a whole CSV file is spelled: its line ends, or a no-break space (which
+# the header check strips) after its first header cell.
+SPELLINGS = ("crlf", "lf", "lone-cr", "non-ascii")
+
+
+@st.composite
+def near_numeric(draw):
+    """One cell of either CSV file replaced by a near-numeric value, in the
+    form :func:`corrupt` takes."""
+    target = draw(st.sampled_from(("s.csv", "c.csv")))
+    row, column = draw(st.integers(0, 10**6)), draw(st.integers(0, 4))
+    return target, "text", row, column, 0, draw(st.sampled_from(NEAR_NUMERIC))
+
+
+def respell(path, spelling):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if spelling == "non-ascii":
+        lines[0] = lines[0].replace(",", "\u00a0,", 1)
+    end = {"lf": "\n", "lone-cr": "\r"}.get(spelling, "\r\n")
+    path.write_text(end.join(lines) + end, encoding="utf-8", newline="")
+
+
+def text_reader_calls(monkeypatch) -> list:
+    """The header of each file the loader hands to its text reader from now on."""
+    calls = []
+    text_columns = gd._text_columns
+    monkeypatch.setattr(gd, "_text_columns", lambda text, header, kinds: calls.append(header) or
+                        text_columns(text, header, kinds))
+    return calls
+
+
 class TestLoaderOracle:
     # Up to two corruptions, so that rows failing different rules compete
     # for the one error reported.
@@ -483,6 +518,50 @@ class TestLoaderOracle:
         loaded = outcome(gd.load_dataset, paths)
         assert isinstance(loaded[0], int)
         assert loaded == outcome(reference.load_dataset, paths)
+
+    # Both readers: near-numeric cells keep a plain file on the byte path or
+    # send it to the text reader; the other spellings always send it there.
+    @settings(max_examples=100, deadline=timedelta(seconds=10), derandomize=True)
+    @given(st.integers(1, 3), st.lists(st.sampled_from((60, 120, 240)), min_size=1, max_size=3, unique=True),
+           st.integers(0, 10_000), st.lists(near_numeric(), max_size=2), st.sampled_from(SPELLINGS))
+    def test_near_numeric_cells_same_outcome_as_row_by_row_reader(self, tmp_path_factory, n_roads, intervals,
+                                                                    seed, changes, spelling):
+        tmp_path = tmp_path_factory.mktemp("oracle")
+        paths = written_dataset(tmp_path, n_roads, tuple(intervals), seed=seed)
+        for target, *change in changes:
+            corrupt(tmp_path / target, *change)
+        for path in paths[1:]:
+            respell(path, spelling)
+        expected = outcome(reference.load_dataset, paths)
+        assert outcome(gd.load_dataset, paths) == expected
+        if not changes:
+            assert isinstance(expected[0], int)
+
+    @pytest.mark.parametrize("spelling", ["crlf", "lf"])
+    def test_benchmark_sized_plain_files_take_byte_path(self, tmp_path, monkeypatch, spelling):
+        paths = written_dataset(tmp_path, n_roads=10, intervals=(5, 10, 15), days=28, seed=3)
+        clean = outcome(gd.load_dataset, paths)
+        for path in paths[1:]:
+            respell(path, spelling)
+        calls = text_reader_calls(monkeypatch)
+        assert outcome(gd.load_dataset, paths) == clean
+        assert calls == []
+
+    @pytest.mark.parametrize("spelling,cell", [
+        ("lone-cr", None), ("non-ascii", None),
+        *(("crlf", cell) for cell in ("+3", "3_0", " 3", "\u0663", "1" * 19, "1e3")),
+    ])
+    def test_other_files_take_text_reader(self, tmp_path, monkeypatch, spelling, cell):
+        # A changed cell sits in context.csv (row 3, day_of_week), so only that
+        # file goes to the text reader.
+        paths = written_dataset(tmp_path)
+        if cell is not None:
+            corrupt(paths[2], "text", 3, 4, 0, cell)
+        for path in paths[1:]:
+            respell(path, spelling)
+        calls = text_reader_calls(monkeypatch)
+        assert outcome(gd.load_dataset, paths) == outcome(reference.load_dataset, paths)
+        assert calls == ([gd.CONTEXT_HEADER] if cell else [gd.SERIES_HEADER, gd.CONTEXT_HEADER])
 
 
 class TestCsvFormat:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -114,6 +115,28 @@ def eligibility_cases(draw):
     return generator, config, draw(st.integers(0, 2**16))
 
 
+@st.composite
+def bisection_cases(draw):
+    """Like :func:`eligibility_cases`, with longer reaches, the daily and
+    weekly branches also off by flag, and series that may be too short for
+    any sample."""
+    weekly_steps = draw(st.integers(0, 2))
+    daily_steps = draw(st.integers(0, 3))
+    generator = gd.GeneratorConfig(
+        n_roads=draw(st.integers(1, 4)),
+        edge_density=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        intervals=tuple(draw(st.lists(st.sampled_from([5, 10, 15, 20, 30, 60]), min_size=1,
+                                      max_size=3, unique=True))),
+        days=draw(st.integers(1, 7 * weekly_steps + daily_steps + 2)),
+    )
+    config = small_config(
+        recent_steps=draw(st.integers(1, 40)), daily_steps=daily_steps, weekly_steps=weekly_steps,
+        horizon=draw(st.integers(1, 40)), hops=draw(st.integers(1, 2)), embed_len=12,
+        ablations=frozenset(draw(st.sets(st.sampled_from(("nd", "nw", "ntr"))))),
+    )
+    return generator, config, draw(st.integers(0, 2**16))
+
+
 class TestEligibility:
     @settings(max_examples=30, deadline=timedelta(seconds=10), derandomize=True)
     @given(eligibility_cases())
@@ -142,6 +165,27 @@ class TestEligibility:
                     assert assembles == (t in eligible), (road, t)
                 else:
                     assert assembles or t not in eligible, (road, t)
+
+    @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
+    @given(bisection_cases())
+    def test_bisection_matches_full_scan(self, case):
+        generator, config, seed = case
+        view = md.build_view(gd.generate_synthetic(generator, seed))
+        for probes in (2, md.ELIGIBLE_PROBES):  # many rounds, and the default
+            with mock.patch.object(md, "ELIGIBLE_PROBES", probes):
+                for road in range(view.graph.size):
+                    got = md.eligible_times(view, config, road)
+                    expected = reference.eligible_times(view, config, road)
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected), (probes, road)
+
+    @pytest.mark.parametrize("overrides", [dict(weekly_steps=1), dict(horizon=25), dict(recent_steps=24)])
+    def test_series_too_short_gives_no_times(self, overrides):
+        view = md.build_view(gd.generate_synthetic(gd.GeneratorConfig(n_roads=2, intervals=(60,), days=1), 0))
+        config = small_config(**{"weekly_steps": 0, "daily_steps": 0, **overrides})
+        for road in range(2):
+            assert len(reference.eligible_times(view, config, road)) == 0
+            assert md.eligible_times(view, config, road).dtype == np.int64
+            assert len(md.eligible_times(view, config, road)) == 0
 
     def test_eligible_times_have_full_history_and_future(self, dataset, view):
         config = small_config()

@@ -461,6 +461,18 @@ class TestBaseline:
         report = tr.historical_average_baseline(dataset, fold, mc.horizon)
         assert report.rmse == 0.0
 
+    @pytest.mark.parametrize("fold_index", [0, 2, 4])
+    def test_bit_identical_to_per_sample_reference(self, fold_index):
+        dataset = tiny_dataset(days=16, n_roads=4, intervals=(30, 60, 120))
+        mc = tiny_train_config(horizon=3).model_config(dataset)
+        (fold,) = tr.kfold_split(md.build_view(dataset), mc, 5, seed=1, indices=[fold_index])
+        for samples in (None, fold.train, fold.test[::-3]):
+            got = tr.historical_average_baseline(dataset, fold, mc.horizon, samples)
+            expected = reference.historical_average_baseline(dataset, fold, mc.horizon, samples)
+            for field in dataclasses.fields(tr.MetricsReport):
+                a, b = getattr(got, field.name), getattr(expected, field.name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
     def test_rmse_converges_to_noise_sd(self):
         # periodic signal plus iid N(0, sigma^2): the baseline's RMSE estimates
         # sigma as the test sample count grows

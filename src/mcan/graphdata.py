@@ -140,8 +140,8 @@ class TrafficDataset:
 # Channel derivation
 
 
-def compute_daily_average(values, slots_per_day: int) -> np.ndarray:
-    """Per-slot mean over whole days; the span must be a multiple of slots_per_day."""
+def compute_daily_average(values, slots_per_day: int, days=slice(None)) -> np.ndarray:
+    """Per-slot mean over the days ``days`` selects (all by default) of a whole-day span."""
     values = np.asarray(values, dtype=np.float64)
     if slots_per_day < 1:
         raise ConfigError(f"slots_per_day must be >= 1, got {slots_per_day}")
@@ -150,7 +150,7 @@ def compute_daily_average(values, slots_per_day: int) -> np.ndarray:
             f"daily average needs whole days: length {len(values)} "
             f"is not a positive multiple of {slots_per_day}"
         )
-    return values.reshape(-1, slots_per_day).mean(axis=0)
+    return values.reshape(-1, slots_per_day)[days].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +458,10 @@ def generate_planted_pair(
 #
 # series.csv and context.csv are plain comma-separated text: an exact header,
 # then one line per (road, slot), cells split at every comma with no quoting,
-# numbers in Python ``int``/``float`` syntax.  The loader converts each column
-# with one call and checks each rule on whole arrays; a failure names the
-# earliest offending file line (1-based, blank lines counted) as a row-by-row
-# reader would.
+# numbers in Python ``int``/``float`` syntax.  Columns are converted from the
+# bytes, cell by cell as text only where the fast rules decline a cell; each
+# rule is checked on whole arrays, and a failure names the earliest offending
+# file line (1-based, blank lines counted) as a row-by-row reader would.
 
 SERIES_HEADER = ["road_id", "slot_index", "speed_kmh"]
 CONTEXT_HEADER = ["road_id", "slot_index", "weather_code", "holiday_flag", "day_of_week"]
@@ -560,23 +560,20 @@ def load_graph(graph_path) -> RoadGraph:
 def _read_columns(path, header: list[str], kinds) -> tuple[np.ndarray, list[np.ndarray], list,
                                                           Callable[[int, int], str]]:
     """The 1-based file line of each data row, each column converted by its
-    kind (``int`` into int64, ``float`` into float64) and cut to the rows
-    before the first refused cell, one row check per column naming its first
-    refused cell (see :func:`_raise_earliest`), and ``cell(i, j)``, the raw
-    text of row i's cell j.
+    kind (``int`` into int64, ``float`` into float64; rows from its first
+    refused cell on are unspecified), one row check per column naming that
+    cell (see :func:`_raise_earliest`), and ``cell(i, j)``, the raw text of
+    row i's cell j.
 
     Lines end in LF, CRLF or CR; blank lines are skipped but counted.  A
-    plain file (ASCII, every CR in a CRLF) whose cells :func:`_byte_columns`
-    takes is converted from its bytes; any other goes through
-    :func:`_text_columns`, with the same arrays and messages."""
+    file that is not plain (ASCII, every CR in a CRLF) is decoded first, so
+    that every line ends in "\n"; cells are converted from the UTF-8 bytes."""
     data = Path(path).read_bytes()
-    buf, text = np.frombuffer(data + b"\n", np.uint8), None  # the extra "\n" ends the last line
+    buf = np.frombuffer(data + b"\n", np.uint8)  # the extra "\n" ends the last line
     newlines = np.flatnonzero(buf == ord("\n"))
     ends = newlines - (buf[newlines - 1] == ord("\r"))  # each line's text ends before its CRLF
     if not data.isascii() or np.count_nonzero(buf == ord("\r")) != np.count_nonzero(newlines - ends):
-        # not plain: the decoded text, where every line ends in "\n"
-        text = read_text(path)
-        buf = np.frombuffer(text.encode() + b"\n", np.uint8)
+        buf = np.frombuffer(read_text(path).encode() + b"\n", np.uint8)
         ends = newlines = np.flatnonzero(buf == ord("\n"))
     del data
     # Line and field bounds from the UTF-8 bytes, where "\n" and "," are
@@ -601,50 +598,54 @@ def _read_columns(path, header: list[str], kinds) -> tuple[np.ndarray, list[np.n
         raise SchemaError(f"{path}: row {numbers[bad[0]]}: expected {len(header)} fields, got {fields[bad[0]]}")
     inner = inner.reshape(-1, len(header) - 1).T.copy()
     lo, hi = [starts, *(inner + 1)], [*inner, ends]
-    columns = None if text is not None else _byte_columns(buf, lo, hi, kinds)
-    if columns is not None:
-        return numbers, columns, [], lambda i, j: buf[lo[j][i]:hi[j][i]].tobytes().decode()
-    if text is None:  # plain but declined: CR occurs only in CRLF
-        text = buf[:-1].tobytes().decode().replace("\r\n", "\n")
-    return (numbers, *_text_columns(text, header, kinds))
+
+    def cell(i: int, j: int) -> str:
+        return buf[lo[j][i]:hi[j][i]].tobytes().decode()
+
+    columns, firsts = zip(*(
+        (_digit_column if kind is int else _float_column)(buf, lo[j], hi[j], lambda i, j=j: cell(i, j))
+        for j, kind in enumerate(kinds)))
+    checks = [([first], lambda i, n=name, j=j, k=kind: _refusal(n, cell(i, j), k))
+              for j, (name, kind, first) in enumerate(zip(header, kinds, firsts)) if first < len(numbers)]
+    return numbers, list(columns), checks, cell
 
 
-def _byte_columns(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, kinds) -> list[np.ndarray] | None:
-    """Column j of the cells ``buf[lo[j][i]:hi[j][i]]`` converted by
-    ``kinds[j]`` with no Python object per integer cell, or None unless every
-    ``int`` cell matches ``-?[0-9]{1,18}`` and ``float()`` takes every
-    ``float`` cell."""
-    columns = []
-    for j, kind in enumerate(kinds):
-        column = (_digit_column if kind is int else _float_column)(buf, lo[j], hi[j])
-        if column is None:
-            return None
-        columns.append(column)
-    return columns
+def _each_cell(kind: type, values: np.ndarray, rows, text: Callable[[int], str]) -> int:
+    """Set ``values[i] = kind(text(i))`` for each row ``i`` of ``rows``; the
+    first row ``kind`` refuses or ``values`` cannot hold, ``len(values)`` if none."""
+    for i in rows:
+        try:
+            values[i] = kind(text(i))
+        except (ValueError, OverflowError):
+            return i
+    return len(values)
 
 
-def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The cells ``buf[lo:hi]`` as int64 by digit arithmetic, or None unless
-    every one matches ``-?[0-9]{1,18}`` (18 digits always fit in 64 bits)."""
+def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: Callable) -> tuple[np.ndarray, int]:
+    """The cells ``buf[lo:hi]`` as int64 and the first one ``int()`` refuses
+    or 64 bits cannot hold, ``len(lo)`` if none.  Digit arithmetic takes each
+    cell matching ``-?[0-9]{1,18}`` (18 digits always fit in 64 bits) and
+    :func:`_each_cell` the rest."""
     negative = buf[lo] == ord("-")
     width = hi - lo - negative
-    if width.size and not 1 <= width.min() <= width.max() <= 18:
-        return None
+    odd = (width < 1) | (width > 18)
+    width[odd] = 0
     values = np.zeros(len(lo), np.int64)
     for p in range(int(width.max(initial=0)), 0, -1):  # the p-th digit from the right
         digit = buf[hi - p] - np.uint8(ord("0"))  # wraps past 9 for bytes below "0"
         if p > width.min():
             digit[width < p] = 0
-        if (digit > 9).any():
-            return None
+        odd |= digit > 9
         values *= 10
         values += digit
-    return np.negative(values, where=negative, out=values)
+    np.negative(values, where=negative, out=values)
+    return values, _each_cell(int, values, np.flatnonzero(odd).tolist(), text)
 
 
-def _float_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """``float()`` of each cell ``buf[lo:hi]``, gathered with the byte after
-    it into one ``bytes`` split at "\n", or None if ``float()`` refuses one."""
+def _float_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: Callable) -> tuple[np.ndarray, int]:
+    """``float()`` of each cell ``buf[lo:hi]`` and the first one it refuses,
+    ``len(lo)`` if none.  Cells go to ``float()`` as ``bytes``, and only if
+    one is refused does :func:`_each_cell` convert each as text (``"\u0663"``)."""
     ends = np.cumsum(hi + 1 - lo)  # each cell with the byte after it, end to end
     # The byte index of each picked byte: a step of 1 inside a cell, a jump
     # from the byte after one cell to the start of the next.  This int64
@@ -659,44 +660,10 @@ def _float_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     picked = buf[np.cumsum(index, out=index)]
     picked[ends - 1] = ord("\n")
     try:
-        return np.fromiter(map(float, picked.tobytes().split(b"\n")), np.float64, len(lo))
+        return np.fromiter(map(float, picked.tobytes().split(b"\n")), np.float64, len(lo)), len(lo)
     except ValueError:
-        return None
-
-
-def _text_columns(text: str, header: list[str], kinds) -> tuple[list[np.ndarray], list,
-                                                               Callable[[int, int], str]]:
-    """The columns, refusal checks and ``cell`` of :func:`_read_columns`
-    from the cells of ``text`` as ``str``, each converted by its kind."""
-    rows = list(filter(None, text.split("\n")))[1:]
-    flat = ",".join(rows).split(",") if rows else []
-    del rows
-    cells = [flat[j::len(header)] for j in range(len(header))]
-    parsed = [_parse_column(column, kind) for column, kind in zip(cells, kinds)]
-    valid = min(first for _, first in parsed)
-    checks = [
-        ([first] if first < len(column) else [], lambda i, n=name, c=column, k=kind: _refusal(n, c[i], k))
-        for name, column, kind, (_, first) in zip(header, cells, kinds, parsed)
-    ]
-    return [values[:valid] for values, _ in parsed], checks, lambda i, j: cells[j][i]
-
-
-def _parse_column(cells: list[str], kind: type) -> tuple[np.ndarray, int]:
-    """``cells`` converted by ``kind`` (``int`` into int64, ``float`` into
-    float64) and the index of the first cell it refuses, ``len(cells)`` if none."""
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        # ids, slots and codes repeat: convert each distinct cell once
-        convert = {raw: int(raw) for raw in set(cells)}.__getitem__ if kind is int else float
-        return np.fromiter(map(convert, cells), dtype, len(cells)), len(cells)
-    except (ValueError, OverflowError):
-        values = np.zeros(len(cells), dtype)
-        for i, raw in enumerate(cells):
-            try:
-                values[i] = kind(raw)
-            except (ValueError, OverflowError):
-                return values, i
-        raise
+        values = np.zeros(len(lo))
+        return values, _each_cell(float, values, range(len(lo)), text)
 
 
 def _refusal(name: str, raw: str, kind: type) -> str:

@@ -13,6 +13,7 @@ forward graph; a single sample is a batch of one row.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -650,6 +651,16 @@ def config_entry(cfg, key: str, kind: type, path):
                           f"{path}: checkpoint key 'config.{key}'")
 
 
+def _numbers(mapping, key: str, path, where: str) -> np.ndarray:
+    """``mapping[key]`` as float64, or a SchemaError naming the checkpoint key
+    unless it is a flat list of numbers that float64 can hold."""
+    value = _entry(mapping, key, path, where)
+    if not (isinstance(value, list)
+            and all(type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max) for v in value)):
+        raise SchemaError(f"{path}: checkpoint key {where + key!r} must be a flat list of numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
 def load_checkpoint(path):
     """Returns (params, means, stds, ybar, config echo dict).
 
@@ -678,6 +689,9 @@ def load_checkpoint(path):
     for name, p in named_parameters(params):
         entry = _entry(stored, name, path, "parameters.")
         shape = _entry(entry, "shape", path, f"parameters.{name}.")
+        if not (isinstance(shape, list) and all(type(d) is int for d in shape)):
+            raise SchemaError(f"{path}: checkpoint key 'parameters.{name}.shape' must be a list of integers, "
+                              f"got {shape!r}")
         if tuple(shape) != p.data.shape:
             raise SchemaError(
                 f"{path}: parameter {name!r} has shape {shape}, expected {list(p.data.shape)}"
@@ -692,13 +706,12 @@ def load_checkpoint(path):
     if not np.isfinite(params.theta).all():
         raise SchemaError(f"{path}: parameter {first_nonfinite(params)!r} has a non-finite value")
     state = _entry(doc, "state", path)
-    means = np.asarray(_entry(state, "mean", path, "state."), dtype=np.float64)
-    stds = np.asarray(_entry(state, "std", path, "state."), dtype=np.float64)
+    means, stds = (_numbers(state, key, path, "state.") for key in ("mean", "std"))
+    if len(stds) != len(means):
+        raise SchemaError(f"{path}: checkpoint key 'state.std' has {len(stds)} entries, "
+                          f"'state.mean' has {len(means)}")
     daily = _entry(state, "daily_average", path, "state.")
-    ybar = [
-        np.asarray(_entry(daily, str(road), path, "state.daily_average."), dtype=np.float64)
-        for road in range(len(means))
-    ]
+    ybar = [_numbers(daily, str(road), path, "state.daily_average.") for road in range(len(means))]
     scaler = {"state.mean": means, "state.std": stds,
               **{f"state.daily_average.{road}": y for road, y in enumerate(ybar)}}
     for key, values in scaler.items():

@@ -32,12 +32,9 @@ class Dropout:
     rate: float
     rng: np.random.Generator
 
-    def apply(self, x: DiffValue) -> DiffValue:
-        return ad.dropout(x, self.rate, self.rng)
-
 
 def _maybe_drop(x: DiffValue, drop: Dropout | None) -> DiffValue:
-    return drop.apply(x) if drop is not None and drop.rate > 0.0 else x
+    return x if drop is None else ad.dropout(x, drop.rate, drop.rng)
 
 
 # ---------------------------------------------------------------------------

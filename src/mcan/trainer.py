@@ -210,8 +210,8 @@ def fit_daily_averages(dataset: gd.TrafficDataset, scaler: Scaler,
                        day_mask: np.ndarray) -> list[np.ndarray]:
     """Frozen per-slot averages over training days, in normalized units."""
     return [
-        normalize_apply(scaler, road, dataset.series[road].values)
-        .reshape(-1, node.slots_per_day)[day_mask].mean(axis=0)
+        gd.compute_daily_average(normalize_apply(scaler, road, dataset.series[road].values),
+                                 node.slots_per_day, day_mask)
         for road, node in enumerate(dataset.graph.nodes)
     ]
 
@@ -402,7 +402,7 @@ def historical_average_baseline(dataset: gd.TrafficDataset, fold: Fold, horizon:
                                 samples: list[Sample] | None = None) -> MetricsReport:
     """Predict the training-day per-slot mean speed for every horizon step."""
     mask = training_day_mask(dataset, fold)
-    averages = [series.values.reshape(-1, node.slots_per_day)[mask].mean(axis=0)
+    averages = [gd.compute_daily_average(series.values, node.slots_per_day, mask)
                 for series, node in zip(dataset.series, dataset.graph.nodes)]
     split = samples if samples is not None else fold.test
     if not split:

@@ -547,6 +547,20 @@ class TestCheckpointValuesFinite:
                      "checkpoint key 'state.std' has a value <= 0", id="std-zero"),
         pytest.param(lambda doc: doc["state"]["daily_average"]["2"].__setitem__(5, float("-inf")),
                      "checkpoint key 'state.daily_average.2' has a non-finite value", id="daily-inf"),
+        pytest.param(lambda doc: doc["state"]["std"].pop(),
+                     "checkpoint key 'state.std' has 2 entries, 'state.mean' has 3", id="std-short"),
+        pytest.param(lambda doc: doc["state"].__setitem__("std", 1.0),
+                     "checkpoint key 'state.std' must be a flat list of numbers", id="std-scalar"),
+        pytest.param(lambda doc: doc["state"].__setitem__("mean", [[m] for m in doc["state"]["mean"]]),
+                     "checkpoint key 'state.mean' must be a flat list of numbers", id="mean-nested"),
+        pytest.param(lambda doc: doc["state"]["daily_average"].__setitem__(
+                         "0", [[y] for y in doc["state"]["daily_average"]["0"]]),
+                     "checkpoint key 'state.daily_average.0' must be a flat list of numbers", id="daily-nested"),
+        pytest.param(lambda doc: doc["state"]["daily_average"].__setitem__("0", "abc"),
+                     "checkpoint key 'state.daily_average.0' must be a flat list of numbers", id="daily-text"),
+        pytest.param(lambda doc: doc["parameters"]["fusion.query"].__setitem__("shape", 5),
+                     "checkpoint key 'parameters.fusion.query.shape' must be a list of integers, got 5",
+                     id="shape-int"),
     ])
     def test_non_finite_value_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys,
                                                command, edit, message):

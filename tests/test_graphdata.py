@@ -4,7 +4,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -459,6 +459,11 @@ def corrupt(path, kind, row, column, other, value):
         data.insert(other % (len(data) + 1), data[i])
     elif kind == "fields":  # one cell too many or too few
         data[i] = ",".join(cells + [value] if other % 2 else cells[:-1])
+    elif kind == "prefix":  # every cell of the column, e.g. "+N" for N
+        for k, line in enumerate(data):
+            cells = line.split(",")
+            cells[column % len(cells)] = value + cells[column % len(cells)]
+            data[k] = ",".join(cells)
     path.write_text("\r\n".join(header + data) + "\r\n", newline="")
 
 
@@ -488,12 +493,13 @@ def respell(path, spelling):
     path.write_text(end.join(lines) + end, encoding="utf-8", newline="")
 
 
-def text_reader_calls(monkeypatch) -> list:
-    """The header of each file the loader hands to its text reader from now on."""
+def per_cell_calls(monkeypatch) -> list:
+    """The kind and row of each cell the loader converts one by one, as text,
+    from now on."""
     calls = []
-    text_columns = gd._text_columns
-    monkeypatch.setattr(gd, "_text_columns", lambda text, header, kinds: calls.append(header) or
-                        text_columns(text, header, kinds))
+    each_cell = gd._each_cell
+    monkeypatch.setattr(gd, "_each_cell", lambda kind, values, rows, text: each_cell(
+        kind, values, rows, lambda i: calls.append((kind, i)) or text(i)))
     return calls
 
 
@@ -519,11 +525,14 @@ class TestLoaderOracle:
         assert isinstance(loaded[0], int)
         assert loaded == outcome(reference.load_dataset, paths)
 
-    # Both readers: near-numeric cells keep a plain file on the byte path or
-    # send it to the text reader; the other spellings always send it there.
+    # Near-numeric cells pass the digit arithmetic ("007", "-0") or are
+    # converted one by one, as text; the other spellings make the loader
+    # decode the whole file first.  The example respells a whole context.csv
+    # column "+N", so that every cell of it is converted one by one.
     @settings(max_examples=100, deadline=timedelta(seconds=10), derandomize=True)
     @given(st.integers(1, 3), st.lists(st.sampled_from((60, 120, 240)), min_size=1, max_size=3, unique=True),
            st.integers(0, 10_000), st.lists(near_numeric(), max_size=2), st.sampled_from(SPELLINGS))
+    @example(n_roads=3, intervals=[60, 120], seed=7, changes=[("c.csv", "prefix", 0, 2, 0, "+")], spelling="crlf")
     def test_near_numeric_cells_same_outcome_as_row_by_row_reader(self, tmp_path_factory, n_roads, intervals,
                                                                     seed, changes, spelling):
         tmp_path = tmp_path_factory.mktemp("oracle")
@@ -543,7 +552,7 @@ class TestLoaderOracle:
         clean = outcome(gd.load_dataset, paths)
         for path in paths[1:]:
             respell(path, spelling)
-        calls = text_reader_calls(monkeypatch)
+        calls = per_cell_calls(monkeypatch)
         assert outcome(gd.load_dataset, paths) == clean
         assert calls == []
 
@@ -552,16 +561,17 @@ class TestLoaderOracle:
         *(("crlf", cell) for cell in ("+3", "3_0", " 3", "\u0663", "1" * 19, "1e3")),
     ])
     def test_other_files_take_text_reader(self, tmp_path, monkeypatch, spelling, cell):
-        # A changed cell sits in context.csv (row 3, day_of_week), so only that
-        # file goes to the text reader.
+        # A lone CR or a non-ASCII byte makes the loader read the file as
+        # text but convert no cell one by one; a changed cell (context.csv
+        # row 3, day_of_week) is the only cell it converts from its text.
         paths = written_dataset(tmp_path)
         if cell is not None:
             corrupt(paths[2], "text", 3, 4, 0, cell)
         for path in paths[1:]:
             respell(path, spelling)
-        calls = text_reader_calls(monkeypatch)
+        calls = per_cell_calls(monkeypatch)
         assert outcome(gd.load_dataset, paths) == outcome(reference.load_dataset, paths)
-        assert calls == ([gd.CONTEXT_HEADER] if cell else [gd.SERIES_HEADER, gd.CONTEXT_HEADER])
+        assert calls == ([(int, 3)] if cell else [])
 
 
 class TestCsvFormat:

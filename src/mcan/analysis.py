@@ -19,6 +19,23 @@ from .errors import ConfigError, MissingDataError
 MEASUREMENTS = ("speed", "trend", "deviation")
 
 
+def check_request(measurements, window_days: int) -> list[str]:
+    """``measurements`` as a list, or a ConfigError naming the key that
+    cannot give a table: no measurement, an unknown or repeated one, or a
+    window of fewer than one previous day (one point has no correlation)."""
+    measurements = list(measurements)
+    if window_days < 1:
+        raise ConfigError(f"window_days must be >= 1, got {window_days}")
+    if not measurements:
+        raise ConfigError("measurements must name at least one measurement")
+    for k, m in enumerate(measurements):
+        if m not in MEASUREMENTS:
+            raise ConfigError(f"unknown measurement {m!r} in measurements; valid: {MEASUREMENTS}")
+        if m in measurements[:k]:
+            raise ConfigError(f"measurements lists {m!r} twice")
+    return measurements
+
+
 def same_slot_series(values, t: int, window_days: int, slots_per_day: int) -> np.ndarray:
     """Values at ``t, t - spd, ..., t - window_days * spd`` (length d + 1)."""
     if window_days < 0:
@@ -81,10 +98,7 @@ def multifold_correlation_report(
     ``wall_range`` restricts the curve to minutes [lo, hi); by default every
     slot with enough history contributes.
     """
-    measurements = list(measurements)
-    for m in measurements:
-        if m not in MEASUREMENTS:
-            raise ConfigError(f"unknown measurement {m!r}; valid: {MEASUREMENTS}")
+    measurements = check_request(measurements, window_days)
     stride = math.lcm(interval_a, interval_b)
     spd_a = gd.MINUTES_PER_DAY // interval_a
     spd_b = gd.MINUTES_PER_DAY // interval_b

@@ -143,6 +143,7 @@ def cmd_generate(config: dict) -> int:
 
 
 def cmd_correlate(config: dict) -> int:
+    measurements = an.check_request(config.get("measurements", an.MEASUREMENTS), config["window_days"])
     dataset = _dataset(config)
     road_a, road_b = _known_roads(dataset, (config["road_a"], config["road_b"]))
     wall_range = None
@@ -154,7 +155,7 @@ def cmd_correlate(config: dict) -> int:
         dataset.series[road_b],
         dataset.graph.nodes[road_a].interval_minutes,
         dataset.graph.nodes[road_b].interval_minutes,
-        config.get("measurements", list(an.MEASUREMENTS)),
+        measurements,
         config["window_days"],
         wall_range,
     )

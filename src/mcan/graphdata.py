@@ -177,13 +177,12 @@ def k_hop_neighbors(graph: RoadGraph, node: int, hops: int) -> list[set[int]]:
 # Temporal input windows
 
 
-def recent_indices(t, steps: int) -> np.ndarray:
-    """The ``steps`` indices before ``t``; a ``(B,)`` array of times gives ``(B, steps)``."""
-    return np.asarray(t)[..., None] + np.arange(-steps, 0)
-
-
-def periodic_indices(t, steps: int, period: int) -> np.ndarray:
-    """Indices ``t - steps * period, ..., t - period``; batched like :func:`recent_indices`."""
+def branch_indices(t, branch: str, steps: int, slots_per_day: int) -> np.ndarray:
+    """The ``steps`` indices that history branch ``branch`` reads before ``t``:
+    the slots just before it (``recent``), or the same slot of each of the
+    previous ``steps`` days (``daily``) or weeks (``weekly``).  A ``(B,)``
+    array of times gives ``(B, steps)``."""
+    period = {"recent": 1, "daily": slots_per_day, "weekly": 7 * slots_per_day}[branch]
     return np.asarray(t)[..., None] + (np.arange(steps) - steps) * period
 
 
@@ -203,34 +202,20 @@ def channel_window(values, daily_average: np.ndarray, idx: np.ndarray, channel: 
     raise ConfigError(f"unknown channel {channel!r}")
 
 
-def build_temporal_inputs(
-    values,
-    daily_average: np.ndarray,
-    t,
-    recent_steps: int,
-    daily_steps: int,
-    weekly_steps: int,
-    slots_per_day: int,
-) -> dict[str, np.ndarray | None]:
-    """The three history branches ending just before index ``t``, by name:
-    ``recent`` stacks speed, trend, deviation and daily average as
-    ``(..., recent_steps, 4)``; ``daily`` and ``weekly`` stack speed, trend
-    and deviation as ``(..., steps, 3)``, or are None with zero steps.
+def build_temporal_inputs(values, daily_average: np.ndarray, t, branches: dict[str, int],
+                          slots_per_day: int) -> dict[str, np.ndarray]:
+    """The history branches ``{name: steps}`` (``ModelConfig.branches``)
+    ending just before index ``t``, by name: ``recent`` stacks speed, trend,
+    deviation and daily average as ``(..., steps, 4)``; ``daily`` and
+    ``weekly`` stack speed, trend and deviation as ``(..., steps, 3)``.
 
     ``t`` is one time or a ``(B,)`` array of times.  Only indices strictly
     below ``t`` are ever read (trend additionally reads one step further
     back).  Raises naming the branch that lacks history and the earliest time.
     """
-    branches = {
-        "recent": recent_indices(t, recent_steps),
-        "daily": periodic_indices(t, daily_steps, slots_per_day),
-        "weekly": periodic_indices(t, weekly_steps, 7 * slots_per_day),
-    }
     out = {}
-    for name, idx in branches.items():
-        if idx.shape[-1] == 0:  # zero steps: the branch is disabled (ablations)
-            out[name] = None
-            continue
+    for name, steps in branches.items():
+        idx = branch_indices(t, name, steps, slots_per_day)
         if idx.size and idx.min() < 1:  # trend at index u reads u-1
             raise MissingDataError(
                 f"{name} branch lacks history at t={np.min(t)}: needs index {idx.min()}, minimum is 1"

@@ -2,6 +2,12 @@
 LSTMs, contextual encoders, attention fusion, prediction heads, and the
 training loss.
 
+The fused components are named: one per measurement channel
+(``ModelConfig.channels``), one per temporal branch
+(``ModelConfig.branches``), then ``static`` and ``dynamic``.  Parameters,
+inputs and :func:`fusion_components` are keyed by those names, in that
+order; an ablation drops its names.
+
 Samples are (road, time-index) pairs.  A sample at index ``t`` reads history
 strictly before ``t`` and predicts the speeds at ``t .. t+H-1``; the trend and
 deviation channels additionally supervise their value at ``t`` itself.
@@ -89,14 +95,6 @@ class ModelConfig:
         return "nde" not in self.ablations
 
     @property
-    def use_daily(self) -> bool:
-        return "nd" not in self.ablations and self.daily_steps > 0
-
-    @property
-    def use_weekly(self) -> bool:
-        return "nw" not in self.ablations and self.weekly_steps > 0
-
-    @property
     def use_embedding(self) -> bool:
         return "nemb" not in self.ablations
 
@@ -107,6 +105,12 @@ class ModelConfig:
         if self.use_deviation:
             out.append("deviation")
         return out
+
+    def branches(self) -> dict[str, int]:
+        """``{name: steps}`` of the enabled temporal branches, in fusion order."""
+        steps = {"recent": self.recent_steps, "daily": self.daily_steps, "weekly": self.weekly_steps}
+        ablated = {"daily": "nd", "weekly": "nw"}
+        return {name: n for name, n in steps.items() if n > 0 and ablated.get(name) not in self.ablations}
 
     @property
     def static_width(self) -> int:
@@ -119,16 +123,16 @@ class ModelConfig:
 
 @dataclass
 class McanParams:
-    """Complete learnable state; disabled branches hold no parameters.  Every
-    leaf's ``data`` and ``grad`` are views of the ``theta`` and ``grad``
-    vectors, in :func:`named_parameters` order."""
+    """Complete learnable state.  The spatial channels and temporal branches
+    are keyed by name, ``config.channels()`` and ``config.branches()`` in that
+    order; disabled ones hold no parameters.  Every leaf's ``data`` and
+    ``grad`` are views of the ``theta`` and ``grad`` vectors, in
+    :func:`named_parameters` order."""
 
     config: ModelConfig
     hsc: dict[str, HscParams]
     msc_heads: dict[str, FnnParams]
-    lstm_recent: LstmStack
-    lstm_daily: LstmStack | None
-    lstm_weekly: LstmStack | None
+    temporal: dict[str, LstmStack]
     context_static: FnnParams
     context_dynamic: LstmStack
     fusion: AttentionParams
@@ -163,9 +167,8 @@ def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
         config=config,
         hsc=hsc,
         msc_heads=msc_heads,
-        lstm_recent=nn.init_lstm_stack(rng, 4, hidden, config.lstm_layers),
-        lstm_daily=nn.init_lstm_stack(rng, 3, hidden, config.lstm_layers) if config.use_daily else None,
-        lstm_weekly=nn.init_lstm_stack(rng, 3, hidden, config.lstm_layers) if config.use_weekly else None,
+        temporal={name: nn.init_lstm_stack(rng, 4 if name == "recent" else 3, hidden, config.lstm_layers)
+                  for name in config.branches()},
         context_static=nn.init_fnn(rng, config.static_width, fnn_hidden, hidden),
         context_dynamic=nn.init_lstm_stack(rng, config.dynamic_width, hidden, config.lstm_layers),
         fusion=nn.init_attention(rng, hidden, hidden),
@@ -200,11 +203,8 @@ def named_parameters(params: McanParams):
         yield from _lstm_parameters(f"{base}.lstm_neigh", h.lstm_neigh)
         yield from _fnn_parameters(f"{base}.head", h.head)
         yield from _fnn_parameters(f"msc_{channel}_head", params.msc_heads[channel])
-    yield from _lstm_parameters("lstm_recent", params.lstm_recent)
-    if params.lstm_daily is not None:
-        yield from _lstm_parameters("lstm_daily", params.lstm_daily)
-    if params.lstm_weekly is not None:
-        yield from _lstm_parameters("lstm_weekly", params.lstm_weekly)
+    for name, stack in params.temporal.items():
+        yield from _lstm_parameters(f"lstm_{name}", stack)
     yield from _fnn_parameters("context_static", params.context_static)
     yield from _lstm_parameters("context_dynamic", params.context_dynamic)
     yield "fusion.projection", params.fusion.projection
@@ -320,12 +320,12 @@ def read_spans(view: DataView, config: ModelConfig, road: int, times) -> list[tu
     view.ensure_hops(config.hops)
     times = np.asarray(times, dtype=int)
     spd = view.slots_per_day(road)
-    spans = [(road, times, times + config.horizon - 1),
-             (road, times - config.recent_steps - 1, times - 1)]
-    for used, steps, period in ((config.use_daily, config.daily_steps, spd),
-                                (config.use_weekly, config.weekly_steps, 7 * spd)):
-        if used:
-            spans += [(road, u - 1, u) for u in gd.periodic_indices(times, steps, period).T]
+    spans = [(road, times, times + config.horizon - 1)]
+    for name, steps in config.branches().items():
+        points = gd.branch_indices(times, name, steps, spd).T
+        # the recent slots are one contiguous run, each periodic point its own
+        runs = [points] if name == "recent" else points[:, None]
+        spans += [(road, run[0] - 1, run[-1]) for run in runs]
     for j in sorted({road}.union(*view.hop_layers[road])):
         end = hsc_mod.hour_window_end(times, view.interval(road), view.interval(j))
         spans.append((j, end - hsc_mod.hour_window_length(view.interval(j)) - 1, end - 1))
@@ -373,7 +373,8 @@ def eligible_times(view: DataView, config: ModelConfig, road: int) -> np.ndarray
 class GroupInputs:
     """Stacked model inputs for samples ``(roads[i], times[i])``, grouped by
     the target road's interval class, then by road; ``positions[i]`` is row
-    i's place in the samples given to :func:`assemble_group`."""
+    i's place in the samples given to :func:`assemble_group`.  ``channels``
+    and ``temporal`` hold the enabled channels and branches by name."""
 
     roads: np.ndarray
     times: np.ndarray
@@ -381,9 +382,7 @@ class GroupInputs:
     channels: dict[str, ChannelInputs]
     prev_speed: np.ndarray  # (B, 1)
     ybar_at_t: np.ndarray  # (B, 1)
-    recent: np.ndarray  # (B, recent_steps, 4)
-    daily: np.ndarray | None  # (B, daily_steps, 3)
-    weekly: np.ndarray | None  # (B, weekly_steps, 3)
+    temporal: dict[str, np.ndarray]  # config.branches(): (B, steps, 4) recent, (B, steps, 3) others
     static: np.ndarray  # (B, static_width)
     dynamic: np.ndarray  # (B, recent_steps, dynamic_width)
     target_speed: np.ndarray  # (B, horizon)
@@ -445,13 +444,7 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
     spd = view.slots_per_day(road)
     interval = view.interval(road)
 
-    temporal = gd.build_temporal_inputs(
-        values, ybar, times,
-        config.recent_steps,
-        config.daily_steps if config.use_daily else 0,
-        config.weekly_steps if config.use_weekly else 0,
-        spd,
-    )
+    temporal = gd.build_temporal_inputs(values, ybar, times, config.branches(), spd)
     channels = config.channels()
     batch, c = len(times), config.embed_len
 
@@ -491,9 +484,9 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
         channels=inputs,
         prev_speed=values[times - 1].reshape(-1, 1),
         ybar_at_t=ybar[times % spd].reshape(-1, 1),
-        **temporal,
+        temporal=temporal,
         static=np.tile(view.static_features[road], (batch, 1)),
-        dynamic=view.dynamic_features[road][gd.recent_indices(times, config.recent_steps)],
+        dynamic=view.dynamic_features[road][gd.branch_indices(times, "recent", config.recent_steps, spd)],
         target_speed=values[horizon_idx],
         target_trend=(values[times] - values[times - 1]).reshape(-1, 1) if config.use_trend else None,
         target_deviation=(values[times] - ybar[times % spd]).reshape(-1, 1) if config.use_deviation else None,
@@ -504,72 +497,32 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
 # Forward passes
 
 
-def _msc_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
-    """Per-channel spatial features plus the raw channel outputs for the loss."""
+def fusion_components(params: McanParams, gi: GroupInputs, drop: Dropout | None = None):
+    """The enabled fusion components by name, in fusion order (channels,
+    temporal branches, static, dynamic), plus the raw channel outputs that
+    the loss reads."""
     config = params.config
-    features: dict[str, DiffValue] = {}
+    components: dict[str, DiffValue] = {}
     outputs: dict[str, DiffValue] = {}
     for ch in config.channels():
-        out = hsc_mod.hsc_forward_batch(params.hsc[ch], gi.channels[ch], drop)
-        outputs[ch] = out
-        if ch == "speed":
-            head_in = out
-        elif ch == "trend":
-            head_in = ad.concat([out, ad.constant(gi.prev_speed)], axis=1)
-        else:
-            head_in = ad.concat([out, ad.constant(gi.ybar_at_t)], axis=1)
-        features[ch] = nn.fnn_forward(params.msc_heads[ch], head_in, drop)
-    return features, outputs
-
-
-def _sequence_steps(stacked: np.ndarray) -> np.ndarray:
-    """The ``(T, B, d)`` per-step view of a ``(B, T, d)`` batch of sequences."""
-    return stacked.transpose(1, 0, 2)
-
-
-def _mtc_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
-    config = params.config
-    if gi.recent.shape[1] != config.recent_steps:
-        raise ShapeMismatch(
-            f"recent input has {gi.recent.shape[1]} steps, expected {config.recent_steps}"
-        )
-    out = {"recent": nn.lstm_sequence(params.lstm_recent, _sequence_steps(gi.recent), drop)}
-    if config.use_daily:
-        if gi.daily is None or gi.daily.shape[1] != config.daily_steps:
-            raise ShapeMismatch(f"daily input must have {config.daily_steps} steps")
-        out["daily"] = nn.lstm_sequence(params.lstm_daily, _sequence_steps(gi.daily), drop)
-    if config.use_weekly:
-        if gi.weekly is None or gi.weekly.shape[1] != config.weekly_steps:
-            raise ShapeMismatch(f"weekly input must have {config.weekly_steps} steps")
-        out["weekly"] = nn.lstm_sequence(params.lstm_weekly, _sequence_steps(gi.weekly), drop)
-    return out
-
-
-def _context_components(params: McanParams, gi: GroupInputs, drop: Dropout | None):
-    static_summary = nn.fnn_forward(params.context_static, ad.constant(gi.static), drop)
-    dynamic_summary = nn.lstm_sequence(params.context_dynamic, _sequence_steps(gi.dynamic), drop)
-    return static_summary, dynamic_summary
-
-
-def fusion_components(params: McanParams, gi: GroupInputs, drop: Dropout | None = None):
-    """All enabled component vectors in canonical order, plus channel outputs."""
-    msc_features, channel_outputs = _msc_components(params, gi, drop)
-    mtc = _mtc_components(params, gi, drop)
-    ctx_static, ctx_dynamic = _context_components(params, gi, drop)
-    components = [msc_features[ch] for ch in params.config.channels()]
-    components.append(mtc["recent"])
-    if "daily" in mtc:
-        components.append(mtc["daily"])
-    if "weekly" in mtc:
-        components.append(mtc["weekly"])
-    components.extend([ctx_static, ctx_dynamic])
-    return components, channel_outputs
+        outputs[ch] = hsc_mod.hsc_forward_batch(params.hsc[ch], gi.channels[ch], drop)
+        given = {"trend": gi.prev_speed, "deviation": gi.ybar_at_t}.get(ch)
+        head_in = outputs[ch] if given is None else ad.concat([outputs[ch], ad.constant(given)], axis=1)
+        components[ch] = nn.fnn_forward(params.msc_heads[ch], head_in, drop)
+    for name, steps in config.branches().items():
+        got = gi.temporal[name].shape[1] if name in gi.temporal else 0
+        if got != steps:
+            raise ShapeMismatch(f"{name} input has {got} steps, expected {steps}")
+        components[name] = nn.lstm_sequence(params.temporal[name], gi.temporal[name].transpose(1, 0, 2), drop)
+    components["static"] = nn.fnn_forward(params.context_static, ad.constant(gi.static), drop)
+    components["dynamic"] = nn.lstm_sequence(params.context_dynamic, gi.dynamic.transpose(1, 0, 2), drop)
+    return components, outputs
 
 
 def forward_group(params: McanParams, gi: GroupInputs, drop: Dropout | None = None):
     """Batched forward: returns (speed (B,H), trend (B,1)|None, deviation (B,1)|None)."""
     components, channel_outputs = fusion_components(params, gi, drop)
-    fused = nn.attention_fuse(params.fusion, components)
+    fused = nn.attention_fuse(params.fusion, list(components.values()))
     speed = nn.fnn_forward(params.output_head, fused, drop)
     return speed, channel_outputs.get("trend"), channel_outputs.get("deviation")
 
@@ -696,13 +649,12 @@ def load_checkpoint(path):
             raise SchemaError(
                 f"{path}: parameter {name!r} has shape {shape}, expected {list(p.data.shape)}"
             )
-        try:
-            p.data[...] = np.asarray(_entry(entry, "values", path, f"parameters.{name}."),
-                                     dtype=np.float64).reshape(p.data.shape)
-        except (TypeError, ValueError):
+        values = _numbers(entry, "values", path, f"parameters.{name}.")
+        if len(values) != p.data.size:
             raise SchemaError(
                 f"{path}: parameter {name!r} values do not fill shape {list(p.data.shape)}"
-            ) from None
+            )
+        p.data[...] = values.reshape(p.data.shape)
     if not np.isfinite(params.theta).all():
         raise SchemaError(f"{path}: parameter {first_nonfinite(params)!r} has a non-finite value")
     state = _entry(doc, "state", path)

@@ -177,11 +177,9 @@ def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: in
     """All history indices a sample reads, per road (targets excluded)."""
     view.ensure_hops(config.hops)
     spd = view.slots_per_day(road)
-    own = [gd.recent_indices(t, config.recent_steps)]
-    if config.use_daily:
-        own.append(gd.periodic_indices(t, config.daily_steps, spd))
-    if config.use_weekly:
-        own.append(gd.periodic_indices(t, config.weekly_steps, 7 * spd))
+    # the recent slots, and the same slot of each previous day and week read
+    period = {"recent": 1, "daily": spd, "weekly": 7 * spd}
+    own = [t - period[name] * np.arange(1, steps + 1) for name, steps in config.branches().items()]
     footprint: dict[int, np.ndarray] = {}
     interval = view.interval(road)
     involved = {road} | set().union(*view.hop_layers[road])

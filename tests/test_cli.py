@@ -561,6 +561,18 @@ class TestCheckpointValuesFinite:
         pytest.param(lambda doc: doc["parameters"]["fusion.query"].__setitem__("shape", 5),
                      "checkpoint key 'parameters.fusion.query.shape' must be a list of integers, got 5",
                      id="shape-int"),
+        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, 10**400),
+                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
+                     id="values-huge"),
+        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, True),
+                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
+                     id="values-bool"),
+        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, "1.0"),
+                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
+                     id="values-text"),
+        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, None),
+                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
+                     id="values-null"),
     ])
     def test_non_finite_value_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys,
                                                command, edit, message):
@@ -593,6 +605,28 @@ class TestCorrelate:
             field = line.split(",")[2]
             if field:
                 assert -1.0 <= float(field) <= 1.0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("window_days", "0", "window_days must be >= 1, got 0"),
+        ("measurements", "[]", "measurements must name at least one measurement"),
+        ("measurements", '["speed","speed"]', "measurements lists 'speed' twice"),
+    ])
+    def test_table_less_request_is_usage_error_before_reading(self, tmp_path, capsys, key, value,
+                                                              message):
+        missing = tmp_path / "nowhere"
+        config = write_config(
+            tmp_path / "corr.json",
+            graph_path=str(missing / "graph.json"),
+            series_path=str(missing / "series.csv"),
+            context_path=str(missing / "context.csv"),
+            output_dir=str(tmp_path / "corr"),
+            road_a=0, road_b=1, window_days=7,
+        )
+        assert cli.main(["correlate", "--config", config]) == 2  # the files are absent
+        capsys.readouterr()
+        assert cli.main(["correlate", "--config", config, "--set", f"{key}={value}"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "corr").exists()
 
     def test_seed_flag_overrides_config(self, tmp_path):
         # --set and --seed are honored: a different seed changes the dataset

@@ -172,17 +172,16 @@ class TestTemporalInputs:
     def test_recent_window_indices(self):
         values = np.arange(1.0, 11.0)  # [1..10]
         avg = gd.compute_daily_average(values, 5)
-        out = gd.build_temporal_inputs(values, avg, t=5, recent_steps=2, daily_steps=0,
-                                       weekly_steps=0, slots_per_day=5)
+        out = gd.build_temporal_inputs(values, avg, t=5, branches={"recent": 2}, slots_per_day=5)
         assert np.array_equal(out["recent"][:, 0], [4.0, 5.0])
-        assert out["daily"] is None and out["weekly"] is None
+        assert list(out) == ["recent"]
 
     def test_daily_one_period_back(self):
         slots_per_day = 4
         values = np.arange(100.0, 100.0 + 64)
         avg = gd.compute_daily_average(values[:16], slots_per_day)
-        out = gd.build_temporal_inputs(values, avg, t=6, recent_steps=2, daily_steps=1,
-                                       weekly_steps=0, slots_per_day=slots_per_day)
+        out = gd.build_temporal_inputs(values, avg, t=6, branches={"recent": 2, "daily": 1},
+                                       slots_per_day=slots_per_day)
         assert np.array_equal(out["daily"][:, 0], [values[2]])
 
     def test_branches_stack_the_channel_gathers(self):
@@ -193,34 +192,34 @@ class TestTemporalInputs:
         values = rng.uniform(0, 50, size=spd * 10)
         avg = gd.compute_daily_average(values, spd)
         times = np.array([7 * spd + 1, 8 * spd + 3, 9 * spd])
-        out = gd.build_temporal_inputs(values, avg, times, recent_steps=3, daily_steps=2,
-                                       weekly_steps=1, slots_per_day=spd)
-        branches = {"recent": gd.recent_indices(times, 3), "daily": gd.periodic_indices(times, 2, spd),
-                    "weekly": gd.periodic_indices(times, 1, 7 * spd)}
-        for name, idx in branches.items():
+        branches = {"recent": 3, "daily": 2, "weekly": 1}
+        out = gd.build_temporal_inputs(values, avg, times, branches, slots_per_day=spd)
+        assert list(out) == list(branches)
+        for name, steps in branches.items():
+            idx = gd.branch_indices(times, name, steps, spd)
             columns = [gd.channel_window(values, avg, idx, ch) for ch in ("speed", "trend", "deviation")]
             if name == "recent":
                 columns.append(avg[idx % spd])
             assert out[name].tobytes() == np.stack(columns, axis=-1).tobytes(), name
-        one = gd.build_temporal_inputs(values, avg, int(times[1]), recent_steps=3, daily_steps=2,
-                                       weekly_steps=1, slots_per_day=spd)
+        one = gd.build_temporal_inputs(values, avg, int(times[1]), branches, slots_per_day=spd)
         for name in branches:
             assert np.array_equal(one[name], out[name][1]), name
 
     def test_default_window_indices_five_minute_road(self):
         slots_per_day = 288
         t = 3000
-        idx = gd.periodic_indices(t, 4, slots_per_day)
+        assert np.array_equal(gd.branch_indices(t, "recent", 3, slots_per_day), [t - 3, t - 2, t - 1])
+        idx = gd.branch_indices(t, "daily", 4, slots_per_day)
         assert np.array_equal(idx, [t - 1152, t - 864, t - 576, t - 288])
-        widx = gd.periodic_indices(t, 2, 7 * slots_per_day)
+        widx = gd.branch_indices(t, "weekly", 2, slots_per_day)
         assert np.array_equal(widx, [t - 4032, t - 2016])
 
     def test_insufficient_history_names_branch(self):
         values = np.arange(0.0, 40.0)
         avg = gd.compute_daily_average(values[:20], 10)
         with pytest.raises(MissingDataError, match="weekly"):
-            gd.build_temporal_inputs(values, avg, t=30, recent_steps=2, daily_steps=1,
-                                     weekly_steps=1, slots_per_day=10)
+            gd.build_temporal_inputs(values, avg, t=30, branches={"recent": 2, "daily": 1, "weekly": 1},
+                                     slots_per_day=10)
 
     def test_never_reads_at_or_after_t(self):
         class Recorder:
@@ -242,8 +241,8 @@ class TestTemporalInputs:
         for _ in range(20):
             t = int(rng.integers(7 * slots_per_day + 1, len(values)))
             rec = Recorder(values)
-            gd.build_temporal_inputs(rec, avg, t, recent_steps=6, daily_steps=4,
-                                     weekly_steps=1, slots_per_day=slots_per_day)
+            gd.build_temporal_inputs(rec, avg, t, {"recent": 6, "daily": 4, "weekly": 1},
+                                     slots_per_day=slots_per_day)
             assert rec.touched and max(rec.touched) < t
 
 

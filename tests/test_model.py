@@ -395,6 +395,17 @@ class TestRoadMixedForward:
         assert len(np.unique(gi.channels["speed"].lengths)) == 3
         assert any(not lengths.any() for lengths in gi.channels["speed"].hop_lengths[1])
 
+        # one fusion order: channels, temporal branches, static, dynamic
+        branches = {"nd": ["recent", "weekly"], "nw": ["recent", "daily"],
+                    "nd-nw": ["recent"]}.get("".join(ablations), ["recent", "daily", "weekly"])
+        assert list(config.branches()) == branches
+        components, _ = md.fusion_components(params, gi)
+        assert list(components) == config.channels() + branches + ["static", "dynamic"]
+        assert list(params.temporal) == branches and list(gi.temporal) == branches
+        lstm_prefixes = [name.split(".")[0] for name, _ in md.named_parameters(params)
+                         if name.startswith("lstm_")]
+        assert list(dict.fromkeys(lstm_prefixes)) == [f"lstm_{b}" for b in branches]
+
         params.grad.fill(0.0)
         mixed = batch_loss(params, gi)
         mixed_grads = gradients(params)
@@ -442,8 +453,9 @@ class TestMsc:
     def test_only_speed_channel_under_double_ablation(self, dataset, view):
         config = small_config(ablations=md.parse_ablations(["ntr-nde"]))
         params = md.init_mcan(config, np.random.default_rng(29))
-        features, _ = md._msc_components(params, single_row(view, config), None)
-        assert set(features) == {"speed"}
+        components, outputs = md.fusion_components(params, single_row(view, config))
+        assert set(outputs) == {"speed"}
+        assert "trend" not in components and "deviation" not in components
 
     def test_zero_networks_give_zero_features(self, dataset, view):
         config = small_config()
@@ -452,8 +464,9 @@ class TestMsc:
             for layer in head.layers:
                 layer.weight.data[:] = 0.0
                 layer.bias.data[:] = 0.0
-        features, _ = md._msc_components(params, single_row(view, config), None)
-        for ch, vec in features.items():
+        components, _ = md.fusion_components(params, single_row(view, config))
+        for ch in config.channels():
+            vec = components[ch]
             # zero weights make every head output its (zero) bias, but hidden
             # sigmoid layers put the output through the zero weight matrix too
             assert np.array_equal(vec.data, np.zeros((1, config.hidden_size)))
@@ -464,9 +477,9 @@ class TestMtc:
         config = small_config(ablations=md.parse_ablations(["nd-nw"]))
         params = md.init_mcan(config, np.random.default_rng(37))
         gi = single_row(view, config)
-        assert gi.daily is None and gi.weekly is None
-        out = md._mtc_components(params, gi, None)
-        assert set(out) == {"recent"}
+        assert set(gi.temporal) == {"recent"}
+        components, _ = md.fusion_components(params, gi)
+        assert "recent" in components and "daily" not in components and "weekly" not in components
 
     def test_wrong_recent_length_rejected(self, dataset, view):
         config = small_config()
@@ -474,7 +487,7 @@ class TestMtc:
         t = int(md.eligible_times(view, config, 0)[0])
         short = small_config(recent_steps=config.recent_steps - 1)
         gi = single_row(view, short, t=t)
-        assert gi.recent.shape == (1, config.recent_steps - 1, 4)
+        assert gi.temporal["recent"].shape == (1, config.recent_steps - 1, 4)
         with pytest.raises(ShapeMismatch, match="recent input has 2 steps, expected 3"):
             md.forward_group(params, gi)
 
@@ -487,10 +500,10 @@ class TestContext:
         static_b = static_a.copy()
         static_b[1:5] = [0, 1, 0, 0]  # different one-hot road type
         dyn = np.zeros((config.recent_steps, config.dynamic_width))
-        sum_a, _ = md._context_components(params, single_row(view, config, static=static_a[None],
-                                                             dynamic=dyn[None]), None)
-        sum_b, _ = md._context_components(params, single_row(view, config, static=static_b[None],
-                                                             dynamic=dyn[None]), None)
+        sum_a = md.fusion_components(params, single_row(view, config, static=static_a[None],
+                                                        dynamic=dyn[None]))[0]["static"]
+        sum_b = md.fusion_components(params, single_row(view, config, static=static_b[None],
+                                                        dynamic=dyn[None]))[0]["static"]
         assert not np.allclose(sum_a.data, sum_b.data)
 
     def test_holiday_flip_changes_dynamic_summary(self, view):
@@ -501,10 +514,10 @@ class TestContext:
         flipped = dyn.copy()
         flipped[:, config.weather_code_count] = 1.0 - flipped[:, config.weather_code_count]
         static = np.zeros((1, config.static_width))
-        _, d1 = md._context_components(params, single_row(view, config, static=static,
-                                                          dynamic=dyn[None]), None)
-        _, d2 = md._context_components(params, single_row(view, config, static=static,
-                                                          dynamic=flipped[None]), None)
+        d1 = md.fusion_components(params, single_row(view, config, static=static,
+                                                     dynamic=dyn[None]))[0]["dynamic"]
+        d2 = md.fusion_components(params, single_row(view, config, static=static,
+                                                     dynamic=flipped[None]))[0]["dynamic"]
         assert not np.allclose(d1.data, d2.data)
 
 

@@ -19,13 +19,25 @@ from .errors import ConfigError, MissingDataError
 MEASUREMENTS = ("speed", "trend", "deviation")
 
 
-def check_request(measurements, window_days: int) -> list[str]:
+def check_request(measurements, window_days: int, wall_range: tuple[int, int | None] | None = None,
+                  span: int | None = None) -> list[str]:
     """``measurements`` as a list, or a ConfigError naming the key that
-    cannot give a table: no measurement, an unknown or repeated one, or a
-    window of fewer than one previous day (one point has no correlation)."""
+    cannot give a table: no measurement, an unknown or repeated one, a
+    window of fewer than one previous day (one point has no correlation), or
+    a ``wall_range`` of minutes ``[wall_start, wall_end)`` that starts below 0,
+    is empty, or ends past the data's ``span`` of minutes.  A ``wall_end`` or
+    ``span`` of None is not checked."""
     measurements = list(measurements)
     if window_days < 1:
         raise ConfigError(f"window_days must be >= 1, got {window_days}")
+    if wall_range is not None:
+        start, end = wall_range
+        if start < 0:
+            raise ConfigError(f"wall_start must be >= 0, got {start}")
+        if end is not None and start >= end:
+            raise ConfigError(f"wall_start {start} must be below wall_end {end}")
+        if end is not None and span is not None and end > span:
+            raise ConfigError(f"wall_end {end} is past the data span of {span} minutes")
     if not measurements:
         raise ConfigError("measurements must name at least one measurement")
     for k, m in enumerate(measurements):
@@ -91,22 +103,24 @@ def multifold_correlation_report(
     interval_b: int,
     measurements,
     window_days: int,
-    wall_range: tuple[int, int] | None = None,
+    wall_range: tuple[int, int | None] | None = None,
 ) -> list[CorrelationSeries]:
     """One correlation curve per measurement over the shared wall-clock slots.
 
-    ``wall_range`` restricts the curve to minutes [lo, hi); by default every
-    slot with enough history contributes.
+    ``wall_range`` restricts the curve to minutes [lo, hi), inside the span
+    both series cover, with an ``hi`` of None meaning the end of that span;
+    by default every slot with enough history contributes.
     """
-    measurements = check_request(measurements, window_days)
+    span = min(len(series_a) * interval_a, len(series_b) * interval_b)
+    if wall_range is not None and wall_range[1] is None:
+        wall_range = (wall_range[0], span)
+    measurements = check_request(measurements, window_days, wall_range, span)
     stride = math.lcm(interval_a, interval_b)
     spd_a = gd.MINUTES_PER_DAY // interval_a
     spd_b = gd.MINUTES_PER_DAY // interval_b
-    span = min(len(series_a) * interval_a, len(series_b) * interval_b)
     lo = window_days * gd.MINUTES_PER_DAY
     if wall_range is not None:
-        lo = max(lo, wall_range[0])
-        span = min(span, wall_range[1])
+        lo, span = max(lo, wall_range[0]), wall_range[1]
     walls = np.arange(((lo + stride - 1) // stride) * stride, span, stride)
     if len(walls) == 0:
         raise MissingDataError(

@@ -1,11 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A :class:`DiffValue` wraps a numpy array together with a gradient slot and a
-recorded backward rule.  Building expressions out of the ops below produces an
-acyclic computation graph; calling :meth:`DiffValue.backward` on a scalar
-result fills ``grad`` on every node that requires it.  Everything is double
-precision so analytic gradients can be verified against central finite
-differences at tight tolerances.
+recorded backward rule.  The model's layers are each one node made by
+:func:`_node` with a hand-written backward rule; joining values with
+:func:`concat` and :func:`dropout` produces an acyclic computation graph, and
+calling :meth:`DiffValue.backward` on a scalar result fills ``grad`` on every
+node that requires it.  Everything is double precision so analytic gradients
+can be verified against central finite differences at tight tolerances.
+
+The elementary ops here (``add``, ``multiply``, ``matmul``, ``take``,
+``sigmoid``, ``tanh``) are what ``nnlayers.lstm_step``, the composed LSTM cell,
+is written in; the other elementary ops the tests compose references from
+live in ``tests/reference.py``.
 
 Inside :func:`no_tape` the ops compute the same values but record no
 parents and no backward rule, so each op's inputs and the arrays its backward
@@ -82,20 +88,11 @@ class DiffValue:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return add(negate(self), other)
-
     def __mul__(self, other):
         return multiply(self, other)
 
     def __rmul__(self, other):
         return multiply(self, other)
-
-    def __neg__(self):
-        return negate(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -179,29 +176,6 @@ def add(a, b) -> DiffValue:
     return _node(data, (a, b), backward)
 
 
-def subtract(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeMismatch(f"subtract: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def negate(a) -> DiffValue:
-    a = _lift(a)
-
-    def backward(g):
-        _accumulate(a, -g)
-
-    return _node(-a.data, (a,), backward)
-
-
 def multiply(a, b) -> DiffValue:
     a, b = _lift(a), _lift(b)
     try:
@@ -280,19 +254,6 @@ def take(a, key) -> DiffValue:
     return _node(np.array(data), (a,), backward)
 
 
-def reshape(a, shape) -> DiffValue:
-    a = _lift(a)
-    try:
-        data = a.data.reshape(shape)
-    except ValueError:
-        raise ShapeMismatch(f"reshape: cannot view {a.shape} as {shape}") from None
-
-    def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _node(data, (a,), backward)
-
-
 def sigmoid(a) -> DiffValue:
     a = _lift(a)
     with np.errstate(over="ignore"):
@@ -314,51 +275,28 @@ def tanh(a) -> DiffValue:
     return _node(data, (a,), backward)
 
 
-def square(a) -> DiffValue:
-    a = _lift(a)
-
-    def backward(g):
-        _accumulate(a, g * 2.0 * a.data)
-
-    return _node(a.data * a.data, (a,), backward)
-
-
-def vsum(a, axis=None, keepdims: bool = False) -> DiffValue:
-    a = _lift(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            expanded = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(expanded, a.data.shape).copy())
-
-    return _node(np.asarray(data), (a,), backward)
-
-
-def softmax(a, axis: int = -1) -> DiffValue:
-    a = _lift(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        _accumulate(a, (g - inner) * data)
-
-    return _node(data, (a,), backward)
-
-
-def dropout(x: DiffValue, rate: float, rng: np.random.Generator) -> DiffValue:
-    """Inverted dropout: scale survivors by 1/(1-rate) so evaluation is identity."""
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array | None:
+    """Inverted-dropout multipliers: 0 for a dropped element, 1/(1-rate) for
+    a survivor, so evaluation is identity; None at rate 0, which draws
+    nothing."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
+        return None
+    keep = rng.random(shape) >= rate
+    return keep.astype(np.float64) / (1.0 - rate)
+
+
+def dropout(x: DiffValue, rate: float, rng: np.random.Generator) -> DiffValue:
+    """``x`` times one :func:`dropout_mask` draw, as one node."""
+    mask = dropout_mask(x.data.shape, rate, rng)
+    if mask is None:
         return x
-    keep = rng.random(x.data.shape) >= rate
-    mask = keep.astype(np.float64) / (1.0 - rate)
-    return multiply(x, mask)
+
+    def backward(g):
+        _accumulate(x, g * mask)
+
+    return _node(x.data * mask, (x,), backward)
 
 
 def pack(leaves: list[DiffValue]) -> tuple[Array, Array]:

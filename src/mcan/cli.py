@@ -143,13 +143,13 @@ def cmd_generate(config: dict) -> int:
 
 
 def cmd_correlate(config: dict) -> int:
-    measurements = an.check_request(config.get("measurements", an.MEASUREMENTS), config["window_days"])
-    dataset = _dataset(config)
-    road_a, road_b = _known_roads(dataset, (config["road_a"], config["road_b"]))
     wall_range = None
     if "wall_start" in config or "wall_end" in config:
-        wall_range = (config.get("wall_start", 0),
-                      config.get("wall_end", dataset.span_minutes))
+        wall_range = (config.get("wall_start", 0), config.get("wall_end"))
+    measurements = an.check_request(config.get("measurements", an.MEASUREMENTS), config["window_days"],
+                                    wall_range)
+    dataset = _dataset(config)
+    road_a, road_b = _known_roads(dataset, (config["road_a"], config["road_b"]))
     report = an.multifold_correlation_report(
         dataset.series[road_a],
         dataset.series[road_b],

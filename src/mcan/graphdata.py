@@ -587,26 +587,31 @@ def _read_columns(path, header: list[str], kinds) -> tuple[np.ndarray, list[np.n
     def cell(i: int, j: int) -> str:
         return buf[lo[j][i]:hi[j][i]].tobytes().decode()
 
-    columns, firsts = zip(*(
-        (_digit_column if kind is int else _float_column)(buf, lo[j], hi[j], lambda i, j=j: cell(i, j))
-        for j, kind in enumerate(kinds)))
+    columns, firsts = zip(*((_digit_column if kind is int else _float_column)(buf, lo[j], hi[j])
+                            for j, kind in enumerate(kinds)))
     checks = [([first], lambda i, n=name, j=j, k=kind: _refusal(n, cell(i, j), k))
               for j, (name, kind, first) in enumerate(zip(header, kinds, firsts)) if first < len(numbers)]
     return numbers, list(columns), checks, cell
 
 
-def _each_cell(kind: type, values: np.ndarray, rows, text: Callable[[int], str]) -> int:
-    """Set ``values[i] = kind(text(i))`` for each row ``i`` of ``rows``; the
-    first row ``kind`` refuses or ``values`` cannot hold, ``len(values)`` if none."""
-    for i in rows:
+def _each_cell(kind: type, values: np.ndarray, rows, cells) -> int:
+    """Set ``values[i] = kind(cell.decode())`` for each row ``i`` of ``rows``
+    and its UTF-8 ``cell`` of ``cells``, converting each distinct cell once;
+    the first row ``kind`` refuses or ``values`` cannot hold, ``len(values)``
+    if none."""
+    converted = {}
+    for i, cell in zip(rows, cells):
         try:
-            values[i] = kind(text(i))
+            value = converted.get(cell)
+            if value is None:
+                value = converted[cell] = kind(cell.decode())
+            values[i] = value
         except (ValueError, OverflowError):
             return i
     return len(values)
 
 
-def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: Callable) -> tuple[np.ndarray, int]:
+def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
     """The cells ``buf[lo:hi]`` as int64 and the first one ``int()`` refuses
     or 64 bits cannot hold, ``len(lo)`` if none.  Digit arithmetic takes each
     cell matching ``-?[0-9]{1,18}`` (18 digits always fit in 64 bits) and
@@ -624,31 +629,40 @@ def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: Callabl
         values *= 10
         values += digit
     np.negative(values, where=negative, out=values)
-    return values, _each_cell(int, values, np.flatnonzero(odd).tolist(), text)
+    rows = np.flatnonzero(odd)
+    return values, _each_cell(int, values, rows.tolist(), _cells(buf, lo[rows], hi[rows]))
 
 
-def _float_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, text: Callable) -> tuple[np.ndarray, int]:
-    """``float()`` of each cell ``buf[lo:hi]`` and the first one it refuses,
-    ``len(lo)`` if none.  Cells go to ``float()`` as ``bytes``, and only if
-    one is refused does :func:`_each_cell` convert each as text (``"\u0663"``)."""
+def _cells(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
+    """The cells ``buf[lo:hi]`` as ``bytes``, gathered in one indexing and
+    split at the "\n" put after each (the last item is empty)."""
     ends = np.cumsum(hi + 1 - lo)  # each cell with the byte after it, end to end
     # The byte index of each picked byte: a step of 1 inside a cell, a jump
-    # from the byte after one cell to the start of the next.  This int64
-    # index (about 7.6 MB for 52k rows) is the largest block set-up frees,
-    # and glibc raises its mmap and trim thresholds to that size, which
-    # keeps evaluation's per-chunk arrays on the heap.  A bool-mask gather
-    # frees no block that large: evaluation's arrays are then trimmed and
-    # faulted in again, at about 16 % of eval-readme samples/s on a 2-vCPU VM.
+    # from the byte after one cell to the start of the next.  For a file's
+    # speed column this int64 index (about 7.6 MB for 52k rows) is the
+    # largest block set-up frees, and glibc raises its mmap and trim
+    # thresholds to that size, which keeps evaluation's per-chunk arrays on
+    # the heap.  A bool-mask gather frees no block that large: evaluation's
+    # arrays are then trimmed and faulted in again, at about 16 % of
+    # eval-readme samples/s on a 2-vCPU VM.
     index = np.ones(ends[-1] if len(ends) else 0, np.int64)
     index[:1] = lo[:1]
     index[ends[:-1]] = lo[1:] - hi[:-1]
     picked = buf[np.cumsum(index, out=index)]
     picked[ends - 1] = ord("\n")
+    return picked.tobytes().split(b"\n")
+
+
+def _float_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
+    """``float()`` of each cell ``buf[lo:hi]`` and the first one it refuses,
+    ``len(lo)`` if none.  Cells go to ``float()`` as ``bytes``, and only if
+    one is refused does :func:`_each_cell` convert each as text (``"\u0663"``)."""
+    cells = _cells(buf, lo, hi)
     try:
-        return np.fromiter(map(float, picked.tobytes().split(b"\n")), np.float64, len(lo)), len(lo)
+        return np.fromiter(map(float, cells), np.float64, len(lo)), len(lo)
     except ValueError:
         values = np.zeros(len(lo))
-        return values, _each_cell(float, values, range(len(lo)), text)
+        return values, _each_cell(float, values, range(len(lo)), cells)
 
 
 def _refusal(name: str, raw: str, kind: type) -> str:

@@ -114,8 +114,10 @@ def embed_windows(spread: np.ndarray, lengths: np.ndarray, cpa: CpaParams) -> Di
     fills = basis @ coefficients.data  # (embed_len + 1, embed_len): the fill of each length
 
     def backward(g):
-        per_length = np.zeros(fills.shape)
-        np.add.at(per_length, lengths, g)
+        # the gradient of each length's fill: its windows' rows summed in
+        # order, one bincount over (length, slot) cells
+        cells = (lengths[..., None] * embed_len + np.arange(embed_len)).reshape(-1)
+        per_length = np.bincount(cells, weights=g.reshape(-1), minlength=fills.size).reshape(fills.shape)
         ad._accumulate(coefficients, np.tensordot(per_length, basis, axes=2))
 
     return ad._node(spread + fills[lengths], (coefficients,), backward)

@@ -507,14 +507,14 @@ def fusion_components(params: McanParams, gi: GroupInputs, drop: Dropout | None 
     for ch in config.channels():
         outputs[ch] = hsc_mod.hsc_forward_batch(params.hsc[ch], gi.channels[ch], drop)
         given = {"trend": gi.prev_speed, "deviation": gi.ybar_at_t}.get(ch)
-        head_in = outputs[ch] if given is None else ad.concat([outputs[ch], ad.constant(given)], axis=1)
+        head_in = outputs[ch] if given is None else ad.concat([outputs[ch], given], axis=1)
         components[ch] = nn.fnn_forward(params.msc_heads[ch], head_in, drop)
     for name, steps in config.branches().items():
         got = gi.temporal[name].shape[1] if name in gi.temporal else 0
         if got != steps:
             raise ShapeMismatch(f"{name} input has {got} steps, expected {steps}")
         components[name] = nn.lstm_sequence(params.temporal[name], gi.temporal[name].transpose(1, 0, 2), drop)
-    components["static"] = nn.fnn_forward(params.context_static, ad.constant(gi.static), drop)
+    components["static"] = nn.fnn_forward(params.context_static, gi.static, drop)
     components["dynamic"] = nn.lstm_sequence(params.context_dynamic, gi.dynamic.transpose(1, 0, 2), drop)
     return components, outputs
 
@@ -541,12 +541,13 @@ def loss_batch(
     alpha: float,
     beta: float,
 ) -> DiffValue:
-    """Squared speed error plus weighted trend/deviation terms, summed over the batch."""
+    """Squared speed error plus weighted trend/deviation terms, summed over
+    the batch, as one node."""
     if speed_pred.data.shape != np.shape(speed_target):
         raise ShapeMismatch(
             f"loss: speed prediction {speed_pred.data.shape} vs target {np.shape(speed_target)}"
         )
-    total = ad.vsum(ad.square(ad.subtract(speed_pred, ad.constant(speed_target))))
+    terms = [(speed_pred, speed_target, None)]  # (prediction, target, weight)
     for pred, target, weight, name in (
         (trend_pred, trend_target, alpha, "trend"),
         (deviation_pred, deviation_target, beta, "deviation"),
@@ -555,9 +556,17 @@ def loss_batch(
             continue
         if target is None or pred.data.shape != np.shape(target):
             raise ShapeMismatch(f"loss: {name} prediction/target length mismatch")
-        term = ad.vsum(ad.square(ad.subtract(pred, ad.constant(target))))
-        total = ad.add(total, ad.multiply(term, weight))
-    return total
+        terms.append((pred, target, weight))
+    errors = [pred.data - np.asarray(target, dtype=np.float64) for pred, target, _ in terms]
+    total = np.sum(errors[0] * errors[0])
+    for error, (_, _, weight) in zip(errors[1:], terms[1:]):
+        total = total + np.sum(error * error) * weight
+
+    def backward(g):
+        for error, (pred, _, weight) in zip(errors, terms):
+            ad._accumulate(pred, (g if weight is None else g * weight) * 2.0 * error)
+
+    return ad._node(np.asarray(total), tuple(pred for pred, _, _ in terms), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ layer runs over its whole sequence as one autodiff node (:func:`lstm_layer`)
 that computes with them as stored, with a hand-written backward pass through
 time; the composed :func:`lstm_step`, which reads gate k as ``w_x[k]``, stays
 as the reference the tests check it against, by value and by finite
-differences.
+differences.  A fully connected network (:func:`fnn_forward`) and the
+attention fusion (:func:`attention_fuse`) are one node each as well: their
+forward runs the numpy operations of the elementary ops they replace, in the
+same order, and their backward the same gradient arithmetic, so values and
+gradients equal the composed forms in ``tests/reference.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +35,6 @@ class Dropout:
 
     rate: float
     rng: np.random.Generator
-
-
-def _maybe_drop(x: DiffValue, drop: Dropout | None) -> DiffValue:
-    return x if drop is None else ad.dropout(x, drop.rate, drop.rng)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +139,13 @@ def lstm_step(params: LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffVal
     return h_new, c_new
 
 
-def lstm_layer(params: LstmParams, inputs) -> DiffValue:
+def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     """One LSTM layer over a whole sequence as a single autodiff node.
 
     ``inputs`` is either the ``(T, B, in)`` output of the layer below or a
     sequence of T per-step ``(B, in)`` values (arrays or DiffValues); the
-    result is the ``(T, B, H)`` hidden sequence from zero initial states.
+    result is the ``(T, B, H)`` hidden sequence from zero initial states, or
+    with ``last`` only its final ``(B, H)`` state.
 
     The cell's stacked gate weights let one batched matmul project every
     step's input and one per step mix in the previous hidden state (the
@@ -187,6 +188,9 @@ def lstm_layer(params: LstmParams, inputs) -> DiffValue:
         h_seq[t + 1] = gate_o * tanh_c[t]
 
     def backward(g):
+        if last:  # the sequence's gradient is zero before its final state
+            g_last, g = g, np.zeros((steps, batch, hidden))
+            g[-1] = g_last
         d_pre = np.empty((4, steps, batch, hidden))
         w_h_t = w_h.transpose(0, 2, 1)
         dh_next = np.zeros((batch, hidden))
@@ -214,8 +218,8 @@ def lstm_layer(params: LstmParams, inputs) -> DiffValue:
             for source, where in sources:
                 ad._accumulate(source, dx[where].reshape(source.data.shape))
 
-    return ad._node(h_seq[1:], (params.w_x, params.w_h, params.b) + tuple(s for s, _ in sources),
-                    backward)
+    return ad._node(h_seq[-1].copy() if last else h_seq[1:],
+                    (params.w_x, params.w_h, params.b) + tuple(s for s, _ in sources), backward)
 
 
 def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> DiffValue:
@@ -223,19 +227,19 @@ def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> Diff
 
     ``inputs`` is a sequence of per-step ``(batch, dim)`` values (a
     ``(T, batch, dim)`` array is one); the initial hidden and cell states
-    are zero.  Each layer is one :func:`lstm_layer` node.  Dropout, when
-    active, is applied to the hidden sequence between layers as one
-    ``(T, B, H)`` mask, which draws the same random numbers as one ``(B, H)``
-    mask per step.
+    are zero.  Each layer is one :func:`lstm_layer` node, the top one giving
+    its final state only.  Dropout, when active, is applied to the hidden
+    sequence between layers as one ``(T, B, H)`` mask, which draws the same
+    random numbers as one ``(B, H)`` mask per step.
     """
     if len(inputs) == 0:
         raise ShapeMismatch("lstm_sequence: empty input sequence")
     seq = inputs
     for depth, cell in enumerate(stack.cells):
-        if depth > 0:
-            seq = _maybe_drop(seq, drop)
-        seq = lstm_layer(cell, seq)
-    return seq[-1]
+        if depth > 0 and drop is not None:
+            seq = ad.dropout(seq, drop.rate, drop.rng)
+        seq = lstm_layer(cell, seq, last=depth == len(stack.cells) - 1)
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +275,43 @@ def init_fnn(rng, input_size: int, hidden_sizes: list[int], output_size: int) ->
 
 
 def fnn_forward(params: FnnParams, x, drop: Dropout | None = None) -> DiffValue:
-    """Chained affine layers; sigmoid hidden activations, identity output."""
-    x = x if isinstance(x, DiffValue) else ad.constant(x)
-    width = x.data.shape[-1]
-    if width != params.input_size:
-        raise ShapeMismatch(f"fnn_forward: input width {width} != expected {params.input_size}")
-    out = x
+    """Chained affine layers on ``(B, in)`` rows; sigmoid hidden activations,
+    each followed by a dropout draw when ``drop`` is given, and an identity
+    output.  One node, whose backward reaches every layer's leaves and ``x``."""
+    x = ad._lift(x)
+    if x.data.ndim != 2 or x.data.shape[1] != params.input_size:
+        raise ShapeMismatch(f"fnn_forward: input of shape {x.data.shape} does not have width "
+                            f"{params.input_size}")
+    depth = len(params.layers)
+    inputs, acts, masks = [], [], []  # per layer: its input; per hidden layer: activation, mask
+    out = x.data
     for k, layer in enumerate(params.layers):
-        out = ad.matmul(out, layer.weight) + layer.bias
-        if k < len(params.layers) - 1:
-            out = _maybe_drop(ad.sigmoid(out), drop)
-    return out
+        inputs.append(out)
+        out = out @ layer.weight.data + layer.bias.data
+        if k < depth - 1:
+            with np.errstate(over="ignore"):
+                out = 1.0 / (1.0 + np.exp(-out))
+            acts.append(out)
+            masks.append(None if drop is None else ad.dropout_mask(out.shape, drop.rate, drop.rng))
+            if masks[-1] is not None:
+                out = out * masks[-1]
+
+    def backward(g):
+        for k in reversed(range(depth)):
+            layer = params.layers[k]
+            if k < depth - 1:
+                if masks[k] is not None:
+                    g = g * masks[k]
+                g = g * acts[k] * (1.0 - acts[k])
+            ad._accumulate(layer.bias, g.sum(axis=0))
+            g_in = g @ layer.weight.data.T if k > 0 or x._needs else None
+            ad._accumulate(layer.weight, inputs[k].T @ g)
+            g = g_in
+        if x._needs:
+            ad._accumulate(x, g)
+
+    leaves = tuple(leaf for layer in params.layers for leaf in (layer.weight, layer.bias))
+    return ad._node(out, leaves + (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -308,25 +338,41 @@ def init_attention(rng, input_size: int, output_size: int) -> AttentionParams:
 
 
 def _attention_parts(params: AttentionParams, components):
+    """The lifted components, each one's projection ``c P`` and the softmax
+    weights ``(B, k)`` of the scores ``c P q``."""
     if len(components) == 0:
         raise ShapeMismatch("attention_fuse: no components to fuse")
-    projected = [ad.matmul(c, params.projection) for c in components]
-    scores = [ad.reshape(ad.matmul(p, params.query), (-1, 1)) for p in projected]
-    weights = ad.softmax(ad.concat(scores, axis=1), axis=-1)  # (batch, k)
-    return projected, weights
+    components = [ad._lift(c) for c in components]
+    projected = [c.data @ params.projection.data for c in components]
+    scores = np.concatenate([(p @ params.query.data).reshape(-1, 1) for p in projected], axis=1)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return components, projected, e / e.sum(axis=-1, keepdims=True)
 
 
 def attention_weights(params: AttentionParams, components) -> np.ndarray:
     """Softmax weights the fusion assigns to each component (for inspection)."""
-    _, weights = _attention_parts(params, components)
-    return weights.data
+    return _attention_parts(params, components)[2]
 
 
 def attention_fuse(params: AttentionParams, components) -> DiffValue:
-    """Dot-product attention over projected components: weighted sum by softmax scores."""
-    projected, weights = _attention_parts(params, components)
-    out = None
-    for k, p in enumerate(projected):
-        term = ad.multiply(p, weights[:, k : k + 1])
-        out = term if out is None else ad.add(out, term)
-    return out
+    """Dot-product attention over projected components: their sum weighted by
+    the softmax of their scores, as one node."""
+    components, projected, weights = _attention_parts(params, components)
+    out = projected[0] * weights[:, 0:1]
+    for k in range(1, len(projected)):
+        out = out + projected[k] * weights[:, k:k + 1]
+
+    def backward(g):
+        g_weights = np.zeros(weights.shape)
+        for k, p in enumerate(projected):
+            g_weights[:, k:k + 1] += (g * p).sum(axis=1, keepdims=True)
+        g_scores = (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True)) * weights
+        for k, (c, p) in enumerate(zip(components, projected)):  # the leaves' sums in component order
+            g_score = np.ascontiguousarray(g_scores[:, k])
+            g_p = g * weights[:, k:k + 1] + np.outer(g_score, params.query.data)
+            ad._accumulate(params.query, p.T @ g_score)
+            if c._needs:
+                ad._accumulate(c, g_p @ params.projection.data.T)
+            ad._accumulate(params.projection, c.data.T @ g_p)
+
+    return ad._node(out, (params.projection, params.query, *components), backward)

@@ -20,6 +20,14 @@ by gradient.
 
 ``lstm_cell`` evaluates the LSTM cell equations in plain numpy, reading gate
 k from the stacked leaves; ``nnlayers.lstm_step`` must match it.
+
+``subtract``, ``reshape``, ``square``, ``vsum`` and ``softmax`` are
+elementary autodiff ops that no model layer uses.  From them and the ops
+``mcan.autodiff`` keeps, ``fnn_forward``, ``attention_fuse``,
+``lstm_sequence`` (the final state taken from the whole top sequence) and
+``loss_batch`` compose each of the model's fused nodes op by op
+(``dropout`` as a multiply by its mask); each fused node must equal its
+composition bit for bit, in value and in every leaf gradient.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import hsc
 from mcan import model as md
+from mcan import nnlayers as nn
 from mcan import trainer as tr
 from mcan.autodiff import DiffValue
 from mcan.errors import ConfigError, MissingDataError, SchemaError, ShapeMismatch
@@ -237,9 +246,9 @@ def chebyshev_features(x: DiffValue, order: int) -> list[DiffValue]:
         raise ConfigError(f"chebyshev order must be >= 1, got {order}")
     feats = [x]
     if order >= 2:
-        feats.append(ad.subtract(ad.multiply(ad.square(x), 2.0), 1.0))
+        feats.append(subtract(ad.multiply(square(x), 2.0), 1.0))
     for _ in range(2, order):
-        feats.append(ad.subtract(ad.multiply(ad.multiply(x, feats[-1]), 2.0), feats[-2]))
+        feats.append(subtract(ad.multiply(ad.multiply(x, feats[-1]), 2.0), feats[-2]))
     return feats
 
 
@@ -260,16 +269,140 @@ def correlation_scores(params: hsc.GcnParams, target_emb: DiffValue, neighbor_em
     batch = target_emb.data.shape[0]
     c = params.correlation.data.shape[1]
     mixed = ad.matmul(neighbor_emb, transpose(params.correlation))  # (B, F*c)
-    mixed = ad.reshape(mixed, (batch, params.filters, c))
-    target3 = ad.reshape(target_emb, (batch, 1, c))
-    return ad.sigmoid(ad.vsum(ad.multiply(mixed, target3), axis=2))
+    mixed = reshape(mixed, (batch, params.filters, c))
+    target3 = reshape(target_emb, (batch, 1, c))
+    return ad.sigmoid(vsum(ad.multiply(mixed, target3), axis=2))
 
 
 def kernel_response(params: hsc.GcnParams, scores: DiffValue) -> DiffValue:
     """f(u) = sum_l z_l T_l(2u - 1) per filter, summed over the kernel orders."""
-    mapped = ad.subtract(ad.multiply(scores, 2.0), 1.0)
+    mapped = subtract(ad.multiply(scores, 2.0), 1.0)
     out = None
     for l, feat in enumerate(chebyshev_features(mapped, params.order)):
         term = ad.multiply(feat, params.kernel[:, l])
         out = term if out is None else ad.add(out, term)
     return out
+
+
+def subtract(a, b) -> DiffValue:
+    a, b = ad._lift(a), ad._lift(b)
+    try:
+        data = a.data - b.data
+    except ValueError:
+        raise ShapeMismatch(f"subtract: incompatible shapes {a.shape} and {b.shape}") from None
+
+    def backward(g):
+        ad._accumulate(a, ad._unbroadcast(g, a.data.shape))
+        ad._accumulate(b, ad._unbroadcast(-g, b.data.shape))
+
+    return ad._node(data, (a, b), backward)
+
+
+def reshape(a, shape) -> DiffValue:
+    a = ad._lift(a)
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise ShapeMismatch(f"reshape: cannot view {a.shape} as {shape}") from None
+
+    def backward(g):
+        ad._accumulate(a, g.reshape(a.data.shape))
+
+    return ad._node(data, (a,), backward)
+
+
+def square(a) -> DiffValue:
+    a = ad._lift(a)
+
+    def backward(g):
+        ad._accumulate(a, g * 2.0 * a.data)
+
+    return ad._node(a.data * a.data, (a,), backward)
+
+
+def vsum(a, axis=None, keepdims: bool = False) -> DiffValue:
+    a = ad._lift(a)
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if axis is None:
+            ad._accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+        else:
+            expanded = g if keepdims else np.expand_dims(g, axis)
+            ad._accumulate(a, np.broadcast_to(expanded, a.data.shape).copy())
+
+    return ad._node(np.asarray(data), (a,), backward)
+
+
+def softmax(a, axis: int = -1) -> DiffValue:
+    a = ad._lift(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        ad._accumulate(a, (g - inner) * data)
+
+    return ad._node(data, (a,), backward)
+
+
+def dropout(x: DiffValue, drop) -> DiffValue:
+    """``x`` times one mask draw, as an elementwise multiply (identity
+    without ``drop``)."""
+    mask = None if drop is None else ad.dropout_mask(x.data.shape, drop.rate, drop.rng)
+    return x if mask is None else ad.multiply(x, mask)
+
+
+def fnn_forward(params: nn.FnnParams, x, drop=None) -> DiffValue:
+    """Composed twin of ``nnlayers.fnn_forward``."""
+    x = ad._lift(x)
+    width = x.data.shape[-1]
+    if width != params.input_size:
+        raise ShapeMismatch(f"fnn_forward: input width {width} != expected {params.input_size}")
+    out = x
+    for k, layer in enumerate(params.layers):
+        out = ad.matmul(out, layer.weight) + layer.bias
+        if k < len(params.layers) - 1:
+            out = dropout(ad.sigmoid(out), drop)
+    return out
+
+
+def attention_parts(params: nn.AttentionParams, components):
+    """The projected components and the softmax weights, composed."""
+    projected = [ad.matmul(c, params.projection) for c in components]
+    scores = [reshape(ad.matmul(p, params.query), (-1, 1)) for p in projected]
+    return projected, softmax(ad.concat(scores, axis=1), axis=-1)
+
+
+def attention_fuse(params: nn.AttentionParams, components) -> DiffValue:
+    """Composed twin of ``nnlayers.attention_fuse``."""
+    projected, weights = attention_parts(params, components)
+    out = None
+    for k, p in enumerate(projected):
+        term = ad.multiply(p, weights[:, k : k + 1])
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+def lstm_sequence(stack: nn.LstmStack, inputs, drop=None) -> DiffValue:
+    """Composed twin of ``nnlayers.lstm_sequence``: every layer's whole
+    hidden sequence, then the final state as a ``take``."""
+    seq = inputs
+    for depth, cell in enumerate(stack.cells):
+        if depth > 0:
+            seq = dropout(seq, drop)
+        seq = nn.lstm_layer(cell, seq)
+    return seq[-1]
+
+
+def loss_batch(speed_pred, speed_target, trend_pred, trend_target, deviation_pred,
+               deviation_target, alpha: float, beta: float) -> DiffValue:
+    """Composed twin of ``model.loss_batch``."""
+    total = vsum(square(subtract(speed_pred, ad.constant(speed_target))))
+    for pred, target, weight in ((trend_pred, trend_target, alpha),
+                                 (deviation_pred, deviation_target, beta)):
+        if pred is not None:
+            term = vsum(square(subtract(pred, ad.constant(target))))
+            total = ad.add(total, ad.multiply(term, weight))
+    return total

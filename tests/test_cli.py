@@ -628,6 +628,47 @@ class TestCorrelate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "corr").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["wall_start=-5"], "wall_start must be >= 0, got -5"),
+        (["wall_start=-5", "wall_end=100000000"], "wall_start must be >= 0, got -5"),
+        (["wall_start=30000", "wall_end=20000"], "wall_start 30000 must be below wall_end 20000"),
+        (["wall_end=0"], "wall_start 0 must be below wall_end 0"),
+    ])
+    def test_empty_wall_range_is_usage_error_before_reading(self, tmp_path, capsys, overrides, message):
+        missing = tmp_path / "nowhere"
+        config = write_config(
+            tmp_path / "corr.json",
+            graph_path=str(missing / "graph.json"),
+            series_path=str(missing / "series.csv"),
+            context_path=str(missing / "context.csv"),
+            output_dir=str(tmp_path / "corr"),
+            road_a=0, road_b=1, window_days=7,
+        )
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert cli.main(["correlate", "--config", config, *sets]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "corr").exists()
+
+    def test_wall_range_inside_the_data_span(self, tmp_path, capsys, data_dir):
+        span = 16 * gd.MINUTES_PER_DAY  # generate_args' days
+        config = write_config(
+            tmp_path / "corr.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            output_dir=str(tmp_path / "corr"),
+            road_a=0, road_b=1, window_days=7,
+        )
+        assert cli.main(["correlate", "--config", config, "--set", f"wall_end={span + 1}"]) == 1
+        assert f"wall_end {span + 1} is past the data span of {span} minutes" in capsys.readouterr().err
+        assert cli.main(["correlate", "--config", config, "--set", f"wall_start={span}"]) == 1
+        assert f"wall_start {span} must be below wall_end {span}" in capsys.readouterr().err
+        assert not (tmp_path / "corr").exists()
+        assert cli.main(["correlate", "--config", config, "--set", f"wall_end={span}"]) == 0
+        full = (tmp_path / "corr" / "correlations.csv").read_bytes()
+        assert cli.main(["correlate", "--config", config]) == 0
+        assert (tmp_path / "corr" / "correlations.csv").read_bytes() == full
+
     def test_seed_flag_overrides_config(self, tmp_path):
         # --set and --seed are honored: a different seed changes the dataset
         assert cli.main(generate_args(tmp_path, "s1", seed=1)) == 0

@@ -497,8 +497,8 @@ def per_cell_calls(monkeypatch) -> list:
     from now on."""
     calls = []
     each_cell = gd._each_cell
-    monkeypatch.setattr(gd, "_each_cell", lambda kind, values, rows, text: each_cell(
-        kind, values, rows, lambda i: calls.append((kind, i)) or text(i)))
+    monkeypatch.setattr(gd, "_each_cell", lambda kind, values, rows, cells: each_cell(
+        kind, values, rows, (calls.append((kind, i)) or cell for i, cell in zip(rows, cells))))
     return calls
 
 
@@ -554,6 +554,22 @@ class TestLoaderOracle:
         calls = per_cell_calls(monkeypatch)
         assert outcome(gd.load_dataset, paths) == clean
         assert calls == []
+
+    def test_respelled_column_converts_each_distinct_cell_once(self, tmp_path, monkeypatch):
+        # Every weather_code cell of a README-size context.csv respelled "+N"
+        # is converted one by one, but each distinct cell text only once.
+        paths = written_dataset(tmp_path, n_roads=10, intervals=(5, 10, 15), days=28, seed=3)
+        clean = outcome(gd.load_dataset, paths)
+        header, *rows = (line.split(",") for line in paths[2].read_text().splitlines())
+        for cells in rows:
+            cells[2] = "+" + cells[2]
+        paths[2].write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
+        converted = []
+        each_cell = gd._each_cell
+        monkeypatch.setattr(gd, "_each_cell", lambda kind, values, rows, cells: each_cell(
+            lambda text: converted.append(text) or kind(text), values, rows, cells))
+        assert outcome(gd.load_dataset, paths) == clean
+        assert sorted(converted) == sorted({cells[2] for cells in rows})
 
     @pytest.mark.parametrize("spelling,cell", [
         ("lone-cr", None), ("non-ascii", None),

@@ -85,8 +85,8 @@ class TestEmbedSeries:
         windows = np.array([[1.0, 2.0, 3.0]])
 
         def forward():
-            return ad.vsum(ad.square(hsc.embed_windows(hsc.spread_windows(windows, 9),
-                                                       np.array([3]), cpa)))
+            return reference.vsum(reference.square(hsc.embed_windows(hsc.spread_windows(windows, 9),
+                                                                     np.array([3]), cpa)))
 
         forward().backward()
         numeric = finite_difference(lambda: forward().item(), cpa.coefficients)
@@ -143,7 +143,8 @@ class TestEmbedWindows:
         weights = rng.normal(size=spread.shape)
 
         def forward():
-            return ad.vsum(ad.multiply(ad.square(hsc.embed_windows(spread, lengths, cpa)), weights))
+            embedded = hsc.embed_windows(spread, lengths, cpa)
+            return reference.vsum(ad.multiply(reference.square(embedded), weights))
 
         forward().backward()
         numeric = finite_difference(lambda: forward().item(), cpa.coefficients)
@@ -296,7 +297,7 @@ def single_forward(params, target_window, neighbor_windows, graph, target, hop_c
     window = np.asarray(target_window, dtype=np.float64).reshape(1, -1)
     inputs = hsc.ChannelInputs(window, np.array([window.shape[1]]),
                                hsc.spread_windows(window, c, use_embedding), hops, hop_lengths)
-    return ad.reshape(hsc.hsc_forward_batch(params, inputs), (-1,))
+    return reference.reshape(hsc.hsc_forward_batch(params, inputs), (-1,))
 
 
 class TestHscForward:
@@ -335,7 +336,7 @@ class TestHscForward:
 
         def forward():
             out = single_forward(params, target_window, neighbor_windows, graph, 0)
-            return ad.vsum(ad.square(out))
+            return reference.vsum(reference.square(out))
 
         forward().backward()
         cell_s = params.lstm_self.cells[0]
@@ -455,7 +456,7 @@ class TestGcnHop:
         weights = rng.normal(size=(2, 2))
 
         def forward():
-            return ad.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
+            return reference.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
 
         forward().backward()
         for p in [params.correlation, params.kernel, target, neighbors]:
@@ -473,7 +474,7 @@ class TestGcnHop:
         for run in (lambda *a: hsc.gcn_hop(*a, mask), composed_hop):
             for p in parents:
                 p.grad = None
-            ad.vsum(ad.square(run(params, target, neighbors))).backward()
+            reference.vsum(reference.square(run(params, target, neighbors))).backward()
             grads.append([p.grad.copy() for p in parents])
         for fused, composed in zip(*grads):
             assert np.abs(fused - composed).max() <= 1e-12 * max(1.0, np.abs(composed).max())
@@ -495,7 +496,7 @@ class TestGcnHop:
         weights = rng.normal(size=(4, 2))
 
         def forward():
-            return ad.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
+            return reference.vsum(ad.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
 
         forward().backward()
         for p in [params.correlation, params.kernel, target, neighbors]:
@@ -523,6 +524,6 @@ class TestGcnHop:
         params = hsc.init_gcn(rng, 4, 2, 3)
         target = ad.constant(rng.normal(size=(3, 4)))
         neighbors = ad.constant(rng.normal(size=(2, 3, 4)))
-        ad.vsum(hsc.gcn_hop(params, target, neighbors, np.ones((2, 3), dtype=bool))).backward()
+        reference.vsum(hsc.gcn_hop(params, target, neighbors, np.ones((2, 3), dtype=bool))).backward()
         assert target.grad is None and neighbors.grad is None
         assert params.correlation.grad is not None and params.kernel.grad is not None

@@ -17,6 +17,7 @@ from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import model as md
 from mcan import nnlayers as nn
+from mcan import trainer as tr
 from mcan.errors import ConfigError, MissingDataError, SchemaError, ShapeMismatch
 
 
@@ -372,6 +373,60 @@ class TestForward:
         assert np.abs(w.grad[1]).max() > 0  # row 1 multiplies the previous speed
 
 
+class TestFusedNodes:
+    @pytest.mark.parametrize("ablations", [()] + [(name,) for name in md.ABLATION_NAMES])
+    def test_bit_identical_to_composed_references(self, mixed_view, monkeypatch, ablations):
+        # One training step's loss, speed forecast, every leaf gradient and
+        # dropout draw count, with the fused FNNs, attention fusion, final
+        # LSTM states and loss or with their compositions.
+        config = small_config(ablations=md.parse_ablations(ablations), lstm_layers=2, fnn_layers=3)
+        gi = md.assemble_group(mixed_view, config, *mixed_samples(mixed_view, config))
+
+        def step(loss_batch):
+            params = md.init_mcan(config, np.random.default_rng(83))
+            drop = nn.Dropout(0.3, np.random.default_rng(89))
+            speed, trend, dev = md.forward_group(params, gi, drop)
+            total = loss_batch(speed, gi.target_speed, trend, gi.target_trend, dev, gi.target_deviation,
+                               config.alpha, config.beta)
+            total.backward()
+            return [np.asarray(a).tobytes() for a in (total.data, speed.data, params.grad, drop.rng.random())]
+
+        fused = step(md.loss_batch)
+        monkeypatch.setattr(nn, "fnn_forward", reference.fnn_forward)
+        monkeypatch.setattr(nn, "attention_fuse", reference.attention_fuse)
+        monkeypatch.setattr(nn, "lstm_sequence", reference.lstm_sequence)
+        assert fused == step(reference.loss_batch)
+
+
+def test_readme_shape_step_has_at_most_sixty_nodes():
+    # The README train.json model on a graph of README shape (10 roads at 5,
+    # 10 and 15 minutes), one batch of 128 rows with dropout: each layer, FNN,
+    # the attention fusion and the loss is one node, not a chain of
+    # elementary ones.
+    generator = gd.GeneratorConfig(n_roads=10, edge_density=0.4, intervals=(5, 10, 15), days=16,
+                                   coupling=0.5, noise=4.0, obs_noise=1.0, weekly_amplitude=3.0,
+                                   weather_impact=1.0)
+    dataset = gd.generate_synthetic(generator, seed=7)
+    config = tr.TrainConfig(horizon=6, hidden_size=16, lstm_layers=1, fnn_layers=2,
+                            filters=4).model_config(dataset)
+    view = md.build_view(dataset)
+    roads, times = mixed_samples(view, config, per_road=13)
+    gi = md.assemble_group(view, config, roads[:128], times[:128])
+    assert len(np.unique(gi.channels["speed"].lengths)) == 3
+    params = md.init_mcan(config, np.random.default_rng(3))
+    speed, trend, dev = md.forward_group(params, gi, nn.Dropout(0.1, np.random.default_rng(5)))
+    total = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend, dev, gi.target_deviation,
+                          config.alpha, config.beta)
+    seen, stack, rules = set(), [total], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            rules += node._backward is not None
+            stack.extend(node._parents)
+    assert rules <= 60
+
+
 def batch_loss(params, gi):
     """Eval-mode outputs of one forward over ``gi`` and its loss, backward run."""
     config = params.config
@@ -555,6 +610,40 @@ class TestLoss:
                                 rng.normal(size=(1, 1)), row(*deviation), rng.normal(size=(1, 1)),
                                 0.2, 0.2)
             assert out.item() >= 0.0
+
+
+def loss_inputs(ablations, seed=61):
+    """``loss_batch`` arguments: random (B, 3) speed and (B, 1) trend and
+    deviation predictions, as parameters, and targets; None for an ablated
+    channel's pair."""
+    flags = md.parse_ablations(ablations)
+    rng = np.random.default_rng(seed)
+    args = []
+    for width, flag in ((3, None), (1, "ntr"), (1, "nde")):
+        pred, target = ad.parameter(rng.normal(size=(4, width))), rng.normal(size=(4, width))
+        args += [None, None] if flag in flags else [pred, target]
+    return args + [0.3, 0.7]
+
+
+class TestFusedLoss:
+    @pytest.mark.parametrize("ablations", [(), ("ntr",), ("nde",), ("ntr-nde",)])
+    def test_finite_difference_every_prediction(self, ablations):
+        args = loss_inputs(ablations)
+        md.loss_batch(*args).backward()
+        for pred in args[0:6:2]:
+            if pred is not None:
+                numeric = finite_difference(lambda: md.loss_batch(*args).item(), pred)
+                assert relative_gradient_error(pred.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("ablations", [(), ("ntr",), ("nde",), ("ntr-nde",)])
+    def test_bit_identical_to_composed_ops(self, ablations):
+        def run(loss_batch):
+            args = loss_inputs(ablations)
+            total = loss_batch(*args)
+            total.backward()
+            return [a.tobytes() for a in [total.data] + [p.grad for p in args[0:6:2] if p is not None]]
+
+        assert run(md.loss_batch) == run(reference.loss_batch)
 
 
 class TestFusionWeights:

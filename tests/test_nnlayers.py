@@ -81,7 +81,7 @@ class TestCpa:
         cpa, out = self.embed([0.3, -0.2, 0.7], 10)
         pick = np.zeros((1, 10))
         pick[0, 8] = 1.0  # position 8 maps to 0.6
-        ad.vsum(ad.multiply(out, pick)).backward()
+        reference.vsum(ad.multiply(out, pick)).backward()
         assert np.allclose(cpa.coefficients.grad, nn.chebyshev_basis(0.6, 3))
 
     def test_gradient_wrt_input(self):
@@ -208,7 +208,7 @@ class TestLstm:
         seq = [rng.normal(size=(2, 2)) for _ in range(3)]
 
         def forward():
-            return ad.vsum(ad.square(nn.lstm_sequence(stack, seq)))
+            return reference.vsum(reference.square(nn.lstm_sequence(stack, seq)))
 
         forward().backward()
         # every entry, so all four gate slices of each stacked leaf
@@ -254,13 +254,48 @@ class TestFnn:
         x = rng.normal(size=(2, 3))
 
         def forward():
-            return ad.vsum(ad.square(nn.fnn_forward(params, x)))
+            return reference.vsum(reference.square(nn.fnn_forward(params, x)))
 
         forward().backward()
         for layer in params.layers:
             for p in (layer.weight, layer.bias):
                 numeric = finite_difference(lambda: forward().item(), p)
                 assert relative_gradient_error(p.grad, numeric) < 1e-4
+
+
+    @pytest.mark.parametrize("hidden", [[], [4], [4, 3]])
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_finite_difference_every_parent(self, hidden, rate):
+        rng = np.random.default_rng(74 + len(hidden))
+        params = nn.init_fnn(rng, 3, hidden, 2)
+        for layer in params.layers:
+            layer.bias.data[:] = rng.normal(size=layer.bias.data.shape)
+        x = ad.parameter(rng.normal(size=(5, 3)))
+        weights = rng.normal(size=(5, 2))
+
+        def forward():  # the same dropout masks on every call
+            drop = nn.Dropout(rate, np.random.default_rng(7)) if rate else None
+            return reference.vsum(ad.multiply(nn.fnn_forward(params, x, drop), weights))
+
+        forward().backward()
+        for p in [x] + [leaf for layer in params.layers for leaf in (layer.weight, layer.bias)]:
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("hidden", [[], [4], [4, 3]])
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_bit_identical_to_composed_layers(self, hidden, rate):
+        def run(fnn_forward):
+            rng = np.random.default_rng(75)
+            params = nn.init_fnn(rng, 3, hidden, 2)
+            x = ad.parameter(rng.normal(size=(6, 3)))
+            drop = nn.Dropout(rate, np.random.default_rng(7)) if rate else None
+            out = fnn_forward(params, x, drop)
+            reference.vsum(ad.multiply(out, rng.normal(size=(6, 2)))).backward()
+            leaves = [leaf for layer in params.layers for leaf in (layer.weight, layer.bias)]
+            return [a.tobytes() for a in [out.data, x.grad] + [leaf.grad for leaf in leaves]]
+
+        assert run(nn.fnn_forward) == run(reference.fnn_forward)
 
 
 class TestAttention:
@@ -325,12 +360,50 @@ class TestAttention:
         comps = [rng.normal(size=(2, 3)) for _ in range(3)]
 
         def forward():
-            return ad.vsum(ad.square(nn.attention_fuse(params, comps)))
+            return reference.vsum(reference.square(nn.attention_fuse(params, comps)))
 
         forward().backward()
         for p in (params.projection, params.query):
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-4
+
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_finite_difference_every_parent(self, count):
+        # components that take a gradient, plus one constant component
+        rng = np.random.default_rng(108 + count)
+        params = nn.init_attention(rng, 3, 4)
+        comps = [ad.parameter(rng.normal(size=(2, 3))) for _ in range(count)]
+        constant = rng.normal(size=(2, 3))
+        weights = rng.normal(size=(2, 4))
+
+        def forward():
+            return reference.vsum(ad.multiply(nn.attention_fuse(params, comps + [constant]), weights))
+
+        forward().backward()
+        for p in [params.projection, params.query] + comps:
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_bit_identical_to_composed_ops(self, count):
+        def run(attention_fuse):
+            rng = np.random.default_rng(113)
+            params = nn.init_attention(rng, 4, 4)
+            comps = [ad.parameter(rng.normal(size=(6, 4))) for _ in range(count)]
+            out = attention_fuse(params, comps)
+            reference.vsum(ad.multiply(out, rng.normal(size=(6, 4)))).backward()
+            grads = [params.projection.grad, params.query.grad] + [c.grad for c in comps]
+            return [a.tobytes() for a in [out.data] + grads]
+
+        assert run(nn.attention_fuse) == run(reference.attention_fuse)
+
+    def test_weights_are_the_fused_softmax(self):
+        rng = np.random.default_rng(117)
+        params = nn.init_attention(rng, 4, 4)
+        comps = [rng.normal(size=(3, 4)) for _ in range(4)]
+        _, composed = reference.attention_parts(params, comps)
+        assert nn.attention_weights(params, comps).tobytes() == composed.data.tobytes()
 
 
 def step_chain(stack, steps, drop=None):
@@ -415,13 +488,28 @@ class TestLstmLayer:
         weights = rng.normal(size=(2, 3))
 
         def forward():
-            return ad.vsum(ad.multiply(nn.lstm_sequence(stack, seq), weights))
+            return reference.vsum(ad.multiply(nn.lstm_sequence(stack, seq), weights))
 
         forward().backward()
         parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + seq
         for p in parents:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_final_state_bit_identical_to_taking_it(self, layers):
+        # The top layer gives its final state itself; taking it from the
+        # whole sequence gives the same value and gradients, dropout included.
+        def run(lstm_sequence):
+            rng = np.random.default_rng(138)
+            stack = random_stack(rng, 3, 4, layers)
+            seq = [ad.parameter(rng.normal(size=(2, 3))) for _ in range(5)]
+            out = lstm_sequence(stack, seq, nn.Dropout(0.3, np.random.default_rng(9)))
+            reference.vsum(ad.multiply(out, rng.normal(size=(2, 4)))).backward()
+            leaves = [leaf for cell in stack.cells for leaf in cell_leaves(cell)]
+            return [a.tobytes() for a in [out.data] + [p.grad for p in leaves + seq]]
+
+        assert run(nn.lstm_sequence) == run(reference.lstm_sequence)
 
     def test_finite_difference_sequence_input(self):
         # A layer above the first reads the (T, B, in) output of the one below.
@@ -431,7 +519,7 @@ class TestLstmLayer:
         weights = rng.normal(size=(4, 2, 2))
 
         def forward():
-            return ad.vsum(ad.multiply(nn.lstm_layer(cell, below), weights))
+            return reference.vsum(ad.multiply(nn.lstm_layer(cell, below), weights))
 
         forward().backward()
         for p in [below] + cell_leaves(cell):
@@ -447,7 +535,7 @@ class TestLstmLayer:
         for run in (nn.lstm_sequence, step_chain):
             for p in parents:
                 p.grad = None
-            ad.vsum(ad.square(run(stack, seq))).backward()
+            reference.vsum(reference.square(run(stack, seq))).backward()
             grads.append([p.grad.copy() for p in parents])
         for fused, chain in zip(*grads):
             assert np.abs(fused - chain).max() <= 1e-12 * max(1.0, np.abs(chain).max())

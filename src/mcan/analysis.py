@@ -25,8 +25,9 @@ def check_request(measurements, window_days: int, wall_range: tuple[int, int | N
     cannot give a table: no measurement, an unknown or repeated one, a
     window of fewer than one previous day (one point has no correlation), or
     a ``wall_range`` of minutes ``[wall_start, wall_end)`` that starts below 0,
-    is empty, or ends past the data's ``span`` of minutes.  A ``wall_end`` or
-    ``span`` of None is not checked."""
+    is empty, ends past the data's ``span`` of minutes, or ends before the
+    first minute with ``window_days`` days of history.  A ``wall_end`` of
+    None means the end of ``span``; a ``span`` of None is not checked."""
     measurements = list(measurements)
     if window_days < 1:
         raise ConfigError(f"window_days must be >= 1, got {window_days}")
@@ -34,10 +35,15 @@ def check_request(measurements, window_days: int, wall_range: tuple[int, int | N
         start, end = wall_range
         if start < 0:
             raise ConfigError(f"wall_start must be >= 0, got {start}")
-        if end is not None and start >= end:
-            raise ConfigError(f"wall_start {start} must be below wall_end {end}")
+        stop = span if end is None else end
+        if stop is not None and start >= stop:
+            raise ConfigError(f"wall_start {start} must be below wall_end {stop}")
         if end is not None and span is not None and end > span:
             raise ConfigError(f"wall_end {end} is past the data span of {span} minutes")
+        first = window_days * gd.MINUTES_PER_DAY
+        if end is not None and end <= first:
+            raise ConfigError(f"wall_end {end} ends before any minute with window_days={window_days} "
+                              f"days of history: the first is minute {first}")
     if not measurements:
         raise ConfigError("measurements must name at least one measurement")
     for k, m in enumerate(measurements):
@@ -112,20 +118,20 @@ def multifold_correlation_report(
     by default every slot with enough history contributes.
     """
     span = min(len(series_a) * interval_a, len(series_b) * interval_b)
-    if wall_range is not None and wall_range[1] is None:
-        wall_range = (wall_range[0], span)
     measurements = check_request(measurements, window_days, wall_range, span)
     stride = math.lcm(interval_a, interval_b)
     spd_a = gd.MINUTES_PER_DAY // interval_a
     spd_b = gd.MINUTES_PER_DAY // interval_b
-    lo = window_days * gd.MINUTES_PER_DAY
-    if wall_range is not None:
-        lo, span = max(lo, wall_range[0]), wall_range[1]
-    walls = np.arange(((lo + stride - 1) // stride) * stride, span, stride)
-    if len(walls) == 0:
-        raise MissingDataError(
-            "no overlapping observation slots with enough history in the requested range"
-        )
+    first = window_days * gd.MINUTES_PER_DAY
+    if span <= first:
+        raise MissingDataError(f"the data span of {span} minutes ends before any minute with "
+                               f"window_days={window_days} days of history: the first is minute {first}")
+    start, end = wall_range or (0, None)
+    end = span if end is None else end
+    walls = np.arange(-(-max(first, start) // stride) * stride, end, stride)
+    if len(walls) == 0:  # start is past first, and no shared slot lies before end
+        raise ConfigError(f"wall_start {start} to wall_end {end} holds no minute that is a multiple of "
+                          f"{stride}, the shared stride of the two roads' sampling intervals")
     prepared = {
         m: (_measurement_series(series_a, spd_a, m), _measurement_series(series_b, spd_b, m))
         for m in measurements

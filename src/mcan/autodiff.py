@@ -8,10 +8,10 @@ calling :meth:`DiffValue.backward` on a scalar result fills ``grad`` on every
 node that requires it.  Everything is double precision so analytic gradients
 can be verified against central finite differences at tight tolerances.
 
-The elementary ops here (``add``, ``multiply``, ``matmul``, ``take``,
-``sigmoid``, ``tanh``) are what ``nnlayers.lstm_step``, the composed LSTM cell,
-is written in; the other elementary ops the tests compose references from
-live in ``tests/reference.py``.
+These three are the only node makers: the engine has no elementary ops and
+``DiffValue`` no arithmetic operators.  The elementary ops that the tests
+compose reference forms of each fused node from live in
+``tests/reference.py``.
 
 Inside :func:`no_tape` the ops compute the same values but record no
 parents and no backward rule, so each op's inputs and the arrays its backward
@@ -81,25 +81,6 @@ class DiffValue:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar; non-DiffValue operands are lifted to constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return take(self, key)
-
     def __repr__(self):
         return f"DiffValue(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -151,73 +132,6 @@ def _node(data: Array, parents: tuple[DiffValue, ...], backward) -> DiffValue:
     return out
 
 
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeMismatch(f"add: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def multiply(a, b) -> DiffValue:
-    a, b = _lift(a), _lift(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeMismatch(f"multiply: incompatible shapes {a.shape} and {b.shape}") from None
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
-def matmul(a, b) -> DiffValue:
-    """Matrix product for 1-D/2-D operands (inner dimensions must agree)."""
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeMismatch(f"matmul: operands must be 1-D or 2-D, got {a.shape} @ {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError:
-        raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from None
-
-    def backward(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 2 and bd.ndim == 2:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _accumulate(a, np.outer(g, bd))
-            _accumulate(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accumulate(a, bd @ g)
-            _accumulate(b, np.outer(ad, g))
-        else:
-            _accumulate(a, g * bd)
-            _accumulate(b, g * ad)
-
-    return _node(data, (a, b), backward)
-
-
 def concat(values, axis: int = 0) -> DiffValue:
     vals = [_lift(v) for v in values]
     if not vals:
@@ -239,40 +153,6 @@ def concat(values, axis: int = 0) -> DiffValue:
             offset += size
 
     return _node(data, tuple(vals), backward)
-
-
-def take(a, key) -> DiffValue:
-    """Indexing/slicing with gradient scatter-add on the way back."""
-    a = _lift(a)
-    data = a.data[key]
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, key, g)
-        _accumulate(a, buf)
-
-    return _node(np.array(data), (a,), backward)
-
-
-def sigmoid(a) -> DiffValue:
-    a = _lift(a)
-    with np.errstate(over="ignore"):
-        data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        _accumulate(a, g * data * (1.0 - data))
-
-    return _node(data, (a,), backward)
-
-
-def tanh(a) -> DiffValue:
-    a = _lift(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        _accumulate(a, g * (1.0 - data * data))
-
-    return _node(data, (a,), backward)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Array | None:

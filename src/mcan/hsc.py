@@ -317,5 +317,5 @@ def hsc_forward_batch(params: HscParams, inputs: ChannelInputs,
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
     h_self = h_self[0] if len(h_self) == 1 else ad.concat(h_self, axis=0)
-    return nn.fnn_forward(params.head, ad.concat([h_neigh, h_self], axis=1), drop)
+    return nn.fnn_forward(params.head, [h_neigh, h_self], drop)
 

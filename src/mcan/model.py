@@ -507,14 +507,14 @@ def fusion_components(params: McanParams, gi: GroupInputs, drop: Dropout | None 
     for ch in config.channels():
         outputs[ch] = hsc_mod.hsc_forward_batch(params.hsc[ch], gi.channels[ch], drop)
         given = {"trend": gi.prev_speed, "deviation": gi.ybar_at_t}.get(ch)
-        head_in = outputs[ch] if given is None else ad.concat([outputs[ch], given], axis=1)
+        head_in = [outputs[ch]] if given is None else [outputs[ch], given]
         components[ch] = nn.fnn_forward(params.msc_heads[ch], head_in, drop)
     for name, steps in config.branches().items():
         got = gi.temporal[name].shape[1] if name in gi.temporal else 0
         if got != steps:
             raise ShapeMismatch(f"{name} input has {got} steps, expected {steps}")
         components[name] = nn.lstm_sequence(params.temporal[name], gi.temporal[name].transpose(1, 0, 2), drop)
-    components["static"] = nn.fnn_forward(params.context_static, gi.static, drop)
+    components["static"] = nn.fnn_forward(params.context_static, [gi.static], drop)
     components["dynamic"] = nn.lstm_sequence(params.context_dynamic, gi.dynamic.transpose(1, 0, 2), drop)
     return components, outputs
 
@@ -523,7 +523,7 @@ def forward_group(params: McanParams, gi: GroupInputs, drop: Dropout | None = No
     """Batched forward: returns (speed (B,H), trend (B,1)|None, deviation (B,1)|None)."""
     components, channel_outputs = fusion_components(params, gi, drop)
     fused = nn.attention_fuse(params.fusion, list(components.values()))
-    speed = nn.fnn_forward(params.output_head, fused, drop)
+    speed = nn.fnn_forward(params.output_head, [fused], drop)
     return speed, channel_outputs.get("trend"), channel_outputs.get("deviation")
 
 

@@ -8,14 +8,16 @@ of one parameter vector, which the optimizer updates, and the
 
 An LSTM cell is three leaves holding its gates' weights stacked.  Each LSTM
 layer runs over its whole sequence as one autodiff node (:func:`lstm_layer`)
-that computes with them as stored, with a hand-written backward pass through
-time; the composed :func:`lstm_step`, which reads gate k as ``w_x[k]``, stays
-as the reference the tests check it against, by value and by finite
-differences.  A fully connected network (:func:`fnn_forward`) and the
-attention fusion (:func:`attention_fuse`) are one node each as well: their
-forward runs the numpy operations of the elementary ops they replace, in the
-same order, and their backward the same gradient arithmetic, so values and
-gradients equal the composed forms in ``tests/reference.py`` bit for bit.
+that projects every step's input in one batched matmul and then calls
+:func:`lstm_step`, the one implementation of the cell update, once per time
+step on plain arrays; its backward pass through time is written out by hand.
+A fully connected network (:func:`fnn_forward`), which takes its input as a
+list of column blocks, and the attention fusion (:func:`attention_fuse`) are
+one node each as well.  Each fused node runs the numpy operations of the
+elementary ops it replaces, in the same order, and its backward the same
+gradient arithmetic, so values and gradients equal the compositions in
+``tests/reference.py`` (a chain of ``reference.lstm_step`` for a layer) bit
+for bit.
 """
 
 from __future__ import annotations
@@ -118,25 +120,20 @@ def init_lstm_stack(rng, input_size: int, hidden_size: int, layers: int) -> Lstm
     return LstmStack(cells)
 
 
-def lstm_step(params: LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffValue]:
-    """One LSTM cell update: three sigmoid gates, tanh candidate, new state.
-
-    Composed from elementary ops, one gate at a time.  Training and
-    evaluation run :func:`lstm_layer` instead; this is the readable form of
-    the cell equations that the tests hold the fused layer to.
-    """
-    x, h_prev, c_prev = (ad._lift(v) for v in (x, h_prev, c_prev))
-    if x.data.shape[1] != params.input_size:
-        raise ShapeMismatch(
-            f"lstm_step: input width {x.data.shape[1]} != expected {params.input_size}"
-        )
-    pre = [ad.matmul(x, params.w_x[k]) + ad.matmul(h_prev, params.w_h[k]) + params.b[k]
-           for k in range(4)]
-    gate_i, gate_f, gate_o = (ad.sigmoid(p) for p in pre[:3])
-    candidate = ad.tanh(pre[3])
-    c_new = gate_i * candidate + gate_f * c_prev
-    h_new = gate_o * ad.tanh(c_new)
-    return h_new, c_new
+def lstm_step(params: LstmParams, x_proj, h_prev, c_prev, acts) -> tuple[np.ndarray, ...]:
+    """One LSTM cell update on arrays, as :func:`lstm_layer` runs it per time
+    step: ``x_proj`` (4, B, H) is the step's input projected by each gate
+    (gate k ``x @ w_x[k]``), ``h_prev`` and ``c_prev`` the (B, H) states
+    before it.  Writes the four gate activations into the caller's (4, B, H)
+    ``acts`` and returns the new ``h``, ``c`` and ``tanh(c)``."""
+    pre = x_proj + np.matmul(h_prev, params.w_h.data) + params.b.data[:, None, :]
+    with np.errstate(over="ignore"):
+        acts[:3] = 1.0 / (1.0 + np.exp(-pre[:3]))
+    acts[3] = np.tanh(pre[3])
+    gate_i, gate_f, gate_o, cand = acts
+    c_new = gate_i * cand + gate_f * c_prev
+    tanh_c = np.tanh(c_new)
+    return gate_o * tanh_c, c_new, tanh_c
 
 
 def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
@@ -148,11 +145,12 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     with ``last`` only its final ``(B, H)`` state.
 
     The cell's stacked gate weights let one batched matmul project every
-    step's input and one per step mix in the previous hidden state (the
-    gate fusion of Appleyard et al., arXiv:1604.01946).  BLAS still sees the
-    per-gate ``(B, in) @ (in, H)`` products of :func:`lstm_step`, and each
-    step adds and activates in its order, so the values equal those of a
-    chain of cell updates bit for bit.  Backpropagation through time is
+    step's input, and :func:`lstm_step` mix in the previous hidden state with
+    one more per step (the gate fusion of Appleyard et al.,
+    arXiv:1604.01946).  BLAS still sees the per-gate ``(B, in) @ (in, H)``
+    products, and each step adds and activates in the composed cell's order,
+    so the values equal those of a chain of cell updates composed from
+    elementary ops bit for bit.  Backpropagation through time is
     written out below and reaches the three stacked leaves and every input
     that requires a gradient.
     """
@@ -170,7 +168,6 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     steps, batch, width = x.shape
     hidden = params.hidden_size
     w_x, w_h = params.w_x.data, params.w_h.data
-    bias = params.b.data[:, None, :]  # (4, 1, H)
     x_proj = np.matmul(x[:, None], w_x)  # (T, 4, B, H)
 
     acts = np.empty((steps, 4, batch, hidden))
@@ -178,14 +175,7 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     c_seq = np.zeros((steps + 1, batch, hidden))
     tanh_c = np.empty((steps, batch, hidden))
     for t in range(steps):
-        pre = x_proj[t] + np.matmul(h_seq[t], w_h) + bias
-        with np.errstate(over="ignore"):
-            acts[t, :3] = 1.0 / (1.0 + np.exp(-pre[:3]))
-        acts[t, 3] = np.tanh(pre[3])
-        gate_i, gate_f, gate_o, cand = acts[t]
-        c_seq[t + 1] = gate_i * cand + gate_f * c_seq[t]
-        tanh_c[t] = np.tanh(c_seq[t + 1])
-        h_seq[t + 1] = gate_o * tanh_c[t]
+        h_seq[t + 1], c_seq[t + 1], tanh_c[t] = lstm_step(params, x_proj[t], h_seq[t], c_seq[t], acts[t])
 
     def backward(g):
         if last:  # the sequence's gradient is zero before its final state
@@ -274,17 +264,27 @@ def init_fnn(rng, input_size: int, hidden_sizes: list[int], output_size: int) ->
     ])
 
 
-def fnn_forward(params: FnnParams, x, drop: Dropout | None = None) -> DiffValue:
-    """Chained affine layers on ``(B, in)`` rows; sigmoid hidden activations,
-    each followed by a dropout draw when ``drop`` is given, and an identity
-    output.  One node, whose backward reaches every layer's leaves and ``x``."""
-    x = ad._lift(x)
-    if x.data.ndim != 2 or x.data.shape[1] != params.input_size:
-        raise ShapeMismatch(f"fnn_forward: input of shape {x.data.shape} does not have width "
-                            f"{params.input_size}")
+def fnn_forward(params: FnnParams, blocks, drop: Dropout | None = None) -> DiffValue:
+    """Chained affine layers on ``(B, in)`` rows given as a list of column
+    blocks, joined in order as :func:`~mcan.autodiff.concat` joins them;
+    sigmoid hidden activations, each followed by a dropout draw when ``drop``
+    is given, and an identity output.  One node, whose backward reaches every
+    layer's leaves and, with its columns of the input gradient, every block
+    that requires one."""
+    blocks = [ad._lift(b) for b in blocks]
+    try:
+        x = np.concatenate([b.data for b in blocks], axis=1)
+    except ValueError:
+        raise ShapeMismatch(f"fnn_forward: column blocks of shapes {[b.shape for b in blocks]} "
+                            "do not join") from None
+    if x.ndim != 2 or x.shape[1] != params.input_size:
+        raise ShapeMismatch(f"fnn_forward: column blocks join to shape {x.shape}, "
+                            f"expected width {params.input_size}")
+    bounds = np.cumsum([0] + [b.data.shape[1] for b in blocks])
+    needs_input = any(b._needs for b in blocks)
     depth = len(params.layers)
     inputs, acts, masks = [], [], []  # per layer: its input; per hidden layer: activation, mask
-    out = x.data
+    out = x
     for k, layer in enumerate(params.layers):
         inputs.append(out)
         out = out @ layer.weight.data + layer.bias.data
@@ -304,14 +304,15 @@ def fnn_forward(params: FnnParams, x, drop: Dropout | None = None) -> DiffValue:
                     g = g * masks[k]
                 g = g * acts[k] * (1.0 - acts[k])
             ad._accumulate(layer.bias, g.sum(axis=0))
-            g_in = g @ layer.weight.data.T if k > 0 or x._needs else None
+            g_in = g @ layer.weight.data.T if k > 0 or needs_input else None
             ad._accumulate(layer.weight, inputs[k].T @ g)
             g = g_in
-        if x._needs:
-            ad._accumulate(x, g)
+        for block, start, stop in zip(blocks, bounds, bounds[1:]):
+            if block._needs:
+                ad._accumulate(block, np.ascontiguousarray(g[:, start:stop]))
 
     leaves = tuple(leaf for layer in params.layers for leaf in (layer.weight, layer.bias))
-    return ad._node(out, leaves + (x,), backward)
+    return ad._node(out, leaves + tuple(blocks), backward)
 
 
 # ---------------------------------------------------------------------------

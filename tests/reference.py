@@ -19,15 +19,20 @@ time; ``hsc.gcn_hop`` and ``hsc.embed_windows`` must match them by value and
 by gradient.
 
 ``lstm_cell`` evaluates the LSTM cell equations in plain numpy, reading gate
-k from the stacked leaves; ``nnlayers.lstm_step`` must match it.
+k from the stacked leaves; ``nnlayers.lstm_step``, the program's one cell,
+must match it.
 
-``subtract``, ``reshape``, ``square``, ``vsum`` and ``softmax`` are
-elementary autodiff ops that no model layer uses.  From them and the ops
-``mcan.autodiff`` keeps, ``fnn_forward``, ``attention_fuse``,
-``lstm_sequence`` (the final state taken from the whole top sequence) and
-``loss_batch`` compose each of the model's fused nodes op by op
-(``dropout`` as a multiply by its mask); each fused node must equal its
-composition bit for bit, in value and in every leaf gradient.
+The elementary autodiff ops live here, not in ``mcan.autodiff``: ``add``,
+``multiply``, ``matmul``, ``take``, ``sigmoid``, ``tanh``, ``subtract``,
+``reshape``, ``square``, ``vsum`` and ``softmax``, each one node made by
+``autodiff._node``.  No model layer uses them.  From them and
+``autodiff.concat``, ``lstm_step`` composes the cell gate by gate (a chain of
+it is the twin of ``nnlayers.lstm_layer``), and ``fnn_forward`` (its column
+blocks joined by ``concat``), ``attention_fuse``, ``lstm_sequence`` (the final
+state taken from the whole top sequence) and ``loss_batch`` compose each of
+the model's fused nodes op by op (``dropout`` as a multiply by its mask); each
+fused node must equal its composition bit for bit, in value and in every leaf
+gradient.
 """
 
 from __future__ import annotations
@@ -240,15 +245,127 @@ def lstm_cell(p, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:
     return o * np.tanh(c), c
 
 
+def lstm_step(params: nn.LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffValue]:
+    """Composed twin of ``nnlayers.lstm_step``: one cell update ``(h, c)``
+    from unprojected ``(B, in)`` inputs, one gate at a time, gate k reading
+    ``take(w_x, k)``."""
+    pre = [add(add(matmul(x, take(params.w_x, k)), matmul(h_prev, take(params.w_h, k))), take(params.b, k))
+           for k in range(4)]
+    gate_i, gate_f, gate_o = (sigmoid(p) for p in pre[:3])
+    c_new = add(multiply(gate_i, tanh(pre[3])), multiply(gate_f, c_prev))
+    return multiply(gate_o, tanh(c_new)), c_new
+
+
+def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to ``shape``."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b) -> DiffValue:
+    a, b = ad._lift(a), ad._lift(b)
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise ShapeMismatch(f"add: incompatible shapes {a.shape} and {b.shape}") from None
+
+    def backward(g):
+        ad._accumulate(a, unbroadcast(g, a.data.shape))
+        ad._accumulate(b, unbroadcast(g, b.data.shape))
+
+    return ad._node(data, (a, b), backward)
+
+
+def multiply(a, b) -> DiffValue:
+    a, b = ad._lift(a), ad._lift(b)
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise ShapeMismatch(f"multiply: incompatible shapes {a.shape} and {b.shape}") from None
+
+    def backward(g):
+        ad._accumulate(a, unbroadcast(g * b.data, a.data.shape))
+        ad._accumulate(b, unbroadcast(g * a.data, b.data.shape))
+
+    return ad._node(data, (a, b), backward)
+
+
+def matmul(a, b) -> DiffValue:
+    """Matrix product for 1-D/2-D operands (inner dimensions must agree)."""
+    a, b = ad._lift(a), ad._lift(b)
+    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
+        raise ShapeMismatch(f"matmul: operands must be 1-D or 2-D, got {a.shape} @ {b.shape}")
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from None
+
+    def backward(g):
+        av, bv = a.data, b.data
+        if av.ndim == 2 and bv.ndim == 2:
+            ad._accumulate(a, g @ bv.T)
+            ad._accumulate(b, av.T @ g)
+        elif av.ndim == 2 and bv.ndim == 1:
+            ad._accumulate(a, np.outer(g, bv))
+            ad._accumulate(b, av.T @ g)
+        elif av.ndim == 1 and bv.ndim == 2:
+            ad._accumulate(a, bv @ g)
+            ad._accumulate(b, np.outer(av, g))
+        else:
+            ad._accumulate(a, g * bv)
+            ad._accumulate(b, g * av)
+
+    return ad._node(data, (a, b), backward)
+
+
+def take(a, key) -> DiffValue:
+    """Indexing/slicing with gradient scatter-add on the way back."""
+    a = ad._lift(a)
+    data = a.data[key]
+
+    def backward(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, key, g)
+        ad._accumulate(a, buf)
+
+    return ad._node(np.array(data), (a,), backward)
+
+
+def sigmoid(a) -> DiffValue:
+    a = ad._lift(a)
+    with np.errstate(over="ignore"):
+        data = 1.0 / (1.0 + np.exp(-a.data))
+
+    def backward(g):
+        ad._accumulate(a, g * data * (1.0 - data))
+
+    return ad._node(data, (a,), backward)
+
+
+def tanh(a) -> DiffValue:
+    a = ad._lift(a)
+    data = np.tanh(a.data)
+
+    def backward(g):
+        ad._accumulate(a, g * (1.0 - data * data))
+
+    return ad._node(data, (a,), backward)
+
+
 def chebyshev_features(x: DiffValue, order: int) -> list[DiffValue]:
     """Differentiable T_1(x)..T_order(x) via the recurrence; x must lie in [-1, 1]."""
     if order < 1:
         raise ConfigError(f"chebyshev order must be >= 1, got {order}")
     feats = [x]
     if order >= 2:
-        feats.append(subtract(ad.multiply(square(x), 2.0), 1.0))
+        feats.append(subtract(multiply(square(x), 2.0), 1.0))
     for _ in range(2, order):
-        feats.append(subtract(ad.multiply(ad.multiply(x, feats[-1]), 2.0), feats[-2]))
+        feats.append(subtract(multiply(multiply(x, feats[-1]), 2.0), feats[-2]))
     return feats
 
 
@@ -268,19 +385,19 @@ def correlation_scores(params: hsc.GcnParams, target_emb: DiffValue, neighbor_em
     """Sigmoid bilinear scores u = sigma(e_i' M_f e_j) for every filter: (B, filters)."""
     batch = target_emb.data.shape[0]
     c = params.correlation.data.shape[1]
-    mixed = ad.matmul(neighbor_emb, transpose(params.correlation))  # (B, F*c)
+    mixed = matmul(neighbor_emb, transpose(params.correlation))  # (B, F*c)
     mixed = reshape(mixed, (batch, params.filters, c))
     target3 = reshape(target_emb, (batch, 1, c))
-    return ad.sigmoid(vsum(ad.multiply(mixed, target3), axis=2))
+    return sigmoid(vsum(multiply(mixed, target3), axis=2))
 
 
 def kernel_response(params: hsc.GcnParams, scores: DiffValue) -> DiffValue:
     """f(u) = sum_l z_l T_l(2u - 1) per filter, summed over the kernel orders."""
-    mapped = subtract(ad.multiply(scores, 2.0), 1.0)
+    mapped = subtract(multiply(scores, 2.0), 1.0)
     out = None
     for l, feat in enumerate(chebyshev_features(mapped, params.order)):
-        term = ad.multiply(feat, params.kernel[:, l])
-        out = term if out is None else ad.add(out, term)
+        term = multiply(feat, take(params.kernel, (slice(None), l)))
+        out = term if out is None else add(out, term)
     return out
 
 
@@ -292,8 +409,8 @@ def subtract(a, b) -> DiffValue:
         raise ShapeMismatch(f"subtract: incompatible shapes {a.shape} and {b.shape}") from None
 
     def backward(g):
-        ad._accumulate(a, ad._unbroadcast(g, a.data.shape))
-        ad._accumulate(b, ad._unbroadcast(-g, b.data.shape))
+        ad._accumulate(a, unbroadcast(g, a.data.shape))
+        ad._accumulate(b, unbroadcast(-g, b.data.shape))
 
     return ad._node(data, (a, b), backward)
 
@@ -351,27 +468,29 @@ def dropout(x: DiffValue, drop) -> DiffValue:
     """``x`` times one mask draw, as an elementwise multiply (identity
     without ``drop``)."""
     mask = None if drop is None else ad.dropout_mask(x.data.shape, drop.rate, drop.rng)
-    return x if mask is None else ad.multiply(x, mask)
+    return x if mask is None else multiply(x, mask)
 
 
-def fnn_forward(params: nn.FnnParams, x, drop=None) -> DiffValue:
-    """Composed twin of ``nnlayers.fnn_forward``."""
-    x = ad._lift(x)
+def fnn_forward(params: nn.FnnParams, blocks, drop=None) -> DiffValue:
+    """Composed twin of ``nnlayers.fnn_forward``: the column blocks joined
+    by a ``concat`` node unless there is one, then the layers op by op."""
+    blocks = [ad._lift(b) for b in blocks]
+    x = blocks[0] if len(blocks) == 1 else ad.concat(blocks, axis=1)
     width = x.data.shape[-1]
     if width != params.input_size:
         raise ShapeMismatch(f"fnn_forward: input width {width} != expected {params.input_size}")
     out = x
     for k, layer in enumerate(params.layers):
-        out = ad.matmul(out, layer.weight) + layer.bias
+        out = add(matmul(out, layer.weight), layer.bias)
         if k < len(params.layers) - 1:
-            out = dropout(ad.sigmoid(out), drop)
+            out = dropout(sigmoid(out), drop)
     return out
 
 
 def attention_parts(params: nn.AttentionParams, components):
     """The projected components and the softmax weights, composed."""
-    projected = [ad.matmul(c, params.projection) for c in components]
-    scores = [reshape(ad.matmul(p, params.query), (-1, 1)) for p in projected]
+    projected = [matmul(c, params.projection) for c in components]
+    scores = [reshape(matmul(p, params.query), (-1, 1)) for p in projected]
     return projected, softmax(ad.concat(scores, axis=1), axis=-1)
 
 
@@ -380,8 +499,8 @@ def attention_fuse(params: nn.AttentionParams, components) -> DiffValue:
     projected, weights = attention_parts(params, components)
     out = None
     for k, p in enumerate(projected):
-        term = ad.multiply(p, weights[:, k : k + 1])
-        out = term if out is None else ad.add(out, term)
+        term = multiply(p, take(weights, (slice(None), slice(k, k + 1))))
+        out = term if out is None else add(out, term)
     return out
 
 
@@ -393,7 +512,7 @@ def lstm_sequence(stack: nn.LstmStack, inputs, drop=None) -> DiffValue:
         if depth > 0:
             seq = dropout(seq, drop)
         seq = nn.lstm_layer(cell, seq)
-    return seq[-1]
+    return take(seq, -1)
 
 
 def loss_batch(speed_pred, speed_target, trend_pred, trend_target, deviation_pred,
@@ -404,5 +523,5 @@ def loss_batch(speed_pred, speed_target, trend_pred, trend_target, deviation_pre
                                  (deviation_pred, deviation_target, beta)):
         if pred is not None:
             term = vsum(square(subtract(pred, ad.constant(target))))
-            total = ad.add(total, ad.multiply(term, weight))
+            total = add(total, multiply(term, weight))
     return total

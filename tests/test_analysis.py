@@ -125,10 +125,27 @@ class TestReport:
         assert np.all(report[0].time_slots % 30 == 0)  # lcm(10, 15)
 
     def test_no_overlap_rejected(self):
+        # a wall range that ends before the first minute with enough history
         a, b, _ = gd.generate_planted_pair(seed=21, days=3)
-        with pytest.raises(MissingDataError):
+        with pytest.raises(ConfigError, match="wall_end 100 .*window_days=3 .*the first is minute 4320"):
             an.multifold_correlation_report(a, b, 5, 5, ["speed"], window_days=3,
                                             wall_range=(0, 100))
+
+    def test_span_without_enough_history_rejected(self):
+        a, b, _ = gd.generate_planted_pair(seed=21, days=3)
+        with pytest.raises(MissingDataError, match="span of 4320 minutes .*window_days=3 .*minute 4320"):
+            an.multifold_correlation_report(a, b, 5, 5, ["speed"], window_days=3)
+
+    def test_range_between_shared_slots_rejected(self):
+        # 10- and 15-minute roads share the minutes that are multiples of 30
+        a = gd.SpeedSeries(road_id=0, values=np.arange(3 * 144.0))
+        b = gd.SpeedSeries(road_id=1, values=np.arange(3 * 96.0))
+        with pytest.raises(ConfigError, match="wall_start 1441 to wall_end 1469 .* multiple of 30"):
+            an.multifold_correlation_report(a, b, 10, 15, ["speed"], window_days=1,
+                                            wall_range=(1441, 1469))
+        report = an.multifold_correlation_report(a, b, 10, 15, ["speed"], window_days=1,
+                                                 wall_range=(1441, 1471))
+        assert report[0].time_slots.tolist() == [1470]
 
     def test_undefined_written_as_empty_field(self, tmp_path):
         values = np.tile(np.array([5.0, 5.0]), 12)  # constant: undefined everywhere

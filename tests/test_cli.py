@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -647,6 +648,38 @@ class TestCorrelate:
         sets = [arg for override in overrides for arg in ("--set", override)]
         assert cli.main(["correlate", "--config", config, *sets]) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "corr").exists()
+
+    def test_wall_end_within_the_history_window_is_usage_error_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        config = write_config(
+            tmp_path / "corr.json",
+            graph_path=str(missing / "graph.json"),
+            series_path=str(missing / "series.csv"),
+            context_path=str(missing / "context.csv"),
+            output_dir=str(tmp_path / "corr"),
+            road_a=0, road_b=1, window_days=7,
+        )
+        assert cli.main(["correlate", "--config", config, "--set", "wall_end=100"]) == 1
+        assert ("wall_end 100 ends before any minute with window_days=7 days of history: "
+                "the first is minute 10080") in capsys.readouterr().err
+        assert not (tmp_path / "corr").exists()
+
+    def test_wall_range_between_shared_slots_is_usage_error(self, tmp_path, capsys, data_dir):
+        graph = gd.load_graph(data_dir / "graph.json")
+        stride = math.lcm(graph.nodes[0].interval_minutes, graph.nodes[1].interval_minutes)
+        start, end = 7 * gd.MINUTES_PER_DAY + 1, 7 * gd.MINUTES_PER_DAY + stride - 1
+        config = write_config(
+            tmp_path / "corr.json",
+            graph_path=str(data_dir / "graph.json"),
+            series_path=str(data_dir / "series.csv"),
+            context_path=str(data_dir / "context.csv"),
+            output_dir=str(tmp_path / "corr"),
+            road_a=0, road_b=1, window_days=7, wall_start=start, wall_end=end,
+        )
+        assert cli.main(["correlate", "--config", config]) == 1
+        assert (f"wall_start {start} to wall_end {end} holds no minute that is a multiple of {stride}, "
+                "the shared stride") in capsys.readouterr().err
         assert not (tmp_path / "corr").exists()
 
     def test_wall_range_inside_the_data_span(self, tmp_path, capsys, data_dir):

@@ -398,11 +398,10 @@ class TestFusedNodes:
         assert fused == step(reference.loss_batch)
 
 
-def test_readme_shape_step_has_at_most_sixty_nodes():
-    # The README train.json model on a graph of README shape (10 roads at 5,
-    # 10 and 15 minutes), one batch of 128 rows with dropout: each layer, FNN,
-    # the attention fusion and the loss is one node, not a chain of
-    # elementary ones.
+def readme_shape_step():
+    """One training step's loss, backward run, for the README train.json
+    model on a graph of README shape (10 roads at 5, 10 and 15 minutes):
+    one batch of 128 rows with dropout."""
     generator = gd.GeneratorConfig(n_roads=10, edge_density=0.4, intervals=(5, 10, 15), days=16,
                                    coupling=0.5, noise=4.0, obs_noise=1.0, weekly_amplitude=3.0,
                                    weather_impact=1.0)
@@ -417,14 +416,57 @@ def test_readme_shape_step_has_at_most_sixty_nodes():
     speed, trend, dev = md.forward_group(params, gi, nn.Dropout(0.1, np.random.default_rng(5)))
     total = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend, dev, gi.target_deviation,
                           config.alpha, config.beta)
-    seen, stack, rules = set(), [total], 0
+    total.backward()
+    return total
+
+
+def rule_name(node):
+    """The op that made ``node``: the function its backward rule is local to."""
+    return node._backward.__qualname__.split(".")[0]
+
+
+def test_readme_shape_step_has_at_most_44_nodes():
+    # Each layer, FNN, the attention fusion and the loss is one node, not a
+    # chain of elementary ones, and the FNNs join their input columns
+    # themselves: the only concat nodes left join a channel's self-LSTM
+    # outputs row-wise, one per channel.
+    seen, stack, rules = set(), [readme_shape_step()], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            rules += node._backward is not None
+            if node._backward is not None:
+                rules.append(node)
             stack.extend(node._parents)
-    assert rules <= 60
+    assert len(rules) <= 44
+    joins = [node for node in rules if rule_name(node) == "concat"]
+    assert len(joins) == 3
+    for node in joins:
+        assert all(rule_name(p) == "lstm_layer" for p in node._parents)
+        assert node.shape == (128, 16) and sum(p.shape[0] for p in node._parents) == 128
+
+
+def test_readme_shape_step_runs_the_cell_once_per_layer_step(monkeypatch):
+    # The 16 LSTMs of a README-shape step (self and neighbour per channel,
+    # the self ones once per interval class, recent, daily, weekly and
+    # dynamic context) run nn.lstm_step once per layer and time step, so
+    # the benchmark's nnlayers.lstm_step_calls counts real cell updates.
+    steps, layer_lengths = [], []
+    lstm_step, lstm_layer = nn.lstm_step, nn.lstm_layer
+
+    def counted_step(*args):
+        steps.append(1)
+        return lstm_step(*args)
+
+    def measured_layer(params, inputs, last=False):
+        layer_lengths.append(len(inputs))
+        return lstm_layer(params, inputs, last)
+
+    monkeypatch.setattr(nn, "lstm_step", counted_step)
+    monkeypatch.setattr(nn, "lstm_layer", measured_layer)
+    readme_shape_step()
+    assert len(layer_lengths) == 16
+    assert len(steps) == sum(layer_lengths) == 90
 
 
 def batch_loss(params, gi):

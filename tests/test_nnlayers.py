@@ -1,5 +1,7 @@
 """Tests for Chebyshev/CPA features, LSTM, FNN, and attention fusion."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ class TestCpa:
         cpa, out = self.embed([0.3, -0.2, 0.7], 10)
         pick = np.zeros((1, 10))
         pick[0, 8] = 1.0  # position 8 maps to 0.6
-        reference.vsum(ad.multiply(out, pick)).backward()
+        reference.vsum(reference.multiply(out, pick)).backward()
         assert np.allclose(cpa.coefficients.grad, nn.chebyshev_basis(0.6, 3))
 
     def test_gradient_wrt_input(self):
@@ -90,8 +92,8 @@ class TestCpa:
         x = ad.parameter(np.array(0.4))
 
         def forward():
-            feats = reference.chebyshev_features(x, len(v))
-            return sum(ad.multiply(f, c) for f, c in zip(feats, v))
+            terms = [reference.multiply(f, c) for f, c in zip(reference.chebyshev_features(x, len(v)), v)]
+            return functools.reduce(reference.add, terms)
 
         forward().backward()
         numeric = finite_difference(lambda: forward().item(), x)
@@ -106,6 +108,13 @@ def zero_lstm(input_size, hidden_size):
 
 def cell_leaves(cell):
     return [cell.w_x, cell.w_h, cell.b]
+
+
+def cell_step(p, x, h_prev, c_prev):
+    """``nn.lstm_step`` on an unprojected ``(B, in)`` input: the new ``(h, c)``."""
+    acts = np.empty((4,) + np.shape(h_prev))
+    h, c, _ = nn.lstm_step(p, np.matmul(x, p.w_x.data), h_prev, c_prev, acts)
+    return h, c
 
 
 class TestLstm:
@@ -127,16 +136,16 @@ class TestLstm:
 
     def test_zero_parameters_zero_state(self):
         p = zero_lstm(3, 4)
-        h, c = nn.lstm_step(p, np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
-        assert np.array_equal(h.data, np.zeros((1, 4)))
-        assert np.array_equal(c.data, np.zeros((1, 4)))
+        h, c = cell_step(p, np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
+        assert np.array_equal(h, np.zeros((1, 4)))
+        assert np.array_equal(c, np.zeros((1, 4)))
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_lstm(2, 3)
         p.b.data[1] = 30.0  # forget gate
         c_prev = np.array([[0.7, -1.2, 2.0]])
-        _, c = nn.lstm_step(p, np.ones((1, 2)), np.zeros((1, 3)), c_prev)
-        assert np.abs(c.data - c_prev).max() < 1e-6
+        _, c = cell_step(p, np.ones((1, 2)), np.zeros((1, 3)), c_prev)
+        assert np.abs(c - c_prev).max() < 1e-6
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(31)
@@ -146,10 +155,10 @@ class TestLstm:
             x = rng.normal(size=(1, 3))
             h_prev = rng.normal(size=(1, 5))
             c_prev = rng.normal(size=(1, 5))
-            h, c = nn.lstm_step(p, x, h_prev, c_prev)
+            h, c = cell_step(p, x, h_prev, c_prev)
             h_ref, c_ref = reference.lstm_cell(p, x, h_prev, c_prev)
-            assert np.abs(h.data - h_ref).max() < 1e-12
-            assert np.abs(c.data - c_ref).max() < 1e-12
+            assert np.abs(h - h_ref).max() < 1e-12
+            assert np.abs(c - c_ref).max() < 1e-12
 
     def test_hidden_is_bounded_by_one(self):
         rng = np.random.default_rng(37)
@@ -157,8 +166,7 @@ class TestLstm:
         h = np.zeros((1, 6))
         c = np.zeros((1, 6))
         for _ in range(50):
-            hv, cv = nn.lstm_step(p, rng.normal(scale=5.0, size=(1, 4)), h, c)
-            h, c = hv.data, cv.data
+            h, c = cell_step(p, rng.normal(scale=5.0, size=(1, 4)), h, c)
             assert np.abs(h).max() <= 1.0
 
     def test_sequence_length_one_equals_single_step(self):
@@ -166,8 +174,8 @@ class TestLstm:
         p = nn.init_lstm(rng, 2, 3)
         x = rng.normal(size=(1, 2))
         h_seq = nn.lstm_sequence(nn.LstmStack([p]), [x])
-        h_step, _ = nn.lstm_step(p, x, np.zeros((1, 3)), np.zeros((1, 3)))
-        assert np.array_equal(h_seq.data, h_step.data)
+        h_step, _ = cell_step(p, x, np.zeros((1, 3)), np.zeros((1, 3)))
+        assert np.array_equal(h_seq.data, h_step)
 
     def test_zero_parameters_any_sequence_is_zero(self):
         stack = nn.LstmStack([zero_lstm(2, 3)])
@@ -191,7 +199,7 @@ class TestLstm:
         rng = np.random.default_rng(59)
         p = nn.init_lstm(rng, 3, 4)
         with pytest.raises(ShapeMismatch, match="width"):
-            nn.lstm_step(p, np.zeros((1, 5)), np.zeros((1, 4)), np.zeros((1, 4)))
+            nn.lstm_sequence(nn.LstmStack([p]), [np.zeros((1, 5))])
 
     def test_batched_matches_vector_rows(self):
         rng = np.random.default_rng(61)
@@ -222,13 +230,13 @@ class TestFnn:
         layers = [nn.FnnLayer(ad.parameter(np.eye(3)), ad.parameter(np.zeros(3)))]
         params = nn.FnnParams(layers)
         x = np.array([[1.0, -2.0, 0.5]])
-        assert np.array_equal(nn.fnn_forward(params, x).data, x)
+        assert np.array_equal(nn.fnn_forward(params, [x]).data, x)
 
     def test_constant_network_returns_bias(self):
         bias = np.array([2.0, -1.0])
         layers = [nn.FnnLayer(ad.parameter(np.zeros((3, 2))), ad.parameter(bias))]
         params = nn.FnnParams(layers)
-        assert np.array_equal(nn.fnn_forward(params, np.ones((1, 3))).data, bias[None])
+        assert np.array_equal(nn.fnn_forward(params, [np.ones((1, 3))]).data, bias[None])
 
     def test_hand_set_two_by_two(self):
         w1 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -240,13 +248,13 @@ class TestFnn:
         x = np.array([[0.5, -0.5]])
         hidden = 1.0 / (1.0 + np.exp(-(x @ w1)))
         expected = hidden @ w2
-        assert np.allclose(nn.fnn_forward(params, x).data, expected, atol=1e-14)
+        assert np.allclose(nn.fnn_forward(params, [x]).data, expected, atol=1e-14)
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(71)
         params = nn.init_fnn(rng, 4, [3], 2)
         with pytest.raises(ShapeMismatch, match="width"):
-            nn.fnn_forward(params, np.zeros((1, 5)))
+            nn.fnn_forward(params, [np.zeros((1, 5))])
 
     def test_gradient_check(self):
         rng = np.random.default_rng(73)
@@ -254,7 +262,7 @@ class TestFnn:
         x = rng.normal(size=(2, 3))
 
         def forward():
-            return reference.vsum(reference.square(nn.fnn_forward(params, x)))
+            return reference.vsum(reference.square(nn.fnn_forward(params, [x])))
 
         forward().backward()
         for layer in params.layers:
@@ -275,7 +283,7 @@ class TestFnn:
 
         def forward():  # the same dropout masks on every call
             drop = nn.Dropout(rate, np.random.default_rng(7)) if rate else None
-            return reference.vsum(ad.multiply(nn.fnn_forward(params, x, drop), weights))
+            return reference.vsum(reference.multiply(nn.fnn_forward(params, [x], drop), weights))
 
         forward().backward()
         for p in [x] + [leaf for layer in params.layers for leaf in (layer.weight, layer.bias)]:
@@ -290,12 +298,86 @@ class TestFnn:
             params = nn.init_fnn(rng, 3, hidden, 2)
             x = ad.parameter(rng.normal(size=(6, 3)))
             drop = nn.Dropout(rate, np.random.default_rng(7)) if rate else None
-            out = fnn_forward(params, x, drop)
-            reference.vsum(ad.multiply(out, rng.normal(size=(6, 2)))).backward()
+            out = fnn_forward(params, [x], drop)
+            reference.vsum(reference.multiply(out, rng.normal(size=(6, 2)))).backward()
             leaves = [leaf for layer in params.layers for leaf in (layer.weight, layer.bias)]
             return [a.tobytes() for a in [out.data, x.grad] + [leaf.grad for leaf in leaves]]
 
         assert run(nn.fnn_forward) == run(reference.fnn_forward)
+
+
+# Column blocks of a 6-wide FNN input: their widths, and which of them are
+# constant numpy arrays (the rest are leaves that take a gradient).
+BLOCK_CASES = [([6], ()), ([6], (0,)), ([2, 4], ()), ([2, 4], (1,)), ([1, 3, 2], (0,)), ([3, 1, 2], (1,))]
+
+
+def column_blocks(rng, widths, constant, rows):
+    return [rng.normal(size=(rows, w)) if k in constant else ad.parameter(rng.normal(size=(rows, w)))
+            for k, w in enumerate(widths)]
+
+
+class TestFnnColumnBlocks:
+    @pytest.mark.parametrize("widths,constant", BLOCK_CASES)
+    def test_finite_difference_each_block(self, widths, constant):
+        rng = np.random.default_rng(76 + len(widths))
+        params = nn.init_fnn(rng, 6, [4], 2)
+        blocks = column_blocks(rng, widths, constant, 5)
+        weights = rng.normal(size=(5, 2))
+
+        def forward():  # the same dropout masks on every call
+            drop = nn.Dropout(0.3, np.random.default_rng(7))
+            return reference.vsum(reference.multiply(nn.fnn_forward(params, blocks, drop), weights))
+
+        forward().backward()
+        leaves = [leaf for layer in params.layers for leaf in (layer.weight, layer.bias)]
+        for p in leaves + [b for b in blocks if isinstance(b, ad.DiffValue)]:
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("widths,constant", BLOCK_CASES)
+    def test_constant_block_gets_no_gradient(self, widths, constant):
+        rng = np.random.default_rng(77)
+        params = nn.init_fnn(rng, 6, [4], 2)
+        blocks = column_blocks(rng, widths, constant, 3)
+        out = nn.fnn_forward(params, blocks)
+        reference.vsum(out).backward()
+        lifted = out._parents[-len(blocks):]
+        for k, block in enumerate(blocks):
+            if k in constant:
+                assert lifted[k].data is block and lifted[k].grad is None
+            else:
+                assert lifted[k] is block and block.grad.shape == block.data.shape
+
+    @pytest.mark.parametrize("widths,constant", BLOCK_CASES)
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_bit_identical_to_concat_then_composed(self, widths, constant, rate):
+        # The first block also reaches the loss directly, as a channel output
+        # does: its gradient is the same sum of two terms either way.
+        def run(fnn_forward):
+            rng = np.random.default_rng(78)
+            params = nn.init_fnn(rng, 6, [4, 3], 2)
+            blocks = column_blocks(rng, widths, constant, 6)
+            drop = nn.Dropout(rate, np.random.default_rng(7)) if rate else None
+            out = fnn_forward(params, blocks, drop)
+            total = reference.add(reference.vsum(reference.multiply(out, rng.normal(size=(6, 2)))),
+                                  reference.vsum(reference.multiply(blocks[0], rng.normal(size=(6, widths[0])))))
+            total.backward()
+            leaves = [leaf for layer in params.layers for leaf in (layer.weight, layer.bias)]
+            leaves += [b for b in blocks if isinstance(b, ad.DiffValue)]
+            return [a.tobytes() for a in [out.data] + [p.grad for p in leaves]]
+
+        assert run(nn.fnn_forward) == run(reference.fnn_forward)
+
+    @pytest.mark.parametrize("widths", [[7], [2, 3], [1, 3, 4]])
+    def test_joined_width_mismatch_names_it(self, widths):
+        params = nn.init_fnn(np.random.default_rng(79), 6, [4], 2)
+        with pytest.raises(ShapeMismatch, match=rf"join to shape \(2, {sum(widths)}\), expected width 6"):
+            nn.fnn_forward(params, [np.zeros((2, w)) for w in widths])
+
+    def test_blocks_with_other_row_counts_rejected(self):
+        params = nn.init_fnn(np.random.default_rng(80), 6, [4], 2)
+        with pytest.raises(ShapeMismatch, match="do not join"):
+            nn.fnn_forward(params, [np.zeros((2, 4)), np.zeros((3, 2))])
 
 
 class TestAttention:
@@ -378,7 +460,7 @@ class TestAttention:
         weights = rng.normal(size=(2, 4))
 
         def forward():
-            return reference.vsum(ad.multiply(nn.attention_fuse(params, comps + [constant]), weights))
+            return reference.vsum(reference.multiply(nn.attention_fuse(params, comps + [constant]), weights))
 
         forward().backward()
         for p in [params.projection, params.query] + comps:
@@ -392,7 +474,7 @@ class TestAttention:
             params = nn.init_attention(rng, 4, 4)
             comps = [ad.parameter(rng.normal(size=(6, 4))) for _ in range(count)]
             out = attention_fuse(params, comps)
-            reference.vsum(ad.multiply(out, rng.normal(size=(6, 4)))).backward()
+            reference.vsum(reference.multiply(out, rng.normal(size=(6, 4)))).backward()
             grads = [params.projection.grad, params.query.grad] + [c.grad for c in comps]
             return [a.tobytes() for a in [out.data] + grads]
 
@@ -407,8 +489,9 @@ class TestAttention:
 
 
 def step_chain(stack, steps, drop=None):
-    """Reference for the fused layers: ``lstm_step`` chained over time, layer by
-    layer, with one ``ad.dropout`` draw per step between layers."""
+    """Reference for the fused layers: the composed ``reference.lstm_step``
+    chained over time, layer by layer, with one ``ad.dropout`` draw per step
+    between layers."""
     steps = [s if isinstance(s, ad.DiffValue) else ad.constant(s) for s in steps]
     shape = steps[0].data.shape[:-1]
     for depth, cell in enumerate(stack.cells):
@@ -416,7 +499,7 @@ def step_chain(stack, steps, drop=None):
         c = ad.constant(np.zeros(shape + (cell.hidden_size,)))
         outputs = []
         for x in steps:
-            h, c = nn.lstm_step(cell, x, h, c)
+            h, c = reference.lstm_step(cell, x, h, c)
             outputs.append(h)
         if depth < len(stack.cells) - 1 and drop is not None:
             outputs = [ad.dropout(o, drop.rate, drop.rng) for o in outputs]
@@ -461,7 +544,7 @@ class TestLstmLayer:
         assert hidden.data.shape == (5, 4, 3)
         h = c = np.zeros((4, 3))
         for t, x in enumerate(seq):
-            h_dv, c_dv = nn.lstm_step(cell, x, h, c)
+            h_dv, c_dv = reference.lstm_step(cell, x, h, c)
             h, c = h_dv.data, c_dv.data
             assert np.abs(hidden.data[t] - h).max() < 1e-12
 
@@ -488,7 +571,7 @@ class TestLstmLayer:
         weights = rng.normal(size=(2, 3))
 
         def forward():
-            return reference.vsum(ad.multiply(nn.lstm_sequence(stack, seq), weights))
+            return reference.vsum(reference.multiply(nn.lstm_sequence(stack, seq), weights))
 
         forward().backward()
         parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + seq
@@ -505,7 +588,7 @@ class TestLstmLayer:
             stack = random_stack(rng, 3, 4, layers)
             seq = [ad.parameter(rng.normal(size=(2, 3))) for _ in range(5)]
             out = lstm_sequence(stack, seq, nn.Dropout(0.3, np.random.default_rng(9)))
-            reference.vsum(ad.multiply(out, rng.normal(size=(2, 4)))).backward()
+            reference.vsum(reference.multiply(out, rng.normal(size=(2, 4)))).backward()
             leaves = [leaf for cell in stack.cells for leaf in cell_leaves(cell)]
             return [a.tobytes() for a in [out.data] + [p.grad for p in leaves + seq]]
 
@@ -519,7 +602,7 @@ class TestLstmLayer:
         weights = rng.normal(size=(4, 2, 2))
 
         def forward():
-            return reference.vsum(ad.multiply(nn.lstm_layer(cell, below), weights))
+            return reference.vsum(reference.multiply(nn.lstm_layer(cell, below), weights))
 
         forward().backward()
         for p in [below] + cell_leaves(cell):

@@ -15,8 +15,8 @@ compose reference forms of each fused node from live in
 
 Inside :func:`no_tape` the ops compute the same values but record no
 parents and no backward rule, so each op's inputs and the arrays its backward
-would read are freed as soon as the forward moves past them; ``backward``
-refuses to run there.
+would read are freed as soon as the forward moves past them, and an LSTM
+layer does not fill those arrays at all; ``backward`` refuses to run there.
 """
 
 from __future__ import annotations
@@ -112,7 +112,9 @@ def _accumulate(node: DiffValue, g: Array) -> None:
 def no_tape():
     """Scope in which ops record no graph, for forwards nothing will
     differentiate: the values are unchanged, the memory a backward pass would
-    need is not kept, and :meth:`DiffValue.backward` raises.  The scope is
+    need is not kept, and :meth:`DiffValue.backward` raises.  Ops that size
+    their buffers by :func:`_records` do not even allocate it: an LSTM layer
+    keeps two states instead of its whole sequence.  The scope is
     process-wide, not per thread; the previous state returns on exit, also
     when the body raises."""
     global _taping
@@ -123,9 +125,16 @@ def no_tape():
         _taping = previous
 
 
+def _records(parents) -> bool:
+    """Whether a node over ``parents`` records its backward rule: outside
+    :func:`no_tape` and with a parent that requires a gradient.  A fused op
+    keeps the arrays its backward reads only when this holds."""
+    return _taping and any(p._needs for p in parents)
+
+
 def _node(data: Array, parents: tuple[DiffValue, ...], backward) -> DiffValue:
     out = DiffValue(data)
-    if _taping and any(p._needs for p in parents):
+    if _records(parents):
         out._needs = True
         out._parents = parents
         out._backward = backward

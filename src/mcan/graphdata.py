@@ -641,10 +641,13 @@ def _cells(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
     # from the byte after one cell to the start of the next.  For a file's
     # speed column this int64 index (about 7.6 MB for 52k rows) is the
     # largest block set-up frees, and glibc raises its mmap and trim
-    # thresholds to that size, which keeps evaluation's per-chunk arrays on
-    # the heap.  A bool-mask gather frees no block that large: evaluation's
-    # arrays are then trimmed and faulted in again, at about 16 % of
-    # eval-readme samples/s on a 2-vCPU VM.
+    # thresholds to that size, which keeps later arrays on the heap.  With a
+    # bool-mask gather instead, which frees no block that large, the set-up
+    # of an eval-readme iteration took about 3.3k more minor page faults and
+    # 124 ms instead of 96 ms (medians of three alternating runs on a 2-vCPU
+    # VM); its evaluation loop, whose LSTM layers keep two states, faulted
+    # at most 72 times per iteration (never with the index) and kept its
+    # samples/s.
     index = np.ones(ends[-1] if len(ends) else 0, np.int64)
     index[:1] = lo[:1]
     index[ends[:-1]] = lo[1:] - hi[:-1]

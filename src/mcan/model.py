@@ -596,7 +596,28 @@ def save_checkpoint(path, params: McanParams, means: np.ndarray, stds: np.ndarra
             "daily_average": {str(road): y.tolist() for road, y in enumerate(ybar)},
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    Path(path).write_text(indented_json(doc) + "\n")
+
+
+def indented_json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)`` for a document with
+    string keys, ``depth`` levels deep, in the same bytes.  With an indent
+    the stdlib encoder formats every item in Python; here each list of
+    numbers (and booleans and nulls) goes through the C encoder in one pass
+    and is indented by replacing its ``", "`` separators, which no number's
+    text contains."""
+    inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {indented_json(item, depth + 1)}"
+                 for key, item in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if isinstance(value, (list, tuple)) and value:
+        flat = json.dumps(value)
+        if '"' in flat or "{" in flat or "[" in flat[1:]:  # strings or containers inside
+            items = (indented_json(item, depth + 1) for item in value)
+            return "[" + inner + ("," + inner).join(items) + outer + "]"
+        return "[" + inner + flat[1:-1].replace(", ", "," + inner) + outer + "]"
+    return json.dumps(value)
 
 
 def _entry(mapping, key: str, path, where: str = ""):

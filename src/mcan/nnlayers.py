@@ -8,9 +8,10 @@ of one parameter vector, which the optimizer updates, and the
 
 An LSTM cell is three leaves holding its gates' weights stacked.  Each LSTM
 layer runs over its whole sequence as one autodiff node (:func:`lstm_layer`)
-that projects every step's input in one batched matmul and then calls
+that projects its steps' input in batched matmuls and calls
 :func:`lstm_step`, the one implementation of the cell update, once per time
-step on plain arrays; its backward pass through time is written out by hand.
+step on plain arrays, which it updates in place; its backward pass through
+time is written out by hand.
 A fully connected network (:func:`fnn_forward`), which takes its input as a
 list of column blocks, and the attention fusion (:func:`attention_fuse`) are
 one node each as well.  Each fused node runs the numpy operations of the
@@ -120,20 +121,31 @@ def init_lstm_stack(rng, input_size: int, hidden_size: int, layers: int) -> Lstm
     return LstmStack(cells)
 
 
-def lstm_step(params: LstmParams, x_proj, h_prev, c_prev, acts) -> tuple[np.ndarray, ...]:
-    """One LSTM cell update on arrays, as :func:`lstm_layer` runs it per time
-    step: ``x_proj`` (4, B, H) is the step's input projected by each gate
-    (gate k ``x @ w_x[k]``), ``h_prev`` and ``c_prev`` the (B, H) states
-    before it.  Writes the four gate activations into the caller's (4, B, H)
-    ``acts`` and returns the new ``h``, ``c`` and ``tanh(c)``."""
-    pre = x_proj + np.matmul(h_prev, params.w_h.data) + params.b.data[:, None, :]
+def lstm_step(params: LstmParams, x_proj, h_prev, c_prev, acts, h, c, tanh_c) -> None:
+    """One LSTM cell update on arrays, in place, as :func:`lstm_layer` runs it
+    per time step.  ``x_proj`` (4, B, H) is the step's input projected by
+    each gate (gate k ``x @ w_x[k]``), ``h_prev`` and ``c_prev`` the (B, H)
+    states before it.  Writes the four gate activations into the caller's
+    (4, B, H) ``acts`` and the new state into its (B, H) ``h``, ``c`` and
+    ``tanh_c`` (``tanh(c)``), none of which may overlap an input.  The ufuncs
+    write through ``out=`` and add and activate in the order
+    ``reference.lstm_step`` does, so the values equal it bit for bit."""
+    np.matmul(h_prev, params.w_h.data, out=acts)
+    np.add(x_proj, acts, out=acts)
+    np.add(acts, params.b.data[:, None, :], out=acts)
+    gates = acts[:3]  # sigmoid: 1 / (1 + exp(-pre))
+    np.negative(gates, out=gates)
     with np.errstate(over="ignore"):
-        acts[:3] = 1.0 / (1.0 + np.exp(-pre[:3]))
-    acts[3] = np.tanh(pre[3])
+        np.exp(gates, out=gates)
+    np.add(1.0, gates, out=gates)
+    np.divide(1.0, gates, out=gates)
+    np.tanh(acts[3], out=acts[3])
     gate_i, gate_f, gate_o, cand = acts
-    c_new = gate_i * cand + gate_f * c_prev
-    tanh_c = np.tanh(c_new)
-    return gate_o * tanh_c, c_new, tanh_c
+    np.multiply(gate_f, c_prev, out=tanh_c)
+    np.multiply(gate_i, cand, out=c)
+    np.add(c, tanh_c, out=c)
+    np.tanh(c, out=tanh_c)
+    np.multiply(gate_o, tanh_c, out=h)
 
 
 def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
@@ -144,15 +156,23 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     result is the ``(T, B, H)`` hidden sequence from zero initial states, or
     with ``last`` only its final ``(B, H)`` state.
 
-    The cell's stacked gate weights let one batched matmul project every
-    step's input, and :func:`lstm_step` mix in the previous hidden state with
+    The cell's stacked gate weights let one batched matmul project the
+    steps' input, and :func:`lstm_step` mix in the previous hidden state with
     one more per step (the gate fusion of Appleyard et al.,
     arXiv:1604.01946).  BLAS still sees the per-gate ``(B, in) @ (in, H)``
     products, and each step adds and activates in the composed cell's order,
     so the values equal those of a chain of cell updates composed from
-    elementary ops bit for bit.  Backpropagation through time is
-    written out below and reaches the three stacked leaves and every input
-    that requires a gradient.
+    elementary ops bit for bit.
+
+    One time loop serves both uses; the buffers' lengths decide what is kept.
+    When the node records a backward (:func:`autodiff._records`), every
+    step's projection, gate activations, states and ``tanh(c)`` are kept for
+    the backpropagation through time written out below, which reaches the
+    three stacked leaves and every input that requires a gradient.  Otherwise
+    (inside :func:`~mcan.autodiff.no_tape`) the layer projects one step at a
+    time and keeps one gate and ``tanh(c)`` slot and a two-slot ring of ``h``
+    and ``c``, plus the whole ``h`` sequence only when the layer above reads
+    it, so its memory no longer grows with T.
     """
     if isinstance(inputs, DiffValue):
         x = inputs.data
@@ -168,14 +188,21 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     steps, batch, width = x.shape
     hidden = params.hidden_size
     w_x, w_h = params.w_x.data, params.w_h.data
-    x_proj = np.matmul(x[:, None], w_x)  # (T, 4, B, H)
-
-    acts = np.empty((steps, 4, batch, hidden))
-    h_seq = np.zeros((steps + 1, batch, hidden))  # h_seq[t] is the state before step t
-    c_seq = np.zeros((steps + 1, batch, hidden))
-    tanh_c = np.empty((steps, batch, hidden))
+    parents = (params.w_x, params.w_h, params.b) + tuple(s for s, _ in sources)
+    taped = ad._records(parents)
+    kept = steps if taped else 1  # steps whose projection, gates and tanh(c) are kept
+    states = steps + 1 if taped else 2  # h_seq[t % len] is the state before step t
+    x_proj = np.empty((kept, 4, batch, hidden))  # the input projection of the next kept steps
+    acts = np.empty((kept, 4, batch, hidden))
+    tanh_c = np.empty((kept, batch, hidden))
+    c_seq = np.zeros((states, batch, hidden))
+    h_seq = np.zeros((states if last else steps + 1, batch, hidden))
     for t in range(steps):
-        h_seq[t + 1], c_seq[t + 1], tanh_c[t] = lstm_step(params, x_proj[t], h_seq[t], c_seq[t], acts[t])
+        k = t % kept
+        if k == 0:
+            np.matmul(x[t:t + kept, None], w_x, out=x_proj)
+        lstm_step(params, x_proj[k], h_seq[t % len(h_seq)], c_seq[t % states], acts[k],
+                  h_seq[(t + 1) % len(h_seq)], c_seq[(t + 1) % states], tanh_c[k])
 
     def backward(g):
         if last:  # the sequence's gradient is zero before its final state
@@ -208,8 +235,7 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
             for source, where in sources:
                 ad._accumulate(source, dx[where].reshape(source.data.shape))
 
-    return ad._node(h_seq[-1].copy() if last else h_seq[1:],
-                    (params.w_x, params.w_h, params.b) + tuple(s for s, _ in sources), backward)
+    return ad._node(h_seq[steps % len(h_seq)].copy() if last else h_seq[1:], parents, backward)
 
 
 def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> DiffValue:

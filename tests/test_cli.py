@@ -1,9 +1,11 @@
 """End-to-end CLI tests: config handling, exit codes, artifacts, determinism."""
 
 import dataclasses
+import importlib.util
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -752,3 +754,29 @@ class TestNonUtf8Input:
         assert cli.main(["generate", "--config", str(config)]) == 1
         assert f"error: {config}: not UTF-8 text: byte 0xe9 at offset 5" in capsys.readouterr().err
         assert not (tmp_path / "gen").exists()
+
+
+def readme_outputs_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "readme_outputs.py"
+    spec = importlib.util.spec_from_file_location("readme_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_readme_outputs_against_lists_every_differing_file(monkeypatch, capsys):
+    tool = readme_outputs_tool()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = iter([{"a.csv": "1" * 64, "b.json": "2" * 64, "c.csv": "3" * 64},
+                 {"a.csv": "1" * 64, "b.json": "9" * 64, "d.csv": "4" * 64}])
+    monkeypatch.setattr(tool, "digests", lambda tree: next(runs))
+    assert tool.main([src, "--against", src]) == 1
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "differs: b.json  22222222 != 99999999",
+        "differs: c.csv  33333333 != absent",
+        "differs: d.csv  absent != 44444444",
+    ]
+    same = {"a.csv": "1" * 64}
+    monkeypatch.setattr(tool, "digests", lambda tree: same)
+    assert tool.main([src, "--against", src]) == 0
+    assert tool.main([src]) == 0

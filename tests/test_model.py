@@ -1,7 +1,9 @@
 """Tests for the assembled prediction model: channels, fusion, loss, checkpoints."""
 
+import contextlib
 import dataclasses
 import json
+import sys
 from datetime import timedelta
 from unittest import mock
 
@@ -398,10 +400,9 @@ class TestFusedNodes:
         assert fused == step(reference.loss_batch)
 
 
-def readme_shape_step():
-    """One training step's loss, backward run, for the README train.json
-    model on a graph of README shape (10 roads at 5, 10 and 15 minutes):
-    one batch of 128 rows with dropout."""
+def readme_shape_group():
+    """The README train.json model, initialised, and one batch of 128 rows
+    on a graph of README shape (10 roads at 5, 10 and 15 minutes)."""
     generator = gd.GeneratorConfig(n_roads=10, edge_density=0.4, intervals=(5, 10, 15), days=16,
                                    coupling=0.5, noise=4.0, obs_noise=1.0, weekly_amplitude=3.0,
                                    weather_impact=1.0)
@@ -412,7 +413,14 @@ def readme_shape_step():
     roads, times = mixed_samples(view, config, per_road=13)
     gi = md.assemble_group(view, config, roads[:128], times[:128])
     assert len(np.unique(gi.channels["speed"].lengths)) == 3
-    params = md.init_mcan(config, np.random.default_rng(3))
+    return md.init_mcan(config, np.random.default_rng(3)), gi
+
+
+def readme_shape_step():
+    """One training step's loss, backward run, for :func:`readme_shape_group`
+    with dropout."""
+    params, gi = readme_shape_group()
+    config = params.config
     speed, trend, dev = md.forward_group(params, gi, nn.Dropout(0.1, np.random.default_rng(5)))
     total = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend, dev, gi.target_deviation,
                           config.alpha, config.beta)
@@ -467,6 +475,25 @@ def test_readme_shape_step_runs_the_cell_once_per_layer_step(monkeypatch):
     readme_shape_step()
     assert len(layer_lengths) == 16
     assert len(steps) == sum(layer_lengths) == 90
+
+
+def test_forward_only_runs_the_cell_as_often_as_taped(monkeypatch):
+    # Under no_tape the layers keep two states instead of their sequences,
+    # but still run nn.lstm_step once per layer and time step.
+    counts = []
+    lstm_step = nn.lstm_step
+
+    def counted_step(*args):
+        counts[-1] += 1
+        return lstm_step(*args)
+
+    monkeypatch.setattr(nn, "lstm_step", counted_step)
+    params, gi = readme_shape_group()
+    for scope in (contextlib.nullcontext, ad.no_tape):
+        counts.append(0)
+        with scope():
+            md.forward_group(params, gi, None)
+    assert counts == [90, 90]
 
 
 def batch_loss(params, gi):
@@ -733,6 +760,18 @@ class TestParameterVector:
         assert_leaves_view_vectors(loaded)
 
 
+# Numbers a checkpoint writes, the edge cases of float formatting among them:
+# a negative zero, the smallest subnormal, a tiny normal, the largest float
+# and 17-digit values.
+JSON_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+                | st.sampled_from([-0.0, 5e-324, 1e-300, sys.float_info.max,
+                                   0.30000000000000004, -1.2345678901234567e-05]))
+JSON_VALUES = st.recursive(
+    JSON_NUMBERS | st.booleans() | st.none() | st.text(alphabet=', "\\\na', max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20)
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, dataset, view):
         config = small_config()
@@ -809,6 +848,21 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="'fusion.query' values do not fill shape"):
             md.load_checkpoint(path)
+
+    def test_writer_bytes_equal_stdlib_on_readme_shape_checkpoint(self, tmp_path):
+        params, _ = readme_shape_group()
+        rng = np.random.default_rng(73)
+        path = tmp_path / "checkpoint.json"
+        md.save_checkpoint(path, params, rng.normal(size=4), rng.uniform(1.0, 2.0, size=4),
+                           [rng.normal(size=288) for _ in range(10)], {"epochs": 2})
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), JSON_VALUES | st.lists(JSON_NUMBERS, max_size=40),
+                           max_size=6))
+    def test_writer_bytes_equal_stdlib(self, doc):
+        assert md.indented_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
 
     def test_non_object_document_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"

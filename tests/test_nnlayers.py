@@ -1,6 +1,8 @@
 """Tests for Chebyshev/CPA features, LSTM, FNN, and attention fusion."""
 
+import contextlib
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,9 +113,10 @@ def cell_leaves(cell):
 
 
 def cell_step(p, x, h_prev, c_prev):
-    """``nn.lstm_step`` on an unprojected ``(B, in)`` input: the new ``(h, c)``."""
-    acts = np.empty((4,) + np.shape(h_prev))
-    h, c, _ = nn.lstm_step(p, np.matmul(x, p.w_x.data), h_prev, c_prev, acts)
+    """``nn.lstm_step`` on an unprojected ``(B, in)`` input, writing into
+    fresh output arrays: the new ``(h, c)``."""
+    h, c, tanh_c = (np.empty(np.shape(h_prev)) for _ in range(3))
+    nn.lstm_step(p, np.matmul(x, p.w_x.data), h_prev, c_prev, np.empty((4,) + h.shape), h, c, tanh_c)
     return h, c
 
 
@@ -547,6 +550,26 @@ class TestLstmLayer:
             h_dv, c_dv = reference.lstm_step(cell, x, h, c)
             h, c = h_dv.data, c_dv.data
             assert np.abs(hidden.data[t] - h).max() < 1e-12
+
+    def test_forward_only_top_layer_memory_does_not_grow_with_steps(self):
+        # A no_tape top layer keeps one gate and tanh(c) slot and a ring of
+        # two h and c states, so its peak memory is about the same at T = 48
+        # as at T = 6; a taped layer keeps every step for its backward.
+        rng = np.random.default_rng(151)
+        cell = random_stack(rng, 4, 16, 1).cells[0]
+
+        def peak(steps, scope):
+            x = ad.constant(rng.normal(size=(steps, 256, 4)))
+            tracemalloc.start()
+            try:
+                with scope():
+                    nn.lstm_layer(cell, x, last=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(48, ad.no_tape) <= 1.25 * peak(6, ad.no_tape)
+        assert peak(48, contextlib.nullcontext) > 4 * peak(6, contextlib.nullcontext)
 
     def test_layer_rejects_wrong_width(self):
         rng = np.random.default_rng(127)

@@ -404,6 +404,32 @@ class TestTapeFreePrediction:
         assert truth.tobytes() == ref_truth.tobytes()
         assert preds.tobytes() == ref_preds.tobytes()
 
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        """A 3-road graph at 30 and 60 minutes, its fitted view and 600
+        samples with roads and interval classes mixed, so that a 512-row
+        chunk is full and is followed by a partial one."""
+        dataset = tiny_dataset(n_roads=3, intervals=(30, 60))
+        config = tiny_train_config(hidden_size=8, embed_len=6, filters=4, hops=2)
+        fold = tr.kfold_split(md.build_view(dataset), config.model_config(dataset), 5, seed=1,
+                              indices=[4])[0]
+        view, _ = tr.fitted_view(dataset, fold)
+        return dataset, view, fold.train[::-1][:520] + fold.test[:80]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("ablations", [()] + [(name,) for name in md.ABLATION_NAMES])
+    def test_bit_identical_over_depths_ablations_and_chunks(self, mixed, layers, ablations):
+        # The forward-only LSTM layers keep two states instead of their whole
+        # sequences; predictions stay those of taped forwards, chunk by chunk.
+        dataset, view, samples = mixed
+        config = tiny_train_config(hidden_size=8, embed_len=6, filters=4, hops=2, lstm_layers=layers,
+                                   ablations=ablations).model_config(dataset)
+        params = md.init_mcan(config, np.random.default_rng(47))
+        for batch_size, count in ((1, 8), (64, len(samples)), (512, len(samples))):
+            got = tr.predict_samples(params, view, samples[:count], batch_size=batch_size)
+            want = taped_predictions(params, view, samples[:count], batch_size=batch_size)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], batch_size
+
     def test_forward_in_scope_records_no_graph(self, setup):
         params, view, samples, _ = setup
         pairs = np.asarray(samples[:16])

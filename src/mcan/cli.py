@@ -103,6 +103,8 @@ def _validated(command: str, config: dict) -> dict:
         config[key] = _typed(key, config[key], kind)
         if key == "intervals":
             config[key] = [_typed(key, v, int) for v in config[key]]
+    if config.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {config['seed']}")
     return config
 
 
@@ -226,6 +228,10 @@ def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
     folds, seed, index = (md.config_entry(cfg, key, int, path)
                           for key in ("folds", "fold_seed", "fold_index"))
     shuffled = md.config_entry(cfg, "shuffled_folds", bool, path) if "shuffled_folds" in cfg else False
+    if folds < 2:
+        raise SchemaError(f"{path}: checkpoint key 'config.folds' must be >= 2, got {folds}")
+    if seed < 0:
+        raise SchemaError(f"{path}: checkpoint key 'config.fold_seed' must be >= 0, got {seed}")
     if not 0 <= index < folds:
         raise SchemaError(f"{path}: checkpoint key 'config.fold_index' must be in [0, {folds}), got {index}")
     return tr.kfold_split(view, params.config, folds, seed, shuffled, [index])[0]
@@ -243,9 +249,8 @@ def cmd_evaluate(config: dict) -> int:
     fold = _rebuild_fold(dataset, params, cfg, config["checkpoint_path"])
     samples = fold.test if split_name == "test" else fold.train
     if cap is not None and len(samples) > cap:
-        rng = np.random.default_rng(config.get("seed", 0))
-        keep = rng.choice(len(samples), cap, replace=False)
-        samples = [samples[i] for i in sorted(keep)]
+        keep = np.random.default_rng(config.get("seed", 0)).choice(len(samples), cap, replace=False)
+        samples = np.asarray(samples)[np.sort(keep)]
     view = md.build_view(dataset, means=means, stds=stds, ybar=ybar)
     report = tr.evaluate(params, view, samples)
     out = _out_dir(config) / "metrics.csv"
@@ -278,7 +283,7 @@ def cmd_predict(config: dict) -> int:
         times = md.eligible_times(view, params.config, road)[-count:]
         if len(times) == 0:
             raise McanError(f"road {road} has no eligible prediction times")
-        truth, preds = tr.predict_samples(params, view, [(road, int(t)) for t in times])
+        truth, preds = tr.predict_samples(params, view, np.column_stack([np.full(len(times), road), times]))
         for row, t in enumerate(times):
             for step in range(params.config.horizon):
                 lines.append(f"{road},{int(t)},{step + 1},{repr(float(preds[row, step]))}")

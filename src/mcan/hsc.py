@@ -229,6 +229,13 @@ def hour_window_end(t, target_interval: int, road_interval: int) -> np.ndarray:
     return (np.asarray(t) * target_interval) // road_interval
 
 
+def hour_window_end_times(lo, hi, target_interval, road_interval) -> tuple[np.ndarray, np.ndarray]:
+    """The times ``[start, stop)`` whose :func:`hour_window_end` lies in
+    ``[lo, hi]`` (integer arrays), its inverse: ``floor(t·a/b) >= lo`` from
+    ``t = ceil(lo·b/a)`` on, and ``<= hi`` before ``t = ceil((hi + 1)·b/a)``."""
+    return -(-lo * road_interval // target_interval), -(-(hi + 1) * road_interval // target_interval)
+
+
 def hour_window_indices(t, target_interval: int, road_interval: int) -> np.ndarray:
     """Indices of ``road``'s past-hour window, the :func:`hour_window_length`
     slots before :func:`hour_window_end`.  A ``(B,)`` array of times gives

@@ -11,7 +11,7 @@ order; an ablation drops its names.
 Samples are (road, time-index) pairs.  A sample at index ``t`` reads history
 strictly before ``t`` and predicts the speeds at ``t .. t+H-1``; the trend and
 deviation channels additionally supervise their value at ``t`` itself.
-:func:`read_spans` lists those indices once, for eligibility and the leak filter.
+:func:`read_spans` tabulates those ranges once, for eligibility and the leak filter.
 A batch of samples of any target roads is one :class:`GroupInputs` and one
 forward graph; a single sample is a batch of one row.
 """
@@ -311,58 +311,37 @@ def build_view(
 # Read spans: the one statement of what a sample reads
 
 
-def read_spans(view: DataView, config: ModelConfig, road: int, times) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Every ``(road j, first index, last index)`` range, inclusive, that the
-    samples ``(road, t)`` for ``t`` in ``times`` read or predict, each bound a
-    ``(B,)`` array: the targets, the recent block, each daily and weekly
-    point, and each involved road's past-hour window, every read range with
-    the predecessor its trend reads."""
+def read_spans(view: DataView, config: ModelConfig, road: int) -> np.ndarray:
+    """The span table of the samples ``(road, t)``: one ``(j, a, b, first,
+    last)`` int64 row per index range of road ``j`` that a sample reads or
+    predicts, inclusive from ``hour_window_end(t, a, b) + first`` to
+    ``+ last`` (:func:`hsc.hour_window_end`, with ``a`` the target road's
+    interval and ``b`` road j's).  The rows are the targets, the recent
+    block, each daily and weekly point, and each involved road's past-hour
+    window, every read range with the predecessor its trend reads."""
     view.ensure_hops(config.hops)
-    times = np.asarray(times, dtype=int)
-    spd = view.slots_per_day(road)
-    spans = [(road, times, times + config.horizon - 1)]
+    own = view.interval(road)
+    rows = [(road, own, own, 0, config.horizon - 1)]
     for name, steps in config.branches().items():
-        points = gd.branch_indices(times, name, steps, spd).T
+        points = gd.branch_indices(0, name, steps, view.slots_per_day(road))
         # the recent slots are one contiguous run, each periodic point its own
         runs = [points] if name == "recent" else points[:, None]
-        spans += [(road, run[0] - 1, run[-1]) for run in runs]
+        rows += [(road, own, own, run[0] - 1, run[-1]) for run in runs]
     for j in sorted({road}.union(*view.hop_layers[road])):
-        end = hsc_mod.hour_window_end(times, view.interval(road), view.interval(j))
-        spans.append((j, end - hsc_mod.hour_window_length(view.interval(j)) - 1, end - 1))
-    return spans
-
-
-ELIGIBLE_PROBES = 96  # times per bracket and round in eligible_times
+        rows.append((j, own, view.interval(j), -hsc_mod.hour_window_length(view.interval(j)) - 1, -1))
+    return np.array(rows, dtype=np.int64)
 
 
 def eligible_times(view: DataView, config: ModelConfig, road: int) -> np.ndarray:
-    """Sample times whose every read span lies inside its road's series.
-
-    Every span bound is nondecreasing in ``t``.  So the times whose spans all
-    start at index 0 or later are a suffix of the series, the times whose
-    spans all end inside their series are a prefix, and the eligible times
-    are the one interval where both hold.  A k-ary bisection finds its two
-    ends: each round evaluates :func:`read_spans` once, at up to
-    ``ELIGIBLE_PROBES`` evenly spaced times per end, and narrows each end to
-    the gap between two of them."""
-    n = len(view.values[road])
-    # [lo, hi] around the first time whose spans all start at 0 or later,
-    # and around the first time with a span ending past its series (n: none)
-    brackets = [[0, n], [0, n]]
-    while any(lo < hi for lo, hi in brackets):
-        probes = [np.arange(lo, hi, (hi - lo) // ELIGIBLE_PROBES + 1) for lo, hi in brackets]
-        spans = read_spans(view, config, road, np.concatenate(probes))
-        starts = (np.stack([first for _, first, _ in spans]) >= 0).all(axis=0)
-        lengths = np.array([len(view.values[j]) for j, _, _ in spans])[:, None]
-        overruns = (np.stack([last for _, _, last in spans]) >= lengths).any(axis=0)
-        split = len(probes[0])
-        for bracket, times, fact in zip(brackets, probes, (starts[:split], overruns[split:])):
-            misses = int(np.count_nonzero(~fact))  # each fact holds from some time on
-            if misses:
-                bracket[0] = int(times[misses - 1]) + 1
-            if misses < len(times):
-                bracket[1] = int(times[misses])
-    return np.arange(brackets[0][0], brackets[1][0])
+    """Sample times whose every read span lies inside its road's series: the
+    intersection of each span's in-series times
+    (:func:`hsc.hour_window_end_times`).  The target span starts at ``t``
+    and ends ``horizon - 1`` later, so the result lies inside the road's
+    own series."""
+    j, a, b, first, last = read_spans(view, config, road).T
+    lengths = np.array([len(view.values[r]) for r in j])
+    start, stop = hsc_mod.hour_window_end_times(-first, lengths - 1 - last, a, b)
+    return np.arange(start.max(), stop.min())
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import graphdata as gd
+from . import hsc
 from . import model as md
 from .errors import ConfigError, MissingDataError, TrainingDivergence
 
@@ -59,6 +60,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_train_samples is not None and self.max_train_samples < 1:
             raise ConfigError(f"max_train_samples must be >= 1, got {self.max_train_samples}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if not 0.0 <= self.dropout < 1.0:
@@ -105,16 +108,19 @@ def _samples(roads: np.ndarray, times: np.ndarray) -> list[Sample]:
     return list(zip(roads.tolist(), times.tolist()))
 
 
-def _touches_window(view: md.DataView, config: md.ModelConfig, road: int, times: np.ndarray,
-                    wall: tuple[int, int]) -> np.ndarray:
-    """Per time: whether any read span of sample ``(road, t)``
-    (:func:`model.read_spans`) has a wall-clock minute inside ``wall``
-    (inclusive)."""
-    lo, hi = wall
-    touched = np.zeros(len(times), dtype=bool)
-    for j, first, last in md.read_spans(view, config, road, times):
-        touched |= (last * view.interval(j) >= lo) & (first * view.interval(j) <= hi)
-    return touched
+def _touches_window(view: md.DataView, road: int, spans: np.ndarray, times: np.ndarray,
+                    lo: int, hi: int) -> np.ndarray:
+    """Per time: whether any row of ``spans``, the road's span table
+    (:func:`model.read_spans`), has a wall-clock minute in ``[lo, hi]``.
+    Index u of road j is at minute ``u·b``, so a span touches the window
+    when its ``hour_window_end`` lies from ``ceil(lo/b) - last`` to
+    ``floor(hi/b) - first``; those times are marked over the road's slots."""
+    j, a, b, first, last = spans.T
+    start, stop = hsc.hour_window_end_times(-(-lo // b) - last, hi // b - first, a, b)
+    marked = np.zeros(len(view.values[road]), dtype=bool)
+    for begin, end in zip(start.clip(0), stop.clip(0)):
+        marked[begin:end] = True
+    return marked[times]
 
 
 def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
@@ -144,6 +150,7 @@ def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
             folds.append(Fold(index=f, train=_samples(roads[~in_test], times[~in_test]),
                               test=_samples(roads[in_test], times[in_test]), test_wall=None))
         return folds
+    spans = [md.read_spans(view, config, road) for road in range(view.graph.size)]
     intervals = np.array([view.interval(r) for r in range(view.graph.size)])
     walls = times * intervals[roads]
     order = np.lexsort((roads, walls))
@@ -156,9 +163,9 @@ def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
         hi = int(((times[block] + config.horizon - 1) * intervals[roads[block]]).max())
         keep = np.ones(len(roads), dtype=bool)
         keep[block] = False
-        for road in range(view.graph.size):
+        for road, table in enumerate(spans):
             rows = np.flatnonzero(keep & (roads == road))
-            keep[rows] = ~_touches_window(view, config, road, times[rows], (lo, hi))
+            keep[rows] = ~_touches_window(view, road, table, times[rows], lo, hi)
         folds.append(Fold(index=f, train=_samples(roads[keep], times[keep]),
                           test=_samples(roads[block], times[block]), test_wall=(lo, hi)))
     return folds
@@ -368,10 +375,11 @@ def compute_metrics(truth: np.ndarray, predictions: np.ndarray) -> MetricsReport
     )
 
 
-def predict_samples(params: md.McanParams, view: md.DataView, samples: list[Sample],
+def predict_samples(params: md.McanParams, view: md.DataView, samples,
                     batch_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """Denormalized (truth, prediction) arrays of shape (samples, horizon),
-    rows in the order of ``samples``, which run in chunks of ``batch_size``.
+    rows in the order of ``samples`` (``(road, t)`` pairs or an ``(N, 2)``
+    integer array), which run in chunks of ``batch_size``.
 
     The forwards run inside :func:`autodiff.no_tape`: nothing here takes a
     gradient, so no chunk keeps a backward graph (the GCN scores, say) alive
@@ -381,11 +389,11 @@ def predict_samples(params: md.McanParams, view: md.DataView, samples: list[Samp
     less often without leaving cache: on the eval-readme requests (265-808
     samples each, 2-vCPU VM) 512-row chunks ran 26.8k samples/s against
     21.2k at 256 rows (medians of eight alternating rounds)."""
-    if not samples:
-        raise MissingDataError("no samples to evaluate")
-    truth = np.empty((len(samples), params.config.horizon))
-    preds = np.empty((len(samples), params.config.horizon))
     pairs = np.asarray(samples, dtype=int).reshape(-1, 2)
+    if len(pairs) == 0:
+        raise MissingDataError("no samples to evaluate")
+    truth = np.empty((len(pairs), params.config.horizon))
+    preds = np.empty((len(pairs), params.config.horizon))
     with ad.no_tape():
         for start in range(0, len(pairs), batch_size):
             chunk = pairs[start : start + batch_size]
@@ -397,22 +405,22 @@ def predict_samples(params: md.McanParams, view: md.DataView, samples: list[Samp
     return truth, preds
 
 
-def evaluate(params: md.McanParams, view: md.DataView, samples: list[Sample]) -> MetricsReport:
+def evaluate(params: md.McanParams, view: md.DataView, samples) -> MetricsReport:
     """Evaluation-mode metrics on a sample split, in km/h."""
     truth, preds = predict_samples(params, view, samples)
     return compute_metrics(truth, preds)
 
 
 def historical_average_baseline(dataset: gd.TrafficDataset, fold: Fold, horizon: int,
-                                samples: list[Sample] | None = None) -> MetricsReport:
-    """Predict the training-day per-slot mean speed for every horizon step."""
+                                samples=None) -> MetricsReport:
+    """Predict the training-day per-slot mean speed for every horizon step of
+    ``samples`` (pairs or an ``(N, 2)`` array; default the fold's test split)."""
     mask = training_day_mask(dataset, fold)
     averages = [gd.compute_daily_average(series.values, node.slots_per_day, mask)
                 for series, node in zip(dataset.series, dataset.graph.nodes)]
-    split = samples if samples is not None else fold.test
-    if not split:
+    pairs = np.asarray(samples if samples is not None else fold.test, dtype=int).reshape(-1, 2)
+    if len(pairs) == 0:
         raise MissingDataError("no samples to evaluate")
-    pairs = np.asarray(split, dtype=int).reshape(-1, 2)
     steps = pairs[:, 1:] + np.arange(horizon)  # (samples, horizon) series indices
     truth = np.empty(steps.shape)
     preds = np.empty(steps.shape)

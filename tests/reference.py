@@ -8,10 +8,11 @@ message on every input this reader splits the same way (no quotes).
 
 ``sample_footprint`` enumerates, index by index, the history a sample reads;
 the fold leak filter built on ``model.read_spans`` must agree with it.
-``eligible_times`` checks ``read_spans`` at every time of a road, where
-``model.eligible_times`` bisects; ``historical_average_baseline`` predicts
-one sample at a time, where ``trainer.historical_average_baseline`` gathers
-each road's samples at once.  Each pair must agree exactly.
+``eligible_times`` evaluates each row of the ``read_spans`` table at every
+time of a road, where ``model.eligible_times`` inverts each row in closed
+form; ``historical_average_baseline`` predicts one sample at a time, where
+``trainer.historical_average_baseline`` gathers each road's samples at once.
+Each pair must agree exactly.
 
 ``chebyshev_features``, ``correlation_scores`` and ``kernel_response`` compose
 the CPA series and one GCN hop from elementary autodiff ops, one neighbor at a
@@ -210,12 +211,14 @@ def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: in
 
 
 def eligible_times(view: md.DataView, config: md.ModelConfig, road: int) -> np.ndarray:
-    """Every sample time whose read spans all lie inside their series, each
-    time checked: the full scan ``model.eligible_times`` bisects."""
+    """Every sample time whose read spans all lie inside their series: each
+    row of the span table evaluated at every time of the road, the full scan
+    that ``model.eligible_times`` solves in closed form."""
     times = np.arange(len(view.values[road]))
     inside = np.ones(len(times), dtype=bool)
-    for j, first, last in md.read_spans(view, config, road, times):
-        inside &= (first >= 0) & (last < len(view.values[j]))
+    for j, a, b, first, last in md.read_spans(view, config, road):
+        end = hsc.hour_window_end(times, a, b)
+        inside &= (end + first >= 0) & (end + last < len(view.values[j]))
     return times[inside]
 
 

@@ -237,6 +237,22 @@ class TestNullValues:
         assert f"config key {key!r} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+    def test_negative_seed_is_usage_error_before_reading(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing"
+        if command == "generate":
+            args = generate_args(tmp_path, "out")
+        elif command == "train":
+            args = train_args(tmp_path, missing, "out")
+        else:
+            args = ["evaluate", "--set", "max_eval_samples=5", "--config", write_config(
+                tmp_path / "eval.json", graph_path=str(missing / "graph.json"),
+                series_path=str(missing / "series.csv"), context_path=str(missing / "context.csv"),
+                checkpoint_path=str(missing / "checkpoint.json"), output_dir=str(tmp_path / "out"))]
+        assert cli.main(args + ["--seed", "-1"]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["fold_index", "max_train_samples"])
     def test_null_means_default_for_optional_train_keys(self, tmp_path, data_dir, key):
         args = train_args(tmp_path, data_dir, "null")
@@ -335,7 +351,8 @@ class TestEvaluate:
         assert "missing key 'config.hops'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("hops", "2"), ("fold_index", 4.0),
-                                           ("fold_index", 9), ("shuffled_folds", 0)])
+                                           ("fold_index", 9), ("shuffled_folds", 0),
+                                           ("folds", 1), ("fold_seed", -5)])
     def test_wrongly_typed_checkpoint_is_runtime_error(self, tmp_path, data_dir, trained_dir,
                                                         capsys, key, value):
         doc = json.loads((trained_dir / "checkpoint.json").read_text())

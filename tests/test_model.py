@@ -5,7 +5,6 @@ import dataclasses
 import json
 import sys
 from datetime import timedelta
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -119,17 +118,17 @@ def eligibility_cases(draw):
 
 
 @st.composite
-def bisection_cases(draw):
+def span_cases(draw):
     """Like :func:`eligibility_cases`, with longer reaches, the daily and
-    weekly branches also off by flag, and series that may be too short for
-    any sample."""
+    weekly branches also off by flag, intervals above an hour or not
+    dividing it, and series that may be too short for any sample."""
     weekly_steps = draw(st.integers(0, 2))
     daily_steps = draw(st.integers(0, 3))
     generator = gd.GeneratorConfig(
         n_roads=draw(st.integers(1, 4)),
         edge_density=draw(st.sampled_from([0.3, 0.7, 1.0])),
-        intervals=tuple(draw(st.lists(st.sampled_from([5, 10, 15, 20, 30, 60]), min_size=1,
-                                      max_size=3, unique=True))),
+        intervals=tuple(draw(st.lists(st.sampled_from([5, 10, 15, 20, 30, 45, 60, 90, 120, 160]),
+                                      min_size=1, max_size=3, unique=True))),
         days=draw(st.integers(1, 7 * weekly_steps + daily_steps + 2)),
     )
     config = small_config(
@@ -169,17 +168,15 @@ class TestEligibility:
                 else:
                     assert assembles or t not in eligible, (road, t)
 
-    @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
-    @given(bisection_cases())
-    def test_bisection_matches_full_scan(self, case):
+    @settings(max_examples=100, deadline=timedelta(seconds=10), derandomize=True)
+    @given(span_cases())
+    def test_closed_form_matches_full_scan(self, case):
         generator, config, seed = case
         view = md.build_view(gd.generate_synthetic(generator, seed))
-        for probes in (2, md.ELIGIBLE_PROBES):  # many rounds, and the default
-            with mock.patch.object(md, "ELIGIBLE_PROBES", probes):
-                for road in range(view.graph.size):
-                    got = md.eligible_times(view, config, road)
-                    expected = reference.eligible_times(view, config, road)
-                    assert got.dtype == expected.dtype and np.array_equal(got, expected), (probes, road)
+        for road in range(view.graph.size):
+            got = md.eligible_times(view, config, road)
+            expected = reference.eligible_times(view, config, road)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), road
 
     @pytest.mark.parametrize("overrides", [dict(weekly_steps=1), dict(horizon=25), dict(recent_steps=24)])
     def test_series_too_short_gives_no_times(self, overrides):

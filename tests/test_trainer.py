@@ -13,6 +13,7 @@ import reference
 from conftest import assert_same_group_inputs
 from mcan import autodiff as ad
 from mcan import graphdata as gd
+from mcan import hsc
 from mcan import model as md
 from mcan import trainer as tr
 from mcan.errors import ConfigError, MissingDataError, TrainingDivergence
@@ -128,6 +129,13 @@ class TestKfold:
                     walls = idx * raw_view.interval(j)
                     assert not np.any((walls >= lo) & (walls <= hi))
 
+    @staticmethod
+    def _footprint_touches(view, config, road, t, window):
+        walls = [np.arange(t, t + config.horizon) * view.interval(road)]
+        walls += [idx * view.interval(j)
+                  for j, idx in reference.sample_footprint(view, config, road, t).items()]
+        return any(np.any((w >= window[0]) & (w <= window[1])) for w in walls)
+
     def test_fast_filter_matches_footprint_oracle(self, raw_view, model_config):
         # the span-based filter agrees with enumerating the footprint, for
         # every eligible time of the road at once
@@ -141,15 +149,37 @@ class TestKfold:
             lo = wall + int(rng.integers(-30000, 3000))
             window = (lo, lo + width)
             times = md.eligible_times(raw_view, model_config, road)
-            fast = tr._touches_window(raw_view, model_config, road, times, window)
+            spans = md.read_spans(raw_view, model_config, road)
+            fast = tr._touches_window(raw_view, road, spans, times, *window)
             row = int(np.flatnonzero(times == t)[0])
-            walls = [np.arange(t, t + model_config.horizon) * raw_view.interval(road)]
-            walls += [
-                idx * raw_view.interval(j)
-                for j, idx in reference.sample_footprint(raw_view, model_config, road, t).items()
-            ]
-            oracle = any(np.any((w >= window[0]) & (w <= window[1])) for w in walls)
-            assert bool(fast[row]) == oracle, (road, t, window)
+            assert bool(fast[row]) == self._footprint_touches(raw_view, model_config, road, t, window), \
+                (road, t, window)
+
+    def test_filter_at_span_edges_matches_footprint_oracle(self):
+        # windows that start or end on a span's first or last wall-clock
+        # minute, or one minute either side, on roads of 15, 45 and 90 min;
+        # each window is at least one interval wide, so it holds a minute of
+        # every span it overlaps
+        dataset = tiny_dataset(n_roads=4, intervals=(15, 45, 90))
+        view = md.build_view(dataset)
+        config = tiny_train_config(hops=2).model_config(dataset)
+        rng = np.random.default_rng(29)
+        for road in range(view.graph.size):
+            times = md.eligible_times(view, config, road)
+            spans = md.read_spans(view, config, road)
+            for t in rng.choice(times, 3, replace=False):
+                _, a, b, first, last = spans.T
+                end = hsc.hour_window_end(t, a, b)
+                edges = np.concatenate([(end + first) * b, (end + last) * b])
+                for edge in rng.choice(edges, 6, replace=False):
+                    for shift in (-1, 0, 1):
+                        width = int(rng.integers(90, 400))
+                        for window in ((edge + shift, edge + shift + width),
+                                       (edge + shift - width, edge + shift)):
+                            fast = tr._touches_window(view, road, spans, times, *window)
+                            row = int(np.flatnonzero(times == t)[0])
+                            assert bool(fast[row]) == self._footprint_touches(view, config, road, int(t),
+                                                                              window), (road, t, window)
 
     @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("k", [2, 5])
@@ -245,6 +275,10 @@ class TestTrain:
         shared = tr.TrainConfig().model_fields()
         assert len(shared) == 15
         assert md.ModelConfig(**shared) == md.ModelConfig()
+
+    def test_negative_seed_refused(self, dataset):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+            tr.train(dataset, tiny_train_config(seed=-3))
 
     def test_single_batch_single_epoch_one_adam_step(self, dataset):
         config = tiny_train_config(epochs=1, batch_size=64, max_train_samples=20)
@@ -450,6 +484,17 @@ class TestTapeFreePrediction:
         tr._adam_step(fresh, ad.AdamState(learning_rate=0.01), gi, None)
         assert np.count_nonzero(fresh.grad) > fresh.grad.size // 2
 
+    def test_sample_array_equals_pairs_and_empty_array_refused(self, setup, dataset):
+        params, view, samples, fold = setup
+        as_pairs = tr.predict_samples(params, view, samples)
+        as_array = tr.predict_samples(params, view, np.asarray(samples))
+        assert [a.tobytes() for a in as_array] == [a.tobytes() for a in as_pairs]
+        empty = np.empty((0, 2), dtype=int)
+        for call in (lambda: tr.predict_samples(params, view, empty), lambda: tr.evaluate(params, view, empty),
+                     lambda: tr.historical_average_baseline(dataset, fold, params.config.horizon, empty)):
+            with pytest.raises(MissingDataError, match="no samples to evaluate"):
+                call()
+
     def test_peak_memory_at_most_half_of_taped(self, setup):
         params, view, samples, _ = setup
 
@@ -492,7 +537,7 @@ class TestBaseline:
         dataset = tiny_dataset(days=16, n_roads=4, intervals=(30, 60, 120))
         mc = tiny_train_config(horizon=3).model_config(dataset)
         (fold,) = tr.kfold_split(md.build_view(dataset), mc, 5, seed=1, indices=[fold_index])
-        for samples in (None, fold.train, fold.test[::-3]):
+        for samples in (None, fold.train, fold.test[::-3], np.asarray(fold.test[::-3])):
             got = tr.historical_average_baseline(dataset, fold, mc.horizon, samples)
             expected = reference.historical_average_baseline(dataset, fold, mc.horizon, samples)
             for field in dataclasses.fields(tr.MetricsReport):

@@ -32,12 +32,12 @@ PATH_KEYS = {"graph_path": str, "series_path": str, "context_path": str,
 COMMAND_KEYS = {
     "generate": {**GENERATOR_KEYS, "seed": int, "output_dir": str},
     "correlate": {
-        **PATH_KEYS, "seed": int, "road_a": int, "road_b": int,
+        **PATH_KEYS, "road_a": int, "road_b": int,
         "measurements": list, "window_days": int, "wall_start": int, "wall_end": int,
     },
     "train": {**PATH_KEYS, **TRAIN_KEYS},
     "evaluate": {**PATH_KEYS, "seed": int, "eval_split": str, "max_eval_samples": int},
-    "predict": {**PATH_KEYS, "seed": int, "predict_count": int, "predict_road": int},
+    "predict": {**PATH_KEYS, "predict_count": int, "predict_road": int},
 }
 REQUIRED_KEYS = {
     "generate": ("n_roads", "output_dir"),

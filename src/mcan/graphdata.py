@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Callable
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -443,10 +443,11 @@ def generate_planted_pair(
 #
 # series.csv and context.csv are plain comma-separated text: an exact header,
 # then one line per (road, slot), cells split at every comma with no quoting,
-# numbers in Python ``int``/``float`` syntax.  Columns are converted from the
-# bytes, cell by cell as text only where the fast rules decline a cell; each
-# rule is checked on whole arrays, and a failure names the earliest offending
-# file line (1-based, blank lines counted) as a row-by-row reader would.
+# numbers in Python ``int``/``float`` syntax.  numpy's C ``loadtxt`` reads a
+# file whose first line is the header; any other file, and any file it
+# refuses, is read row by row with ``int()``/``float()``.  Each rule is
+# checked on whole arrays, and a failure names the earliest offending file
+# line (1-based, blank lines counted) as a row-by-row reader would.
 
 SERIES_HEADER = ["road_id", "slot_index", "speed_kmh"]
 CONTEXT_HEADER = ["road_id", "slot_index", "weather_code", "holiday_flag", "day_of_week"]
@@ -542,130 +543,86 @@ def load_graph(graph_path) -> RoadGraph:
     return RoadGraph(nodes, edges)
 
 
-def _read_columns(path, header: list[str], kinds) -> tuple[np.ndarray, list[np.ndarray], list,
-                                                          Callable[[int, int], str]]:
-    """The 1-based file line of each data row, each column converted by its
-    kind (``int`` into int64, ``float`` into float64; rows from its first
-    refused cell on are unspecified), one row check per column naming that
-    cell (see :func:`_raise_earliest`), and ``cell(i, j)``, the raw text of
-    row i's cell j.
+def _read_columns(path, header: list[str], kinds) -> tuple[list[np.ndarray], list]:
+    """Each data column converted by its kind (``int`` into int64, ``float``
+    into float64; rows from a column's first refused cell on are
+    unspecified), and one row check per column with a refused cell (see
+    :func:`_raise_earliest`).
 
-    Lines end in LF, CRLF or CR; blank lines are skipped but counted.  A
-    file that is not plain (ASCII, every CR in a CRLF) is decoded first, so
-    that every line ends in "\n"; cells are converted from the UTF-8 bytes."""
+    A file :func:`_loadtxt_takes` goes to ``np.loadtxt``, which then takes
+    only cells ``int()``/``float()`` take, with the same values, and skips
+    blank lines; any other file, and one it refuses for any reason (a cell
+    such as ``3_0``, a field count, a byte that is not UTF-8), is read by
+    :func:`_read_rows`."""
+    if _loadtxt_takes(path, header):
+        dtype = [(name, np.int64 if kind is int else np.float64) for name, kind in zip(header, kinds)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with only the header
+                table = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=1,
+                                   encoding="utf-8", ndmin=1)
+            return [table[name] for name in header], []
+        except ValueError:
+            pass
+    return _read_rows(path, header, kinds)
+
+
+def _loadtxt_takes(path, header: list[str]) -> bool:
+    """Whether ``path``'s first line is the header, ending in LF or CRLF, and
+    no byte is one of the ASCII separators 0x1c-0x1f, which ``loadtxt``
+    strips from a cell as spaces (as ``str.isspace`` counts them) but
+    ``int()`` and ``float()`` refuse."""
     data = Path(path).read_bytes()
-    buf = np.frombuffer(data + b"\n", np.uint8)  # the extra "\n" ends the last line
-    newlines = np.flatnonzero(buf == ord("\n"))
-    ends = newlines - (buf[newlines - 1] == ord("\r"))  # each line's text ends before its CRLF
-    if not data.isascii() or np.count_nonzero(buf == ord("\r")) != np.count_nonzero(newlines - ends):
-        buf = np.frombuffer(read_text(path).encode() + b"\n", np.uint8)
-        ends = newlines = np.flatnonzero(buf == ord("\n"))
-    del data
-    # Line and field bounds from the UTF-8 bytes, where "\n" and "," are
-    # single bytes that no other character's encoding contains.
-    starts = np.concatenate(([0], newlines[:-1] + 1))
-    filled = ends > starts
-    numbers = np.flatnonzero(filled) + 1
-    commas = np.flatnonzero(buf == ord(","))
-    fields = np.diff(np.searchsorted(commas, newlines), prepend=0)[filled] + 1
-    starts, ends = starts[filled], ends[filled]
-    if not numbers.size:
+    head = ",".join(header).encode()
+    return (data.startswith((head + b"\n", head + b"\r\n"))
+            and not any(sep in data for sep in b"\x1c\x1d\x1e\x1f"))
+
+
+def _lines(path) -> list[tuple[int, str]]:
+    """The 1-based number and text of each non-blank line of ``path`` (the
+    header, then the data rows); lines end in LF, CRLF or CR."""
+    return [(no, line) for no, line in enumerate(read_text(path).split("\n"), 1) if line]
+
+
+def _read_rows(path, header: list[str], kinds) -> tuple[list[np.ndarray], list]:
+    """:func:`_read_columns` one row at a time: the first non-blank line is
+    the header (spaces around a name ignored), every data row must have one
+    cell per name, and each column goes through :func:`_each_cell`."""
+    lines = _lines(path)
+    if not lines:
         raise SchemaError(f"{path}: empty file")
-    got = buf[starts[0]:ends[0]].tobytes().decode().split(",")
+    (no, first), *lines = lines
+    got = first.split(",")
     if [h.strip() for h in got] != header:
-        raise SchemaError(f"{path}: row {numbers[0]}: expected header {header}, got {got}")
-    # Cell (i, j) is buf[lo[j][i]:hi[j][i]]: the data lines hold every comma
-    # after the header, len(header) - 1 of them each.
-    inner = commas[np.searchsorted(commas, ends[0]):]
-    numbers, fields, starts, ends = numbers[1:], fields[1:], starts[1:], ends[1:]
-    bad = np.flatnonzero(fields != len(header))
-    if bad.size:
-        raise SchemaError(f"{path}: row {numbers[bad[0]]}: expected {len(header)} fields, got {fields[bad[0]]}")
-    inner = inner.reshape(-1, len(header) - 1).T.copy()
-    lo, hi = [starts, *(inner + 1)], [*inner, ends]
-
-    def cell(i: int, j: int) -> str:
-        return buf[lo[j][i]:hi[j][i]].tobytes().decode()
-
-    columns, firsts = zip(*((_digit_column if kind is int else _float_column)(buf, lo[j], hi[j])
-                            for j, kind in enumerate(kinds)))
-    checks = [([first], lambda i, n=name, j=j, k=kind: _refusal(n, cell(i, j), k))
-              for j, (name, kind, first) in enumerate(zip(header, kinds, firsts)) if first < len(numbers)]
-    return numbers, list(columns), checks, cell
+        raise SchemaError(f"{path}: row {no}: expected header {header}, got {got}")
+    rows = [line.split(",") for _, line in lines]
+    for (no, _), cells in zip(lines, rows):
+        if len(cells) != len(header):
+            raise SchemaError(f"{path}: row {no}: expected {len(header)} fields, got {len(cells)}")
+    columns, checks = [], []
+    for j, (name, kind) in enumerate(zip(header, kinds)):
+        values, first = _each_cell(kind, [cells[j] for cells in rows])
+        columns.append(values)
+        if first < len(values):
+            checks.append(([first], lambda i, cells, n=name, j=j, k=kind: _refusal(n, cells[j], k)))
+    return columns, checks
 
 
-def _each_cell(kind: type, values: np.ndarray, rows, cells) -> int:
-    """Set ``values[i] = kind(cell.decode())`` for each row ``i`` of ``rows``
-    and its UTF-8 ``cell`` of ``cells``, converting each distinct cell once;
-    the first row ``kind`` refuses or ``values`` cannot hold, ``len(values)``
-    if none."""
+def _each_cell(kind: type, cells: list[str]) -> tuple[np.ndarray, int]:
+    """``kind`` of each cell, as int64 or float64, converting each distinct
+    cell once, and the first row ``kind`` refuses or 64 bits cannot hold,
+    ``len(cells)`` if none."""
+    values = np.zeros(len(cells), np.int64 if kind is int else np.float64)
     converted = {}
-    for i, cell in zip(rows, cells):
+    for i, cell in enumerate(cells):
         try:
             value = converted.get(cell)
             if value is None:
-                value = converted[cell] = kind(cell.decode())
+                value = converted[cell] = kind(cell)
             values[i] = value
         except (ValueError, OverflowError):
-            return i
-    return len(values)
-
-
-def _digit_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
-    """The cells ``buf[lo:hi]`` as int64 and the first one ``int()`` refuses
-    or 64 bits cannot hold, ``len(lo)`` if none.  Digit arithmetic takes each
-    cell matching ``-?[0-9]{1,18}`` (18 digits always fit in 64 bits) and
-    :func:`_each_cell` the rest."""
-    negative = buf[lo] == ord("-")
-    width = hi - lo - negative
-    odd = (width < 1) | (width > 18)
-    width[odd] = 0
-    values = np.zeros(len(lo), np.int64)
-    for p in range(int(width.max(initial=0)), 0, -1):  # the p-th digit from the right
-        digit = buf[hi - p] - np.uint8(ord("0"))  # wraps past 9 for bytes below "0"
-        if p > width.min():
-            digit[width < p] = 0
-        odd |= digit > 9
-        values *= 10
-        values += digit
-    np.negative(values, where=negative, out=values)
-    rows = np.flatnonzero(odd)
-    return values, _each_cell(int, values, rows.tolist(), _cells(buf, lo[rows], hi[rows]))
-
-
-def _cells(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
-    """The cells ``buf[lo:hi]`` as ``bytes``, gathered in one indexing and
-    split at the "\n" put after each (the last item is empty)."""
-    ends = np.cumsum(hi + 1 - lo)  # each cell with the byte after it, end to end
-    # The byte index of each picked byte: a step of 1 inside a cell, a jump
-    # from the byte after one cell to the start of the next.  For a file's
-    # speed column this int64 index (about 7.6 MB for 52k rows) is the
-    # largest block set-up frees, and glibc raises its mmap and trim
-    # thresholds to that size, which keeps later arrays on the heap.  With a
-    # bool-mask gather instead, which frees no block that large, the set-up
-    # of an eval-readme iteration took about 3.3k more minor page faults and
-    # 124 ms instead of 96 ms (medians of three alternating runs on a 2-vCPU
-    # VM); its evaluation loop, whose LSTM layers keep two states, faulted
-    # at most 72 times per iteration (never with the index) and kept its
-    # samples/s.
-    index = np.ones(ends[-1] if len(ends) else 0, np.int64)
-    index[:1] = lo[:1]
-    index[ends[:-1]] = lo[1:] - hi[:-1]
-    picked = buf[np.cumsum(index, out=index)]
-    picked[ends - 1] = ord("\n")
-    return picked.tobytes().split(b"\n")
-
-
-def _float_column(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
-    """``float()`` of each cell ``buf[lo:hi]`` and the first one it refuses,
-    ``len(lo)`` if none.  Cells go to ``float()`` as ``bytes``, and only if
-    one is refused does :func:`_each_cell` convert each as text (``"\u0663"``)."""
-    cells = _cells(buf, lo, hi)
-    try:
-        return np.fromiter(map(float, cells), np.float64, len(lo)), len(lo)
-    except ValueError:
-        values = np.zeros(len(lo))
-        return values, _each_cell(float, values, range(len(lo)), cells)
+            return values, i
+    return values, len(cells)
 
 
 def _refusal(name: str, raw: str, kind: type) -> str:
@@ -676,14 +633,17 @@ def _refusal(name: str, raw: str, kind: type) -> str:
     return f"field {name!r} is outside the 64-bit integer range: {raw!r}"
 
 
-def _raise_earliest(path, numbers: np.ndarray, checks: list) -> None:
+def _raise_earliest(path, checks: list) -> None:
     """``checks`` pairs, in the order one row is checked, the indices of the
-    rows a rule refuses with that rule's message for a row index; raise a
-    SchemaError for the earliest refused row."""
+    data rows a rule refuses with that rule's message for a row index and
+    that row's cells; raise a SchemaError for the earliest refused row,
+    naming its file line.  Only then is the file read again, for the line's
+    number and cells."""
     firsts = [(int(np.min(rows)), k) for k, (rows, _) in enumerate(checks) if len(rows)]
     if firsts:
         i, k = min(firsts)
-        raise SchemaError(f"{path}: row {numbers[i]}: {checks[k][1](i)}")
+        no, line = _lines(path)[i + 1]
+        raise SchemaError(f"{path}: row {no}: {checks[k][1](i, line.split(','))}")
 
 
 def _repeats(road: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -708,14 +668,13 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
     n = graph.size
     intervals = np.array([node.interval_minutes for node in graph.nodes], dtype=np.int64)
 
-    numbers, (road, slot, speed), refused, cell = _read_columns(series_path, SERIES_HEADER, (int, int, float))
-    _raise_earliest(series_path, numbers, refused + [
-        (np.flatnonzero((road < 0) | (road >= n)), lambda i: f"road_id {road[i]} not in graph"),
-        (np.flatnonzero(~np.isfinite(speed)), lambda i: f"field 'speed_kmh' is not finite: {cell(i, 2)!r}"),
-        (np.flatnonzero(speed < 0), lambda i: f"negative speed {float(speed[i])}"),
-        (_repeats(road, slot), lambda i: f"duplicate slot {slot[i]} for road {road[i]}"),
+    (road, slot, speed), refused = _read_columns(series_path, SERIES_HEADER, (int, int, float))
+    _raise_earliest(series_path, refused + [
+        (np.flatnonzero((road < 0) | (road >= n)), lambda i, _: f"road_id {road[i]} not in graph"),
+        (np.flatnonzero(~np.isfinite(speed)), lambda i, cells: f"field 'speed_kmh' is not finite: {cells[2]!r}"),
+        (np.flatnonzero(speed < 0), lambda i, _: f"negative speed {float(speed[i])}"),
+        (_repeats(road, slot), lambda i, _: f"duplicate slot {slot[i]} for road {road[i]}"),
     ])
-    del numbers, refused, cell  # free the raw cells before the next file is read
     counts = np.bincount(road, minlength=n)
     missing = np.flatnonzero(counts == 0).tolist()
     if missing:
@@ -741,14 +700,13 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
         for i, values in enumerate(_per_road(speed, starts[road] + slot, counts))
     ]
 
-    numbers, (road, slot, weather, holiday, dow), refused, _ = _read_columns(context_path, CONTEXT_HEADER,
-                                                                            (int,) * 5)
-    _raise_earliest(context_path, numbers, refused + [
-        (np.flatnonzero((road < 0) | (road >= n)), lambda i: f"road_id {road[i]} not in graph"),
-        (np.flatnonzero(weather < 0), lambda i: "weather_code must be >= 0"),
-        (np.flatnonzero((holiday != 0) & (holiday != 1)), lambda i: "holiday_flag must be 0 or 1"),
-        (np.flatnonzero((dow < 0) | (dow > 6)), lambda i: "day_of_week must be in 0..6"),
-        (_repeats(road, slot), lambda i: f"duplicate slot {slot[i]} for road {road[i]}"),
+    (road, slot, weather, holiday, dow), refused = _read_columns(context_path, CONTEXT_HEADER, (int,) * 5)
+    _raise_earliest(context_path, refused + [
+        (np.flatnonzero((road < 0) | (road >= n)), lambda i, _: f"road_id {road[i]} not in graph"),
+        (np.flatnonzero(weather < 0), lambda i, _: "weather_code must be >= 0"),
+        (np.flatnonzero((holiday != 0) & (holiday != 1)), lambda i, _: "holiday_flag must be 0 or 1"),
+        (np.flatnonzero((dow < 0) | (dow > 6)), lambda i, _: "day_of_week must be in 0..6"),
+        (_repeats(road, slot), lambda i, _: f"duplicate slot {slot[i]} for road {road[i]}"),
     ])
     present = np.bincount(road, minlength=n)
     outside = np.bincount(road[(slot < 0) | (slot >= counts[road])], minlength=n) > 0

@@ -277,10 +277,12 @@ def build_view(
     means: np.ndarray | None = None,
     stds: np.ndarray | None = None,
     ybar: list[np.ndarray] | None = None,
+    days=slice(None),
 ) -> DataView:
-    """Raw view by default; the trainer passes fitted normalization stats and
-    frozen training-portion daily averages.  ``ybar`` entries are in the same
-    (normalized) space as the transformed values."""
+    """Raw view by default.  The trainer passes fitted normalization stats
+    and ``days``, the training-day mask the frozen daily averages are taken
+    over; a checkpoint's view passes its stored ``ybar`` instead.  ``ybar``
+    entries are in the same (normalized) space as the transformed values."""
     n = dataset.graph.size
     if means is None:
         means = np.zeros(n)
@@ -289,7 +291,7 @@ def build_view(
     values = [(s.values - means[i]) / stds[i] for i, s in enumerate(dataset.series)]
     if ybar is None:
         ybar = [
-            gd.compute_daily_average(values[i], dataset.graph.nodes[i].slots_per_day)
+            gd.compute_daily_average(values[i], dataset.graph.nodes[i].slots_per_day, days)
             for i in range(n)
         ]
     return DataView(

@@ -209,25 +209,10 @@ def normalize_fit(dataset: gd.TrafficDataset, day_mask: np.ndarray) -> Scaler:
     return Scaler(means=means, stds=stds)
 
 
-def normalize_apply(scaler: Scaler, road: int, values: np.ndarray) -> np.ndarray:
-    return (np.asarray(values, dtype=np.float64) - scaler.means[road]) / scaler.stds[road]
-
-
-def fit_daily_averages(dataset: gd.TrafficDataset, scaler: Scaler,
-                       day_mask: np.ndarray) -> list[np.ndarray]:
-    """Frozen per-slot averages over training days, in normalized units."""
-    return [
-        gd.compute_daily_average(normalize_apply(scaler, road, dataset.series[road].values),
-                                 node.slots_per_day, day_mask)
-        for road, node in enumerate(dataset.graph.nodes)
-    ]
-
-
 def fitted_view(dataset: gd.TrafficDataset, fold: Fold) -> tuple[md.DataView, Scaler]:
     mask = training_day_mask(dataset, fold)
     scaler = normalize_fit(dataset, mask)
-    ybar = fit_daily_averages(dataset, scaler, mask)
-    view = md.build_view(dataset, means=scaler.means, stds=scaler.stds, ybar=ybar)
+    view = md.build_view(dataset, means=scaler.means, stds=scaler.stds, days=mask)
     return view, scaler
 
 
@@ -236,9 +221,10 @@ def fitted_view(dataset: gd.TrafficDataset, fold: Fold) -> tuple[md.DataView, Sc
 
 
 class SampleCache:
-    """Pre-assembled inputs of a fixed sample set: one row table, sliced per batch."""
+    """Pre-assembled inputs of a fixed sample set (samples or an ``(N, 2)``
+    array of them): one row table, sliced per batch."""
 
-    def __init__(self, view: md.DataView, config: md.ModelConfig, samples: list[Sample]):
+    def __init__(self, view: md.DataView, config: md.ModelConfig, samples: list[Sample] | np.ndarray):
         pairs = np.asarray(samples, dtype=int).reshape(-1, 2)
         self.table = md.assemble_group(view, config, pairs[:, 0], pairs[:, 1])
         self.row_of = np.argsort(self.table.positions)  # table row of each sample index
@@ -304,10 +290,10 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
     rng_drop = np.random.default_rng(seeds[2])
     rng_subsample = np.random.default_rng(seeds[3])
 
-    train_samples = list(fold.train)
+    train_samples = np.array(fold.train, dtype=np.int64)
     if config.max_train_samples is not None and len(train_samples) > config.max_train_samples:
         keep = rng_subsample.choice(len(train_samples), config.max_train_samples, replace=False)
-        train_samples = [train_samples[i] for i in sorted(keep)]
+        train_samples = train_samples[np.sort(keep)]
 
     params = md.init_mcan(mc, rng_init)
     cache = SampleCache(view, mc, train_samples)

@@ -253,6 +253,20 @@ class TestNullValues:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["correlate", "predict"])
+    def test_seed_is_unknown_key_where_nothing_is_drawn(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing"
+        keys = dict(graph_path=str(missing / "graph.json"), series_path=str(missing / "series.csv"),
+                    context_path=str(missing / "context.csv"), output_dir=str(tmp_path / "out"))
+        if command == "correlate":
+            keys.update(road_a=0, road_b=1, window_days=7)
+        else:
+            keys.update(checkpoint_path=str(missing / "checkpoint.json"))
+        config = write_config(tmp_path / f"{command}.json", **keys)
+        assert cli.main([command, "--config", config, "--seed", "5"]) == 1
+        assert f"unknown config keys for {command!r}: seed;" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["fold_index", "max_train_samples"])
     def test_null_means_default_for_optional_train_keys(self, tmp_path, data_dir, key):
         args = train_args(tmp_path, data_dir, "null")

@@ -1,5 +1,6 @@
 """Tests for graph/series types, derived channels, windows, generator, and file IO."""
 
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -466,13 +467,18 @@ def corrupt(path, kind, row, column, other, value):
     path.write_text("\r\n".join(header + data) + "\r\n", newline="")
 
 
-# Cells near the plain integer syntax (-?[0-9]{1,18}) that the loader reads
-# straight from the bytes: Python's int() or float() takes some of them, and
-# the loader must then decide exactly as the text reader does.
+# Cells near the plain integer syntax: Python's int() or float() takes some
+# of them, numpy's loadtxt takes fewer, and the loader must decide exactly
+# as the text reader does.
 NEAR_NUMERIC = ("+3", "3_0", " 3", "3 ", "\u0663", "007", "-0", "1" * 19, "9" * 19, "1" * 25, "1e3")
 # How a whole CSV file is spelled: its line ends, or a no-break space (which
 # the header check strips) after its first header cell.
 SPELLINGS = ("crlf", "lf", "lone-cr", "non-ascii")
+# The pieces of one cell: digits, signs, the float syntax, every character
+# str.isspace() counts except the line ends (0x1c-0x1f among them, which
+# int() and float() refuse), Unicode digits, NUL and "#" (no comment mark).
+CELL_PIECES = (*"0123456789+-._eE#", "nan", "inf", "\u0663", "\uff13", "\x00",
+               *(c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\n\r"))
 
 
 @st.composite
@@ -488,18 +494,19 @@ def respell(path, spelling):
     lines = path.read_text(encoding="utf-8").splitlines()
     if spelling == "non-ascii":
         lines[0] = lines[0].replace(",", "\u00a0,", 1)
+    elif spelling == "blank-lines":
+        lines = ["", "", *lines]
     end = {"lf": "\n", "lone-cr": "\r"}.get(spelling, "\r\n")
     path.write_text(end.join(lines) + end, encoding="utf-8", newline="")
 
 
-def per_cell_calls(monkeypatch) -> list:
-    """The kind and row of each cell the loader converts one by one, as text,
-    from now on."""
-    calls = []
-    each_cell = gd._each_cell
-    monkeypatch.setattr(gd, "_each_cell", lambda kind, values, rows, cells: each_cell(
-        kind, values, rows, (calls.append((kind, i)) or cell for i, cell in zip(rows, cells))))
-    return calls
+def row_reads(monkeypatch) -> list:
+    """The name of each file the loader reads row by row, not with
+    ``loadtxt``, from now on."""
+    reads = []
+    read_rows = gd._read_rows
+    monkeypatch.setattr(gd, "_read_rows", lambda path, *args: reads.append(path.name) or read_rows(path, *args))
+    return reads
 
 
 class TestLoaderOracle:
@@ -524,10 +531,9 @@ class TestLoaderOracle:
         assert isinstance(loaded[0], int)
         assert loaded == outcome(reference.load_dataset, paths)
 
-    # Near-numeric cells pass the digit arithmetic ("007", "-0") or are
-    # converted one by one, as text; the other spellings make the loader
-    # decode the whole file first.  The example respells a whole context.csv
-    # column "+N", so that every cell of it is converted one by one.
+    # Near-numeric cells that loadtxt refuses send their file to the row
+    # reader, and so do the lone-CR and non-ASCII spellings.  The example
+    # respells a whole context.csv column "+N".
     @settings(max_examples=100, deadline=timedelta(seconds=10), derandomize=True)
     @given(st.integers(1, 3), st.lists(st.sampled_from((60, 120, 240)), min_size=1, max_size=3, unique=True),
            st.integers(0, 10_000), st.lists(near_numeric(), max_size=2), st.sampled_from(SPELLINGS))
@@ -545,48 +551,74 @@ class TestLoaderOracle:
         if not changes:
             assert isinstance(expected[0], int)
 
-    @pytest.mark.parametrize("spelling", ["crlf", "lf"])
-    def test_benchmark_sized_plain_files_take_byte_path(self, tmp_path, monkeypatch, spelling):
-        paths = written_dataset(tmp_path, n_roads=10, intervals=(5, 10, 15), days=28, seed=3)
-        clean = outcome(gd.load_dataset, paths)
-        for path in paths[1:]:
-            respell(path, spelling)
-        calls = per_cell_calls(monkeypatch)
-        assert outcome(gd.load_dataset, paths) == clean
-        assert calls == []
-
-    def test_respelled_column_converts_each_distinct_cell_once(self, tmp_path, monkeypatch):
-        # Every weather_code cell of a README-size context.csv respelled "+N"
-        # is converted one by one, but each distinct cell text only once.
-        paths = written_dataset(tmp_path, n_roads=10, intervals=(5, 10, 15), days=28, seed=3)
-        clean = outcome(gd.load_dataset, paths)
-        header, *rows = (line.split(",") for line in paths[2].read_text().splitlines())
-        for cells in rows:
-            cells[2] = "+" + cells[2]
-        paths[2].write_text("\n".join(",".join(cells) for cells in [header, *rows]) + "\n")
-        converted = []
-        each_cell = gd._each_cell
-        monkeypatch.setattr(gd, "_each_cell", lambda kind, values, rows, cells: each_cell(
-            lambda text: converted.append(text) or kind(text), values, rows, cells))
-        assert outcome(gd.load_dataset, paths) == clean
-        assert sorted(converted) == sorted({cells[2] for cells in rows})
-
-    @pytest.mark.parametrize("spelling,cell", [
-        ("lone-cr", None), ("non-ascii", None),
-        *(("crlf", cell) for cell in ("+3", "3_0", " 3", "\u0663", "1" * 19, "1e3")),
-    ])
-    def test_other_files_take_text_reader(self, tmp_path, monkeypatch, spelling, cell):
-        # A lone CR or a non-ASCII byte makes the loader read the file as
-        # text but convert no cell one by one; a changed cell (context.csv
-        # row 3, day_of_week) is the only cell it converts from its text.
-        paths = written_dataset(tmp_path)
-        if cell is not None:
-            corrupt(paths[2], "text", 3, 4, 0, cell)
-        for path in paths[1:]:
-            respell(path, spelling)
-        calls = per_cell_calls(monkeypatch)
+    # One cell of a one-row file, in an int column (context.csv's
+    # weather_code) or in speed_kmh, the last cell of its line.  numpy once
+    # parsed an int cell through float, which would take "1.0" and "1e3";
+    # loadtxt strips 0x1c-0x1f as spaces, which int() and float() refuse,
+    # and with a comment mark it would read "1#" as 1.
+    @pytest.mark.parametrize("target", ["c.csv", "s.csv"])
+    @settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True)
+    @given(st.lists(st.sampled_from(CELL_PIECES), max_size=6).map("".join))
+    @example("1.0")
+    @example("1e3")
+    @example("1e400")
+    @example("-nan")
+    @example("\xa03")
+    @example("0x1p3")
+    @example("\x1c3")
+    @example("1#")
+    def test_one_cell_same_outcome_as_row_by_row_reader(self, tmp_path_factory, target, cell):
+        tmp_path = tmp_path_factory.mktemp("cell")
+        paths = written_dataset(tmp_path, n_roads=1, intervals=(gd.MINUTES_PER_DAY,))
+        corrupt(tmp_path / target, "text", 0, 2, 0, cell)
         assert outcome(gd.load_dataset, paths) == outcome(reference.load_dataset, paths)
-        assert calls == ([(int, 3)] if cell else [])
+
+    # README-size files as written (CRLF) and in LF, plain or with every
+    # weather_code cell respelled "+N" or " N", which loadtxt takes too.
+    @pytest.mark.parametrize("spelling,prefix", [("crlf", None), ("lf", None), ("crlf", "+"), ("lf", " ")])
+    def test_benchmark_sized_plain_files_take_loadtxt_path(self, tmp_path, monkeypatch, spelling, prefix):
+        paths = written_dataset(tmp_path, n_roads=10, intervals=(5, 10, 15), days=28, seed=3)
+        clean = outcome(gd.load_dataset, paths)
+        if prefix:
+            corrupt(paths[2], "prefix", 0, 2, 0, prefix)
+        for path in paths[1:]:
+            respell(path, spelling)
+        reads = row_reads(monkeypatch)
+        assert outcome(gd.load_dataset, paths) == clean
+        assert reads == []
+
+    # A first line that is not exactly the header (leading blank lines, a
+    # no-break space in it) or a lone CR sends a README-size file to the row
+    # reader, which must load the same arrays as the reference.
+    @pytest.mark.parametrize("spelling", ["lone-cr", "non-ascii", "blank-lines"])
+    def test_benchmark_sized_other_files_take_row_path(self, tmp_path, monkeypatch, spelling):
+        paths = written_dataset(tmp_path, n_roads=10, intervals=(5, 10, 15), days=28, seed=3)
+        for path in paths[1:]:
+            respell(path, spelling)
+        reads = row_reads(monkeypatch)
+        loaded = outcome(gd.load_dataset, paths)
+        assert isinstance(loaded[0], int)
+        assert loaded == outcome(reference.load_dataset, paths)
+        assert reads == ["s.csv", "c.csv"]
+
+    def test_row_reader_converts_each_distinct_cell_once(self):
+        converted = []
+        values, first = gd._each_cell(lambda text: converted.append(text) or int(text), ["+1", "+2", "+1", "+1"])
+        assert (converted, values.tolist(), first) == (["+1", "+2"], [1, 2, 1, 1], 4)
+
+    # One changed cell (context.csv row 3, day_of_week) in a file as written:
+    # loadtxt takes what it parses as int() does, and the file goes to the
+    # row reader for a cell it refuses.
+    @pytest.mark.parametrize("cell,row_path", [
+        ("+3", False), (" 3", False), ("\xa03", False), ("-0", False), ("1" * 19, False),
+        ("3_0", True), ("\u0663", True), ("9" * 19, True), ("1e3", True), ("\x1c3", True), ("3#", True), ("x", True),
+    ])
+    def test_cell_picks_the_path(self, tmp_path, monkeypatch, cell, row_path):
+        paths = written_dataset(tmp_path)
+        corrupt(paths[2], "text", 3, 4, 0, cell)
+        reads = row_reads(monkeypatch)
+        assert outcome(gd.load_dataset, paths) == outcome(reference.load_dataset, paths)
+        assert reads == (["c.csv"] if row_path else [])
 
 
 class TestCsvFormat:
@@ -610,6 +642,17 @@ class TestCsvFormat:
         message = f"{paths[1]}: row {row}: field 'speed_kmh' is not a number: 'fast'"
         assert outcome(gd.load_dataset, paths) == ("SchemaError", message)
         assert outcome(reference.load_dataset, paths) == ("SchemaError", message)
+
+    @pytest.mark.parametrize("name", ["s.csv", "c.csv"])
+    def test_header_only_file_refused_without_warning(self, tmp_path, name):
+        paths = written_dataset(tmp_path)
+        path = tmp_path / name
+        path.write_text(path.read_text().splitlines()[0] + "\r\n", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = outcome(gd.load_dataset, paths)
+        assert loaded[0] == "MissingDataError"
+        assert loaded == outcome(reference.load_dataset, paths)
 
     def test_quoted_cell_is_not_an_integer(self, tmp_path):
         paths = written_dataset(tmp_path)

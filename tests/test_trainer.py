@@ -1,6 +1,10 @@
 """Tests for normalization, fold splitting, training, metrics, and the baseline."""
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from datetime import timedelta
 
@@ -61,13 +65,13 @@ class TestNormalization:
         scaler = tr.normalize_fit(dataset, np.ones(dataset.days, dtype=bool))
         values = dataset.series[0].values
         view = md.build_view(dataset, means=scaler.means, stds=scaler.stds)
-        back = view.denormalize(0, tr.normalize_apply(scaler, 0, values))
+        back = view.denormalize(0, view.values[0])
         assert np.abs(back - values).max() < 1e-12
 
     def test_transformed_training_mean_is_zero(self, dataset):
         scaler = tr.normalize_fit(dataset, np.ones(dataset.days, dtype=bool))
-        for road in range(dataset.graph.size):
-            z = tr.normalize_apply(scaler, road, dataset.series[road].values)
+        view = md.build_view(dataset, means=scaler.means, stds=scaler.stds)
+        for z in view.values:
             assert abs(z.mean()) < 1e-9
 
     def test_constant_series_fallback(self):
@@ -76,7 +80,7 @@ class TestNormalization:
         dataset.series[0].values[:] = 25.0
         scaler = tr.normalize_fit(dataset, np.ones(dataset.days, dtype=bool))
         assert scaler.stds[0] == 1.0
-        z = tr.normalize_apply(scaler, 0, dataset.series[0].values)
+        z = md.build_view(dataset, means=scaler.means, stds=scaler.stds).values[0]
         assert np.array_equal(z, np.zeros_like(z))
 
 
@@ -507,6 +511,34 @@ class TestTapeFreePrediction:
                 tracemalloc.stop()
 
         assert peak(tr.predict_samples) <= 0.5 * peak(taped_predictions)
+
+
+REFAULTS = """
+import resource, sys
+import numpy as np
+if sys.argv[1] == "mcan":
+    import mcan
+def faults(blocks=80):  # 8 MB in blocks below glibc's default mmap threshold
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    kept = [np.ones(100_000 // 8) for _ in range(blocks)]
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+faults()
+print(faults())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap is kept on glibc only")
+def test_freed_chunk_memory_is_not_faulted_in_again():
+    # A chunk's forward arrays, once freed, stay on the heap for the next
+    # chunk; without mcan, glibc returns them and the next chunk faults
+    # every page in again.
+    def refaults(imports):
+        done = subprocess.run([sys.executable, "-c", REFAULTS, imports], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        return int(done.stdout)
+
+    assert refaults("numpy") > 1000
+    assert refaults("mcan") < 100
 
 
 class TestBaseline:

@@ -168,7 +168,13 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     When the node records a backward (:func:`autodiff._records`), every
     step's projection, gate activations, states and ``tanh(c)`` are kept for
     the backpropagation through time written out below, which reaches the
-    three stacked leaves and every input that requires a gradient.  Otherwise
+    three stacked leaves and every input that requires a gradient.  That
+    backward computes the factors the recurrence does not feed (``1 - sigma``
+    of the i, f and o gates, ``1 - cand^2`` and ``1 - tanh(c)^2``) once for
+    the whole sequence, and runs each step's products in their former order
+    into preallocated ``(B, H)`` buffers, so its gradients equal those of
+    the loop that computed every factor per step
+    (``reference.lstm_layer_gradients``) bit for bit.  Otherwise
     (inside :func:`~mcan.autodiff.no_tape`) the layer projects one step at a
     time and keeps one gate and ``tanh(c)`` slot and a two-slot ring of ``h``
     and ``c``, plus the whole ``h`` sequence only when the layer above reads
@@ -208,27 +214,48 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
         if last:  # the sequence's gradient is zero before its final state
             g_last, g = g, np.zeros((steps, batch, hidden))
             g[-1] = g_last
+        # the factors the recurrence does not feed, for every step at once
+        sigmoid_rest = 1.0 - acts[:, :3]  # (T, 3, B, H): 1 - sigma of the i, f and o gates
+        cand_slope = 1.0 - acts[:, 3] * acts[:, 3]
+        tanh_slope = 1.0 - tanh_c * tanh_c
         d_pre = np.empty((4, steps, batch, hidden))
         w_h_t = w_h.transpose(0, 2, 1)
-        dh_next = np.zeros((batch, hidden))
-        dc_next = np.zeros((batch, hidden))
+        dh, dc = np.empty((batch, hidden)), np.empty((batch, hidden))
+        dh_next, dc_next = np.zeros((batch, hidden)), np.zeros((batch, hidden))
+        d_mixed = np.empty((4, batch, hidden))
         for t in reversed(range(steps)):
             gate_i, gate_f, gate_o, cand = acts[t]
-            dh = g[t] + dh_next
-            dc = dh * gate_o * (1.0 - tanh_c[t] * tanh_c[t]) + dc_next
-            d_pre[0, t] = dc * cand * gate_i * (1.0 - gate_i)
-            d_pre[1, t] = dc * c_seq[t] * gate_f * (1.0 - gate_f)
-            d_pre[2, t] = dh * tanh_c[t] * gate_o * (1.0 - gate_o)
-            d_pre[3, t] = dc * gate_i * (1.0 - cand * cand)
-            dc_next = dc * gate_f
-            if t > 0:
-                dh_next = np.matmul(d_pre[:, t], w_h_t).sum(axis=0)
+            d_i, d_f, d_o, d_cand = d_pre[:, t]
+            rest_i, rest_f, rest_o = sigmoid_rest[t]
+            np.add(g[t], dh_next, out=dh)
+            np.multiply(dh, gate_o, out=dc)  # dc = dh * o * (1 - tanh(c)^2) + dc_next
+            np.multiply(dc, tanh_slope[t], out=dc)
+            np.add(dc, dc_next, out=dc)
+            np.multiply(dc, cand, out=d_i)  # d_i = dc * cand * i * (1 - i)
+            np.multiply(d_i, gate_i, out=d_i)
+            np.multiply(d_i, rest_i, out=d_i)
+            np.multiply(dc, c_seq[t], out=d_f)  # d_f = dc * c_prev * f * (1 - f)
+            np.multiply(d_f, gate_f, out=d_f)
+            np.multiply(d_f, rest_f, out=d_f)
+            np.multiply(dh, tanh_c[t], out=d_o)  # d_o = dh * tanh(c) * o * (1 - o)
+            np.multiply(d_o, gate_o, out=d_o)
+            np.multiply(d_o, rest_o, out=d_o)
+            np.multiply(dc, gate_i, out=d_cand)  # d_cand = dc * i * (1 - cand^2)
+            np.multiply(d_cand, cand_slope[t], out=d_cand)
+            np.multiply(dc, gate_f, out=dc_next)
+            if t > 0:  # dh_next = the gates' d_pre @ w_h', summed in gate order
+                np.matmul(d_pre[:, t], w_h_t, out=d_mixed)
+                np.add(d_mixed[0], d_mixed[1], out=dh_next)
+                np.add(dh_next, d_mixed[2], out=dh_next)
+                np.add(dh_next, d_mixed[3], out=dh_next)
         d_flat = d_pre.reshape(4, steps * batch, hidden)
         x_flat = x.reshape(steps * batch, width)
         h_flat = h_seq[:-1].reshape(steps * batch, hidden)
         ad._accumulate(params.w_x, x_flat.T @ d_flat)
         ad._accumulate(params.w_h, h_flat.T @ d_flat)
-        ad._accumulate(params.b, d_flat.sum(axis=1))
+        # einsum sums the rows in sum's order, only faster, except over a
+        # contiguous axis (H = 1), where sum adds pairwise
+        ad._accumulate(params.b, d_flat.sum(axis=1) if hidden == 1 else np.einsum("gnh->gh", d_flat))
         if sources:
             dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0)
             dx = dx.reshape(steps, batch, width)

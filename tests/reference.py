@@ -21,7 +21,10 @@ by gradient.
 
 ``lstm_cell`` evaluates the LSTM cell equations in plain numpy, reading gate
 k from the stacked leaves; ``nnlayers.lstm_step``, the program's one cell,
-must match it.
+must match it.  ``lstm_layer_gradients`` is the backpropagation through time
+of ``nnlayers.lstm_layer`` with every factor computed inside the time loop;
+the layer's backward, which hoists the factors the recurrence does not feed,
+must give bit-identical gradients.
 
 The elementary autodiff ops live here, not in ``mcan.autodiff``: ``add``,
 ``multiply``, ``matmul``, ``take``, ``sigmoid``, ``tanh``, ``subtract``,
@@ -257,6 +260,48 @@ def lstm_step(params: nn.LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, Diff
     gate_i, gate_f, gate_o = (sigmoid(p) for p in pre[:3])
     c_new = add(multiply(gate_i, tanh(pre[3])), multiply(gate_f, c_prev))
     return multiply(gate_o, tanh(c_new)), c_new
+
+
+def lstm_layer_gradients(params: nn.LstmParams, x: np.ndarray, g: np.ndarray, last: bool = False):
+    """Backpropagation through time of one ``nnlayers.lstm_layer`` as it was
+    written before its factors were hoisted out of the time loop: the
+    gradients ``(w_x, w_h, b, x)`` of a layer over the ``(T, B, in)`` input
+    ``x``, given the gradient ``g`` of its ``(T, B, H)`` output, or with
+    ``last`` of its final ``(B, H)`` state.  The forward repeats the taped
+    layer's: one batched input projection, then ``nnlayers.lstm_step`` per
+    step."""
+    steps, batch, width = x.shape
+    hidden = params.hidden_size
+    w_x, w_h = params.w_x.data, params.w_h.data
+    x_proj = np.matmul(x[:, None], w_x)
+    acts = np.empty((steps, 4, batch, hidden))
+    tanh_c = np.empty((steps, batch, hidden))
+    h_seq = np.zeros((steps + 1, batch, hidden))
+    c_seq = np.zeros((steps + 1, batch, hidden))
+    for t in range(steps):
+        nn.lstm_step(params, x_proj[t], h_seq[t], c_seq[t], acts[t], h_seq[t + 1], c_seq[t + 1], tanh_c[t])
+    if last:
+        g_last, g = g, np.zeros((steps, batch, hidden))
+        g[-1] = g_last
+    d_pre = np.empty((4, steps, batch, hidden))
+    w_h_t = w_h.transpose(0, 2, 1)
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
+    for t in reversed(range(steps)):
+        gate_i, gate_f, gate_o, cand = acts[t]
+        dh = g[t] + dh_next
+        dc = dh * gate_o * (1.0 - tanh_c[t] * tanh_c[t]) + dc_next
+        d_pre[0, t] = dc * cand * gate_i * (1.0 - gate_i)
+        d_pre[1, t] = dc * c_seq[t] * gate_f * (1.0 - gate_f)
+        d_pre[2, t] = dh * tanh_c[t] * gate_o * (1.0 - gate_o)
+        d_pre[3, t] = dc * gate_i * (1.0 - cand * cand)
+        dc_next = dc * gate_f
+        if t > 0:
+            dh_next = np.matmul(d_pre[:, t], w_h_t).sum(axis=0)
+    d_flat = d_pre.reshape(4, steps * batch, hidden)
+    dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0).reshape(steps, batch, width)
+    return (x.reshape(steps * batch, width).T @ d_flat, h_seq[:-1].reshape(steps * batch, hidden).T @ d_flat,
+            d_flat.sum(axis=1), dx)
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -11,7 +11,10 @@ A batch mixes target roads: each hop's neighbors are one padded
 ``(N_max, B, embed_len)`` tensor with a ``(N_max, B)`` mask, embedded by one
 node (:func:`embed_windows`, the CPA as ``R + A @ coefficients`` with ``A``
 from :func:`fill_basis`) and aggregated by one (:func:`gcn_hop`, with a
-hand-written backward pass).
+hand-written backward pass).  The hop scores each slot's bilinear form
+``e_i' M_f e_j`` target first: ``e_i' M_f`` for every row and filter is one
+GEMM, its product with the neighbors one batched matmul over rows, so no
+``(N_max, B, filters, embed_len)`` tensor is built, forward or backward.
 """
 
 from __future__ import annotations
@@ -163,17 +166,30 @@ def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: DiffValue,
     the sum or to any gradient, whatever they hold.  A slot's filter scores
     are u = sigma(e_i' M_f e_j) and its response sum_l z_l T_l(2u - 1); the
     backward pass runs T'_l = 2 T_{l-1} + 2x T'_{l-1} - T'_{l-2}.
+
+    The bilinear form contracts the target first: ``tq[b, f] = e_b' M_f``
+    for every filter is one ``(B, c) @ (c, F·c)`` GEMM, and the scores of all
+    slots one batched ``(B, N, c) @ (B, c, F)`` matmul, so no ``(N, B, F,
+    c)`` tensor is formed.  The backward runs the same contractions in
+    reverse: ``d_tq = d_scores' @ e_j`` batched over rows, then one GEMM
+    each for the correlation and target gradients and one batched matmul
+    ``d_scores @ tq`` for the neighbors'.
     """
     batch, c = target_emb.data.shape
     filters, order = params.filters, params.order
     keep = np.asarray(mask, dtype=bool)[..., None]  # (N, B, 1)
     target = target_emb.data
     emb = np.where(keep, neighbors.data, 0.0)  # (N, B, c)
-    corr_t = params.correlation.data.T.copy()  # (c, F*c)
+    # (c, F*c): column block f is M_f, so target @ corr_blocks stacks e_b' M_f
+    corr_blocks = params.correlation.data.reshape(filters, c, c).transpose(1, 0, 2).reshape(c, filters * c)
     kernel = params.kernel.data  # (F, order)
-    mixed = np.matmul(emb, corr_t).reshape(len(emb), batch, filters, c)
+    tq = (target @ corr_blocks).reshape(batch, filters, c)
+    # written row by row into an (N, B, F) array, so that the elementwise
+    # Chebyshev code below runs on contiguous memory
+    bilinear = np.empty((len(emb), batch, filters))
+    np.matmul(emb.swapaxes(0, 1), tq.transpose(0, 2, 1), out=bilinear.swapaxes(0, 1))
     with np.errstate(over="ignore"):
-        scores = 1.0 / (1.0 + np.exp(-(mixed * target[:, None, :]).sum(axis=3)))  # (N, B, F)
+        scores = 1.0 / (1.0 + np.exp(-bilinear))  # (N, B, F)
     mapped = scores * 2.0 - 1.0
     basis = nn.chebyshev_basis(mapped, order)  # (order, N, B, F)
     response = basis[0] * kernel[:, 0]
@@ -189,14 +205,17 @@ def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: DiffValue,
         for l in range(2, order):
             slopes.append(2.0 * basis[l - 1] + 2.0 * mapped * slopes[-1] - slopes[-2])
         d_mapped = sum(slope * kernel[:, l] for l, slope in enumerate(slopes))
-        d_scores = g * d_mapped * 2.0 * scores * (1.0 - scores)  # (N, B, F)
-        d_mixed = d_scores[..., None] * target[:, None, :]  # (N, B, F, c)
-        ad._accumulate(params.kernel, (g * basis).sum(axis=(1, 2)).T)
-        ad._accumulate(params.correlation, d_mixed.reshape(-1, filters * c).T @ emb.reshape(-1, c))
+        d_scores = (g * d_mapped * 2.0 * scores * (1.0 - scores)).swapaxes(0, 1)  # (B, N, F)
+        d_tq = np.matmul(d_scores.transpose(0, 2, 1), emb.swapaxes(0, 1)).reshape(batch, filters * c)
+        # the kernel's gradient sum over slots of g T_l, one matvec per filter
+        per_filter = basis.reshape(order, -1, filters).transpose(2, 0, 1)  # (F, order, N*B)
+        ad._accumulate(params.kernel, (per_filter @ g.reshape(-1, filters).T[..., None])[..., 0])
+        d_blocks = (target.T @ d_tq).reshape(c, filters, c).transpose(1, 0, 2)
+        ad._accumulate(params.correlation, d_blocks.reshape(filters * c, c))
         if target_emb._needs:
-            ad._accumulate(target_emb, (d_scores[..., None] * mixed).sum(axis=(0, 2)))
+            ad._accumulate(target_emb, d_tq @ corr_blocks.T)
         if neighbors._needs:
-            ad._accumulate(neighbors, d_mixed.reshape(len(emb), batch, filters * c) @ corr_t.T)
+            ad._accumulate(neighbors, np.matmul(d_scores, tq).swapaxes(0, 1))
 
     return ad._node(total, (params.correlation, params.kernel, target_emb, neighbors), backward)
 

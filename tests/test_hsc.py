@@ -1,7 +1,12 @@
 """Tests for the embedding replace rule, correlation-kernel GCN, and HSC forward."""
 
+import tracemalloc
+from datetime import timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import finite_difference, probe_indices, relative_gradient_error
@@ -409,14 +414,17 @@ class TestHourWindows:
             gd.channel_window(values, np.array([0.0]), np.array([0, 1]), "trend")
 
 
-def composed_hop(params, target, neighbors):
+def composed_hop(params, target, neighbors, mask=None):
     """Reference for the fused hop: per-neighbor scores and kernel response,
-    one ``(B, c)`` neighbor at a time from the ``(N, B, c)`` stack."""
+    one ``(B, c)`` neighbor at a time from the ``(N, B, c)`` stack, each
+    response multiplied by its slots' ``(N, B)`` mask when one is given."""
     total = None
     for n in range(neighbors.data.shape[0]):
         emb = reference.take(neighbors, n)
         scores = reference.correlation_scores(params, target, emb)
         response = reference.kernel_response(params, scores)
+        if mask is not None:
+            response = reference.multiply(response, mask[n, :, None].astype(np.float64))
         total = response if total is None else reference.add(total, response)
     return total
 
@@ -478,6 +486,49 @@ class TestGcnHop:
             grads.append([p.grad.copy() for p in parents])
         for fused, composed in zip(*grads):
             assert np.abs(fused - composed).max() <= 1e-12 * max(1.0, np.abs(composed).max())
+
+    @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 40), st.integers(1, 5), st.integers(2, 13),
+           st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_composed_path_with_random_masks(self, count, batch, filters, c, order, seed):
+        # values and all four parents' gradients; padded slots hold other
+        # values and one row is all padding
+        rng = np.random.default_rng(seed)
+        params = hsc.init_gcn(rng, c, filters, order)
+        target = ad.parameter(rng.normal(size=(batch, c)))
+        neighbors = ad.parameter(rng.normal(size=(count, batch, c)))
+        mask = rng.random((count, batch)) < rng.uniform(0.2, 1.0)
+        mask[:, rng.integers(batch)] = False
+        parents = [params.correlation, params.kernel, target, neighbors]
+        outputs, grads = [], []
+        for run in (hsc.gcn_hop, composed_hop):
+            for p in parents:
+                p.grad = None
+            out = run(params, target, neighbors, mask)
+            reference.vsum(reference.square(out)).backward()
+            outputs.append(out.data)
+            grads.append([np.zeros(p.data.shape) if p.grad is None else p.grad.copy() for p in parents])
+        assert np.abs(outputs[0] - outputs[1]).max() < 1e-12
+        for fused, composed in zip(*grads):
+            assert np.abs(fused - composed).max() <= 1e-12 * max(1.0, np.abs(composed).max())
+        assert not grads[0][3][~mask].any()
+
+    def test_taped_hop_memory_stays_near_its_inputs(self):
+        # The contraction forms no (N, B, F, c) tensor: a forward and backward
+        # at N=8, B=64, F=4, c=64 peaks well below 8 neighbor arrays (the
+        # (N, B, F, c) products alone were 4 each).
+        rng = np.random.default_rng(239)
+        params = hsc.init_gcn(rng, 64, 4, 3)
+        target = ad.parameter(rng.normal(size=(64, 64)))
+        neighbors = ad.parameter(rng.normal(size=(8, 64, 64)))
+        mask = rng.random((8, 64)) < 0.8
+        tracemalloc.start()
+        try:
+            reference.vsum(hsc.gcn_hop(params, target, neighbors, mask)).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * neighbors.data.nbytes
 
     def masked_case(self, rng):
         # N=3 slots, B=4 rows; row 3 is all padding, rows 1-2 are partly padded

@@ -164,6 +164,8 @@ def cmd_correlate(config: dict) -> int:
     out = _out_dir(config) / "correlations.csv"
     an.write_correlation_table(out, report)
     print(out)
+    for measurement, share in an.dominant_measurement_shares(report).items():
+        print(f"dominant {measurement} {share:.4f}")
     return 0
 
 
@@ -311,9 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} step")
         p.add_argument("--config", help="JSON config file for this run")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--ablate", action="append", default=[],
-                       help=f"ablation flag ({', '.join(md.ABLATION_NAMES)}); repeatable")
+        if "seed" in COMMAND_KEYS[name]:
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if "ablations" in COMMAND_KEYS[name]:
+            p.add_argument("--ablate", action="append", default=[],
+                           help=f"ablation flag ({', '.join(md.ABLATION_NAMES)}); repeatable")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a single config key; repeatable")
     return parser
@@ -330,11 +334,9 @@ def main(argv=None) -> int:
         for item in args.set:
             key, value = _parse_override(item)
             config[key] = value
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             config["seed"] = args.seed
-        if args.ablate:
-            if args.command != "train":
-                raise ConfigError("--ablate only applies to the train command")
+        if getattr(args, "ablate", None):
             existing = list(config.get("ablations", []))
             config["ablations"] = existing + [a for a in args.ablate if a not in existing]
         config = _validated(args.command, config)

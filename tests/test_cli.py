@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcan import analysis as an
 from mcan import cli
 from mcan import graphdata as gd
 from mcan import model as md
@@ -263,9 +264,30 @@ class TestNullValues:
         else:
             keys.update(checkpoint_path=str(missing / "checkpoint.json"))
         config = write_config(tmp_path / f"{command}.json", **keys)
-        assert cli.main([command, "--config", config, "--seed", "5"]) == 1
+        assert cli.main([command, "--config", config, "--set", "seed=5"]) == 1
         assert f"unknown config keys for {command!r}: seed;" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "predict"])
+    def test_seed_option_is_not_offered_where_nothing_is_drawn(self, tmp_path, capsys, command):
+        keys = dict(graph_path="g.json", series_path="s.csv", context_path="c.csv",
+                    output_dir=str(tmp_path / "out"), road_a=0, road_b=1, window_days=7)
+        if command == "predict":
+            keys = {**keys, "checkpoint_path": "ck.json"}
+            del keys["road_a"], keys["road_b"], keys["window_days"]
+        config = write_config(tmp_path / f"{command}.json", **keys)
+        assert cli.main([command, "--help"]) == 0
+        assert "--seed" not in capsys.readouterr().out
+        assert cli.main([command, "--config", config, "--seed", "5"]) == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "correlate", "evaluate", "predict"])
+    def test_ablate_option_only_on_train(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        assert "--ablate" not in capsys.readouterr().out
+        assert cli.main([command, "--ablate", "nw"]) == 1
+        assert "unrecognized arguments: --ablate nw" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["fold_index", "max_train_samples"])
     def test_null_means_default_for_optional_train_keys(self, tmp_path, data_dir, key):
@@ -620,6 +642,28 @@ class TestCheckpointValuesFinite:
 
 
 class TestCorrelate:
+    def test_prints_dominant_measurement_shares(self, tmp_path, capsys):
+        # the planted pair: speed correlation dominates the first half of the
+        # day, trend correlation the second
+        dataset = gd.generate_synthetic(gd.GeneratorConfig(n_roads=2, intervals=(5,), days=40), seed=1)
+        dataset.series[0].values, dataset.series[1].values = (
+            s.values for s in gd.generate_planted_pair(seed=13, days=40)[:2])
+        paths = [tmp_path / name for name in ("graph.json", "series.csv", "context.csv")]
+        gd.write_dataset(dataset, *paths)
+        config = write_config(tmp_path / "corr.json", graph_path=str(paths[0]), series_path=str(paths[1]),
+                              context_path=str(paths[2]), output_dir=str(tmp_path / "corr"),
+                              road_a=0, road_b=1, window_days=30, measurements=["speed", "trend"])
+        assert cli.main(["correlate", "--config", config]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == str(tmp_path / "corr" / "correlations.csv")
+        assert [line.split()[:2] for line in lines[1:]] == [["dominant", "speed"], ["dominant", "trend"]]
+        shares = [float(line.split()[2]) for line in lines[1:]]
+        assert min(shares) >= 0.2 and sum(shares) == pytest.approx(1.0, abs=1e-3)
+        loaded = gd.load_dataset(*paths)
+        report = an.multifold_correlation_report(*loaded.series, 5, 5, ["speed", "trend"], window_days=30)
+        assert lines[1:] == [f"dominant {m} {v:.4f}" for m, v in an.dominant_measurement_shares(report).items()]
+        assert [p.name for p in (tmp_path / "corr").iterdir()] == ["correlations.csv"]
+
     def test_writes_table(self, tmp_path, data_dir):
         config = write_config(
             tmp_path / "corr.json",

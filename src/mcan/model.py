@@ -52,8 +52,9 @@ def parse_ablations(names) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Architecture knobs plus the dataset-derived encoder widths."""
+class ArchitectureConfig:
+    """Architecture knobs and loss weights, declared once for
+    :class:`ModelConfig` and ``trainer.TrainConfig``."""
 
     horizon: int = 6
     recent_steps: int = 6
@@ -69,6 +70,12 @@ class ModelConfig:
     fnn_layers: int = 3
     alpha: float = 0.2
     beta: float = 0.2
+
+
+@dataclass(frozen=True)
+class ModelConfig(ArchitectureConfig):
+    """Architecture knobs plus the dataset-derived encoder widths."""
+
     ablations: frozenset[str] = frozenset()
     weather_code_count: int = 3
     road_type_count: int = 4

@@ -25,32 +25,18 @@ from .errors import ConfigError, MissingDataError, TrainingDivergence
 Sample = tuple[int, int]  # (road id, time index)
 
 
-@dataclass
-class TrainConfig:
+@dataclass(frozen=True)
+class TrainConfig(md.ArchitectureConfig):
     """Run configuration; defaults follow the reference hyperparameters."""
 
     epochs: int = 50
     batch_size: int = 64
     learning_rate: float = 0.0001
     dropout: float = 0.5
-    alpha: float = 0.2
-    beta: float = 0.2
-    recent_steps: int = 6
-    daily_steps: int = 4
-    weekly_steps: int = 2
-    horizon: int = 6
     folds: int = 5
     fold_index: int | None = None  # default: the last (latest) block
     seed: int = 0
     ablations: tuple[str, ...] = ()
-    embed_len: int = 12
-    hops: int = 2
-    filters: int = 8
-    cpa_order: int = 5
-    gcn_order: int = 5
-    hidden_size: int = 36
-    lstm_layers: int = 3
-    fnn_layers: int = 3
     max_train_samples: int | None = None
     shuffled_folds: bool = False
 
@@ -75,7 +61,7 @@ class TrainConfig:
     def model_fields(self) -> dict:
         """The fields this config shares with ``ModelConfig``, ablation names
         expanded to flags."""
-        shared = {f.name: getattr(self, f.name) for f in fields(md.ModelConfig) if hasattr(self, f.name)}
+        shared = {f.name: getattr(self, f.name) for f in fields(md.ArchitectureConfig)}
         return {**shared, "ablations": md.parse_ablations(self.ablations)}
 
     def model_config(self, dataset: gd.TrafficDataset) -> md.ModelConfig:

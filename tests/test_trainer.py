@@ -274,8 +274,9 @@ class TestMetrics:
 
 class TestTrain:
     def test_shared_model_fields_have_equal_defaults(self):
-        # TrainConfig repeats the ModelConfig defaults so that the CLI keys and
-        # perfbench's flat keyword arguments stay in one dataclass
+        # TrainConfig and ModelConfig inherit the architecture knobs from one
+        # dataclass, so the CLI keys and perfbench's flat keyword arguments
+        # stay in TrainConfig and the defaults cannot drift apart
         shared = tr.TrainConfig().model_fields()
         assert len(shared) == 15
         assert md.ModelConfig(**shared) == md.ModelConfig()

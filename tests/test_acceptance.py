@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import planted
 import reference
 from conftest import finite_difference, probe_indices, relative_gradient_error
 from mcan import analysis as an
@@ -295,7 +296,7 @@ def test_criterion_7_horizon_degradation(learning_runs):
 
 
 def test_criterion_8_multifold_correlation():
-    a, b, _ = gd.generate_planted_pair(seed=8, days=40)
+    a, b, _ = planted.generate_planted_pair(seed=8, days=40)
     curves = an.multifold_correlation_report(a, b, 5, 5, ["speed", "trend"], window_days=30)
     shares = an.dominant_measurement_shares(curves)
     ok = shares["speed"] >= 0.2 and shares["trend"] >= 0.2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import planted
 from mcan import analysis as an
 from mcan import graphdata as gd
 from mcan.errors import ConfigError, MissingDataError
@@ -78,14 +79,14 @@ class TestReport:
             assert v == pytest.approx(1.0)
 
     def test_single_measurement_single_series(self):
-        a, b, _ = gd.generate_planted_pair(seed=3, days=12)
+        a, b, _ = planted.generate_planted_pair(seed=3, days=12)
         report = an.multifold_correlation_report(a, b, 5, 5, ["speed"], window_days=5)
         assert len(report) == 1
         assert report[0].measurement == "speed"
 
     def test_planted_pair_signs(self):
         # region one is built speed-correlated (+), region two trend-anticorrelated (-)
-        a, b, spd = gd.generate_planted_pair(seed=11, days=40)
+        a, b, spd = planted.generate_planted_pair(seed=11, days=40)
         report = an.multifold_correlation_report(a, b, 5, 5, ["speed", "trend"],
                                                  window_days=30)
         speed, trend = report
@@ -99,7 +100,7 @@ class TestReport:
         assert np.nanmedian(trend_vals[second_region]) < -0.6
 
     def test_both_regimes_occur(self):
-        a, b, _ = gd.generate_planted_pair(seed=13, days=40)
+        a, b, _ = planted.generate_planted_pair(seed=13, days=40)
         report = an.multifold_correlation_report(a, b, 5, 5, ["speed", "trend"],
                                                  window_days=30)
         shares = an.dominant_measurement_shares(report)
@@ -107,7 +108,7 @@ class TestReport:
         assert shares["trend"] >= 0.2
 
     def test_values_stay_in_unit_interval(self):
-        a, b, _ = gd.generate_planted_pair(seed=17, days=20)
+        a, b, _ = planted.generate_planted_pair(seed=17, days=20)
         report = an.multifold_correlation_report(a, b, 5, 5, list(an.MEASUREMENTS),
                                                  window_days=10)
         for series in report:
@@ -126,13 +127,13 @@ class TestReport:
 
     def test_no_overlap_rejected(self):
         # a wall range that ends before the first minute with enough history
-        a, b, _ = gd.generate_planted_pair(seed=21, days=3)
+        a, b, _ = planted.generate_planted_pair(seed=21, days=3)
         with pytest.raises(ConfigError, match="wall_end 100 .*window_days=3 .*the first is minute 4320"):
             an.multifold_correlation_report(a, b, 5, 5, ["speed"], window_days=3,
                                             wall_range=(0, 100))
 
     def test_span_without_enough_history_rejected(self):
-        a, b, _ = gd.generate_planted_pair(seed=21, days=3)
+        a, b, _ = planted.generate_planted_pair(seed=21, days=3)
         with pytest.raises(MissingDataError, match="span of 4320 minutes .*window_days=3 .*minute 4320"):
             an.multifold_correlation_report(a, b, 5, 5, ["speed"], window_days=3)
 

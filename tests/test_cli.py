@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import planted
 from mcan import analysis as an
 from mcan import cli
 from mcan import graphdata as gd
@@ -647,7 +648,7 @@ class TestCorrelate:
         # day, trend correlation the second
         dataset = gd.generate_synthetic(gd.GeneratorConfig(n_roads=2, intervals=(5,), days=40), seed=1)
         dataset.series[0].values, dataset.series[1].values = (
-            s.values for s in gd.generate_planted_pair(seed=13, days=40)[:2])
+            s.values for s in planted.generate_planted_pair(seed=13, days=40)[:2])
         paths = [tmp_path / name for name in ("graph.json", "series.csv", "context.csv")]
         gd.write_dataset(dataset, *paths)
         config = write_config(tmp_path / "corr.json", graph_path=str(paths[0]), series_path=str(paths[1]),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import planted
 import reference
 from mcan import graphdata as gd
 from mcan.errors import ConfigError, MissingDataError, SchemaError
@@ -394,7 +395,7 @@ class TestFileRoundTrip:
 
 class TestPlantedPair:
     def test_same_frequency_and_shape(self):
-        a, b, slots_per_day = gd.generate_planted_pair(seed=1, days=10)
+        a, b, slots_per_day = planted.generate_planted_pair(seed=1, days=10)
         assert len(a) == len(b) == 10 * slots_per_day
         assert np.all(a.values >= 0) and np.all(b.values >= 0)
 

@@ -843,16 +843,22 @@ def readme_outputs_tool():
 def test_readme_outputs_against_lists_every_differing_file(monkeypatch, capsys):
     tool = readme_outputs_tool()
     src = str(Path(cli.__file__).resolve().parents[1])
-    runs = iter([{"a.csv": "1" * 64, "b.json": "2" * 64, "c.csv": "3" * 64},
-                 {"a.csv": "1" * 64, "b.json": "9" * 64, "d.csv": "4" * 64}])
-    monkeypatch.setattr(tool, "digests", lambda tree: next(runs))
+    runs = iter([{"a.csv": b"x,1\n", "b.json": b"[0.5, 2]", "c.csv": b"3", "e.csv": b"y,1.0,7\n"},
+                 {"a.csv": b"x,1\n", "b.json": b"[0.5]", "d.csv": b"4", "e.csv": b"y,1.0000000000001,7\n"}])
+    monkeypatch.setattr(tool, "outputs", lambda tree: next(runs))
     assert tool.main([src, "--against", src]) == 1
-    assert capsys.readouterr().out.splitlines()[3:] == [
-        "differs: b.json  22222222 != 99999999",
-        "differs: c.csv  33333333 != absent",
-        "differs: d.csv  absent != 44444444",
+    short = {content: tool.digest(content)[:8] for content in (b"[0.5, 2]", b"[0.5]", b"3", b"4")}
+    lines = capsys.readouterr().out.splitlines()[4:]
+    assert lines[:3] == [
+        f"differs: b.json  {short[b'[0.5, 2]']} != {short[b'[0.5]']}",
+        f"differs: c.csv  {short[b'3']} != absent",
+        f"differs: d.csv  absent != {short[b'4']}",
     ]
-    same = {"a.csv": "1" * 64}
-    monkeypatch.setattr(tool, "digests", lambda tree: same)
+    # a planted 1e-13 change: same count of numbers, so the line says by how much
+    planted = re.fullmatch(r"differs: e\.csv  \w{8} != \w{8}  "
+                           r"\(largest relative difference (\S+) over 2 numbers\)", lines[3])
+    assert planted and float(planted[1]) == pytest.approx(1e-13, rel=0.01)
+    same = {"a.csv": b"x,1\n"}
+    monkeypatch.setattr(tool, "outputs", lambda tree: same)
     assert tool.main([src, "--against", src]) == 0
     assert tool.main([src]) == 0

@@ -11,7 +11,10 @@ With ``--against`` the block also runs on the package in the other source
 tree, and the command shows whether a change keeps the README outputs
 byte-identical: it prints the first tree's digests, then one line per file
 whose digest differs or that only one tree writes, and exits 1 if there is
-such a file, for example:
+such a file.  When both versions of a differing file hold the same count of
+numbers, its line also gives the largest relative difference between
+corresponding numbers, so a change that only rounds differently shows as
+such, for example:
 
     python tools/readme_outputs.py src --against ../parent/src
 """
@@ -26,6 +29,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -37,22 +42,49 @@ def command_block(readme: Path = README) -> str:
     raise SystemExit(f"{readme}: no sh block runs 'mcan generate'")
 
 
-def digests(src: Path) -> dict[str, str]:
-    """Run the command block on ``src``; the sha256 of each file it writes, by path."""
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def outputs(src: Path) -> dict[str, bytes]:
+    """Run the command block on ``src``; the bytes of each file it writes, by path."""
     prelude = f'mcan() {{ PYTHONPATH="{src}" "{sys.executable}" -m mcan.cli "$@"; }}\n'
     with tempfile.TemporaryDirectory() as work:
         subprocess.run(["bash", "-e", "-c", prelude + command_block()], cwd=work, check=True,
                        stdout=subprocess.DEVNULL)
         root = Path(work)
-        return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        return {str(path.relative_to(root)): path.read_bytes()
                 for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-def differences(ours: dict[str, str], theirs: dict[str, str]) -> list[str]:
-    """One line per path whose digest differs between the two runs or that
-    only one of them wrote, sorted by path."""
-    return [f"differs: {path}  {ours.get(path, 'absent')[:8]} != {theirs.get(path, 'absent')[:8]}"
-            for path in sorted(ours.keys() | theirs.keys()) if ours.get(path) != theirs.get(path)]
+def digest(content: bytes | None) -> str:
+    return "absent" if content is None else hashlib.sha256(content).hexdigest()
+
+
+def largest_relative_difference(ours: bytes, theirs: bytes) -> float | None:
+    """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of the two
+    texts taken in order (0 where both are 0), or None when their counts differ."""
+    a, b = (np.array([float(n) for n in NUMBER.findall(text)]) for text in (ours, theirs))
+    if len(a) != len(b):
+        return None
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
+
+
+def differences(ours: dict[str, bytes], theirs: dict[str, bytes]) -> list[str]:
+    """One line per path whose content differs between the two runs or that
+    only one of them wrote, sorted by path, with the largest relative
+    difference of its numbers where :func:`largest_relative_difference` has one."""
+    lines = []
+    for path in sorted(ours.keys() | theirs.keys()):
+        mine, other = ours.get(path), theirs.get(path)
+        if mine == other:
+            continue
+        line = f"differs: {path}  {digest(mine)[:8]} != {digest(other)[:8]}"
+        relative = None if mine is None or other is None else largest_relative_difference(mine, other)
+        if relative is not None:
+            line += f"  (largest relative difference {relative:.1e} over {len(NUMBER.findall(mine))} numbers)"
+        lines.append(line)
+    return lines
 
 
 def _source_tree(text: str) -> Path:
@@ -68,11 +100,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--against", type=_source_tree, metavar="OTHER",
                         help="second source tree; exit 1 if any output file differs")
     args = parser.parse_args(argv)
-    ours = digests(args.src)
-    print("\n".join(f"{digest}  {path}" for path, digest in ours.items()))
+    ours = outputs(args.src)
+    print("\n".join(f"{digest(content)}  {path}" for path, content in ours.items()))
     if args.against is None:
         return 0
-    changed = differences(ours, digests(args.against))
+    changed = differences(ours, outputs(args.against))
     print("\n".join(changed) if changed else f"identical to {args.against}: {len(ours)} files")
     return 1 if changed else 0
 

@@ -7,14 +7,16 @@ aggregate 1..h hop neighbors through correlation-kernel graph convolution
 filters, encode the hop-feature sequence and the target's own window with two
 LSTM stacks, and emit the channel output through a fully connected head.
 
-A batch mixes target roads: each hop's neighbors are one padded
-``(N_max, B, embed_len)`` tensor with a ``(N_max, B)`` mask, embedded by one
-node (:func:`embed_windows`, the CPA as ``R + A @ coefficients`` with ``A``
-from :func:`fill_basis`) and aggregated by one (:func:`gcn_hop`, with a
-hand-written backward pass).  The hop scores each slot's bilinear form
-``e_i' M_f e_j`` target first: ``e_i' M_f`` for every row and filter is one
-GEMM, its product with the neighbors one batched matmul over rows, so no
-``(N_max, B, filters, embed_len)`` tensor is built, forward or backward.
+A batch mixes target roads, and the hop is an array axis: the neighbors of
+all K hops are one padded ``(K, N_max, B, embed_len)`` tensor with a ``(K,
+N_max, B)`` mask, embedded by one node (:func:`embed_windows`, the CPA as
+``R + A @ coefficients`` with ``A`` from :func:`fill_basis`) and aggregated
+by one (:func:`gcn_hop_features`, with a hand-written backward pass) into
+the ``(K, B, filters)`` hop sequence.  The aggregation scores each slot's
+bilinear form ``e_i' M_f e_j`` target first: ``e_i' M_f`` for every row and
+filter is one GEMM, its product with the neighbors one batched matmul over
+rows, so no ``(K·N_max, B, filters, embed_len)`` tensor is built, forward
+or backward.
 """
 
 from __future__ import annotations
@@ -157,79 +159,72 @@ def init_gcn(rng, embed_len: int, filters: int, order: int) -> GcnParams:
     )
 
 
-def gcn_hop(params: GcnParams, target_emb: DiffValue, neighbors: DiffValue,
-            mask: np.ndarray) -> DiffValue:
-    """One hop's feature sum_j f(u_ij) as a single autodiff node: (B, filters).
+def gcn_hop_features(params: GcnParams, target_emb: DiffValue, neighbors: DiffValue,
+                     mask: np.ndarray) -> DiffValue:
+    """Every hop's feature sum_j f(u_ij) as a single autodiff node: (K, B,
+    filters), one ``(B, filters)`` feature per hop.
 
-    ``neighbors`` is ``(N, B, c)``, one padded slot per neighbor; ``mask``
-    ``(N, B)`` marks the slots that hold one, and the others add nothing to
-    the sum or to any gradient, whatever they hold.  A slot's filter scores
-    are u = sigma(e_i' M_f e_j) and its response sum_l z_l T_l(2u - 1); the
-    backward pass runs T'_l = 2 T_{l-1} + 2x T'_{l-1} - T'_{l-2}.
+    ``neighbors`` is ``(K, N, B, c)``, hop k's neighbors in the padded slots
+    ``neighbors[k]``; ``mask`` ``(K, N, B)`` marks the slots that hold one,
+    and the others add nothing to the sum or to any gradient, whatever they
+    hold, so a hop without a neighbor in any row gives zeros.  A slot's
+    filter scores are u = sigma(e_i' M_f e_j) and its response sum_l z_l
+    T_l(2u - 1); the backward pass runs T'_l = 2 T_{l-1} + 2x T'_{l-1} -
+    T'_{l-2}.
 
-    The bilinear form contracts the target first: ``tq[b, f] = e_b' M_f``
-    for every filter is one ``(B, c) @ (c, F·c)`` GEMM, and the scores of all
-    slots one batched ``(B, N, c) @ (B, c, F)`` matmul, so no ``(N, B, F,
-    c)`` tensor is formed.  The backward runs the same contractions in
-    reverse: ``d_tq = d_scores' @ e_j`` batched over rows, then one GEMM
-    each for the correlation and target gradients and one batched matmul
-    ``d_scores @ tq`` for the neighbors'.
+    The ``K·N`` slots of all hops are scored as one slot axis and summed per
+    hop.  The bilinear form contracts the target first: ``tq[b, f] = e_b'
+    M_f`` for every filter is one ``(B, c) @ (c, F·c)`` GEMM, and the scores
+    of all slots one batched ``(B, K·N, c) @ (B, c, F)`` matmul, so no
+    ``(K·N, B, F, c)`` tensor is formed.  The backward runs the same
+    contractions in reverse: ``d_tq = d_scores' @ e_j`` batched over rows,
+    then one GEMM each for the correlation and target gradients and one
+    batched matmul ``d_scores @ tq`` for the neighbors'.
     """
-    batch, c = target_emb.data.shape
+    hops, width, batch, c = neighbors.data.shape
+    slots = hops * width
     filters, order = params.filters, params.order
-    keep = np.asarray(mask, dtype=bool)[..., None]  # (N, B, 1)
+    keep = np.asarray(mask, dtype=bool).reshape(slots, batch, 1)
     target = target_emb.data
-    emb = np.where(keep, neighbors.data, 0.0)  # (N, B, c)
+    emb = np.where(keep, neighbors.data.reshape(slots, batch, c), 0.0)  # (K·N, B, c)
     # (c, F*c): column block f is M_f, so target @ corr_blocks stacks e_b' M_f
     corr_blocks = params.correlation.data.reshape(filters, c, c).transpose(1, 0, 2).reshape(c, filters * c)
     kernel = params.kernel.data  # (F, order)
     tq = (target @ corr_blocks).reshape(batch, filters, c)
-    # written row by row into an (N, B, F) array, so that the elementwise
+    # written row by row into a (K·N, B, F) array, so that the elementwise
     # Chebyshev code below runs on contiguous memory
-    bilinear = np.empty((len(emb), batch, filters))
+    bilinear = np.empty((slots, batch, filters))
     np.matmul(emb.swapaxes(0, 1), tq.transpose(0, 2, 1), out=bilinear.swapaxes(0, 1))
     with np.errstate(over="ignore"):
-        scores = 1.0 / (1.0 + np.exp(-bilinear))  # (N, B, F)
+        scores = 1.0 / (1.0 + np.exp(-bilinear))  # (K·N, B, F)
     mapped = scores * 2.0 - 1.0
-    basis = nn.chebyshev_basis(mapped, order)  # (order, N, B, F)
+    basis = nn.chebyshev_basis(mapped, order)  # (order, K·N, B, F)
     response = basis[0] * kernel[:, 0]
     for l in range(1, order):
         response = response + basis[l] * kernel[:, l]
-    total = np.where(keep, response, 0.0).sum(axis=0)
+    total = np.where(keep, response, 0.0).reshape(hops, width, batch, filters).sum(axis=1)
 
     def backward(g):
-        g = np.where(keep, g, 0.0)  # (N, B, F)
+        g = np.where(keep.reshape(hops, width, batch, 1), g[:, None], 0.0).reshape(slots, batch, filters)
         slopes = [np.ones_like(mapped)]  # T'_1 .. T'_order at the mapped scores
         if order >= 2:
             slopes.append(4.0 * mapped)
         for l in range(2, order):
             slopes.append(2.0 * basis[l - 1] + 2.0 * mapped * slopes[-1] - slopes[-2])
         d_mapped = sum(slope * kernel[:, l] for l, slope in enumerate(slopes))
-        d_scores = (g * d_mapped * 2.0 * scores * (1.0 - scores)).swapaxes(0, 1)  # (B, N, F)
+        d_scores = (g * d_mapped * 2.0 * scores * (1.0 - scores)).swapaxes(0, 1)  # (B, K·N, F)
         d_tq = np.matmul(d_scores.transpose(0, 2, 1), emb.swapaxes(0, 1)).reshape(batch, filters * c)
         # the kernel's gradient sum over slots of g T_l, one matvec per filter
-        per_filter = basis.reshape(order, -1, filters).transpose(2, 0, 1)  # (F, order, N*B)
+        per_filter = basis.reshape(order, slots * batch, filters).transpose(2, 0, 1)  # (F, order, K·N·B)
         ad._accumulate(params.kernel, (per_filter @ g.reshape(-1, filters).T[..., None])[..., 0])
         d_blocks = (target.T @ d_tq).reshape(c, filters, c).transpose(1, 0, 2)
         ad._accumulate(params.correlation, d_blocks.reshape(filters * c, c))
         if target_emb._needs:
             ad._accumulate(target_emb, d_tq @ corr_blocks.T)
         if neighbors._needs:
-            ad._accumulate(neighbors, np.matmul(d_scores, tq).swapaxes(0, 1))
+            ad._accumulate(neighbors, np.matmul(d_scores, tq).swapaxes(0, 1).reshape(neighbors.data.shape))
 
     return ad._node(total, (params.correlation, params.kernel, target_emb, neighbors), backward)
-
-
-def gcn_hop_features(params: GcnParams, target_emb: DiffValue, hop_embeddings: list[DiffValue],
-                     hop_masks: list[np.ndarray]) -> list[DiffValue]:
-    """Aggregate each hop's ``(N, B, c)`` neighbor slots into a (B, filters)
-    feature; a hop without a neighbor in any row is a zero constant."""
-    batch = target_emb.data.shape[0]
-    return [
-        gcn_hop(params, target_emb, neighbors, mask) if mask.any()
-        else ad.constant(np.zeros((batch, params.filters)))
-        for neighbors, mask in zip(hop_embeddings, hop_masks)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +311,28 @@ class ChannelInputs:
     """One channel's HSC inputs for B rows that may target different roads:
     raw target windows (B, L_max), zero-padded on the right, their
     ``lengths`` (B,) and their spread (:func:`spread_windows`) ``target``
-    (B, c); per hop, spread neighbor windows (B, N_k, c), one slot per
-    neighbor, and their lengths (B, N_k), 0 marking a padding slot."""
+    (B, c); spread neighbor windows ``hops`` (B, K, N, c), one slot per
+    neighbor of each of the K hops, and their lengths ``hop_lengths`` (B, K,
+    N), 0 marking a padding slot."""
 
     windows: np.ndarray
     lengths: np.ndarray
     target: np.ndarray
-    hops: list[np.ndarray]
-    hop_lengths: list[np.ndarray]
+    hops: np.ndarray
+    hop_lengths: np.ndarray
 
 
 def hsc_forward_batch(params: HscParams, inputs: ChannelInputs,
                       drop: Dropout | None = None) -> DiffValue:
-    """Batched channel prediction, (B, out_width).  The self LSTM reads raw
-    windows, whose length is the target's interval class, so it runs once per
-    run of rows of equal length; its outputs concatenate in row order."""
+    """Batched channel prediction, (B, out_width).  All hops' neighbors embed
+    as one node and aggregate as one, whose ``(K, B, filters)`` output the
+    neighbor LSTM reads as its sequence.  The self LSTM reads raw windows,
+    whose length is the target's interval class, so it runs once per run of
+    rows of equal length; its outputs concatenate in row order."""
     target_emb = embed_channel_windows(params, inputs.target, inputs.lengths)
-    hop_embs = [embed_channel_windows(params, spread.swapaxes(0, 1), lengths.T)
-                for spread, lengths in zip(inputs.hops, inputs.hop_lengths)]
-    hop_features = gcn_hop_features(params.gcn, target_emb, hop_embs,
-                                    [lengths.T > 0 for lengths in inputs.hop_lengths])
+    lengths = inputs.hop_lengths.transpose(1, 2, 0)  # (K, N, B)
+    neighbors = embed_channel_windows(params, inputs.hops.transpose(1, 2, 0, 3), lengths)
+    hop_features = gcn_hop_features(params.gcn, target_emb, neighbors, lengths > 0)  # (K, B, filters)
     h_neigh = nn.lstm_sequence(params.lstm_neigh, hop_features, drop)
     bounds = [0] + (np.flatnonzero(np.diff(inputs.lengths)) + 1).tolist() + [len(inputs.lengths)]
     h_self = [
@@ -344,4 +341,3 @@ def hsc_forward_batch(params: HscParams, inputs: ChannelInputs,
     ]
     h_self = h_self[0] if len(h_self) == 1 else ad.concat(h_self, axis=0)
     return nn.fnn_forward(params.head, [h_neigh, h_self], drop)
-

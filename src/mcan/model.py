@@ -392,8 +392,6 @@ def _zip_inputs(fn, parts: list):
                               for f in fields(first)})
     if isinstance(first, dict):
         return {k: _zip_inputs(fn, [p[k] for p in parts]) for k in first}
-    if isinstance(first, list):
-        return [_zip_inputs(fn, list(column)) for column in zip(*parts)]
     return fn(parts)
 
 
@@ -445,16 +443,21 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
 
     target = windows(road)
     layers = [sorted(layer) for layer in view.hop_layers[road]]
-    hops = [[windows(j) for j in layer] for layer in layers]
-    hop_lengths = [np.tile(np.array([hsc_mod.hour_window_length(view.interval(j)) for j in layer],
-                                    dtype=int), (batch, 1)) for layer in layers]
+    slots = (len(layers), max(map(len, layers)))  # (K, N): hop k's neighbors first in row k
+    slot_lengths = np.zeros(slots, dtype=int)
+    hops = {ch: np.zeros((batch,) + slots + (c,)) for ch in channels}
+    for k, layer in enumerate(layers):
+        for n, j in enumerate(layer):
+            slot_lengths[k, n] = hsc_mod.hour_window_length(view.interval(j))
+            for ch, w in windows(j).items():
+                hops[ch][:, k, n] = spread(w)
+    hop_lengths = np.tile(slot_lengths, (batch, 1, 1))
     inputs = {
         ch: ChannelInputs(
             windows=target[ch],
             lengths=np.full(batch, target[ch].shape[1]),
             target=spread(target[ch]),
-            hops=[np.stack([spread(w[ch]) for w in hop], axis=1) if hop else np.zeros((batch, 0, c))
-                  for hop in hops],
+            hops=hops[ch],
             hop_lengths=hop_lengths,
         )
         for ch in channels

@@ -269,13 +269,13 @@ def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> Diff
     """Run a stacked LSTM over a sequence of inputs; returns the final hidden state.
 
     ``inputs`` is a sequence of per-step ``(batch, dim)`` values (a
-    ``(T, batch, dim)`` array is one); the initial hidden and cell states
-    are zero.  Each layer is one :func:`lstm_layer` node, the top one giving
-    its final state only.  Dropout, when active, is applied to the hidden
+    ``(T, batch, dim)`` array or DiffValue is one); the initial hidden and
+    cell states are zero.  Each layer is one :func:`lstm_layer` node, the
+    top one giving its final state only.  Dropout, when active, is applied to the hidden
     sequence between layers as one ``(T, B, H)`` mask, which draws the same
     random numbers as one ``(B, H)`` mask per step.
     """
-    if len(inputs) == 0:
+    if len(inputs.data if isinstance(inputs, DiffValue) else inputs) == 0:
         raise ShapeMismatch("lstm_sequence: empty input sequence")
     seq = inputs
     for depth, cell in enumerate(stack.cells):

@@ -204,10 +204,9 @@ class TestGcn:
         rng = np.random.default_rng(1)
         target, neighbor = rng.normal(size=4), rng.normal(size=4)
         features = hsc.gcn_hop_features(params, ad.constant(target[None]),
-                                        [ad.constant(neighbor[None, None])], [np.ones((1, 1), bool)])
-        assert len(features) == 1
-        assert features[0].data.shape == (1, 1)
-        assert features[0].data[0, 0] == pytest.approx(0.0, abs=1e-15)
+                                        ad.constant(neighbor[None, None, None]), np.ones((1, 1, 1), bool))
+        assert features.data.shape == (1, 1, 1)  # (K, B, filters)
+        assert features.data[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_full_formula_hand_evaluation(self):
         rng = np.random.default_rng(7)
@@ -215,23 +214,21 @@ class TestGcn:
         kernel = rng.normal(size=4)
         params = single_filter_gcn(matrix, kernel)
         e = {i: rng.normal(size=3) for i in range(3)}
-        neighbors = ad.constant(np.stack([e[1], e[2]])[:, None])  # (N=2, B=1, c)
-        features = hsc.gcn_hop_features(params, ad.constant(e[0][None]), [neighbors],
-                                        [np.ones((2, 1), bool)])
+        neighbors = ad.constant(np.stack([e[1], e[2]])[None, :, None])  # (K=1, N=2, B=1, c)
+        features = hsc.gcn_hop_features(params, ad.constant(e[0][None]), neighbors,
+                                        np.ones((1, 2, 1), bool))
         expected = 0.0
         for j in (1, 2):
             u = 1.0 / (1.0 + np.exp(-(e[0] @ matrix @ e[j])))
             basis = nn.chebyshev_basis(2.0 * u - 1.0, 4)
             expected += kernel @ basis
-        assert features[0].data[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert features.data[0, 0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_no_neighbors_all_zero(self):
         params = single_filter_gcn(np.ones((3, 3)), [0.5, 0.5])
-        empty = ad.constant(np.zeros((0, 1, 3)))
-        features = hsc.gcn_hop_features(params, ad.constant(np.ones((1, 3))), [empty, empty],
-                                        [np.zeros((0, 1), bool)] * 2)
-        assert len(features) == 2
-        assert all(np.array_equal(f.data, np.zeros((1, 1))) for f in features)
+        empty = ad.constant(np.zeros((2, 0, 1, 3)))  # two hops, no slot
+        features = hsc.gcn_hop_features(params, ad.constant(np.ones((1, 3))), empty, np.zeros((2, 0, 1), bool))
+        assert np.array_equal(features.data, np.zeros((2, 1, 1)))
 
     def test_two_identical_neighbors_double_single(self):
         rng = np.random.default_rng(11)
@@ -240,9 +237,9 @@ class TestGcn:
         target = ad.constant(rng.normal(size=(1, 3)))
 
         def hop(*neighbors):
-            stacked = ad.constant(np.stack(neighbors)[:, None])  # (N, B=1, c)
-            mask = np.ones((len(neighbors), 1), bool)
-            return hsc.gcn_hop_features(params, target, [stacked], [mask])[0].data[0, 0]
+            stacked = ad.constant(np.stack(neighbors)[None, :, None])  # (K=1, N, B=1, c)
+            mask = np.ones((1, len(neighbors), 1), bool)
+            return hsc.gcn_hop_features(params, target, stacked, mask).data[0, 0, 0]
 
         assert hop(shared, shared.copy()) == pytest.approx(2.0 * hop(shared), rel=1e-12)
 
@@ -250,11 +247,11 @@ class TestGcn:
         rng = np.random.default_rng(13)
         params = hsc.init_gcn(rng, 4, 3, 3)
         target = ad.constant(rng.normal(size=(2, 4)))
-        neighbors = rng.normal(size=(4, 2, 4))
-        mask = np.ones((4, 2), dtype=bool)
-        out1 = hsc.gcn_hop_features(params, target, [ad.constant(neighbors)], [mask])[0].data
-        perm = ad.constant(neighbors[[2, 0, 3, 1]])
-        out2 = hsc.gcn_hop_features(params, target, [perm], [mask])[0].data
+        neighbors = rng.normal(size=(2, 4, 2, 4))
+        mask = np.ones((2, 4, 2), dtype=bool)
+        out1 = hsc.gcn_hop_features(params, target, ad.constant(neighbors), mask).data
+        perm = ad.constant(neighbors[:, [2, 0, 3, 1]])
+        out2 = hsc.gcn_hop_features(params, target, perm, mask).data
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_scores_strictly_inside_unit_interval(self):
@@ -294,11 +291,14 @@ def single_forward(params, target_window, neighbor_windows, graph, target, hop_c
     forward (B = 1); neighbor windows are keyed by road id and grouped into
     ``hop_count`` hops from the graph."""
     c, use_embedding = params.gcn.correlation.data.shape[1], params.cpa is not None
-    hops, hop_lengths = [], []
-    for layer in gd.k_hop_neighbors(graph, target, hop_count):
-        windows = [np.asarray(neighbor_windows[road], dtype=np.float64) for road in sorted(layer)]
-        hops.append(np.reshape([hsc.spread_windows(w, c, use_embedding) for w in windows], (1, -1, c)))
-        hop_lengths.append(np.array([[len(w) for w in windows]], dtype=int).reshape(1, -1))
+    layers = [sorted(layer) for layer in gd.k_hop_neighbors(graph, target, hop_count)]
+    hops = np.zeros((1, len(layers), max(map(len, layers)), c))
+    hop_lengths = np.zeros(hops.shape[:3], dtype=int)
+    for k, layer in enumerate(layers):
+        for n, road in enumerate(layer):
+            neighbor = np.asarray(neighbor_windows[road], dtype=np.float64)
+            hops[0, k, n] = hsc.spread_windows(neighbor, c, use_embedding)
+            hop_lengths[0, k, n] = len(neighbor)
     window = np.asarray(target_window, dtype=np.float64).reshape(1, -1)
     inputs = hsc.ChannelInputs(window, np.array([window.shape[1]]),
                                hsc.spread_windows(window, c, use_embedding), hops, hop_lengths)
@@ -379,8 +379,8 @@ class TestHscForward:
         neigh2 = rng.uniform(0, 1, size=(3, 2))
         inputs = hsc.ChannelInputs(
             windows=targets, lengths=np.full(3, 6), target=hsc.spread_windows(targets, 6),
-            hops=[hsc.spread_windows(neigh1, 6)[:, None], hsc.spread_windows(neigh2, 6)[:, None]],
-            hop_lengths=[np.full((3, 1), 3), np.full((3, 1), 2)],
+            hops=np.stack([hsc.spread_windows(neigh1, 6), hsc.spread_windows(neigh2, 6)], axis=1)[:, :, None],
+            hop_lengths=np.tile([[3], [2]], (3, 1, 1)),
         )
         batched = hsc.hsc_forward_batch(params, inputs)
         for b in range(3):
@@ -415,9 +415,10 @@ class TestHourWindows:
 
 
 def composed_hop(params, target, neighbors, mask=None):
-    """Reference for the fused hop: per-neighbor scores and kernel response,
-    one ``(B, c)`` neighbor at a time from the ``(N, B, c)`` stack, each
-    response multiplied by its slots' ``(N, B)`` mask when one is given."""
+    """Reference for one hop: per-neighbor scores and kernel response, one
+    ``(B, c)`` neighbor at a time from the ``(N, B, c)`` stack, each response
+    multiplied by its slots' ``(N, B)`` mask when one is given; None when
+    the hop has no slot."""
     total = None
     for n in range(neighbors.data.shape[0]):
         emb = reference.take(neighbors, n)
@@ -429,42 +430,60 @@ def composed_hop(params, target, neighbors, mask=None):
     return total
 
 
-class TestGcnHop:
+def composed_hops(params, target, neighbors, mask=None):
+    """Reference for the merged node: :func:`composed_hop` applied hop by hop
+    to the ``(K, N, B, c)`` stack and its ``(K, N, B)`` mask, the hops'
+    ``(B, filters)`` features stacked into ``(K, B, filters)``; a hop
+    without a slot is a zero constant."""
+    hops, _, batch, _ = neighbors.data.shape
+    features = []
+    for k in range(hops):
+        hop = composed_hop(params, target, reference.take(neighbors, k), None if mask is None else mask[k])
+        features.append(ad.constant(np.zeros((1, batch, params.filters))) if hop is None
+                        else reference.reshape(hop, (1, batch, params.filters)))
+    return ad.concat(features, axis=0)
+
+
+class TestGcnHopFeatures:
     @pytest.mark.parametrize("order", [1, 2, 5])
     @pytest.mark.parametrize("count", [1, 4])
     def test_matches_composed_path(self, order, count):
         rng = np.random.default_rng(200 + 10 * order + count)
         params = hsc.init_gcn(rng, 6, 3, order)
         target = ad.constant(rng.normal(scale=2.0, size=(5, 6)))
-        neighbors = ad.constant(rng.normal(scale=2.0, size=(count, 5, 6)))
-        fused = hsc.gcn_hop(params, target, neighbors, np.ones((count, 5), dtype=bool))
-        assert fused.data.shape == (5, 3)
-        assert np.abs(fused.data - composed_hop(params, target, neighbors).data).max() < 1e-12
+        neighbors = ad.constant(rng.normal(scale=2.0, size=(2, count, 5, 6)))
+        fused = hsc.gcn_hop_features(params, target, neighbors, np.ones((2, count, 5), dtype=bool))
+        assert fused.data.shape == (2, 5, 3)
+        assert np.abs(fused.data - composed_hops(params, target, neighbors).data).max() < 1e-12
 
-    def test_empty_hops_are_zero_constants(self):
+    def test_all_masked_hop_gives_zero_features_and_no_gradient(self):
+        # hops 0 and 2 hold garbage in every slot, all masked; hop 1 is real
         rng = np.random.default_rng(211)
         params = hsc.init_gcn(rng, 4, 2, 3)
         target = ad.parameter(rng.normal(size=(3, 4)))
-        empty = ad.constant(np.zeros((0, 3, 4)))
-        neighbor = ad.constant(rng.normal(size=(1, 3, 4)))
-        masks = [np.zeros((0, 3), dtype=bool), np.ones((1, 3), dtype=bool), np.zeros((0, 3), dtype=bool)]
-        features = hsc.gcn_hop_features(params, target, [empty, neighbor, empty], masks)
-        assert np.array_equal(features[0].data, np.zeros((3, 2)))
-        assert np.array_equal(features[2].data, np.zeros((3, 2)))
-        assert not features[0].requires_grad and not features[0]._parents
-        assert np.abs(features[1].data - composed_hop(params, target, neighbor).data).max() < 1e-12
+        neighbors = ad.parameter(rng.normal(scale=50.0, size=(3, 2, 3, 4)))
+        mask = np.zeros((3, 2, 3), dtype=bool)
+        mask[1, 0] = True
+        features = hsc.gcn_hop_features(params, target, neighbors, mask)
+        assert np.array_equal(features.data[[0, 2]], np.zeros((2, 3, 2)))
+        hop = composed_hop(params, target, reference.take(neighbors, (1, slice(0, 1))))
+        assert np.abs(features.data[1] - hop.data).max() < 1e-12
+        reference.vsum(reference.take(features, [0, 2])).backward()
+        for p in [params.correlation, params.kernel, target, neighbors]:
+            assert not p.grad.any()
 
     @pytest.mark.parametrize("order", [1, 2, 5])
     def test_finite_difference_every_parent(self, order):
         rng = np.random.default_rng(223 + order)
         params = hsc.init_gcn(rng, 3, 2, order)
         target = ad.parameter(rng.normal(size=(2, 3)))
-        neighbors = ad.parameter(rng.normal(size=(3, 2, 3)))
-        mask = np.ones((3, 2), dtype=bool)
-        weights = rng.normal(size=(2, 2))
+        neighbors = ad.parameter(rng.normal(size=(2, 3, 2, 3)))
+        mask = np.ones((2, 3, 2), dtype=bool)
+        weights = rng.normal(size=(2, 2, 2))
 
         def forward():
-            return reference.vsum(reference.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
+            return reference.vsum(reference.multiply(hsc.gcn_hop_features(params, target, neighbors, mask),
+                                                     weights))
 
         forward().backward()
         for p in [params.correlation, params.kernel, target, neighbors]:
@@ -475,11 +494,11 @@ class TestGcnHop:
         rng = np.random.default_rng(227)
         params = hsc.init_gcn(rng, 5, 3, 5)
         target = ad.parameter(rng.normal(size=(4, 5)))
-        neighbors = ad.parameter(rng.normal(size=(3, 4, 5)))
-        mask = np.ones((3, 4), dtype=bool)
+        neighbors = ad.parameter(rng.normal(size=(2, 3, 4, 5)))
+        mask = np.ones((2, 3, 4), dtype=bool)
         parents = [params.correlation, params.kernel, target, neighbors]
         grads = []
-        for run in (lambda *a: hsc.gcn_hop(*a, mask), composed_hop):
+        for run in (lambda *a: hsc.gcn_hop_features(*a, mask), composed_hops):
             for p in parents:
                 p.grad = None
             reference.vsum(reference.square(run(params, target, neighbors))).backward()
@@ -488,52 +507,56 @@ class TestGcnHop:
             assert np.abs(fused - composed).max() <= 1e-12 * max(1.0, np.abs(composed).max())
 
     @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
-    @given(st.integers(1, 8), st.integers(1, 40), st.integers(1, 5), st.integers(2, 13),
+    @given(st.integers(1, 3), st.integers(0, 8), st.integers(1, 40), st.integers(1, 5), st.integers(2, 13),
            st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_matches_composed_path_with_random_masks(self, count, batch, filters, c, order, seed):
+    def test_matches_composed_path_with_random_masks(self, hops, count, batch, filters, c, order, seed):
         # values and all four parents' gradients; padded slots hold other
-        # values and one row is all padding
+        # values, one row is all padding and one hop has every slot masked
         rng = np.random.default_rng(seed)
         params = hsc.init_gcn(rng, c, filters, order)
         target = ad.parameter(rng.normal(size=(batch, c)))
-        neighbors = ad.parameter(rng.normal(size=(count, batch, c)))
-        mask = rng.random((count, batch)) < rng.uniform(0.2, 1.0)
-        mask[:, rng.integers(batch)] = False
+        neighbors = ad.parameter(rng.normal(size=(hops, count, batch, c)))
+        mask = rng.random((hops, count, batch)) < rng.uniform(0.2, 1.0)
+        mask[:, :, rng.integers(batch)] = False
+        mask[rng.integers(hops)] = False
         parents = [params.correlation, params.kernel, target, neighbors]
         outputs, grads = [], []
-        for run in (hsc.gcn_hop, composed_hop):
+        for run in (hsc.gcn_hop_features, composed_hops):
             for p in parents:
                 p.grad = None
             out = run(params, target, neighbors, mask)
             reference.vsum(reference.square(out)).backward()
             outputs.append(out.data)
             grads.append([np.zeros(p.data.shape) if p.grad is None else p.grad.copy() for p in parents])
+        assert outputs[0].shape == (hops, batch, filters)
         assert np.abs(outputs[0] - outputs[1]).max() < 1e-12
-        for fused, composed in zip(*grads):
-            assert np.abs(fused - composed).max() <= 1e-12 * max(1.0, np.abs(composed).max())
+        for fused, composed in zip(*grads):  # with N = 0 the neighbors' are empty
+            assert np.abs(fused - composed).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(composed).max(initial=0.0))
         assert not grads[0][3][~mask].any()
 
     def test_taped_hop_memory_stays_near_its_inputs(self):
-        # The contraction forms no (N, B, F, c) tensor: a forward and backward
-        # at N=8, B=64, F=4, c=64 peaks well below 8 neighbor arrays (the
-        # (N, B, F, c) products alone were 4 each).
+        # The contraction forms no (K·N, B, F, c) tensor: a forward and
+        # backward at K=2, N=4, B=64, F=4, c=64 peaks well below 8 neighbor
+        # arrays (the (K·N, B, F, c) products alone were 4 each).
         rng = np.random.default_rng(239)
         params = hsc.init_gcn(rng, 64, 4, 3)
         target = ad.parameter(rng.normal(size=(64, 64)))
-        neighbors = ad.parameter(rng.normal(size=(8, 64, 64)))
-        mask = rng.random((8, 64)) < 0.8
+        neighbors = ad.parameter(rng.normal(size=(2, 4, 64, 64)))
+        mask = rng.random((2, 4, 64)) < 0.8
         tracemalloc.start()
         try:
-            reference.vsum(hsc.gcn_hop(params, target, neighbors, mask)).backward()
+            reference.vsum(hsc.gcn_hop_features(params, target, neighbors, mask)).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * neighbors.data.nbytes
 
     def masked_case(self, rng):
-        # N=3 slots, B=4 rows; row 3 is all padding, rows 1-2 are partly padded
-        mask = np.array([[1, 1, 1, 0], [1, 0, 1, 0], [1, 0, 0, 0]], dtype=bool)
-        neighbors = rng.normal(size=(3, 4, 3))
+        # K=2 hops of N=3 slots, B=4 rows; row 3 is all padding, rows 1-2 are
+        # partly padded, and hop 1 pads slots that hop 0 fills
+        mask = np.array([[[1, 1, 1, 0], [1, 0, 1, 0], [1, 0, 0, 0]],
+                         [[1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]], dtype=bool)
+        neighbors = rng.normal(size=(2, 3, 4, 3))
         neighbors[~mask] = rng.normal(scale=50.0, size=((~mask).sum(), 3))  # garbage
         return mask, neighbors
 
@@ -544,10 +567,11 @@ class TestGcnHop:
         target = ad.parameter(rng.normal(size=(4, 3)))
         mask, values = self.masked_case(rng)
         neighbors = ad.parameter(values)
-        weights = rng.normal(size=(4, 2))
+        weights = rng.normal(size=(2, 4, 2))
 
         def forward():
-            return reference.vsum(reference.multiply(hsc.gcn_hop(params, target, neighbors, mask), weights))
+            return reference.vsum(reference.multiply(hsc.gcn_hop_features(params, target, neighbors, mask),
+                                                     weights))
 
         forward().backward()
         for p in [params.correlation, params.kernel, target, neighbors]:
@@ -561,12 +585,14 @@ class TestGcnHop:
         params = hsc.init_gcn(rng, 3, 2, 4)
         target = ad.constant(rng.normal(size=(4, 3)))
         mask, values = self.masked_case(rng)
-        out = hsc.gcn_hop(params, target, ad.constant(values), mask).data
-        assert np.array_equal(out[3], np.zeros(2))  # an all-padding row is today's zero
-        for b in range(3):
-            kept = ad.constant(values[mask[:, b], b][:, None, :])
-            alone = hsc.gcn_hop(params, reference.take(target, slice(b, b + 1)), kept, np.ones((len(kept.data), 1), bool))
-            assert np.abs(out[b] - alone.data[0]).max() < 1e-12
+        out = hsc.gcn_hop_features(params, target, ad.constant(values), mask).data
+        assert np.array_equal(out[:, 3], np.zeros((2, 2)))  # an all-padding row is zero
+        for k in range(2):
+            for b in range(3):
+                kept = ad.constant(values[k][mask[k, :, b], b][None, :, None])  # (1, kept, 1, c)
+                alone = hsc.gcn_hop_features(params, reference.take(target, slice(b, b + 1)), kept,
+                                             np.ones(kept.shape[:3], bool))
+                assert np.abs(out[k, b] - alone.data[0, 0]).max() < 1e-12
 
     def test_constant_embeddings_get_no_gradient(self):
         # Under the no-embedding ablation the windows are constants: only the
@@ -574,7 +600,7 @@ class TestGcnHop:
         rng = np.random.default_rng(229)
         params = hsc.init_gcn(rng, 4, 2, 3)
         target = ad.constant(rng.normal(size=(3, 4)))
-        neighbors = ad.constant(rng.normal(size=(2, 3, 4)))
-        reference.vsum(hsc.gcn_hop(params, target, neighbors, np.ones((2, 3), dtype=bool))).backward()
+        neighbors = ad.constant(rng.normal(size=(2, 2, 3, 4)))
+        reference.vsum(hsc.gcn_hop_features(params, target, neighbors, np.ones((2, 2, 3), dtype=bool))).backward()
         assert target.grad is None and neighbors.grad is None
         assert params.correlation.grad is not None and params.kernel.grad is not None

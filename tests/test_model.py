@@ -430,11 +430,12 @@ def rule_name(node):
     return node._backward.__qualname__.split(".")[0]
 
 
-def test_readme_shape_step_has_at_most_44_nodes():
+def test_readme_shape_step_has_at_most_38_nodes():
     # Each layer, FNN, the attention fusion and the loss is one node, not a
-    # chain of elementary ones, and the FNNs join their input columns
-    # themselves: the only concat nodes left join a channel's self-LSTM
-    # outputs row-wise, one per channel.
+    # chain of elementary ones; a channel's hops embed as one node and
+    # aggregate as one; and the FNNs join their input columns themselves:
+    # the only concat nodes left join a channel's self-LSTM outputs
+    # row-wise, one per channel.
     seen, stack, rules = set(), [readme_shape_step()], []
     while stack:
         node = stack.pop()
@@ -443,7 +444,8 @@ def test_readme_shape_step_has_at_most_44_nodes():
             if node._backward is not None:
                 rules.append(node)
             stack.extend(node._parents)
-    assert len(rules) <= 44
+    assert len(rules) <= 38
+    assert sum(rule_name(node) == "gcn_hop_features" for node in rules) == 3
     joins = [node for node in rules if rule_name(node) == "concat"]
     assert len(joins) == 3
     for node in joins:
@@ -464,7 +466,7 @@ def test_readme_shape_step_runs_the_cell_once_per_layer_step(monkeypatch):
         return lstm_step(*args)
 
     def measured_layer(params, inputs, last=False):
-        layer_lengths.append(len(inputs))
+        layer_lengths.append(len(inputs.data if isinstance(inputs, ad.DiffValue) else inputs))
         return lstm_layer(params, inputs, last)
 
     monkeypatch.setattr(nn, "lstm_step", counted_step)
@@ -514,7 +516,7 @@ class TestRoadMixedForward:
         roads, times = mixed_samples(mixed_view, config)
         gi = md.assemble_group(mixed_view, config, roads, times)
         assert len(np.unique(gi.channels["speed"].lengths)) == 3
-        assert any(not lengths.any() for lengths in gi.channels["speed"].hop_lengths[1])
+        assert not gi.channels["speed"].hop_lengths[:, 1].any(axis=1).all()  # a row without 2-hop neighbors
 
         # one fusion order: channels, temporal branches, static, dynamic
         branches = {"nd": ["recent", "weekly"], "nw": ["recent", "daily"],
@@ -555,14 +557,15 @@ class TestRoadMixedForward:
         clean_grads = gradients(params)
 
         dirty = gi.take(np.arange(len(gi.times)))  # a copy
-        padded = 0
+        cross_hop = 0
         for inputs in dirty.channels.values():
             beyond = np.arange(inputs.windows.shape[1]) >= inputs.lengths[:, None]
             inputs.windows[beyond] = np.nan
-            for spread, lengths in zip(inputs.hops, inputs.hop_lengths):
-                spread[lengths == 0] = np.nan
-                padded += int((lengths == 0).sum())
-        assert padded > 0
+            padding = inputs.hop_lengths == 0  # (B, K, N)
+            inputs.hops[padding] = np.nan
+            # slots padded in one hop of a row and filled in another
+            cross_hop += int((padding & ~padding.all(axis=1, keepdims=True)).sum())
+        assert cross_hop > 0
         params.grad.fill(0.0)
         for got, ref in zip(batch_loss(params, dirty), clean):
             assert (got is None and ref is None) or np.array_equal(got, ref)

@@ -16,8 +16,8 @@ Each pair must agree exactly.
 
 ``chebyshev_features``, ``correlation_scores`` and ``kernel_response`` compose
 the CPA series and one GCN hop from elementary autodiff ops, one neighbor at a
-time; ``hsc.gcn_hop`` and ``hsc.embed_windows`` must match them by value and
-by gradient.
+time; ``hsc.gcn_hop_features``, applied to all hops at once, and
+``hsc.embed_windows`` must match them, hop by hop, by value and by gradient.
 
 ``lstm_cell`` evaluates the LSTM cell equations in plain numpy, reading gate
 k from the stacked leaves; ``nnlayers.lstm_step``, the program's one cell,

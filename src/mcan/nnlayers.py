@@ -151,10 +151,11 @@ def lstm_step(params: LstmParams, x_proj, h_prev, c_prev, acts, h, c, tanh_c) ->
 def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     """One LSTM layer over a whole sequence as a single autodiff node.
 
-    ``inputs`` is either the ``(T, B, in)`` output of the layer below or a
-    sequence of T per-step ``(B, in)`` values (arrays or DiffValues); the
-    result is the ``(T, B, H)`` hidden sequence from zero initial states, or
-    with ``last`` only its final ``(B, H)`` state.
+    ``inputs`` is a ``(T, B, in)`` DiffValue, such as the output of the
+    layer below, or a ``(T, B, in)`` array (a sequence of T per-step ``(B,
+    in)`` arrays is one); the result is the ``(T, B, H)`` hidden sequence
+    from zero initial states, or with ``last`` only its final ``(B, H)``
+    state.
 
     The cell's stacked gate weights let one batched matmul project the
     steps' input, and :func:`lstm_step` mix in the previous hidden state with
@@ -168,7 +169,7 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     When the node records a backward (:func:`autodiff._records`), every
     step's projection, gate activations, states and ``tanh(c)`` are kept for
     the backpropagation through time written out below, which reaches the
-    three stacked leaves and every input that requires a gradient.  That
+    three stacked leaves and the input when it requires a gradient.  That
     backward computes the factors the recurrence does not feed (``1 - sigma``
     of the i, f and o gates, ``1 - cand^2`` and ``1 - tanh(c)^2``) once for
     the whole sequence, and runs each step's products in their former order
@@ -180,13 +181,8 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     and ``c``, plus the whole ``h`` sequence only when the layer above reads
     it, so its memory no longer grows with T.
     """
-    if isinstance(inputs, DiffValue):
-        x = inputs.data
-        sources = [(inputs, slice(None))] if inputs._needs else []
-    else:
-        x = np.stack([s.data if isinstance(s, DiffValue) else np.asarray(s, dtype=np.float64)
-                      for s in inputs])
-        sources = [(s, t) for t, s in enumerate(inputs) if isinstance(s, DiffValue) and s._needs]
+    node = (inputs,) if isinstance(inputs, DiffValue) else ()  # an array input makes no node
+    x = inputs.data if node else np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.input_size:
         raise ShapeMismatch(
             f"lstm_layer: input of shape {x.shape} does not have width {params.input_size}"
@@ -194,7 +190,7 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     steps, batch, width = x.shape
     hidden = params.hidden_size
     w_x, w_h = params.w_x.data, params.w_h.data
-    parents = (params.w_x, params.w_h, params.b) + tuple(s for s, _ in sources)
+    parents = (params.w_x, params.w_h, params.b) + node
     taped = ad._records(parents)
     kept = steps if taped else 1  # steps whose projection, gates and tanh(c) are kept
     states = steps + 1 if taped else 2  # h_seq[t % len] is the state before step t
@@ -256,11 +252,9 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
         # einsum sums the rows in sum's order, only faster, except over a
         # contiguous axis (H = 1), where sum adds pairwise
         ad._accumulate(params.b, d_flat.sum(axis=1) if hidden == 1 else np.einsum("gnh->gh", d_flat))
-        if sources:
+        if node and inputs._needs:
             dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0)
-            dx = dx.reshape(steps, batch, width)
-            for source, where in sources:
-                ad._accumulate(source, dx[where].reshape(source.data.shape))
+            ad._accumulate(inputs, dx.reshape(steps, batch, width))
 
     return ad._node(h_seq[steps % len(h_seq)].copy() if last else h_seq[1:], parents, backward)
 
@@ -268,9 +262,9 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
 def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> DiffValue:
     """Run a stacked LSTM over a sequence of inputs; returns the final hidden state.
 
-    ``inputs`` is a sequence of per-step ``(batch, dim)`` values (a
-    ``(T, batch, dim)`` array or DiffValue is one); the initial hidden and
-    cell states are zero.  Each layer is one :func:`lstm_layer` node, the
+    ``inputs`` is a ``(T, batch, dim)`` array or DiffValue, or a sequence of
+    T per-step ``(batch, dim)`` arrays; the initial hidden and cell states
+    are zero.  Each layer is one :func:`lstm_layer` node, the
     top one giving its final state only.  Dropout, when active, is applied to the hidden
     sequence between layers as one ``(T, B, H)`` mask, which draws the same
     random numbers as one ``(B, H)`` mask per step.

@@ -494,7 +494,9 @@ class TestAttention:
 def step_chain(stack, steps, drop=None):
     """Reference for the fused layers: the composed ``reference.lstm_step``
     chained over time, layer by layer, with one ``ad.dropout`` draw per step
-    between layers."""
+    between layers.  A ``(T, B, in)`` DiffValue is read one ``take`` per step."""
+    if isinstance(steps, ad.DiffValue):
+        steps = [reference.take(steps, t) for t in range(steps.shape[0])]
     steps = [s if isinstance(s, ad.DiffValue) else ad.constant(s) for s in steps]
     shape = steps[0].data.shape[:-1]
     for depth, cell in enumerate(stack.cells):
@@ -590,14 +592,14 @@ class TestLstmLayer:
     def test_finite_difference_every_parent(self):
         rng = np.random.default_rng(137)
         stack = random_stack(rng, 2, 3, 2)
-        seq = [ad.parameter(rng.normal(size=(2, 2))) for _ in range(3)]
+        seq = ad.parameter(rng.normal(size=(3, 2, 2)))
         weights = rng.normal(size=(2, 3))
 
         def forward():
             return reference.vsum(reference.multiply(nn.lstm_sequence(stack, seq), weights))
 
         forward().backward()
-        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + seq
+        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + [seq]
         for p in parents:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-6
@@ -609,11 +611,11 @@ class TestLstmLayer:
         def run(lstm_sequence):
             rng = np.random.default_rng(138)
             stack = random_stack(rng, 3, 4, layers)
-            seq = [ad.parameter(rng.normal(size=(2, 3))) for _ in range(5)]
+            seq = ad.parameter(rng.normal(size=(5, 2, 3)))
             out = lstm_sequence(stack, seq, nn.Dropout(0.3, np.random.default_rng(9)))
             reference.vsum(reference.multiply(out, rng.normal(size=(2, 4)))).backward()
             leaves = [leaf for cell in stack.cells for leaf in cell_leaves(cell)]
-            return [a.tobytes() for a in [out.data] + [p.grad for p in leaves + seq]]
+            return [a.tobytes() for a in [out.data] + [p.grad for p in leaves + [seq]]]
 
         assert run(nn.lstm_sequence) == run(reference.lstm_sequence)
 
@@ -654,10 +656,10 @@ class TestLstmLayer:
         # layer below
         rng = np.random.default_rng(163 + layers + width)
         stack = random_stack(rng, width, 5, layers)
-        seq = [ad.parameter(rng.normal(size=(6, width))) for _ in range(4)]
+        seq = ad.parameter(rng.normal(size=(4, 6, width)))
         g = rng.normal(size=(6, 5))
         reference.vsum(reference.multiply(nn.lstm_sequence(stack, seq), g)).backward()
-        inputs = [np.stack([s.data for s in seq])]
+        inputs = [seq.data]
         for cell in stack.cells[:-1]:
             inputs.append(nn.lstm_layer(cell, inputs[-1]).data)
         for depth in reversed(range(layers)):
@@ -665,14 +667,13 @@ class TestLstmLayer:
             *leaf_grads, g = reference.lstm_layer_gradients(cell, inputs[depth], g, last=depth == layers - 1)
             for leaf, want in zip(cell_leaves(cell), leaf_grads):
                 assert np.array_equal(leaf.grad, want)
-        for t, s in enumerate(seq):
-            assert np.array_equal(s.grad, g[t])
+        assert np.array_equal(seq.grad, g)
 
     def test_gradients_match_step_chain(self):
         rng = np.random.default_rng(149)
         stack = random_stack(rng, 3, 4, 2)
-        seq = [ad.parameter(rng.normal(size=(5, 3))) for _ in range(4)]
-        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + seq
+        seq = ad.parameter(rng.normal(size=(4, 5, 3)))
+        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + [seq]
         grads = []
         for run in (nn.lstm_sequence, step_chain):
             for p in parents:

@@ -264,8 +264,8 @@ def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> Diff
 
     ``inputs`` is a ``(T, batch, dim)`` array or DiffValue, or a sequence of
     T per-step ``(batch, dim)`` arrays; the initial hidden and cell states
-    are zero.  Each layer is one :func:`lstm_layer` node, the
-    top one giving its final state only.  Dropout, when active, is applied to the hidden
+    are zero.  Each layer is one :func:`lstm_layer` node, the top one giving
+    its final state only.  Dropout, when active, is applied to the hidden
     sequence between layers as one ``(T, B, H)`` mask, which draws the same
     random numbers as one ``(B, H)`` mask per step.
     """

@@ -60,14 +60,15 @@ def digest(content: bytes | None) -> str:
     return "absent" if content is None else hashlib.sha256(content).hexdigest()
 
 
-def largest_relative_difference(ours: bytes, theirs: bytes) -> float | None:
+def largest_relative_difference(ours: bytes, theirs: bytes) -> tuple[float, int] | None:
     """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of the two
-    texts taken in order (0 where both are 0), or None when their counts differ."""
+    texts taken in order (0 where both are 0) and their count, or None when
+    the counts differ."""
     a, b = (np.array([float(n) for n in NUMBER.findall(text)]) for text in (ours, theirs))
     if len(a) != len(b):
         return None
     scale = np.maximum(np.abs(a), np.abs(b))
-    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0))
+    return float(np.max(np.abs(a - b) / np.where(scale > 0, scale, 1.0), initial=0.0)), len(a)
 
 
 def differences(ours: dict[str, bytes], theirs: dict[str, bytes]) -> list[str]:
@@ -82,7 +83,7 @@ def differences(ours: dict[str, bytes], theirs: dict[str, bytes]) -> list[str]:
         line = f"differs: {path}  {digest(mine)[:8]} != {digest(other)[:8]}"
         relative = None if mine is None or other is None else largest_relative_difference(mine, other)
         if relative is not None:
-            line += f"  (largest relative difference {relative:.1e} over {len(NUMBER.findall(mine))} numbers)"
+            line += "  (largest relative difference {:.1e} over {} numbers)".format(*relative)
         lines.append(line)
     return lines
 

@@ -8,10 +8,11 @@ of one parameter vector, which the optimizer updates, and the
 
 An LSTM cell is three leaves holding its gates' weights stacked.  Each LSTM
 layer runs over its whole sequence as one autodiff node (:func:`lstm_layer`)
-that projects its steps' input in batched matmuls and calls
-:func:`lstm_step`, the one implementation of the cell update, once per time
-step on plain arrays, which it updates in place; its backward pass through
-time is written out by hand.
+that joins the leaves into one matrix per call (:func:`lstm_weights`) and
+calls :func:`lstm_step`, the one implementation of the cell update, once per
+time step on plain arrays, which it updates in place: one GEMM of the row
+``[h | x | 1]`` by that matrix, then the activations.  Its backward pass
+through time is written out by hand.
 A fully connected network (:func:`fnn_forward`), which takes its input as a
 list of column blocks, and the attention fusion (:func:`attention_fuse`) are
 one node each as well.  Each fused node runs the numpy operations of the
@@ -121,22 +122,31 @@ def init_lstm_stack(rng, input_size: int, hidden_size: int, layers: int) -> Lstm
     return LstmStack(cells)
 
 
-def lstm_step(params: LstmParams, x_proj, h_prev, c_prev, acts, h, c, tanh_c) -> None:
+def lstm_weights(params: LstmParams) -> np.ndarray:
+    """The cell's leaves stacked as the ``(4, H + in + 1, H)`` matrix
+    ``[w_h; w_x; b]`` that :func:`lstm_step` multiplies the row ``[h | x |
+    1]`` by, with the i, f and o gates negated, so the product holds ``-z``
+    for the sigmoid gates and ``z`` for the candidate.  A sign flip is
+    exact."""
+    w = np.concatenate([params.w_h.data, params.w_x.data, params.b.data[:, None]], axis=1)
+    w[:3] *= -1.0
+    return w
+
+
+def lstm_step(w, hx, c_prev, acts, h, c, tanh_c) -> None:
     """One LSTM cell update on arrays, in place, as :func:`lstm_layer` runs it
-    per time step.  ``x_proj`` (4, B, H) is the step's input projected by
-    each gate (gate k ``x @ w_x[k]``), ``h_prev`` and ``c_prev`` the (B, H)
-    states before it.  Writes the four gate activations into the caller's
-    (4, B, H) ``acts`` and the new state into its (B, H) ``h``, ``c`` and
-    ``tanh_c`` (``tanh(c)``), none of which may overlap an input.  The ufuncs
-    write through ``out=`` and add and activate in the order
-    ``reference.lstm_step`` does, so the values equal it bit for bit."""
-    np.matmul(h_prev, params.w_h.data, out=acts)
-    np.add(x_proj, acts, out=acts)
-    np.add(acts, params.b.data[:, None, :], out=acts)
-    gates = acts[:3]  # sigmoid: 1 / (1 + exp(-pre))
-    np.negative(gates, out=gates)
-    with np.errstate(over="ignore"):
-        np.exp(gates, out=gates)
+    per time step: one GEMM of the ``(B, H + in + 1)`` row ``hx = [h_prev |
+    x | 1]`` by the :func:`lstm_weights` matrix ``w`` into the caller's (4,
+    B, H) ``acts``, which then hold the four gate activations, and the new
+    state in its (B, H) ``h``, ``c`` and ``tanh_c`` (``tanh(c)``); ``c_prev``
+    is the (B, H) cell state before the step.  No output may overlap an
+    input.  The caller enters ``np.errstate(over="ignore")``: ``exp`` of a
+    large ``-z`` overflows to a gate of exactly 0.  The ufuncs write through
+    ``out=`` in the order ``reference.lstm_step`` composes them, so the
+    values equal it bit for bit."""
+    np.matmul(hx, w, out=acts)
+    gates = acts[:3]  # sigmoid: 1 / (1 + exp(-z)), from -z
+    np.exp(gates, out=gates)
     np.add(1.0, gates, out=gates)
     np.divide(1.0, gates, out=gates)
     np.tanh(acts[3], out=acts[3])
@@ -157,54 +167,64 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     from zero initial states, or with ``last`` only its final ``(B, H)``
     state.
 
-    The cell's stacked gate weights let one batched matmul project the
-    steps' input, and :func:`lstm_step` mix in the previous hidden state with
-    one more per step (the gate fusion of Appleyard et al.,
-    arXiv:1604.01946).  BLAS still sees the per-gate ``(B, in) @ (in, H)``
-    products, and each step adds and activates in the composed cell's order,
-    so the values equal those of a chain of cell updates composed from
-    elementary ops bit for bit.
+    Each step is one GEMM (the gate fusion of Appleyard et al.,
+    arXiv:1604.01946): :func:`lstm_step` multiplies the row ``[h_{t-1} | x_t
+    | 1]`` by the cell's leaves stacked once per call (:func:`lstm_weights`),
+    so the input projection, the bias and the sigmoid's negation happen
+    inside it.  The rows live in one ``(rows, B, H + in + 1)`` buffer ``hx``
+    whose ones column is set once: row t holds ``[h before step t | x_t |
+    1]``, and each step writes its ``h`` into the h columns of the next row.
+    BLAS sees the per-gate ``(B, K) @ (K, H)`` products of a cell composed
+    from elementary ops, so the values equal a chain of
+    ``reference.lstm_step`` bit for bit.
 
     One time loop serves both uses; the buffers' lengths decide what is kept.
-    When the node records a backward (:func:`autodiff._records`), every
-    step's projection, gate activations, states and ``tanh(c)`` are kept for
-    the backpropagation through time written out below, which reaches the
-    three stacked leaves and the input when it requires a gradient.  That
-    backward computes the factors the recurrence does not feed (``1 - sigma``
-    of the i, f and o gates, ``1 - cand^2`` and ``1 - tanh(c)^2``) once for
-    the whole sequence, and runs each step's products in their former order
-    into preallocated ``(B, H)`` buffers, so its gradients equal those of
-    the loop that computed every factor per step
-    (``reference.lstm_layer_gradients``) bit for bit.  Otherwise
-    (inside :func:`~mcan.autodiff.no_tape`) the layer projects one step at a
-    time and keeps one gate and ``tanh(c)`` slot and a two-slot ring of ``h``
-    and ``c``, plus the whole ``h`` sequence only when the layer above reads
-    it, so its memory no longer grows with T.
+    When the node records a backward (:func:`autodiff._records`), or the
+    layer above reads the whole sequence, ``hx`` has a row per step and one
+    more, with the x columns filled once, and the ``(T, B, H)`` output is
+    its h columns (a strided view).  A taped layer also keeps every step's
+    gate activations, cell state and ``tanh(c)`` for the backpropagation
+    through time written out below.  That backward computes the factors the
+    recurrence does not feed (``1 - sigma`` of the i, f and o gates, ``1 -
+    cand^2`` and ``1 - tanh(c)^2``) once for the whole sequence, runs each
+    step's products in their former order into preallocated ``(B, H)``
+    buffers, and takes the three leaves' gradients from one GEMM of the kept
+    rows, so they equal those of the loop that computed every factor per
+    step (``reference.lstm_layer_gradients``) bit for bit.  Otherwise
+    (inside :func:`~mcan.autodiff.no_tape`) the layer keeps one gate and
+    ``tanh(c)`` slot and a two-slot ring of ``c``, and a top layer a
+    two-slot ring of rows into which it copies each ``x_t``, so its memory
+    does not grow with T.
     """
     node = (inputs,) if isinstance(inputs, DiffValue) else ()  # an array input makes no node
-    x = inputs.data if node else np.ascontiguousarray(inputs, dtype=np.float64)
+    x = inputs.data if node else np.asarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != params.input_size:
         raise ShapeMismatch(
             f"lstm_layer: input of shape {x.shape} does not have width {params.input_size}"
         )
     steps, batch, width = x.shape
     hidden = params.hidden_size
-    w_x, w_h = params.w_x.data, params.w_h.data
+    w = lstm_weights(params)
     parents = (params.w_x, params.w_h, params.b) + node
     taped = ad._records(parents)
-    kept = steps if taped else 1  # steps whose projection, gates and tanh(c) are kept
-    states = steps + 1 if taped else 2  # h_seq[t % len] is the state before step t
-    x_proj = np.empty((kept, 4, batch, hidden))  # the input projection of the next kept steps
+    kept = steps if taped else 1  # steps whose gates and tanh(c) are kept
+    states = steps + 1 if taped else 2  # c_seq[t % states] is the cell state before step t
+    rows = states if last else steps + 1  # hx[t % rows] is the row before step t
     acts = np.empty((kept, 4, batch, hidden))
     tanh_c = np.empty((kept, batch, hidden))
     c_seq = np.zeros((states, batch, hidden))
-    h_seq = np.zeros((states if last else steps + 1, batch, hidden))
-    for t in range(steps):
-        k = t % kept
-        if k == 0:
-            np.matmul(x[t:t + kept, None], w_x, out=x_proj)
-        lstm_step(params, x_proj[k], h_seq[t % len(h_seq)], c_seq[t % states], acts[k],
-                  h_seq[(t + 1) % len(h_seq)], c_seq[(t + 1) % states], tanh_c[k])
+    hx = np.empty((rows, batch, hidden + width + 1))
+    hx[0, :, :hidden] = 0.0
+    hx[:, :, -1] = 1.0
+    ring = rows <= steps
+    if not ring:
+        hx[:steps, :, hidden:-1] = x
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            if ring:
+                hx[t % rows, :, hidden:-1] = x[t]
+            lstm_step(w, hx[t % rows], c_seq[t % states], acts[t % kept],
+                      hx[(t + 1) % rows, :, :hidden], c_seq[(t + 1) % states], tanh_c[t % kept])
 
     def backward(g):
         if last:  # the sequence's gradient is zero before its final state
@@ -215,7 +235,7 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
         cand_slope = 1.0 - acts[:, 3] * acts[:, 3]
         tanh_slope = 1.0 - tanh_c * tanh_c
         d_pre = np.empty((4, steps, batch, hidden))
-        w_h_t = w_h.transpose(0, 2, 1)
+        w_h_t = params.w_h.data.transpose(0, 2, 1)
         dh, dc = np.empty((batch, hidden)), np.empty((batch, hidden))
         dh_next, dc_next = np.zeros((batch, hidden)), np.zeros((batch, hidden))
         d_mixed = np.empty((4, batch, hidden))
@@ -245,18 +265,16 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
                 np.add(dh_next, d_mixed[2], out=dh_next)
                 np.add(dh_next, d_mixed[3], out=dh_next)
         d_flat = d_pre.reshape(4, steps * batch, hidden)
-        x_flat = x.reshape(steps * batch, width)
-        h_flat = h_seq[:-1].reshape(steps * batch, hidden)
-        ad._accumulate(params.w_x, x_flat.T @ d_flat)
-        ad._accumulate(params.w_h, h_flat.T @ d_flat)
-        # einsum sums the rows in sum's order, only faster, except over a
-        # contiguous axis (H = 1), where sum adds pairwise
-        ad._accumulate(params.b, d_flat.sum(axis=1) if hidden == 1 else np.einsum("gnh->gh", d_flat))
+        # the gradient of [w_h; w_x; b] (unnegated: d_pre is the gradient of z)
+        d_w = hx[:steps].reshape(steps * batch, -1).T @ d_flat
+        ad._accumulate(params.w_h, d_w[:, :hidden])
+        ad._accumulate(params.w_x, d_w[:, hidden:-1])
+        ad._accumulate(params.b, d_w[:, -1])
         if node and inputs._needs:
-            dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0)
+            dx = np.matmul(d_flat, params.w_x.data.transpose(0, 2, 1)).sum(axis=0)
             ad._accumulate(inputs, dx.reshape(steps, batch, width))
 
-    return ad._node(h_seq[steps % len(h_seq)].copy() if last else h_seq[1:], parents, backward)
+    return ad._node(hx[steps % rows, :, :hidden].copy() if last else hx[1:, :, :hidden], parents, backward)
 
 
 def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> DiffValue:

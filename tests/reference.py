@@ -30,7 +30,8 @@ The elementary autodiff ops live here, not in ``mcan.autodiff``: ``add``,
 ``multiply``, ``matmul``, ``take``, ``sigmoid``, ``tanh``, ``subtract``,
 ``reshape``, ``square``, ``vsum`` and ``softmax``, each one node made by
 ``autodiff._node``.  No model layer uses them.  From them and
-``autodiff.concat``, ``lstm_step`` composes the cell gate by gate (a chain of
+``autodiff.concat``, ``lstm_step`` composes the cell gate by gate, from the
+row ``[h | x | 1]`` and the leaves joined as ``[w_h; w_x; b]`` (a chain of
 it is the twin of ``nnlayers.lstm_layer``), and ``fnn_forward`` (its column
 blocks joined by ``concat``), ``attention_fuse``, ``lstm_sequence`` (the final
 state taken from the whole top sequence) and ``loss_batch`` compose each of
@@ -253,10 +254,13 @@ def lstm_cell(p, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:
 
 def lstm_step(params: nn.LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffValue]:
     """Composed twin of ``nnlayers.lstm_step``: one cell update ``(h, c)``
-    from unprojected ``(B, in)`` inputs, one gate at a time, gate k reading
-    ``take(w_x, k)``."""
-    pre = [add(add(matmul(x, take(params.w_x, k)), matmul(h_prev, take(params.w_h, k))), take(params.b, k))
-           for k in range(4)]
+    from unprojected ``(B, in)`` inputs, one gate at a time, gate k the row
+    ``[h_prev | x | 1]`` times ``take(W, k)`` of the leaves joined as
+    ``W = [w_h; w_x; b]``."""
+    hidden = params.hidden_size
+    w = ad.concat([params.w_h, params.w_x, reshape(params.b, (4, 1, hidden))], axis=1)
+    hx = ad.concat([h_prev, x, np.ones((len(ad._lift(x).data), 1))], axis=1)
+    pre = [matmul(hx, take(w, k)) for k in range(4)]
     gate_i, gate_f, gate_o = (sigmoid(p) for p in pre[:3])
     c_new = add(multiply(gate_i, tanh(pre[3])), multiply(gate_f, c_prev))
     return multiply(gate_o, tanh(c_new)), c_new
@@ -268,18 +272,21 @@ def lstm_layer_gradients(params: nn.LstmParams, x: np.ndarray, g: np.ndarray, la
     gradients ``(w_x, w_h, b, x)`` of a layer over the ``(T, B, in)`` input
     ``x``, given the gradient ``g`` of its ``(T, B, H)`` output, or with
     ``last`` of its final ``(B, H)`` state.  The forward repeats the taped
-    layer's: one batched input projection, then ``nnlayers.lstm_step`` per
-    step."""
+    layer's: ``nnlayers.lstm_step`` per step on the rows ``[h | x_t | 1]``,
+    and the leaves' gradients are one GEMM of those rows."""
     steps, batch, width = x.shape
     hidden = params.hidden_size
     w_x, w_h = params.w_x.data, params.w_h.data
-    x_proj = np.matmul(x[:, None], w_x)
+    w = nn.lstm_weights(params)
     acts = np.empty((steps, 4, batch, hidden))
     tanh_c = np.empty((steps, batch, hidden))
     h_seq = np.zeros((steps + 1, batch, hidden))
     c_seq = np.zeros((steps + 1, batch, hidden))
-    for t in range(steps):
-        nn.lstm_step(params, x_proj[t], h_seq[t], c_seq[t], acts[t], h_seq[t + 1], c_seq[t + 1], tanh_c[t])
+    rows = np.empty((steps, batch, hidden + width + 1))
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            rows[t] = np.concatenate([h_seq[t], x[t], np.ones((batch, 1))], axis=1)
+            nn.lstm_step(w, rows[t], c_seq[t], acts[t], h_seq[t + 1], c_seq[t + 1], tanh_c[t])
     if last:
         g_last, g = g, np.zeros((steps, batch, hidden))
         g[-1] = g_last
@@ -300,8 +307,8 @@ def lstm_layer_gradients(params: nn.LstmParams, x: np.ndarray, g: np.ndarray, la
             dh_next = np.matmul(d_pre[:, t], w_h_t).sum(axis=0)
     d_flat = d_pre.reshape(4, steps * batch, hidden)
     dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0).reshape(steps, batch, width)
-    return (x.reshape(steps * batch, width).T @ d_flat, h_seq[:-1].reshape(steps * batch, hidden).T @ d_flat,
-            d_flat.sum(axis=1), dx)
+    d_w = rows.reshape(steps * batch, -1).T @ d_flat
+    return d_w[:, hidden:-1], d_w[:, :hidden], d_w[:, -1], dx
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -138,10 +138,11 @@ def test_criterion_4_lstm_oracle():
         x = rng.normal(size=(1, 4))
         h_prev = rng.normal(size=(1, 6))
         c_prev = rng.normal(size=(1, 6))
-        # the production cell, on the input projection lstm_layer gives it,
-        # writing into the output arrays the caller passes
+        # the production cell, on the row [h | x | 1] and the stacked weights
+        # lstm_layer gives it, writing into the output arrays the caller passes
         h, c, tanh_c = np.empty((1, 6)), np.empty((1, 6)), np.empty((1, 6))
-        nn.lstm_step(p, np.matmul(x, p.w_x.data), h_prev, c_prev, np.empty((4, 1, 6)), h, c, tanh_c)
+        hx = np.concatenate([h_prev, x, np.ones((1, 1))], axis=1)
+        nn.lstm_step(nn.lstm_weights(p), hx, c_prev, np.empty((4, 1, 6)), h, c, tanh_c)
         h_ref, c_ref = reference.lstm_cell(p, x, h_prev, c_prev)
         worst = max(worst, float(np.abs(h - h_ref).max()), float(np.abs(c - c_ref).max()))
     report("criterion 4 (lstm oracle)", worst < 1e-12,

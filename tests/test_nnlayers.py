@@ -113,10 +113,12 @@ def cell_leaves(cell):
 
 
 def cell_step(p, x, h_prev, c_prev):
-    """``nn.lstm_step`` on an unprojected ``(B, in)`` input, writing into
-    fresh output arrays: the new ``(h, c)``."""
+    """``nn.lstm_step`` on the row ``[h_prev | x | 1]`` and the stacked
+    weights, writing into fresh output arrays: the new ``(h, c)``."""
     h, c, tanh_c = (np.empty(np.shape(h_prev)) for _ in range(3))
-    nn.lstm_step(p, np.matmul(x, p.w_x.data), h_prev, c_prev, np.empty((4,) + h.shape), h, c, tanh_c)
+    hx = np.concatenate([h_prev, x, np.ones((len(x), 1))], axis=1)
+    with np.errstate(over="ignore"):
+        nn.lstm_step(nn.lstm_weights(p), hx, c_prev, np.empty((4,) + h.shape), h, c, tanh_c)
     return h, c
 
 

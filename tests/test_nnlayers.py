@@ -636,6 +636,57 @@ class TestLstmLayer:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-6
 
+    @pytest.mark.parametrize("width", [1, 12])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_finite_difference_every_leaf_and_input(self, width, last):
+        # The leaves' gradients are one GEMM of the rows [h | x | 1], split
+        # into w_h, w_x and b, while the forward reads the sigmoid gates'
+        # columns negated.
+        rng = np.random.default_rng(171 + width + 2 * last)
+        cell = random_stack(rng, width, 3, 1).cells[0]
+        x = ad.parameter(rng.normal(size=(4, 2, width)))
+        weights = rng.normal(size=(2, 3) if last else (4, 2, 3))
+
+        def forward():
+            return reference.vsum(reference.multiply(nn.lstm_layer(cell, x, last=last), weights))
+
+        forward().backward()
+        for p in cell_leaves(cell) + [x]:
+            numeric = finite_difference(lambda: forward().item(), p)
+            assert relative_gradient_error(p.grad, numeric) < 1e-6
+
+    @pytest.mark.parametrize("width,layers", [(1, 1), (4, 3)])
+    def test_forward_only_equals_taped_forward(self, width, layers):
+        # Under no_tape a top layer copies each x_t into a two-slot ring of
+        # rows, and a layer below keeps all its rows, whose strided h columns
+        # the layer above reads; the taped layers fill every row at once.
+        rng = np.random.default_rng(173 + layers)
+        stack = random_stack(rng, width, 16, layers)
+        seq = rng.normal(size=(12, 512, width))
+        taped = nn.lstm_sequence(stack, seq)
+        with ad.no_tape():
+            forward_only = nn.lstm_sequence(stack, seq)
+        assert taped._backward is not None and forward_only._backward is None
+        assert np.array_equal(forward_only.data, taped.data)
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_forward_only_makes_one_matmul_per_step(self, monkeypatch, last):
+        # The input projection, the bias and the recurrent product are one
+        # GEMM per step; a separate projection would add calls.
+        rng = np.random.default_rng(179)
+        cell = random_stack(rng, 1, 16, 1).cells[0]
+        x = rng.normal(size=(12, 512, 1))
+        matmul, calls = np.matmul, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        with ad.no_tape():
+            nn.lstm_layer(cell, x, last=last)
+        assert calls == [(512, 18)] * 12
+
     @pytest.mark.parametrize("steps,batch,width,hidden", [
         (1, 1, 1, 1), (1, 6, 4, 3), (5, 1, 12, 4), (6, 7, 1, 1), (4, 9, 4, 16), (3, 130, 12, 5),
     ])

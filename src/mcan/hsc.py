@@ -32,8 +32,6 @@ from .autodiff import DiffValue
 from .errors import ConfigError, MissingDataError
 from .nnlayers import CpaParams, Dropout, FnnParams, LstmStack
 
-CHANNELS = ("speed", "trend", "deviation")
-
 
 # ---------------------------------------------------------------------------
 # Embedding: the replace rule plus CPA gap filling
@@ -267,7 +265,6 @@ class HscParams:
     """One channel's spatial-correlation model; ``cpa`` is None under the
     no-embedding ablation."""
 
-    channel: str
     cpa: CpaParams | None
     gcn: GcnParams
     lstm_self: LstmStack
@@ -277,7 +274,6 @@ class HscParams:
 
 def init_hsc(
     rng,
-    channel: str,
     embed_len: int,
     filters: int,
     cpa_order: int,
@@ -288,11 +284,8 @@ def init_hsc(
     out_width: int,
     use_embedding: bool = True,
 ) -> HscParams:
-    if channel not in CHANNELS:
-        raise ConfigError(f"unknown channel {channel!r}, expected one of {CHANNELS}")
     cpa = CpaParams(ad.parameter(ad.xavier_uniform(rng, (cpa_order,)))) if use_embedding else None
     return HscParams(
-        channel=channel,
         cpa=cpa,
         gcn=init_gcn(rng, embed_len, filters, gcn_order),
         lstm_self=nn.init_lstm_stack(rng, 1, hidden_size, lstm_layers),

@@ -157,7 +157,6 @@ def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
     for channel in config.channels():
         hsc[channel] = hsc_mod.init_hsc(
             rng,
-            channel=channel,
             embed_len=config.embed_len,
             filters=config.filters,
             cpa_order=config.cpa_order,
@@ -187,8 +186,7 @@ def init_mcan(config: ModelConfig, rng: np.random.Generator) -> McanParams:
 
 def _lstm_parameters(prefix: str, stack: LstmStack):
     for k, cell in enumerate(stack.cells):
-        for name in ("w_x", "w_h", "b"):
-            yield f"{prefix}.{k}.{name}", getattr(cell, name)
+        yield f"{prefix}.{k}.w", cell.w
 
 
 def _fnn_parameters(prefix: str, params: FnnParams):
@@ -564,7 +562,7 @@ def loss_batch(
 # Checkpoints
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(path, params: McanParams, means: np.ndarray, stds: np.ndarray,

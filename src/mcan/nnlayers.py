@@ -6,13 +6,13 @@ batch of one.  Parameters are plain dataclasses holding
 of one parameter vector, which the optimizer updates, and the
 ``named_parameters`` walk names them for the checkpoint.
 
-An LSTM cell is three leaves holding its gates' weights stacked.  Each LSTM
-layer runs over its whole sequence as one autodiff node (:func:`lstm_layer`)
-that joins the leaves into one matrix per call (:func:`lstm_weights`) and
-calls :func:`lstm_step`, the one implementation of the cell update, once per
-time step on plain arrays, which it updates in place: one GEMM of the row
-``[h | x | 1]`` by that matrix, then the activations.  Its backward pass
-through time is written out by hand.
+An LSTM cell is one leaf: the ``[w_h; w_x; b]`` matrix of its gates,
+stacked.  Each LSTM layer runs over its whole sequence as one autodiff node
+(:func:`lstm_layer`) that negates the sigmoid gates' matrices once per call
+(:func:`lstm_weights`) and calls :func:`lstm_step`, the one implementation of
+the cell update, once per time step on plain arrays, which it updates in
+place: one GEMM of the row ``[h | x | 1]`` by that matrix, then the
+activations.  Its backward pass through time is written out by hand.
 A fully connected network (:func:`fnn_forward`), which takes its input as a
 list of column blocks, and the attention fusion (:func:`attention_fuse`) are
 one node each as well.  Each fused node runs the numpy operations of the
@@ -80,20 +80,21 @@ class CpaParams:
 
 @dataclass
 class LstmParams:
-    """Weights of one LSTM cell, stacked in gate order i, f, o (sigmoid
-    gates), c (tanh candidate): gate k reads ``w_x[k]``, ``w_h[k]``, ``b[k]``."""
+    """Weights of one LSTM cell as the ``(4, H + in + 1, H)`` matrix its step
+    multiplies the row ``[h | x | 1]`` by, stacked in gate order i, f, o
+    (sigmoid gates), c (tanh candidate): gate k's recurrent rows are
+    ``w[k, :H]``, its input rows ``w[k, H:-1]`` and its bias row
+    ``w[k, -1]``."""
 
-    w_x: DiffValue  # (4, in, H)
-    w_h: DiffValue  # (4, H, H)
-    b: DiffValue  # (4, H)
+    w: DiffValue  # (4, H + in + 1, H)
 
     @property
     def hidden_size(self) -> int:
-        return self.w_h.data.shape[1]
+        return self.w.data.shape[2]
 
     @property
     def input_size(self) -> int:
-        return self.w_x.data.shape[1]
+        return self.w.data.shape[1] - self.hidden_size - 1
 
 
 @dataclass
@@ -102,19 +103,15 @@ class LstmStack:
 
     cells: list[LstmParams]
 
-    @property
-    def hidden_size(self) -> int:
-        return self.cells[-1].hidden_size
-
 
 def init_lstm(rng: np.random.Generator, input_size: int, hidden_size: int) -> LstmParams:
     """Xavier-uniform weights drawn gate by gate (input, then recurrent
-    matrix), then stacked; zero biases."""
-    draws = [ad.xavier_uniform(rng, (n_in, hidden_size))
-             for _ in range(4) for n_in in (input_size, hidden_size)]
-    return LstmParams(w_x=ad.parameter(np.stack(draws[0::2])),
-                      w_h=ad.parameter(np.stack(draws[1::2])),
-                      b=ad.parameter(np.zeros((4, hidden_size))))
+    matrix) into their row blocks; zero bias rows."""
+    w = np.zeros((4, hidden_size + input_size + 1, hidden_size))
+    for gate in w:
+        gate[hidden_size:-1] = ad.xavier_uniform(rng, (input_size, hidden_size))
+        gate[:hidden_size] = ad.xavier_uniform(rng, (hidden_size, hidden_size))
+    return LstmParams(ad.parameter(w))
 
 
 def init_lstm_stack(rng, input_size: int, hidden_size: int, layers: int) -> LstmStack:
@@ -123,12 +120,10 @@ def init_lstm_stack(rng, input_size: int, hidden_size: int, layers: int) -> Lstm
 
 
 def lstm_weights(params: LstmParams) -> np.ndarray:
-    """The cell's leaves stacked as the ``(4, H + in + 1, H)`` matrix
-    ``[w_h; w_x; b]`` that :func:`lstm_step` multiplies the row ``[h | x |
-    1]`` by, with the i, f and o gates negated, so the product holds ``-z``
-    for the sigmoid gates and ``z`` for the candidate.  A sign flip is
-    exact."""
-    w = np.concatenate([params.w_h.data, params.w_x.data, params.b.data[:, None]], axis=1)
+    """A copy of the cell's matrix with the i, f and o gates negated, so the
+    product of the row ``[h | x | 1]`` by it holds ``-z`` for the sigmoid
+    gates and ``z`` for the candidate.  A sign flip is exact."""
+    w = params.w.data.copy()
     w[:3] *= -1.0
     return w
 
@@ -169,32 +164,32 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
 
     Each step is one GEMM (the gate fusion of Appleyard et al.,
     arXiv:1604.01946): :func:`lstm_step` multiplies the row ``[h_{t-1} | x_t
-    | 1]`` by the cell's leaves stacked once per call (:func:`lstm_weights`),
-    so the input projection, the bias and the sigmoid's negation happen
-    inside it.  The rows live in one ``(rows, B, H + in + 1)`` buffer ``hx``
-    whose ones column is set once: row t holds ``[h before step t | x_t |
-    1]``, and each step writes its ``h`` into the h columns of the next row.
-    BLAS sees the per-gate ``(B, K) @ (K, H)`` products of a cell composed
-    from elementary ops, so the values equal a chain of
-    ``reference.lstm_step`` bit for bit.
+    | 1]`` by the cell's matrix, its sigmoid gates negated once per call
+    (:func:`lstm_weights`), so the input projection, the bias and the
+    sigmoid's negation happen inside it.  The rows live in one ``(rows, B, H
+    + in + 1)`` buffer ``hx`` whose ones column is set once: row t holds ``[h
+    before step t | x_t | 1]``, and each step writes its ``h`` into the h
+    columns of the next row.  BLAS sees the per-gate ``(B, K) @ (K, H)``
+    products of a cell composed from elementary ops, so the values equal a
+    chain of ``reference.lstm_step`` bit for bit.
 
-    One time loop serves both uses; the buffers' lengths decide what is kept.
-    When the node records a backward (:func:`autodiff._records`), or the
-    layer above reads the whole sequence, ``hx`` has a row per step and one
-    more, with the x columns filled once, and the ``(T, B, H)`` output is
-    its h columns (a strided view).  A taped layer also keeps every step's
-    gate activations, cell state and ``tanh(c)`` for the backpropagation
-    through time written out below.  That backward computes the factors the
-    recurrence does not feed (``1 - sigma`` of the i, f and o gates, ``1 -
-    cand^2`` and ``1 - tanh(c)^2``) once for the whole sequence, runs each
-    step's products in their former order into preallocated ``(B, H)``
-    buffers, and takes the three leaves' gradients from one GEMM of the kept
-    rows, so they equal those of the loop that computed every factor per
-    step (``reference.lstm_layer_gradients``) bit for bit.  Otherwise
-    (inside :func:`~mcan.autodiff.no_tape`) the layer keeps one gate and
-    ``tanh(c)`` slot and a two-slot ring of ``c``, and a top layer a
-    two-slot ring of rows into which it copies each ``x_t``, so its memory
-    does not grow with T.
+    One time loop serves both uses; whether the node records a backward
+    (:func:`autodiff._records`) decides what is kept.  A taped layer's
+    ``hx`` has a row per step and one more, with the x columns filled once,
+    and its ``(T, B, H)`` output is their h columns (a strided view).  It
+    also keeps every step's gate activations, cell state and ``tanh(c)`` for
+    the backpropagation through time written out below.  That backward
+    computes the factors the recurrence does not feed (``1 - sigma`` of the
+    i, f and o gates, ``1 - cand^2`` and ``1 - tanh(c)^2``) once for the
+    whole sequence, runs each step's products in their former order into
+    preallocated ``(B, H)`` buffers, and accumulates the matrix's gradient
+    from one GEMM of the kept rows, so it equals that of the loop that
+    computed every factor per step (``reference.lstm_layer_gradients``) bit
+    for bit.  Otherwise (inside :func:`~mcan.autodiff.no_tape`) the layer
+    keeps one gate and ``tanh(c)`` slot and two-slot rings of rows, into
+    which it copies each ``x_t``, and of ``c``; a layer below another copies
+    each step's ``h`` into its ``(T, B, H)`` output.  Its memory beyond its
+    output does not grow with T.
     """
     node = (inputs,) if isinstance(inputs, DiffValue) else ()  # an array input makes no node
     x = inputs.data if node else np.asarray(inputs, dtype=np.float64)
@@ -205,26 +200,27 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
     steps, batch, width = x.shape
     hidden = params.hidden_size
     w = lstm_weights(params)
-    parents = (params.w_x, params.w_h, params.b) + node
+    parents = (params.w,) + node
     taped = ad._records(parents)
-    kept = steps if taped else 1  # steps whose gates and tanh(c) are kept
-    states = steps + 1 if taped else 2  # c_seq[t % states] is the cell state before step t
-    rows = states if last else steps + 1  # hx[t % rows] is the row before step t
+    rows = steps + 1 if taped else 2  # hx[t % rows], c_seq[t % rows]: the row and cell state before step t
+    kept = rows - 1  # acts[t % kept], tanh_c[t % kept]: step t's gates and tanh(c)
     acts = np.empty((kept, 4, batch, hidden))
     tanh_c = np.empty((kept, batch, hidden))
-    c_seq = np.zeros((states, batch, hidden))
+    c_seq = np.zeros((rows, batch, hidden))
     hx = np.empty((rows, batch, hidden + width + 1))
     hx[0, :, :hidden] = 0.0
     hx[:, :, -1] = 1.0
-    ring = rows <= steps
-    if not ring:
+    if taped:
         hx[:steps, :, hidden:-1] = x
+    h_seq = None if taped or last else np.empty((steps, batch, hidden))
     with np.errstate(over="ignore"):
         for t in range(steps):
-            if ring:
+            if not taped:
                 hx[t % rows, :, hidden:-1] = x[t]
-            lstm_step(w, hx[t % rows], c_seq[t % states], acts[t % kept],
-                      hx[(t + 1) % rows, :, :hidden], c_seq[(t + 1) % states], tanh_c[t % kept])
+            lstm_step(w, hx[t % rows], c_seq[t % rows], acts[t % kept],
+                      hx[(t + 1) % rows, :, :hidden], c_seq[(t + 1) % rows], tanh_c[t % kept])
+            if h_seq is not None:
+                h_seq[t] = hx[(t + 1) % rows, :, :hidden]
 
     def backward(g):
         if last:  # the sequence's gradient is zero before its final state
@@ -235,7 +231,7 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
         cand_slope = 1.0 - acts[:, 3] * acts[:, 3]
         tanh_slope = 1.0 - tanh_c * tanh_c
         d_pre = np.empty((4, steps, batch, hidden))
-        w_h_t = params.w_h.data.transpose(0, 2, 1)
+        w_h_t = params.w.data[:, :hidden].transpose(0, 2, 1)
         dh, dc = np.empty((batch, hidden)), np.empty((batch, hidden))
         dh_next, dc_next = np.zeros((batch, hidden)), np.zeros((batch, hidden))
         d_mixed = np.empty((4, batch, hidden))
@@ -265,16 +261,15 @@ def lstm_layer(params: LstmParams, inputs, last: bool = False) -> DiffValue:
                 np.add(dh_next, d_mixed[2], out=dh_next)
                 np.add(dh_next, d_mixed[3], out=dh_next)
         d_flat = d_pre.reshape(4, steps * batch, hidden)
-        # the gradient of [w_h; w_x; b] (unnegated: d_pre is the gradient of z)
-        d_w = hx[:steps].reshape(steps * batch, -1).T @ d_flat
-        ad._accumulate(params.w_h, d_w[:, :hidden])
-        ad._accumulate(params.w_x, d_w[:, hidden:-1])
-        ad._accumulate(params.b, d_w[:, -1])
+        # unnegated: d_pre is the gradient of z
+        ad._accumulate(params.w, hx[:steps].reshape(steps * batch, -1).T @ d_flat)
         if node and inputs._needs:
-            dx = np.matmul(d_flat, params.w_x.data.transpose(0, 2, 1)).sum(axis=0)
+            dx = np.matmul(d_flat, params.w.data[:, hidden:-1].transpose(0, 2, 1)).sum(axis=0)
             ad._accumulate(inputs, dx.reshape(steps, batch, width))
 
-    return ad._node(hx[steps % rows, :, :hidden].copy() if last else hx[1:, :, :hidden], parents, backward)
+    if last:
+        return ad._node(hx[steps % rows, :, :hidden].copy(), parents, backward)
+    return ad._node(hx[1:, :, :hidden] if taped else h_seq, parents, backward)
 
 
 def lstm_sequence(stack: LstmStack, inputs, drop: Dropout | None = None) -> DiffValue:

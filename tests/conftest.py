@@ -51,23 +51,25 @@ def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray, indices=N
     return worst
 
 
-LSTM_LEAVES = ("w_x", "w_h", "b")
-
-
 def probe_indices(name, leaf, count, rng=None) -> list[int]:
     """Flat indices of ``leaf`` to probe by finite differences: ``count`` of
-    them, or ``count`` in each gate slice of a stacked LSTM leaf (named
-    ``*.w_x``, ``*.w_h`` or ``*.b``, shape ``(4, ...)``) so that every gate is
-    reached.  The indices are the first ones, or drawn by ``rng``."""
+    them, or, of an LSTM cell's ``(4, H + in + 1, H)`` matrix (named
+    ``*.w``), ``count`` in each gate's input rows, then in each gate's
+    recurrent rows, then in each gate's bias row, so that every gate and row
+    block is reached; in that order a seeded ``rng`` draws the entries it
+    drew when the three blocks were separate leaves.  The indices are the
+    first ones, or drawn by ``rng``."""
     def pick(size):
         if rng is None:
             return list(range(min(count, size)))
         return sorted(rng.choice(size, size=min(count, size), replace=False).tolist())
 
-    if name.rsplit(".", 1)[-1] not in LSTM_LEAVES:
+    if name.rsplit(".", 1)[-1] != "w":
         return pick(leaf.data.size)
-    per_gate = leaf.data[0].size
-    return [k * per_gate + i for k in range(4) for i in pick(per_gate)]
+    _, rows, hidden = leaf.data.shape
+    blocks = [(hidden, rows - 1), (0, hidden), (rows - 1, rows)]  # input, recurrent, bias rows
+    return [(k * rows + start) * hidden + i
+            for start, stop in blocks for k in range(4) for i in pick((stop - start) * hidden)]
 
 
 def group_input_arrays(gi, prefix=""):

@@ -20,19 +20,20 @@ time; ``hsc.gcn_hop_features``, applied to all hops at once, and
 ``hsc.embed_windows`` must match them, hop by hop, by value and by gradient.
 
 ``lstm_cell`` evaluates the LSTM cell equations in plain numpy, reading gate
-k from the stacked leaves; ``nnlayers.lstm_step``, the program's one cell,
-must match it.  ``lstm_layer_gradients`` is the backpropagation through time
-of ``nnlayers.lstm_layer`` with every factor computed inside the time loop;
-the layer's backward, which hoists the factors the recurrence does not feed,
-must give bit-identical gradients.
+k's input, recurrent and bias rows from the cell's matrix;
+``nnlayers.lstm_step``, the program's one cell, must match it.
+``lstm_layer_gradients`` is the backpropagation through time of
+``nnlayers.lstm_layer`` with every factor computed inside the time loop; the
+layer's backward, which hoists the factors the recurrence does not feed, must
+give bit-identical gradients.
 
 The elementary autodiff ops live here, not in ``mcan.autodiff``: ``add``,
 ``multiply``, ``matmul``, ``take``, ``sigmoid``, ``tanh``, ``subtract``,
 ``reshape``, ``square``, ``vsum`` and ``softmax``, each one node made by
 ``autodiff._node``.  No model layer uses them.  From them and
 ``autodiff.concat``, ``lstm_step`` composes the cell gate by gate, from the
-row ``[h | x | 1]`` and the leaves joined as ``[w_h; w_x; b]`` (a chain of
-it is the twin of ``nnlayers.lstm_layer``), and ``fnn_forward`` (its column
+row ``[h | x | 1]`` and the cell's ``[w_h; w_x; b]`` matrix (a chain of it
+is the twin of ``nnlayers.lstm_layer``), and ``fnn_forward`` (its column
 blocks joined by ``concat``), ``attention_fuse``, ``lstm_sequence`` (the final
 state taken from the whole top sequence) and ``loss_batch`` compose each of
 the model's fused nodes op by op (``dropout`` as a multiply by its mask); each
@@ -244,9 +245,11 @@ def historical_average_baseline(dataset: gd.TrafficDataset, fold, horizon: int, 
 
 def lstm_cell(p, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:
     """One straight-line cell update ``(h, c)``; gate k (order i, f, o, c)
-    reads ``p.w_x.data[k]``, ``p.w_h.data[k]`` and ``p.b.data[k]``."""
+    reads its input rows ``w[k, H:-1]``, recurrent rows ``w[k, :H]`` and bias
+    row ``w[k, -1]``."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    pre = [x @ p.w_x.data[k] + h_prev @ p.w_h.data[k] + p.b.data[k] for k in range(4)]
+    w, hidden = p.w.data, p.hidden_size
+    pre = [x @ w[k, hidden:-1] + h_prev @ w[k, :hidden] + w[k, -1] for k in range(4)]
     i, f, o = (sig(v) for v in pre[:3])
     c = i * np.tanh(pre[3]) + f * c_prev
     return o * np.tanh(c), c
@@ -255,12 +258,9 @@ def lstm_cell(p, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:
 def lstm_step(params: nn.LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, DiffValue]:
     """Composed twin of ``nnlayers.lstm_step``: one cell update ``(h, c)``
     from unprojected ``(B, in)`` inputs, one gate at a time, gate k the row
-    ``[h_prev | x | 1]`` times ``take(W, k)`` of the leaves joined as
-    ``W = [w_h; w_x; b]``."""
-    hidden = params.hidden_size
-    w = ad.concat([params.w_h, params.w_x, reshape(params.b, (4, 1, hidden))], axis=1)
+    ``[h_prev | x | 1]`` times ``take(w, k)`` of the cell's matrix."""
     hx = ad.concat([h_prev, x, np.ones((len(ad._lift(x).data), 1))], axis=1)
-    pre = [matmul(hx, take(w, k)) for k in range(4)]
+    pre = [matmul(hx, take(params.w, k)) for k in range(4)]
     gate_i, gate_f, gate_o = (sigmoid(p) for p in pre[:3])
     c_new = add(multiply(gate_i, tanh(pre[3])), multiply(gate_f, c_prev))
     return multiply(gate_o, tanh(c_new)), c_new
@@ -269,14 +269,14 @@ def lstm_step(params: nn.LstmParams, x, h_prev, c_prev) -> tuple[DiffValue, Diff
 def lstm_layer_gradients(params: nn.LstmParams, x: np.ndarray, g: np.ndarray, last: bool = False):
     """Backpropagation through time of one ``nnlayers.lstm_layer`` as it was
     written before its factors were hoisted out of the time loop: the
-    gradients ``(w_x, w_h, b, x)`` of a layer over the ``(T, B, in)`` input
+    gradients ``(w, x)`` of a layer over the ``(T, B, in)`` input
     ``x``, given the gradient ``g`` of its ``(T, B, H)`` output, or with
     ``last`` of its final ``(B, H)`` state.  The forward repeats the taped
     layer's: ``nnlayers.lstm_step`` per step on the rows ``[h | x_t | 1]``,
-    and the leaves' gradients are one GEMM of those rows."""
+    and the matrix's gradient is one GEMM of those rows."""
     steps, batch, width = x.shape
     hidden = params.hidden_size
-    w_x, w_h = params.w_x.data, params.w_h.data
+    w_x, w_h = params.w.data[:, hidden:-1], params.w.data[:, :hidden]
     w = nn.lstm_weights(params)
     acts = np.empty((steps, 4, batch, hidden))
     tanh_c = np.empty((steps, batch, hidden))
@@ -307,8 +307,7 @@ def lstm_layer_gradients(params: nn.LstmParams, x: np.ndarray, g: np.ndarray, la
             dh_next = np.matmul(d_pre[:, t], w_h_t).sum(axis=0)
     d_flat = d_pre.reshape(4, steps * batch, hidden)
     dx = np.matmul(d_flat, w_x.transpose(0, 2, 1)).sum(axis=0).reshape(steps, batch, width)
-    d_w = rows.reshape(steps * batch, -1).T @ d_flat
-    return d_w[:, hidden:-1], d_w[:, :hidden], d_w[:, -1], dx
+    return rows.reshape(steps * batch, -1).T @ d_flat, dx
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

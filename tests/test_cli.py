@@ -423,10 +423,23 @@ class TestEvaluate:
         assert run_on(tmp_path, "evaluate", data_dir, broken, "out") == 2
         assert f"error: {broken}: invalid checkpoint config: {message}" in capsys.readouterr().err
 
+    def test_format_version_2_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
+        # A version-2 file stores each LSTM cell as three stacked leaves.
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        assert doc["format_version"] == 3
+        stored = split_lstm_matrices(doc["parameters"])
+        assert "lstm_recent.0.w_h" in stored and "lstm_recent.0.w" not in stored
+        doc["format_version"] = 2
+        old = tmp_path / "v2.json"
+        old.write_text(json.dumps(doc))
+        assert run_on(tmp_path, "evaluate", data_dir, old, "out") == 2
+        assert f"{old}: unsupported checkpoint format version 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_format_version_1_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
         # A version-1 file stores each LSTM cell as 12 per-gate leaves.
         doc = json.loads((trained_dir / "checkpoint.json").read_text())
-        stored = doc["parameters"]
+        stored = split_lstm_matrices(doc["parameters"])
         for name in [n for n in stored if n.rsplit(".", 1)[1] in ("w_x", "w_h", "b")]:
             entry = stored.pop(name)
             stacked = np.reshape(entry["values"], entry["shape"])
@@ -509,6 +522,19 @@ class TestPredict:
         )
         assert cli.main(["predict", "--config", config]) == 1
         assert f"predict_count must be >= 1, got {count}" in capsys.readouterr().err
+
+
+def split_lstm_matrices(stored):
+    """``stored`` checkpoint parameters with each LSTM cell's ``w`` matrix
+    replaced by its stacked ``w_x``, ``w_h`` and ``b`` row blocks, as a
+    version-2 file names them."""
+    for name in [n for n in stored if n.endswith(".w")]:
+        entry = stored.pop(name)
+        w = np.reshape(entry["values"], entry["shape"])
+        hidden = w.shape[2]
+        for leaf, block in (("w_x", w[:, hidden:-1]), ("w_h", w[:, :hidden]), ("b", w[:, -1])):
+            stored[f"{name[:-2]}.{leaf}"] = {"shape": list(block.shape), "values": block.reshape(-1).tolist()}
+    return stored
 
 
 def run_on(tmp_path, command, data, checkpoint, name):

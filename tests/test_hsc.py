@@ -265,10 +265,9 @@ class TestGcn:
         assert np.all(np.abs(2.0 * u - 1.0) < 1.0)
 
 
-def tiny_hsc(rng, channel="speed", out_width=2, use_embedding=True):
+def tiny_hsc(rng, out_width=2, use_embedding=True):
     return hsc.init_hsc(
         rng,
-        channel=channel,
         embed_len=6,
         filters=2,
         cpa_order=3,
@@ -311,8 +310,7 @@ class TestHscForward:
         params = tiny_hsc(rng)
         for stack in (params.lstm_self, params.lstm_neigh):
             for cell in stack.cells:
-                for leaf in (cell.w_x, cell.w_h, cell.b):
-                    leaf.data[:] = 0.0
+                cell.w.data[:] = 0.0
         for layer in params.head.layers:
             layer.weight.data[:] = 0.0
             layer.bias.data[:] = 0.0
@@ -346,13 +344,13 @@ class TestHscForward:
         forward().backward()
         cell_s = params.lstm_self.cells[0]
         cell_n = params.lstm_neigh.cells[0]
-        # Up to 12 entries of each leaf; of a stacked LSTM leaf, 4 in each gate slice.
+        # Up to 12 entries of each leaf; of an LSTM cell's matrix, 4 in each
+        # gate's input, recurrent and bias rows.
         probes = [
             ("cpa", params.cpa.coefficients, 12),
             ("correlation", params.gcn.correlation, 12),
             ("kernel", params.gcn.kernel, 12),
-            ("self.w_x", cell_s.w_x, 4), ("self.b", cell_s.b, 4),
-            ("neigh.w_h", cell_n.w_h, 4), ("neigh.b", cell_n.b, 4),
+            ("self.w", cell_s.w, 4), ("neigh.w", cell_n.w, 4),
             ("head.0.weight", params.head.layers[0].weight, 12),
             ("head.1.bias", params.head.layers[1].bias, 12),
         ]

@@ -103,13 +103,7 @@ class TestCpa:
 
 
 def zero_lstm(input_size, hidden_size):
-    z = lambda *s: ad.parameter(np.zeros(s))
-    return nn.LstmParams(w_x=z(4, input_size, hidden_size), w_h=z(4, hidden_size, hidden_size),
-                         b=z(4, hidden_size))
-
-
-def cell_leaves(cell):
-    return [cell.w_x, cell.w_h, cell.b]
+    return nn.LstmParams(ad.parameter(np.zeros((4, hidden_size + input_size + 1, hidden_size))))
 
 
 def cell_step(p, x, h_prev, c_prev):
@@ -126,18 +120,20 @@ class TestLstm:
     def test_init_stacks_per_gate_draws(self):
         # The gates' matrices are drawn one by one in the order w_ix, w_ih,
         # w_fx, w_fh, w_ox, w_oh, w_cx, w_ch, so a seed gives the network it
-        # gave when every matrix was its own leaf.
+        # gave when every matrix was its own leaf: gate k's recurrent rows
+        # are w[k, :H], its input rows w[k, H:-1] and its bias row w[k, -1].
         p = nn.init_lstm(np.random.default_rng(7), 3, 5)
         rng = np.random.default_rng(7)
         per_gate = {}
         for gate in "ifoc":
             per_gate[f"w_{gate}x"] = ad.xavier_uniform(rng, (3, 5))
             per_gate[f"w_{gate}h"] = ad.xavier_uniform(rng, (5, 5))
-        assert p.w_x.data.shape == (4, 3, 5) and p.w_h.data.shape == (4, 5, 5)
+        assert p.w.data.shape == (4, 9, 5)
+        assert (p.input_size, p.hidden_size) == (3, 5)
         for k, gate in enumerate("ifoc"):
-            assert np.array_equal(p.w_x.data[k], per_gate[f"w_{gate}x"])
-            assert np.array_equal(p.w_h.data[k], per_gate[f"w_{gate}h"])
-        assert np.array_equal(p.b.data, np.zeros((4, 5)))
+            assert np.array_equal(p.w.data[k, 5:-1], per_gate[f"w_{gate}x"])
+            assert np.array_equal(p.w.data[k, :5], per_gate[f"w_{gate}h"])
+        assert np.array_equal(p.w.data[:, -1], np.zeros((4, 5)))
 
     def test_zero_parameters_zero_state(self):
         p = zero_lstm(3, 4)
@@ -147,7 +143,7 @@ class TestLstm:
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = zero_lstm(2, 3)
-        p.b.data[1] = 30.0  # forget gate
+        p.w.data[1, -1] = 30.0  # forget gate bias
         c_prev = np.array([[0.7, -1.2, 2.0]])
         _, c = cell_step(p, np.ones((1, 2)), np.zeros((1, 3)), c_prev)
         assert np.abs(c - c_prev).max() < 1e-6
@@ -156,7 +152,7 @@ class TestLstm:
         rng = np.random.default_rng(31)
         for _ in range(20):
             p = nn.init_lstm(rng, 3, 5)
-            p.b.data[:] = rng.normal(size=p.b.data.shape)
+            p.w.data[:, -1] = rng.normal(size=(4, 5))
             x = rng.normal(size=(1, 3))
             h_prev = rng.normal(size=(1, 5))
             c_prev = rng.normal(size=(1, 5))
@@ -224,8 +220,8 @@ class TestLstm:
             return reference.vsum(reference.square(nn.lstm_sequence(stack, seq)))
 
         forward().backward()
-        # every entry, so all four gate slices of each stacked leaf
-        for p in cell_leaves(stack.cells[0]) + [stack.cells[1].w_h]:
+        # every entry, so all four gates' row blocks of each cell
+        for p in [cell.w for cell in stack.cells]:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-4
 
@@ -517,7 +513,7 @@ def step_chain(stack, steps, drop=None):
 def random_stack(rng, input_size, hidden_size, layers):
     stack = nn.init_lstm_stack(rng, input_size, hidden_size, layers)
     for cell in stack.cells:
-        cell.b.data[:] = rng.normal(size=cell.b.data.shape)
+        cell.w.data[:, -1] = rng.normal(size=cell.w.data[:, -1].shape)
     return stack
 
 
@@ -556,23 +552,26 @@ class TestLstmLayer:
             assert np.abs(hidden.data[t] - h).max() < 1e-12
 
     def test_forward_only_top_layer_memory_does_not_grow_with_steps(self):
-        # A no_tape top layer keeps one gate and tanh(c) slot and a ring of
-        # two h and c states, so its peak memory is about the same at T = 48
-        # as at T = 6; a taped layer keeps every step for its backward.
+        # A no_tape layer keeps one gate and tanh(c) slot and rings of two
+        # rows and two c states, so a top layer's peak memory is about the
+        # same at T = 48 as at T = 6, and so is a layer's below another less
+        # its (T, B, H) output; a taped layer keeps every step for its
+        # backward.
         rng = np.random.default_rng(151)
         cell = random_stack(rng, 4, 16, 1).cells[0]
 
-        def peak(steps, scope):
+        def peak(steps, scope, last=True):
             x = ad.constant(rng.normal(size=(steps, 256, 4)))
             tracemalloc.start()
             try:
                 with scope():
-                    nn.lstm_layer(cell, x, last=True)
-                return tracemalloc.get_traced_memory()[1]
+                    out = nn.lstm_layer(cell, x, last=last)
+                return tracemalloc.get_traced_memory()[1] - (0 if last else out.data.nbytes)
             finally:
                 tracemalloc.stop()
 
         assert peak(48, ad.no_tape) <= 1.25 * peak(6, ad.no_tape)
+        assert peak(48, ad.no_tape, last=False) <= 1.25 * peak(6, ad.no_tape, last=False)
         assert peak(48, contextlib.nullcontext) > 4 * peak(6, contextlib.nullcontext)
 
     def test_layer_rejects_wrong_width(self):
@@ -601,7 +600,7 @@ class TestLstmLayer:
             return reference.vsum(reference.multiply(nn.lstm_sequence(stack, seq), weights))
 
         forward().backward()
-        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + [seq]
+        parents = [cell.w for cell in stack.cells] + [seq]
         for p in parents:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-6
@@ -616,7 +615,7 @@ class TestLstmLayer:
             seq = ad.parameter(rng.normal(size=(5, 2, 3)))
             out = lstm_sequence(stack, seq, nn.Dropout(0.3, np.random.default_rng(9)))
             reference.vsum(reference.multiply(out, rng.normal(size=(2, 4)))).backward()
-            leaves = [leaf for cell in stack.cells for leaf in cell_leaves(cell)]
+            leaves = [cell.w for cell in stack.cells]
             return [a.tobytes() for a in [out.data] + [p.grad for p in leaves + [seq]]]
 
         assert run(nn.lstm_sequence) == run(reference.lstm_sequence)
@@ -632,16 +631,15 @@ class TestLstmLayer:
             return reference.vsum(reference.multiply(nn.lstm_layer(cell, below), weights))
 
         forward().backward()
-        for p in [below] + cell_leaves(cell):
+        for p in [below, cell.w]:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-6
 
     @pytest.mark.parametrize("width", [1, 12])
     @pytest.mark.parametrize("last", [False, True])
     def test_finite_difference_every_leaf_and_input(self, width, last):
-        # The leaves' gradients are one GEMM of the rows [h | x | 1], split
-        # into w_h, w_x and b, while the forward reads the sigmoid gates'
-        # columns negated.
+        # The matrix's gradient is one GEMM of the rows [h | x | 1], while
+        # the forward reads the sigmoid gates' columns negated.
         rng = np.random.default_rng(171 + width + 2 * last)
         cell = random_stack(rng, width, 3, 1).cells[0]
         x = ad.parameter(rng.normal(size=(4, 2, width)))
@@ -651,15 +649,15 @@ class TestLstmLayer:
             return reference.vsum(reference.multiply(nn.lstm_layer(cell, x, last=last), weights))
 
         forward().backward()
-        for p in cell_leaves(cell) + [x]:
+        for p in [cell.w, x]:
             numeric = finite_difference(lambda: forward().item(), p)
             assert relative_gradient_error(p.grad, numeric) < 1e-6
 
     @pytest.mark.parametrize("width,layers", [(1, 1), (4, 3)])
     def test_forward_only_equals_taped_forward(self, width, layers):
-        # Under no_tape a top layer copies each x_t into a two-slot ring of
-        # rows, and a layer below keeps all its rows, whose strided h columns
-        # the layer above reads; the taped layers fill every row at once.
+        # Under no_tape every layer copies each x_t into a two-slot ring of
+        # rows, and a layer below copies each step's h into its output for
+        # the layer above; the taped layers fill every row at once.
         rng = np.random.default_rng(173 + layers)
         stack = random_stack(rng, width, 16, layers)
         seq = rng.normal(size=(12, 512, width))
@@ -700,7 +698,7 @@ class TestLstmLayer:
         g = rng.normal(size=(batch, hidden) if last else (steps, batch, hidden))
         reference.vsum(reference.multiply(nn.lstm_layer(cell, x, last=last), g)).backward()
         expected = reference.lstm_layer_gradients(cell, x.data, g, last)
-        for got, want in zip(cell_leaves(cell) + [x], expected):
+        for got, want in zip([cell.w, x], expected):
             assert np.array_equal(got.grad, want)
 
     @pytest.mark.parametrize("layers,width", [(2, 1), (3, 4), (2, 12)])
@@ -717,16 +715,15 @@ class TestLstmLayer:
             inputs.append(nn.lstm_layer(cell, inputs[-1]).data)
         for depth in reversed(range(layers)):
             cell = stack.cells[depth]
-            *leaf_grads, g = reference.lstm_layer_gradients(cell, inputs[depth], g, last=depth == layers - 1)
-            for leaf, want in zip(cell_leaves(cell), leaf_grads):
-                assert np.array_equal(leaf.grad, want)
+            d_w, g = reference.lstm_layer_gradients(cell, inputs[depth], g, last=depth == layers - 1)
+            assert np.array_equal(cell.w.grad, d_w)
         assert np.array_equal(seq.grad, g)
 
     def test_gradients_match_step_chain(self):
         rng = np.random.default_rng(149)
         stack = random_stack(rng, 3, 4, 2)
         seq = ad.parameter(rng.normal(size=(4, 5, 3)))
-        parents = [leaf for cell in stack.cells for leaf in cell_leaves(cell)] + [seq]
+        parents = [cell.w for cell in stack.cells] + [seq]
         grads = []
         for run in (nn.lstm_sequence, step_chain):
             for p in parents:

@@ -194,6 +194,9 @@ def cmd_train(config: dict) -> int:
     print(checkpoint)
     print(history)
     print(f"final training loss {result.history[-1]:.6g} after {result.adam_steps} steps")
+    trained = {dataset.graph.nodes[road].interval_minutes for road, _ in result.fold.train}
+    for minutes in sorted({node.interval_minutes for node in dataset.graph.nodes} - trained):
+        print(f"interval class {minutes} min: no training sample")
     return 0
 
 
@@ -229,7 +232,7 @@ def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
     view = md.build_view(dataset)
     folds, seed, index = (md.config_entry(cfg, key, int, path)
                           for key in ("folds", "fold_seed", "fold_index"))
-    shuffled = md.config_entry(cfg, "shuffled_folds", bool, path) if "shuffled_folds" in cfg else False
+    shuffled = md.config_entry(cfg, "shuffled_folds", bool, path)
     if folds < 2:
         raise SchemaError(f"{path}: checkpoint key 'config.folds' must be >= 2, got {folds}")
     if seed < 0:

@@ -18,9 +18,11 @@ forward graph; a single sample is a batch of one row.
 
 from __future__ import annotations
 
+import base64
 import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -562,11 +564,14 @@ def loss_batch(
 # Checkpoints
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(path, params: McanParams, means: np.ndarray, stds: np.ndarray,
                     ybar: list[np.ndarray], extra_config: dict | None = None) -> None:
+    """Write the checkpoint: the config echo, the ``[name, shape]`` index of
+    :func:`named_parameters`, ``theta`` as the base64 of its little-endian
+    float64 bytes, and the fitted normalization and daily-average state."""
     config = params.config
     doc = {
         "format_version": CHECKPOINT_VERSION,
@@ -575,38 +580,21 @@ def save_checkpoint(path, params: McanParams, means: np.ndarray, stds: np.ndarra
             "ablations": sorted(config.ablations),
             **(extra_config or {}),
         },
-        "parameters": {
-            name: {"shape": list(p.data.shape), "values": p.data.reshape(-1).tolist()}
-            for name, p in named_parameters(params)
-        },
+        "parameters": _parameter_index(params),
+        "theta": base64.b64encode(params.theta.astype("<f8", copy=False).tobytes()).decode("ascii"),
         "state": {
             "mean": np.asarray(means).tolist(),
             "std": np.asarray(stds).tolist(),
             "daily_average": {str(road): y.tolist() for road, y in enumerate(ybar)},
         },
     }
-    Path(path).write_text(indented_json(doc) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def indented_json(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=1, sort_keys=True)`` for a document with
-    string keys, ``depth`` levels deep, in the same bytes.  With an indent
-    the stdlib encoder formats every item in Python; here each list of
-    numbers (and booleans and nulls) goes through the C encoder in one pass
-    and is indented by replacing its ``", "`` separators, which no number's
-    text contains."""
-    inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
-    if isinstance(value, dict) and value:
-        items = (f"{json.dumps(key)}: {indented_json(item, depth + 1)}"
-                 for key, item in sorted(value.items()))
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if isinstance(value, (list, tuple)) and value:
-        flat = json.dumps(value)
-        if '"' in flat or "{" in flat or "[" in flat[1:]:  # strings or containers inside
-            items = (indented_json(item, depth + 1) for item in value)
-            return "[" + inner + ("," + inner).join(items) + outer + "]"
-        return "[" + inner + flat[1:-1].replace(", ", "," + inner) + outer + "]"
-    return json.dumps(value)
+def _parameter_index(params: McanParams) -> list:
+    """``[name, shape]`` of every leaf, in :func:`named_parameters` order: the
+    slices of ``theta``."""
+    return [[name, list(p.data.shape)] for name, p in named_parameters(params)]
 
 
 def _entry(mapping, key: str, path, where: str = ""):
@@ -637,8 +625,9 @@ def load_checkpoint(path):
     """Returns (params, means, stds, ybar, config echo dict).
 
     Every key the loader reads is checked first; a missing or wrongly typed
-    one, or a config echo that ``ModelConfig.validate`` refuses, raises
-    :class:`SchemaError` naming the file.
+    one, a config echo that ``ModelConfig.validate`` refuses, a parameter
+    index other than the echo's, or a ``theta`` that is not the base64 of
+    exactly its float64 values raises :class:`SchemaError` naming the file.
     """
     try:
         doc = json.loads(gd.read_text(path))
@@ -657,23 +646,22 @@ def load_checkpoint(path):
         params = init_mcan(config, np.random.default_rng(0))
     except ConfigError as exc:
         raise SchemaError(f"{path}: invalid checkpoint config: {exc}") from None
-    stored = _entry(doc, "parameters", path)
-    for name, p in named_parameters(params):
-        entry = _entry(stored, name, path, "parameters.")
-        shape = _entry(entry, "shape", path, f"parameters.{name}.")
-        if not (isinstance(shape, list) and all(type(d) is int for d in shape)):
-            raise SchemaError(f"{path}: checkpoint key 'parameters.{name}.shape' must be a list of integers, "
-                              f"got {shape!r}")
-        if tuple(shape) != p.data.shape:
-            raise SchemaError(
-                f"{path}: parameter {name!r} has shape {shape}, expected {list(p.data.shape)}"
-            )
-        values = _numbers(entry, "values", path, f"parameters.{name}.")
-        if len(values) != p.data.size:
-            raise SchemaError(
-                f"{path}: parameter {name!r} values do not fill shape {list(p.data.shape)}"
-            )
-        p.data[...] = values.reshape(p.data.shape)
+    index = _entry(doc, "parameters", path)
+    if not isinstance(index, list):
+        raise SchemaError(f"{path}: checkpoint key 'parameters' must be a list of [name, shape] pairs")
+    # compared as JSON text, where 1, 1.0 and true differ
+    pairs = zip_longest(map(json.dumps, index), map(json.dumps, _parameter_index(params)), fillvalue="absent")
+    for k, (got, want) in enumerate(pairs):
+        if got != want:
+            raise SchemaError(f"{path}: checkpoint key 'parameters' entry {k} is {got}, expected {want}")
+    try:
+        raw = base64.b64decode(_entry(doc, "theta", path), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: checkpoint key 'theta' is not a base64 string: {exc}") from None
+    if len(raw) != 8 * params.theta.size:
+        raise SchemaError(f"{path}: checkpoint key 'theta' holds {len(raw)} bytes, expected "
+                          f"{8 * params.theta.size} ({params.theta.size} float64 values)")
+    params.theta[:] = np.frombuffer(raw, dtype="<f8")
     if not np.isfinite(params.theta).all():
         raise SchemaError(f"{path}: parameter {first_nonfinite(params)!r} has a non-finite value")
     state = _entry(doc, "state", path)

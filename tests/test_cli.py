@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config handling, exit codes, artifacts, determinism."""
 
+import base64
 import dataclasses
 import importlib.util
 import json
@@ -133,7 +134,19 @@ class TestTrain:
         assert cli.main(args) == 0
         doc = json.loads((tmp_path / "ab" / "checkpoint.json").read_text())
         assert doc["config"]["ablations"] == ["nde", "ntr", "nw"]
-        assert not any(name.startswith("hsc_trend") for name in doc["parameters"])
+        assert not any(name.startswith("hsc_trend") for name, _ in doc["parameters"])
+
+    @pytest.mark.parametrize("horizon, vanished", [(500, True), (6, False)])
+    def test_interval_class_without_training_sample_is_named(self, tmp_path, capsys, horizon, vanished):
+        # 21 days of 5- and 120-min roads: 500 steps ahead is 41.7 days of a
+        # 120-min road, so at horizon 500 that class has no eligible sample
+        assert cli.main(generate_args(tmp_path, n_roads=2, intervals=[5, 120], days=21)) == 0
+        args = train_args(tmp_path, tmp_path / "data", epochs=1, horizon=horizon, embed_len=12)
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("final training loss") != vanished
+        assert ("interval class 120 min: no training sample" in lines) == vanished
+        assert not any("interval class 5 min" in line for line in lines)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_sample_cap_below_one_is_usage_error(self, tmp_path, data_dir, capsys, cap):
@@ -423,10 +436,19 @@ class TestEvaluate:
         assert run_on(tmp_path, "evaluate", data_dir, broken, "out") == 2
         assert f"error: {broken}: invalid checkpoint config: {message}" in capsys.readouterr().err
 
+    def test_format_version_3_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
+        # A version-3 file spells out each parameter's values as JSON numbers.
+        doc = version_3(json.loads((trained_dir / "checkpoint.json").read_text()))
+        assert "theta" not in doc and doc["parameters"]["lstm_recent.0.w"]["values"]
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps(doc))
+        assert run_on(tmp_path, "evaluate", data_dir, old, "out") == 2
+        assert f"{old}: unsupported checkpoint format version 3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_format_version_2_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
         # A version-2 file stores each LSTM cell as three stacked leaves.
-        doc = json.loads((trained_dir / "checkpoint.json").read_text())
-        assert doc["format_version"] == 3
+        doc = version_3(json.loads((trained_dir / "checkpoint.json").read_text()))
         stored = split_lstm_matrices(doc["parameters"])
         assert "lstm_recent.0.w_h" in stored and "lstm_recent.0.w" not in stored
         doc["format_version"] = 2
@@ -438,7 +460,7 @@ class TestEvaluate:
 
     def test_format_version_1_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys):
         # A version-1 file stores each LSTM cell as 12 per-gate leaves.
-        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        doc = version_3(json.loads((trained_dir / "checkpoint.json").read_text()))
         stored = split_lstm_matrices(doc["parameters"])
         for name in [n for n in stored if n.rsplit(".", 1)[1] in ("w_x", "w_h", "b")]:
             entry = stored.pop(name)
@@ -454,6 +476,16 @@ class TestEvaluate:
         old.write_text(json.dumps(doc))
         assert run_on(tmp_path, "evaluate", data_dir, old, "out") == 2
         assert f"{old}: unsupported checkpoint format version 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_checkpoint_without_shuffled_folds_is_runtime_error(self, tmp_path, data_dir, trained_dir,
+                                                                capsys):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        del doc["config"]["shuffled_folds"]
+        broken = tmp_path / "unshuffled.json"
+        broken.write_text(json.dumps(doc))
+        assert run_on(tmp_path, "evaluate", data_dir, broken, "out") == 2
+        assert f"{broken}: checkpoint is missing key 'config.shuffled_folds'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -524,9 +556,43 @@ class TestPredict:
         assert f"predict_count must be >= 1, got {count}" in capsys.readouterr().err
 
 
+def theta_slices(doc):
+    """A version-4 checkpoint's ``theta`` decoded into a writable float64
+    array, and each parameter's slice of it by name."""
+    theta = np.frombuffer(base64.b64decode(doc["theta"]), "<f8").copy()
+    sizes = [math.prod(shape) for _, shape in doc["parameters"]]
+    ends = np.cumsum(sizes).tolist()
+    return theta, {name: slice(end - size, end) for (name, _), size, end in zip(doc["parameters"], sizes, ends)}
+
+
+def encode_theta(doc, theta):
+    """``doc`` with ``theta`` stored as its base64 ``theta`` block."""
+    doc["theta"] = base64.b64encode(np.asarray(theta, "<f8").tobytes()).decode("ascii")
+    return doc
+
+
+def plant_in_theta(doc, name, value):
+    """``doc`` with the first value of parameter ``name`` set to ``value``."""
+    theta, where = theta_slices(doc)
+    theta[where[name].start] = value
+    return encode_theta(doc, theta)
+
+
+def version_3(doc):
+    """A version-4 checkpoint as version 3 wrote it: ``parameters`` maps each
+    name to its shape and its values as JSON numbers, and there is no
+    ``theta`` block."""
+    theta, where = theta_slices(doc)
+    doc["parameters"] = {name: {"shape": shape, "values": theta[where[name]].tolist()}
+                         for name, shape in doc.pop("parameters")}
+    del doc["theta"]
+    doc["format_version"] = 3
+    return doc
+
+
 def split_lstm_matrices(stored):
-    """``stored`` checkpoint parameters with each LSTM cell's ``w`` matrix
-    replaced by its stacked ``w_x``, ``w_h`` and ``b`` row blocks, as a
+    """``stored`` version-3 checkpoint parameters with each LSTM cell's ``w``
+    matrix replaced by its stacked ``w_x``, ``w_h`` and ``b`` row blocks, as a
     version-2 file names them."""
     for name in [n for n in stored if n.endswith(".w")]:
         entry = stored.pop(name)
@@ -620,7 +686,7 @@ class TestCheckpointFitsDataset:
 class TestCheckpointValuesFinite:
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("edit,message", [
-        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, float("nan")),
+        pytest.param(lambda doc: plant_in_theta(doc, "fusion.query", float("nan")),
                      "parameter 'fusion.query' has a non-finite value", id="parameter-nan"),
         pytest.param(lambda doc: doc["state"]["mean"].__setitem__(1, float("nan")),
                      "checkpoint key 'state.mean' has a non-finite value", id="mean-nan"),
@@ -641,21 +707,22 @@ class TestCheckpointValuesFinite:
                      "checkpoint key 'state.daily_average.0' must be a flat list of numbers", id="daily-nested"),
         pytest.param(lambda doc: doc["state"]["daily_average"].__setitem__("0", "abc"),
                      "checkpoint key 'state.daily_average.0' must be a flat list of numbers", id="daily-text"),
-        pytest.param(lambda doc: doc["parameters"]["fusion.query"].__setitem__("shape", 5),
-                     "checkpoint key 'parameters.fusion.query.shape' must be a list of integers, got 5",
-                     id="shape-int"),
-        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, 10**400),
-                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
-                     id="values-huge"),
-        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, True),
-                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
-                     id="values-bool"),
-        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, "1.0"),
-                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
-                     id="values-text"),
-        pytest.param(lambda doc: doc["parameters"]["fusion.query"]["values"].__setitem__(0, None),
-                     "checkpoint key 'parameters.fusion.query.values' must be a flat list of numbers",
-                     id="values-null"),
+        pytest.param(lambda doc: doc["parameters"][-3].__setitem__(1, [5]),
+                     "checkpoint key 'parameters' entry 34 is [\"fusion.query\", [5]], "
+                     "expected [\"fusion.query\", [4]]", id="index-shape"),
+        pytest.param(lambda doc: doc["parameters"].pop(-3),
+                     "checkpoint key 'parameters' entry 34 is [\"output_head.0.weight\", [4, 2]], "
+                     "expected [\"fusion.query\", [4]]", id="index-missing"),
+        pytest.param(lambda doc: doc.__setitem__("theta", 1.5),
+                     "checkpoint key 'theta' is not a base64 string", id="theta-number"),
+        pytest.param(lambda doc: doc.__setitem__("theta", doc["theta"][:-4] + "A*A="),
+                     "checkpoint key 'theta' is not a base64 string", id="theta-invalid"),
+        pytest.param(lambda doc: encode_theta(doc, theta_slices(doc)[0][:-1]),
+                     "checkpoint key 'theta' holds 12248 bytes, expected 12256 (1532 float64 values)",
+                     id="theta-short"),
+        pytest.param(lambda doc: encode_theta(doc, np.append(theta_slices(doc)[0], 0.5)),
+                     "checkpoint key 'theta' holds 12264 bytes, expected 12256 (1532 float64 values)",
+                     id="theta-long"),
     ])
     def test_non_finite_value_is_runtime_error(self, tmp_path, data_dir, trained_dir, capsys,
                                                command, edit, message):
@@ -869,21 +936,34 @@ def readme_outputs_tool():
 def test_readme_outputs_against_lists_every_differing_file(monkeypatch, capsys):
     tool = readme_outputs_tool()
     src = str(Path(cli.__file__).resolve().parents[1])
-    runs = iter([{"a.csv": b"x,1\n", "b.json": b"[0.5, 2]", "c.csv": b"3", "e.csv": b"y,1.0,7\n"},
-                 {"a.csv": b"x,1\n", "b.json": b"[0.5]", "d.csv": b"4", "e.csv": b"y,1.0000000000001,7\n"}])
+
+    def checkpoint(theta):
+        return json.dumps(encode_theta({"format_version": 4, "state": {"mean": [0.5]}}, theta),
+                          indent=1, sort_keys=True).encode()
+
+    # base64 text holds digit runs; only decoded do the two blocks compare value by value
+    theta = np.random.default_rng(0).normal(size=40)
+    nudged = theta.copy()
+    nudged[17] *= 1 + 1e-13
+    runs = iter([{"a.csv": b"x,1\n", "b.json": b"[0.5, 2]", "c.csv": b"3", "e.csv": b"y,1.0,7\n",
+                  "f.json": checkpoint(theta)},
+                 {"a.csv": b"x,1\n", "b.json": b"[0.5]", "d.csv": b"4", "e.csv": b"y,1.0000000000001,7\n",
+                  "f.json": checkpoint(nudged)}])
     monkeypatch.setattr(tool, "outputs", lambda tree: next(runs))
     assert tool.main([src, "--against", src]) == 1
     short = {content: tool.digest(content)[:8] for content in (b"[0.5, 2]", b"[0.5]", b"3", b"4")}
-    lines = capsys.readouterr().out.splitlines()[4:]
+    lines = capsys.readouterr().out.splitlines()[5:]
     assert lines[:3] == [
         f"differs: b.json  {short[b'[0.5, 2]']} != {short[b'[0.5]']}",
         f"differs: c.csv  {short[b'3']} != absent",
         f"differs: d.csv  absent != {short[b'4']}",
     ]
-    # a planted 1e-13 change: same count of numbers, so the line says by how much
-    planted = re.fullmatch(r"differs: e\.csv  \w{8} != \w{8}  "
-                           r"\(largest relative difference (\S+) over 2 numbers\)", lines[3])
-    assert planted and float(planted[1]) == pytest.approx(1e-13, rel=0.01)
+    # planted 1e-13 changes: same count of numbers, so each line says by how much
+    for line, name, count in zip(lines[3:], ("e.csv", "f.json"), (2, 42)):
+        planted = re.fullmatch(rf"differs: {re.escape(name)}  \w{{8}} != \w{{8}}  "
+                               rf"\(largest relative difference (\S+) over {count} numbers\)", line)
+        assert planted and float(planted[1]) == pytest.approx(1e-13, rel=0.01), line
+    assert len(lines) == 5
     same = {"a.csv": b"x,1\n"}
     monkeypatch.setattr(tool, "outputs", lambda tree: same)
     assert tool.main([src, "--against", src]) == 0

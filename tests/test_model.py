@@ -3,7 +3,7 @@
 import contextlib
 import dataclasses
 import json
-import sys
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -760,18 +760,6 @@ class TestParameterVector:
         assert_leaves_view_vectors(loaded)
 
 
-# Numbers a checkpoint writes, the edge cases of float formatting among them:
-# a negative zero, the smallest subnormal, a tiny normal, the largest float
-# and 17-digit values.
-JSON_NUMBERS = (st.floats(allow_nan=False, allow_infinity=False) | st.integers()
-                | st.sampled_from([-0.0, 5e-324, 1e-300, sys.float_info.max,
-                                   0.30000000000000004, -1.2345678901234567e-05]))
-JSON_VALUES = st.recursive(
-    JSON_NUMBERS | st.booleans() | st.none() | st.text(alphabet=', "\\\na', max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
-    max_leaves=20)
-
-
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, dataset, view):
         config = small_config()
@@ -798,8 +786,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("keys,named", [
         (("config", "hops"), "config.hops"),
         (("config",), "config"),
-        (("parameters", "fusion.query", "values"), "parameters.fusion.query.values"),
-        (("parameters", "output_head.0.bias"), "parameters.output_head.0.bias"),
+        (("parameters",), "parameters"),
+        (("theta",), "theta"),
         (("state", "std"), "state.std"),
         (("state", "daily_average", "2"), "state.daily_average.2"),
     ])
@@ -839,30 +827,15 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         assert md.load_checkpoint(path)[0].config.alpha == 1
 
-    def test_values_not_filling_shape_rejected(self, tmp_path, view):
+    def test_truncated_theta_rejected(self, tmp_path, view):
         params = md.init_mcan(small_config(), np.random.default_rng(71))
         path = tmp_path / "checkpoint.json"
         md.save_checkpoint(path, params, np.zeros(4), np.ones(4), view.ybar)
         doc = json.loads(path.read_text())
-        doc["parameters"]["fusion.query"]["values"].pop()
+        doc["theta"] = doc["theta"][:-8]
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="'fusion.query' values do not fill shape"):
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: checkpoint key 'theta' holds")):
             md.load_checkpoint(path)
-
-    def test_writer_bytes_equal_stdlib_on_readme_shape_checkpoint(self, tmp_path):
-        params, _ = readme_shape_group()
-        rng = np.random.default_rng(73)
-        path = tmp_path / "checkpoint.json"
-        md.save_checkpoint(path, params, rng.normal(size=4), rng.uniform(1.0, 2.0, size=4),
-                           [rng.normal(size=288) for _ in range(10)], {"epochs": 2})
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.dictionaries(st.text(max_size=4), JSON_VALUES | st.lists(JSON_NUMBERS, max_size=40),
-                           max_size=6))
-    def test_writer_bytes_equal_stdlib(self, doc):
-        assert md.indented_json(doc) == json.dumps(doc, indent=1, sort_keys=True)
 
     def test_non_object_document_rejected(self, tmp_path):
         path = tmp_path / "checkpoint.json"

@@ -14,7 +14,8 @@ whose digest differs or that only one tree writes, and exits 1 if there is
 such a file.  When both versions of a differing file hold the same count of
 numbers, its line also gives the largest relative difference between
 corresponding numbers, so a change that only rounds differently shows as
-such, for example:
+such.  A checkpoint's base64 ``theta`` block counts as the float64 values
+it encodes.  For example:
 
     python tools/readme_outputs.py src --against ../parent/src
 """
@@ -22,6 +23,7 @@ such, for example:
 from __future__ import annotations
 
 import argparse
+import base64
 import hashlib
 import re
 import subprocess
@@ -43,6 +45,16 @@ def command_block(readme: Path = README) -> str:
 
 
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+THETA = re.compile(rb'"theta": "([A-Za-z0-9+/=]*)"')
+
+
+def numbers(text: bytes) -> np.ndarray:
+    """The numbers of ``text`` in order, with each ``"theta"`` base64 string
+    decoded into its little-endian float64 values instead of read for digits."""
+    pieces = THETA.split(text)  # text, theta, text, ...
+    return np.concatenate([np.frombuffer(base64.b64decode(piece), "<f8") if k % 2
+                           else np.array([float(n) for n in NUMBER.findall(piece)])
+                           for k, piece in enumerate(pieces)])
 
 
 def outputs(src: Path) -> dict[str, bytes]:
@@ -64,7 +76,7 @@ def largest_relative_difference(ours: bytes, theirs: bytes) -> tuple[float, int]
     """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of the two
     texts taken in order (0 where both are 0) and their count, or None when
     the counts differ."""
-    a, b = (np.array([float(n) for n in NUMBER.findall(text)]) for text in (ours, theirs))
+    a, b = numbers(ours), numbers(theirs)
     if len(a) != len(b):
         return None
     scale = np.maximum(np.abs(a), np.abs(b))

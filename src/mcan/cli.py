@@ -75,8 +75,11 @@ def _parse_override(text: str):
 
 def _typed(key: str, value, kind: type):
     """``value`` as a ``kind`` (integral numbers count as ints, booleans as
-    neither ints nor floats), or a ConfigError naming ``key``."""
+    neither ints nor floats, and a float must be finite, as
+    :func:`graphdata.typed_value` asks), or a ConfigError naming ``key``."""
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int no float64 holds
+            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
         return float(value)
     if kind is int and isinstance(value, (int, float)) and not isinstance(value, bool) \
             and float(value).is_integer():
@@ -182,7 +185,7 @@ def cmd_train(config: dict) -> int:
     result = tr.train(dataset, train_config)
     # the run keys the model config does not hold; the seed is the fold seed
     echo = {key: getattr(train_config, key) for key in TRAIN_KEYS
-            if not hasattr(result.model_config, key)}
+            if not hasattr(result.params.config, key)}
     echo.update(fold_seed=echo.pop("seed"), fold_index=result.fold.index, **_graph_echo(dataset))
     out = _out_dir(config)
     checkpoint = out / "checkpoint.json"
@@ -219,9 +222,7 @@ def _fitting_checkpoint(config: dict, dataset: gd.TrafficDataset):
             raise SchemaError(f"{path}: checkpoint key 'config.{key}' is {getattr(params.config, key)} "
                               f"but the dataset has {getattr(dataset, key)}")
     for key, value in _graph_echo(dataset).items():
-        if key not in cfg:
-            raise SchemaError(f"{path}: checkpoint is missing key 'config.{key}'")
-        if cfg[key] != value:
+        if md._entry(cfg, key, path, "config.") != value:
             raise SchemaError(f"{path}: checkpoint key 'config.{key}' is {cfg[key]} "
                               f"but the dataset has {value}")
     return params, means, stds, ybar, cfg
@@ -229,7 +230,6 @@ def _fitting_checkpoint(config: dict, dataset: gd.TrafficDataset):
 
 def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
                   path="checkpoint") -> tr.Fold:
-    view = md.build_view(dataset)
     folds, seed, index = (md.config_entry(cfg, key, int, path)
                           for key in ("folds", "fold_seed", "fold_index"))
     shuffled = md.config_entry(cfg, "shuffled_folds", bool, path)
@@ -239,7 +239,7 @@ def _rebuild_fold(dataset: gd.TrafficDataset, params: md.McanParams, cfg: dict,
         raise SchemaError(f"{path}: checkpoint key 'config.fold_seed' must be >= 0, got {seed}")
     if not 0 <= index < folds:
         raise SchemaError(f"{path}: checkpoint key 'config.fold_index' must be in [0, {folds}), got {index}")
-    return tr.kfold_split(view, params.config, folds, seed, shuffled, [index])[0]
+    return tr.kfold_split(dataset, params.config, folds, seed, shuffled, [index])[0]
 
 
 def cmd_evaluate(config: dict) -> int:
@@ -285,7 +285,7 @@ def cmd_predict(config: dict) -> int:
     view = md.build_view(dataset, means=means, stds=stds, ybar=ybar)
     lines = ["road_id,t,step,speed_kmh"]
     for road in roads:
-        times = md.eligible_times(view, params.config, road)[-count:]
+        times = md.eligible_times(dataset, params.config, road)[-count:]
         if len(times) == 0:
             raise McanError(f"road {road} has no eligible prediction times")
         truth, preds = tr.predict_samples(params, view, np.column_stack([np.full(len(times), road), times]))

@@ -1,4 +1,5 @@
-"""Road graph, heterogeneous speed series, channel windows, and dataset files.
+"""Road graph (with its hop layers, cached per hop count), heterogeneous speed
+series and context codes, channel windows, and dataset files.
 
 Series alignment convention: every series starts at midnight of day 0, so the
 daily slot of index ``t`` is ``t % slots_per_day`` and no timestamp arithmetic
@@ -57,6 +58,8 @@ class RoadGraph:
     nodes: list[RoadSegment]
     edges: list[tuple[int, int]]
     _adjacency: list[set[int]] = field(init=False, repr=False)
+    _hop_layers: dict[int, list[list[set[int]]]] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         n = len(self.nodes)
@@ -89,6 +92,12 @@ class RoadGraph:
     def neighbors(self, node: int) -> set[int]:
         return self._adjacency[node]
 
+    def hop_layers(self, hops: int) -> list[list[set[int]]]:
+        """:func:`k_hop_neighbors` of every road, computed once per hop count."""
+        if hops not in self._hop_layers:
+            self._hop_layers[hops] = [k_hop_neighbors(self, road, hops) for road in range(self.size)]
+        return self._hop_layers[hops]
+
 
 @dataclass
 class SpeedSeries:
@@ -112,9 +121,8 @@ class SpeedSeries:
 
 @dataclass
 class ContextFeatures:
-    """Static road descriptors plus the per-slot dynamic factor codes."""
+    """The per-slot dynamic factor codes of one road."""
 
-    static: np.ndarray  # length_km, one-hot road type, lanes, traffic lights
     weather: np.ndarray  # int code per slot
     holiday: np.ndarray  # 0/1 per slot
     day_of_week: np.ndarray  # 0..6 per slot
@@ -362,14 +370,13 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> TrafficDataset:
         days_of_slots = slot_minutes // MINUTES_PER_DAY
         contexts.append(
             ContextFeatures(
-                static=np.array([]),  # assembled after vocab sizes are known
                 weather=weather_minutely[slot_minutes].copy(),
                 holiday=np.array([1 if d in holidays else 0 for d in days_of_slots], dtype=np.int64),
                 day_of_week=(days_of_slots % 7).astype(np.int64),
             )
         )
 
-    dataset = TrafficDataset(
+    return TrafficDataset(
         graph=graph,
         series=series,
         contexts=contexts,
@@ -377,17 +384,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> TrafficDataset:
         weather_code_count=len(WEATHER_EFFECT),
         road_type_count=4,
     )
-    _assemble_static_features(dataset)
-    return dataset
-
-
-def _assemble_static_features(dataset: TrafficDataset) -> None:
-    for node, ctx in zip(dataset.graph.nodes, dataset.contexts):
-        one_hot = np.zeros(dataset.road_type_count)
-        one_hot[node.road_type] = 1.0
-        ctx.static = np.concatenate(
-            [[node.length_m / 1000.0], one_hot, [float(node.lanes), float(node.traffic_lights)]]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +391,8 @@ def _assemble_static_features(dataset: TrafficDataset) -> None:
 #
 # series.csv and context.csv are plain comma-separated text: an exact header,
 # then one line per (road, slot), cells split at every comma with no quoting,
-# numbers in Python ``int``/``float`` syntax.  numpy's C ``loadtxt`` reads a
-# file whose first line is the header; any other file, and any file it
+# numbers in Python ``int``/``float`` syntax.  numpy's C ``loadtxt`` reads an
+# ASCII file whose first line is the header; any other file, and any file it
 # refuses, is read row by row with ``int()``/``float()``.  Each rule is
 # checked on whole arrays, and a failure names the earliest offending file
 # line (1-based, blank lines counted) as a row-by-row reader would.
@@ -521,12 +517,14 @@ def _read_columns(path, header: list[str], kinds) -> tuple[list[np.ndarray], lis
 
 def _loadtxt_takes(path, header: list[str]) -> bool:
     """Whether ``path``'s first line is the header, ending in LF or CRLF, and
-    no byte is one of the ASCII separators 0x1c-0x1f, which ``loadtxt``
-    strips from a cell as spaces (as ``str.isspace`` counts them) but
-    ``int()`` and ``float()`` refuse."""
+    every byte is ASCII but none of the separators 0x1c-0x1f, which
+    ``loadtxt`` strips from a cell as spaces (as ``str.isspace`` counts
+    them) but ``int()`` and ``float()`` refuse.  numpy 2.4's ``loadtxt``
+    misreads some non-ASCII cells (a supplementary-plane character as an
+    integer) and crashes on others."""
     data = Path(path).read_bytes()
     head = ",".join(header).encode()
-    return (data.startswith((head + b"\n", head + b"\r\n"))
+    return (data.startswith((head + b"\n", head + b"\r\n")) and data.isascii()
             and not any(sep in data for sep in b"\x1c\x1d\x1e\x1f"))
 
 
@@ -672,11 +670,10 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
         )
     positions = starts[road] + slot
     contexts = [
-        ContextFeatures(static=np.array([]), weather=w, holiday=h, day_of_week=d)
+        ContextFeatures(weather=w, holiday=h, day_of_week=d)
         for w, h, d in zip(*(_per_road(codes, positions, counts) for codes in (weather, holiday, dow)))
     ]
-
-    dataset = TrafficDataset(
+    return TrafficDataset(
         graph=graph,
         series=series,
         contexts=contexts,
@@ -684,5 +681,3 @@ def load_dataset(graph_path, series_path, context_path) -> TrafficDataset:
         weather_code_count=int(weather.max()) + 1,
         road_type_count=max(node.road_type for node in graph.nodes) + 1,
     )
-    _assemble_static_features(dataset)
-    return dataset

@@ -11,9 +11,10 @@ order; an ablation drops its names.
 Samples are (road, time-index) pairs.  A sample at index ``t`` reads history
 strictly before ``t`` and predicts the speeds at ``t .. t+H-1``; the trend and
 deviation channels additionally supervise their value at ``t`` itself.
-:func:`read_spans` tabulates those ranges once, for eligibility and the leak filter.
-A batch of samples of any target roads is one :class:`GroupInputs` and one
-forward graph; a single sample is a batch of one row.
+:func:`read_spans` tabulates those ranges once from the dataset's graph, for
+eligibility and the leak filter.  A batch of samples of any target roads is one
+:class:`GroupInputs` and one forward graph; a single sample is a batch of one
+row, whose context factors are gathered from the dataset at its own indices.
 """
 
 from __future__ import annotations
@@ -232,22 +233,23 @@ def first_nonfinite(params: McanParams, grads: bool = False) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Data view: per-road normalized values, daily averages, context features
+# Data view: what fitting produced for a dataset
 
 
 @dataclass
 class DataView:
-    """Model-facing view of a dataset: (optionally normalized) speeds, frozen
-    per-slot daily averages, and assembled context feature arrays."""
+    """A dataset's (optionally normalized) speeds, frozen per-slot daily
+    averages in the same space, and the stats that undo the normalization."""
 
-    graph: gd.RoadGraph
+    dataset: gd.TrafficDataset
     values: list[np.ndarray]
     ybar: list[np.ndarray]
     means: np.ndarray
     stds: np.ndarray
-    static_features: list[np.ndarray]
-    dynamic_features: list[np.ndarray]
-    hop_layers: list[list[set[int]]] = field(default_factory=list)
+
+    @property
+    def graph(self) -> gd.RoadGraph:
+        return self.dataset.graph
 
     def slots_per_day(self, road: int) -> int:
         return self.graph.nodes[road].slots_per_day
@@ -257,26 +259,6 @@ class DataView:
 
     def denormalize(self, road: int, values: np.ndarray) -> np.ndarray:
         return values * self.stds[road] + self.means[road]
-
-    def ensure_hops(self, hops: int) -> None:
-        if not self.hop_layers or len(self.hop_layers[0]) != hops:
-            self.hop_layers = [
-                gd.k_hop_neighbors(self.graph, road, hops) for road in range(self.graph.size)
-            ]
-
-
-def dynamic_feature_matrix(ctx: gd.ContextFeatures, slots_per_day: int,
-                           weather_code_count: int) -> np.ndarray:
-    """Per-slot dynamic factors: one-hot weather, holiday flag, normalized
-    slot-of-day index, one-hot day-of-week."""
-    count = len(ctx.weather)
-    out = np.zeros((count, weather_code_count + 1 + 1 + 7))
-    codes = np.minimum(ctx.weather, weather_code_count - 1)
-    out[np.arange(count), codes] = 1.0
-    out[:, weather_code_count] = ctx.holiday
-    out[:, weather_code_count + 1] = (np.arange(count) % slots_per_day) / slots_per_day
-    out[np.arange(count), weather_code_count + 2 + ctx.day_of_week] = 1.0
-    return out
 
 
 def build_view(
@@ -301,26 +283,15 @@ def build_view(
             gd.compute_daily_average(values[i], dataset.graph.nodes[i].slots_per_day, days)
             for i in range(n)
         ]
-    return DataView(
-        graph=dataset.graph,
-        values=values,
-        ybar=ybar,
-        means=np.asarray(means, dtype=np.float64),
-        stds=np.asarray(stds, dtype=np.float64),
-        static_features=[ctx.static.copy() for ctx in dataset.contexts],
-        dynamic_features=[
-            dynamic_feature_matrix(ctx, dataset.graph.nodes[i].slots_per_day,
-                                   dataset.weather_code_count)
-            for i, ctx in enumerate(dataset.contexts)
-        ],
-    )
+    return DataView(dataset=dataset, values=values, ybar=ybar,
+                    means=np.asarray(means, dtype=np.float64), stds=np.asarray(stds, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
 # Read spans: the one statement of what a sample reads
 
 
-def read_spans(view: DataView, config: ModelConfig, road: int) -> np.ndarray:
+def read_spans(dataset: gd.TrafficDataset, config: ModelConfig, road: int) -> np.ndarray:
     """The span table of the samples ``(road, t)``: one ``(j, a, b, first,
     last)`` int64 row per index range of road ``j`` that a sample reads or
     predicts, inclusive from ``hour_window_end(t, a, b) + first`` to
@@ -328,27 +299,28 @@ def read_spans(view: DataView, config: ModelConfig, road: int) -> np.ndarray:
     interval and ``b`` road j's).  The rows are the targets, the recent
     block, each daily and weekly point, and each involved road's past-hour
     window, every read range with the predecessor its trend reads."""
-    view.ensure_hops(config.hops)
-    own = view.interval(road)
+    nodes = dataset.graph.nodes
+    own = nodes[road].interval_minutes
     rows = [(road, own, own, 0, config.horizon - 1)]
     for name, steps in config.branches().items():
-        points = gd.branch_indices(0, name, steps, view.slots_per_day(road))
+        points = gd.branch_indices(0, name, steps, nodes[road].slots_per_day)
         # the recent slots are one contiguous run, each periodic point its own
         runs = [points] if name == "recent" else points[:, None]
         rows += [(road, own, own, run[0] - 1, run[-1]) for run in runs]
-    for j in sorted({road}.union(*view.hop_layers[road])):
-        rows.append((j, own, view.interval(j), -hsc_mod.hour_window_length(view.interval(j)) - 1, -1))
+    for j in sorted({road}.union(*dataset.graph.hop_layers(config.hops)[road])):
+        b = nodes[j].interval_minutes
+        rows.append((j, own, b, -hsc_mod.hour_window_length(b) - 1, -1))
     return np.array(rows, dtype=np.int64)
 
 
-def eligible_times(view: DataView, config: ModelConfig, road: int) -> np.ndarray:
+def eligible_times(dataset: gd.TrafficDataset, config: ModelConfig, road: int) -> np.ndarray:
     """Sample times whose every read span lies inside its road's series: the
     intersection of each span's in-series times
     (:func:`hsc.hour_window_end_times`).  The target span starts at ``t``
     and ends ``horizon - 1`` later, so the result lies inside the road's
     own series."""
-    j, a, b, first, last = read_spans(view, config, road).T
-    lengths = np.array([len(view.values[r]) for r in j])
+    j, a, b, first, last = read_spans(dataset, config, road).T
+    lengths = np.array([len(dataset.series[r]) for r in j])
     start, stop = hsc_mod.hour_window_end_times(-first, lengths - 1 - last, a, b)
     return np.arange(start.max(), stop.min())
 
@@ -412,7 +384,6 @@ def assemble_group(view: DataView, config: ModelConfig, roads, times) -> GroupIn
     """Stack every input of the samples ``(roads[i], times[i])`` (one road
     stands for all), reordered stably by interval class and road.  Each
     road's index sets are one ``(B_r, L)`` array and each channel one gather."""
-    view.ensure_hops(config.hops)
     times = np.asarray(times, dtype=int)
     roads = np.broadcast_to(np.asarray(roads, dtype=int), times.shape)
     intervals = np.array([view.interval(r) for r in range(view.graph.size)])
@@ -423,8 +394,32 @@ def assemble_group(view: DataView, config: ModelConfig, roads, times) -> GroupIn
     return parts[0] if len(parts) == 1 else _zip_inputs(_stack_rows, parts)
 
 
+def static_vector(node: gd.RoadSegment, road_type_count: int) -> np.ndarray:
+    """A road's static factors: length in km, one-hot road type, lanes and
+    traffic lights."""
+    one_hot = np.zeros(road_type_count)
+    one_hot[node.road_type] = 1.0
+    return np.concatenate([[node.length_m / 1000.0], one_hot,
+                           [float(node.lanes), float(node.traffic_lights)]])
+
+
+def dynamic_factors(ctx: gd.ContextFeatures, idx: np.ndarray, slots_per_day: int,
+                    weather_code_count: int) -> np.ndarray:
+    """The dynamic factors of a road's slots ``idx`` (any shape), one row per
+    slot: one-hot weather (codes past the last clipped to it), holiday flag,
+    slot of day over slots per day, one-hot day of week."""
+    flat, rows = idx.ravel(), np.arange(idx.size)
+    out = np.zeros((idx.size, weather_code_count + 1 + 1 + 7))
+    out[rows, np.minimum(ctx.weather[flat], weather_code_count - 1)] = 1.0
+    out[:, weather_code_count] = ctx.holiday[flat]
+    out[:, weather_code_count + 1] = (flat % slots_per_day) / slots_per_day
+    out[rows, weather_code_count + 2 + ctx.day_of_week[flat]] = 1.0
+    return out.reshape(idx.shape + out.shape[1:])
+
+
 def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.ndarray,
                    positions: np.ndarray) -> GroupInputs:
+    dataset = view.dataset
     values = view.values[road]
     ybar = view.ybar[road]
     spd = view.slots_per_day(road)
@@ -442,7 +437,7 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
         return hsc_mod.spread_windows(w, c, config.use_embedding)
 
     target = windows(road)
-    layers = [sorted(layer) for layer in view.hop_layers[road]]
+    layers = [sorted(layer) for layer in dataset.graph.hop_layers(config.hops)[road]]
     slots = (len(layers), max(map(len, layers)))  # (K, N): hop k's neighbors first in row k
     slot_lengths = np.zeros(slots, dtype=int)
     hops = {ch: np.zeros((batch,) + slots + (c,)) for ch in channels}
@@ -468,6 +463,7 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
         raise MissingDataError(
             f"road {road}: sample at t={times.max()} needs {config.horizon} future values"
         )
+    recent = gd.branch_indices(times, "recent", config.recent_steps, spd)
     return GroupInputs(
         roads=np.full(batch, road),
         times=times,
@@ -476,8 +472,8 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
         prev_speed=values[times - 1].reshape(-1, 1),
         ybar_at_t=ybar[times % spd].reshape(-1, 1),
         temporal=temporal,
-        static=np.tile(view.static_features[road], (batch, 1)),
-        dynamic=view.dynamic_features[road][gd.branch_indices(times, "recent", config.recent_steps, spd)],
+        static=np.tile(static_vector(dataset.graph.nodes[road], dataset.road_type_count), (batch, 1)),
+        dynamic=dynamic_factors(dataset.contexts[road], recent, spd, dataset.weather_code_count),
         target_speed=values[horizon_idx],
         target_trend=(values[times] - values[times - 1]).reshape(-1, 1) if config.use_trend else None,
         target_deviation=(values[times] - ybar[times % spd]).reshape(-1, 1) if config.use_deviation else None,

@@ -6,8 +6,10 @@ fold, normalization statistics and daily averages are fitted only on days that
 do not touch the test block's wall-clock window, and training samples with a
 read span (:func:`model.read_spans`, the same spans that decide eligibility)
 reaching into that window are dropped, so no test value ever influences
-fitting or gradients.  A config flag restores shuffled folds (which inherently
-overlap) for parity with conventional shuffled evaluation.
+fitting or gradients.  The split reads only the dataset's graph and series
+lengths; the fold's fitted view is the first view a run builds.  A config
+flag restores shuffled folds (which inherently overlap) for parity with
+conventional shuffled evaluation.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class Fold:
     test_wall: tuple[int, int] | None  # inclusive minutes; None for shuffled folds
 
 
-def _eligible_arrays(view: md.DataView, config: md.ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+def _eligible_arrays(dataset: gd.TrafficDataset, config: md.ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Roads and times of the eligible samples, road-major and time-ascending."""
-    times = [md.eligible_times(view, config, road) for road in range(view.graph.size)]
+    times = [md.eligible_times(dataset, config, road) for road in range(dataset.graph.size)]
     roads = [np.full(len(t), road, dtype=int) for road, t in enumerate(times)]
     return np.concatenate(roads), np.concatenate(times)
 
@@ -94,7 +96,7 @@ def _samples(roads: np.ndarray, times: np.ndarray) -> list[Sample]:
     return list(zip(roads.tolist(), times.tolist()))
 
 
-def _touches_window(view: md.DataView, road: int, spans: np.ndarray, times: np.ndarray,
+def _touches_window(dataset: gd.TrafficDataset, road: int, spans: np.ndarray, times: np.ndarray,
                     lo: int, hi: int) -> np.ndarray:
     """Per time: whether any row of ``spans``, the road's span table
     (:func:`model.read_spans`), has a wall-clock minute in ``[lo, hi]``.
@@ -103,15 +105,16 @@ def _touches_window(view: md.DataView, road: int, spans: np.ndarray, times: np.n
     ``floor(hi/b) - first``; those times are marked over the road's slots."""
     j, a, b, first, last = spans.T
     start, stop = hsc.hour_window_end_times(-(-lo // b) - last, hi // b - first, a, b)
-    marked = np.zeros(len(view.values[road]), dtype=bool)
+    marked = np.zeros(len(dataset.series[road]), dtype=bool)
     for begin, end in zip(start.clip(0), stop.clip(0)):
         marked[begin:end] = True
     return marked[times]
 
 
-def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
+def kfold_split(dataset: gd.TrafficDataset, config: md.ModelConfig, k: int, seed: int,
                 shuffled: bool = False, indices=None) -> list[Fold]:
-    """k folds whose test blocks partition the eligible samples.
+    """k folds whose test blocks partition the eligible samples of
+    ``dataset``, read from its graph and series lengths alone.
 
     Contiguous mode orders samples by wall-clock time, cuts k blocks, and
     removes training samples that would read any test-window value.  Shuffled
@@ -124,7 +127,7 @@ def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
     for f in indices:
         if not 0 <= f < k:
             raise ConfigError(f"fold index must be in [0, {k}), got {f}")
-    roads, times = _eligible_arrays(view, config)
+    roads, times = _eligible_arrays(dataset, config)
     if len(roads) < k:
         raise MissingDataError(f"only {len(roads)} eligible samples for {k} folds")
     if shuffled:
@@ -136,8 +139,8 @@ def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
             folds.append(Fold(index=f, train=_samples(roads[~in_test], times[~in_test]),
                               test=_samples(roads[in_test], times[in_test]), test_wall=None))
         return folds
-    spans = [md.read_spans(view, config, road) for road in range(view.graph.size)]
-    intervals = np.array([view.interval(r) for r in range(view.graph.size)])
+    spans = [md.read_spans(dataset, config, road) for road in range(dataset.graph.size)]
+    intervals = np.array([node.interval_minutes for node in dataset.graph.nodes])
     walls = times * intervals[roads]
     order = np.lexsort((roads, walls))
     roads, times, walls = roads[order], times[order], walls[order]
@@ -151,7 +154,7 @@ def kfold_split(view: md.DataView, config: md.ModelConfig, k: int, seed: int,
         keep[block] = False
         for road, table in enumerate(spans):
             rows = np.flatnonzero(keep & (roads == road))
-            keep[rows] = ~_touches_window(view, road, table, times[rows], lo, hi)
+            keep[rows] = ~_touches_window(dataset, road, table, times[rows], lo, hi)
         folds.append(Fold(index=f, train=_samples(roads[keep], times[keep]),
                           test=_samples(roads[block], times[block]), test_wall=(lo, hi)))
     return folds
@@ -234,7 +237,6 @@ class TrainResult:
     history: list[float]  # mean per-sample training loss per epoch
     fold: Fold
     adam_steps: int
-    model_config: md.ModelConfig
 
 
 def _first_nonfinite(params: md.McanParams, loss_value: float) -> str:
@@ -263,9 +265,8 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
     """Mini-batch Adam training on the configured fold; deterministic per seed."""
     config.validate()
     mc = config.model_config(dataset)
-    raw_view = md.build_view(dataset)
     index = config.fold_index if config.fold_index is not None else config.folds - 1
-    fold = kfold_split(raw_view, mc, config.folds, config.seed, config.shuffled_folds, [index])[0]
+    fold = kfold_split(dataset, mc, config.folds, config.seed, config.shuffled_folds, [index])[0]
     if not fold.train:
         raise MissingDataError(f"fold {fold.index} has no usable training samples")
     view, scaler = fitted_view(dataset, fold)
@@ -299,10 +300,8 @@ def train(dataset: gd.TrafficDataset, config: TrainConfig) -> TrainResult:
                 f"non-finite parameter after update: {_first_nonfinite(params, epoch_loss)}"
             )
         history.append(epoch_loss / count)
-    return TrainResult(
-        params=params, scaler=scaler, ybar=view.ybar, history=history,
-        fold=fold, adam_steps=state.step, model_config=mc,
-    )
+    return TrainResult(params=params, scaler=scaler, ybar=view.ybar, history=history,
+                       fold=fold, adam_steps=state.step)
 
 
 # ---------------------------------------------------------------------------

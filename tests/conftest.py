@@ -106,5 +106,5 @@ def single_row(view, config, road=0, t=None, **replaced):
     given) as a B = 1 ``GroupInputs``, with the inputs in ``replaced``
     swapped in."""
     if t is None:
-        t = int(md.eligible_times(view, config, road)[0])
+        t = int(md.eligible_times(view.dataset, config, road)[0])
     return dataclasses.replace(md.assemble_group(view, config, road, [t]), **replaced)

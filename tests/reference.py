@@ -11,7 +11,10 @@ the fold leak filter built on ``model.read_spans`` must agree with it.
 ``eligible_times`` evaluates each row of the ``read_spans`` table at every
 time of a road, where ``model.eligible_times`` inverts each row in closed
 form; ``historical_average_baseline`` predicts one sample at a time, where
-``trainer.historical_average_baseline`` gathers each road's samples at once.
+``trainer.historical_average_baseline`` gathers each road's samples at once;
+``dynamic_feature_matrix`` tabulates a road's dynamic factors over its whole
+series and ``static_features`` spells out its static vector, where
+``model.dynamic_factors`` and ``model.static_vector`` build one batch's rows.
 Each pair must agree exactly.
 
 ``chebyshev_features``, ``correlation_scores`` and ``kernel_response`` compose
@@ -174,14 +177,13 @@ def load_dataset(graph_path, series_path, context_path) -> gd.TrafficDataset:
         max_weather = max(max_weather, int(weather.max()))
         contexts.append(
             gd.ContextFeatures(
-                static=np.array([]),
                 weather=weather,
                 holiday=np.array([rows[s][1] for s in range(expected)], dtype=np.int64),
                 day_of_week=np.array([rows[s][2] for s in range(expected)], dtype=np.int64),
             )
         )
 
-    dataset = gd.TrafficDataset(
+    return gd.TrafficDataset(
         graph=graph,
         series=series,
         contexts=contexts,
@@ -189,22 +191,41 @@ def load_dataset(graph_path, series_path, context_path) -> gd.TrafficDataset:
         weather_code_count=max_weather + 1,
         road_type_count=max(node.road_type for node in graph.nodes) + 1,
     )
-    gd._assemble_static_features(dataset)
-    return dataset
 
 
-def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: int) -> dict[int, np.ndarray]:
+def static_features(node: gd.RoadSegment, road_type_count: int) -> np.ndarray:
+    """A road's static factor vector, written out entry by entry."""
+    out = [node.length_m / 1000.0] + [1.0 if k == node.road_type else 0.0 for k in range(road_type_count)]
+    return np.array(out + [float(node.lanes), float(node.traffic_lights)])
+
+
+def dynamic_feature_matrix(ctx: gd.ContextFeatures, slots_per_day: int,
+                           weather_code_count: int) -> np.ndarray:
+    """The dynamic factors of every slot of a road's whole series, one row per
+    slot: the table ``model.dynamic_factors`` gathers rows of per batch."""
+    count = len(ctx.weather)
+    out = np.zeros((count, weather_code_count + 1 + 1 + 7))
+    codes = np.minimum(ctx.weather, weather_code_count - 1)
+    out[np.arange(count), codes] = 1.0
+    out[:, weather_code_count] = ctx.holiday
+    out[:, weather_code_count + 1] = (np.arange(count) % slots_per_day) / slots_per_day
+    out[np.arange(count), weather_code_count + 2 + ctx.day_of_week] = 1.0
+    return out
+
+
+def sample_footprint(dataset: gd.TrafficDataset, config: md.ModelConfig, road: int,
+                     t: int) -> dict[int, np.ndarray]:
     """All history indices a sample reads, per road (targets excluded)."""
-    view.ensure_hops(config.hops)
-    spd = view.slots_per_day(road)
+    nodes = dataset.graph.nodes
+    spd = nodes[road].slots_per_day
     # the recent slots, and the same slot of each previous day and week read
     period = {"recent": 1, "daily": spd, "weekly": 7 * spd}
     own = [t - period[name] * np.arange(1, steps + 1) for name, steps in config.branches().items()]
     footprint: dict[int, np.ndarray] = {}
-    interval = view.interval(road)
-    involved = {road} | set().union(*view.hop_layers[road])
+    interval = nodes[road].interval_minutes
+    involved = {road} | set().union(*gd.k_hop_neighbors(dataset.graph, road, config.hops))
     for j in sorted(involved):
-        idx = hsc.hour_window_indices(t, interval, view.interval(j))
+        idx = hsc.hour_window_indices(t, interval, nodes[j].interval_minutes)
         parts = [idx]
         if j == road:
             parts.extend(own)
@@ -215,15 +236,15 @@ def sample_footprint(view: md.DataView, config: md.ModelConfig, road: int, t: in
     return footprint
 
 
-def eligible_times(view: md.DataView, config: md.ModelConfig, road: int) -> np.ndarray:
+def eligible_times(dataset: gd.TrafficDataset, config: md.ModelConfig, road: int) -> np.ndarray:
     """Every sample time whose read spans all lie inside their series: each
     row of the span table evaluated at every time of the road, the full scan
     that ``model.eligible_times`` solves in closed form."""
-    times = np.arange(len(view.values[road]))
+    times = np.arange(len(dataset.series[road]))
     inside = np.ones(len(times), dtype=bool)
-    for j, a, b, first, last in md.read_spans(view, config, road):
+    for j, a, b, first, last in md.read_spans(dataset, config, road):
         end = hsc.hour_window_end(times, a, b)
-        inside &= (end + first >= 0) & (end + last < len(view.values[j]))
+        inside &= (end + first >= 0) & (end + last < len(dataset.series[j]))
     return times[inside]
 
 

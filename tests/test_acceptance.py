@@ -51,7 +51,7 @@ def test_criterion_1_gradient_integrity():
     )
     params = md.init_mcan(config, np.random.default_rng(17))
     road = 0
-    t = int(md.eligible_times(view, config, road)[0])
+    t = int(md.eligible_times(dataset, config, road)[0])
     gi = md.assemble_group(view, config, road, [t])
 
     def forward():

@@ -326,6 +326,29 @@ class TestNullValues:
         assert "test split:" in capsys.readouterr().out
 
 
+class TestNonFiniteValues:
+    # The float keys follow the finite rule of graphdata.typed_value: NaN, an
+    # infinity or an integer beyond float64 is refused before any file is read.
+    @pytest.mark.parametrize("command,key", [
+        ("generate", "noise"), ("generate", "edge_density"), ("generate", "weather_impact"),
+        ("train", "alpha"), ("train", "beta"), ("train", "learning_rate"), ("train", "dropout"),
+    ])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "int-1e400"])
+    @pytest.mark.parametrize("given_in", ["set", "file"])
+    def test_non_finite_float_is_usage_error_before_reading(self, tmp_path, capsys, command, key, text,
+                                                            given_in):
+        value = json.loads(text)
+        overrides = {key: value} if given_in == "file" else {}
+        args = (generate_args(tmp_path, "out", **overrides) if command == "generate"
+                else train_args(tmp_path, tmp_path / "missing", "out", **overrides))
+        if given_in == "set":
+            args += ["--set", f"{key}={text}"]
+        assert cli.main(args) == 1
+        assert f"config key {key!r} must be a finite number, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     def test_metrics_table_and_summary(self, tmp_path, data_dir, trained_dir, capsys):
         config = write_config(

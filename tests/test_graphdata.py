@@ -1,7 +1,11 @@
 """Tests for graph/series types, derived channels, windows, generator, and file IO."""
 
+import os
+import subprocess
+import sys
 import warnings
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,17 @@ class TestKHopNeighbors:
             layers = gd.k_hop_neighbors(graph, node, hops)
             for k in range(hops):
                 assert layers[k] == set(np.flatnonzero(layers_oracle[k][node]))
+
+    def test_hop_layers_computed_once_per_hop_count(self):
+        graph = gd.generate_synthetic(gd.GeneratorConfig(n_roads=9, edge_density=0.3), 3).graph
+        for hops in (1, 2, 3):
+            layers = graph.hop_layers(hops)
+            assert graph.hop_layers(hops) is layers
+            assert layers == [gd.k_hop_neighbors(graph, road, hops) for road in range(graph.size)]
+        assert [len(graph.hop_layers(hops)[0]) for hops in (1, 2, 3)] == [1, 2, 3]
+        # the cache is no part of the graph's value
+        assert graph == gd.RoadGraph(list(graph.nodes), list(graph.edges))
+        assert "hop_layers" not in repr(graph)
 
 
 def trend(values) -> np.ndarray:
@@ -300,13 +315,15 @@ class TestFileRoundTrip:
         loaded = gd.load_dataset(*paths)
         assert loaded.graph.size == dataset.graph.size
         assert loaded.graph.edges == dataset.graph.edges
+        assert loaded.graph.nodes == dataset.graph.nodes
         assert loaded.span_minutes == dataset.span_minutes
+        assert loaded.road_type_count == dataset.road_type_count
         for a, b in zip(loaded.series, dataset.series):
             assert np.array_equal(a.values, b.values)
         for a, b in zip(loaded.contexts, dataset.contexts):
             assert np.array_equal(a.weather, b.weather)
             assert np.array_equal(a.holiday, b.holiday)
-            assert np.array_equal(a.static, b.static)
+            assert np.array_equal(a.day_of_week, b.day_of_week)
 
     def test_three_node_line_file(self, tmp_path):
         graph_doc = """{
@@ -416,7 +433,7 @@ def outcome(load, paths):
     except (SchemaError, MissingDataError) as exc:
         return type(exc).__name__, str(exc)
     arrays = [s.values for s in d.series]
-    arrays += [a for c in d.contexts for a in (c.static, c.weather, c.holiday, c.day_of_week)]
+    arrays += [a for c in d.contexts for a in (c.weather, c.holiday, c.day_of_week)]
     return (d.span_minutes, d.weather_code_count, d.road_type_count, d.graph.edges,
             [s.road_id for s in d.series], [(a.dtype.str, a.tobytes()) for a in arrays])
 
@@ -471,7 +488,8 @@ def corrupt(path, kind, row, column, other, value):
 # Cells near the plain integer syntax: Python's int() or float() takes some
 # of them, numpy's loadtxt takes fewer, and the loader must decide exactly
 # as the text reader does.
-NEAR_NUMERIC = ("+3", "3_0", " 3", "3 ", "\u0663", "007", "-0", "1" * 19, "9" * 19, "1" * 25, "1e3")
+NEAR_NUMERIC = ("+3", "3_0", " 3", "3 ", "\u0663", "007", "-0", "1" * 19, "9" * 19, "1" * 25, "1e3",
+                "\U00020000")
 # How a whole CSV file is spelled: its line ends, or a no-break space (which
 # the header check strips) after its first header cell.
 SPELLINGS = ("crlf", "lf", "lone-cr", "non-ascii")
@@ -609,9 +627,9 @@ class TestLoaderOracle:
 
     # One changed cell (context.csv row 3, day_of_week) in a file as written:
     # loadtxt takes what it parses as int() does, and the file goes to the
-    # row reader for a cell it refuses.
+    # row reader for a cell it refuses or for any non-ASCII byte.
     @pytest.mark.parametrize("cell,row_path", [
-        ("+3", False), (" 3", False), ("\xa03", False), ("-0", False), ("1" * 19, False),
+        ("+3", False), (" 3", False), ("\xa03", True), ("-0", False), ("1" * 19, False),
         ("3_0", True), ("\u0663", True), ("9" * 19, True), ("1e3", True), ("\x1c3", True), ("3#", True), ("x", True),
     ])
     def test_cell_picks_the_path(self, tmp_path, monkeypatch, cell, row_path):
@@ -620,6 +638,33 @@ class TestLoaderOracle:
         reads = row_reads(monkeypatch)
         assert outcome(gd.load_dataset, paths) == outcome(reference.load_dataset, paths)
         assert reads == (["c.csv"] if row_path else [])
+
+    # numpy 2.4's loadtxt reads some supplementary-plane cells as integers
+    # (the code point less 48) and crashes on others; the row reader refuses
+    # both, naming the cell.
+    def test_supplementary_plane_cell_is_not_an_integer(self, tmp_path):
+        paths = written_dataset(tmp_path)
+        corrupt(paths[2], "text", 3, 1, 0, "\U00020005")
+        message = f"{paths[2]}: row 5: field 'slot_index' is not an integer: '\U00020005'"
+        assert outcome(gd.load_dataset, paths) == outcome(reference.load_dataset, paths) == ("SchemaError", message)
+
+    def test_cell_that_crashed_loadtxt_is_refused(self, tmp_path):
+        # In child processes, so that a crash fails this test, not the whole
+        # run.  What loadtxt made of this cell varied between processes (a
+        # crash, a misread or a refusal), so five children load the files.
+        paths = written_dataset(tmp_path)
+        corrupt(paths[1], "text", 3, 0, 0, "\U000f0000")
+        code = ("import sys\nfrom mcan import graphdata as gd\ntry:\n    gd.load_dataset(*sys.argv[1:])\n"
+                "except Exception as exc:\n    print(type(exc).__name__, exc)")
+        src = str(Path(gd.__file__).resolve().parents[1])
+        children = [subprocess.Popen([sys.executable, "-c", code, *map(str, paths)], stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, encoding="utf-8", env={**os.environ, "PYTHONPATH": src})
+                    for _ in range(5)]
+        name, message = outcome(reference.load_dataset, paths)
+        assert message.endswith("row 5: field 'road_id' is not an integer: " + repr("\U000f0000"))
+        for child in children:
+            out, err = child.communicate()
+            assert (child.returncode, out) == (0, f"{name} {message}\n"), err
 
 
 class TestCsvFormat:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import json
 import re
+import tracemalloc
 from datetime import timedelta
 
 import numpy as np
@@ -82,7 +83,7 @@ def mixed_samples(view, config, per_road=4, seed=71):
     """``per_road`` random eligible samples of every road, shuffled together."""
     rng = np.random.default_rng(seed)
     samples = [(road, int(t)) for road in range(view.graph.size)
-               for t in rng.choice(md.eligible_times(view, config, road), per_road, replace=False)]
+               for t in rng.choice(md.eligible_times(view.dataset, config, road), per_road, replace=False)]
     pairs = np.array(samples)[rng.permutation(len(samples))]
     return pairs[:, 0], pairs[:, 1]
 
@@ -149,11 +150,12 @@ class TestEligibility:
         # still asks for each hour window's trend predecessor, one slot more
         # than assembly reads, so there it need only imply assembly.
         generator, config, seed = case
-        view = md.build_view(gd.generate_synthetic(generator, seed))
+        dataset = gd.generate_synthetic(generator, seed)
+        view = md.build_view(dataset)
         rng = np.random.default_rng(seed)
-        for road in range(view.graph.size):
-            length = len(view.values[road])
-            eligible = md.eligible_times(view, config, road)
+        for road in range(dataset.graph.size):
+            length = len(dataset.series[road])
+            eligible = md.eligible_times(dataset, config, road)
             edges = [0, length] if len(eligible) == 0 else [eligible[0], eligible[-1] + 1]
             probes = {int(t) for edge in edges for t in range(edge - 3, edge + 3)}
             probes |= set(rng.integers(0, length, size=4).tolist())
@@ -172,25 +174,25 @@ class TestEligibility:
     @given(span_cases())
     def test_closed_form_matches_full_scan(self, case):
         generator, config, seed = case
-        view = md.build_view(gd.generate_synthetic(generator, seed))
-        for road in range(view.graph.size):
-            got = md.eligible_times(view, config, road)
-            expected = reference.eligible_times(view, config, road)
+        dataset = gd.generate_synthetic(generator, seed)
+        for road in range(dataset.graph.size):
+            got = md.eligible_times(dataset, config, road)
+            expected = reference.eligible_times(dataset, config, road)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), road
 
     @pytest.mark.parametrize("overrides", [dict(weekly_steps=1), dict(horizon=25), dict(recent_steps=24)])
     def test_series_too_short_gives_no_times(self, overrides):
-        view = md.build_view(gd.generate_synthetic(gd.GeneratorConfig(n_roads=2, intervals=(60,), days=1), 0))
+        dataset = gd.generate_synthetic(gd.GeneratorConfig(n_roads=2, intervals=(60,), days=1), 0)
         config = small_config(**{"weekly_steps": 0, "daily_steps": 0, **overrides})
         for road in range(2):
-            assert len(reference.eligible_times(view, config, road)) == 0
-            assert md.eligible_times(view, config, road).dtype == np.int64
-            assert len(md.eligible_times(view, config, road)) == 0
+            assert len(reference.eligible_times(dataset, config, road)) == 0
+            assert md.eligible_times(dataset, config, road).dtype == np.int64
+            assert len(md.eligible_times(dataset, config, road)) == 0
 
     def test_eligible_times_have_full_history_and_future(self, dataset, view):
         config = small_config()
         for road in range(dataset.graph.size):
-            times = md.eligible_times(view, config, road)
+            times = md.eligible_times(dataset, config, road)
             assert len(times) > 0
             spd = view.slots_per_day(road)
             assert times[0] >= config.weekly_steps * 7 * spd + 1
@@ -200,13 +202,36 @@ class TestEligibility:
         config = small_config()
         rng = np.random.default_rng(3)
         for road in range(dataset.graph.size):
-            times = md.eligible_times(view, config, road)
+            times = md.eligible_times(dataset, config, road)
             for t in rng.choice(times, size=3):
-                foot = reference.sample_footprint(view, config, road, int(t))
+                foot = reference.sample_footprint(dataset, config, road, int(t))
                 wall = int(t) * view.interval(road)
                 for j, idx in foot.items():
                     assert idx.min() >= 0
                     assert (idx.max() + 1) * view.interval(j) <= wall
+
+
+class TestDataView:
+    def test_build_view_keeps_only_fitted_state(self):
+        # README-size data: 10 roads at 5, 10 and 15 min over 28 days.  The
+        # view holds its values, daily averages and stats, and refers to the
+        # dataset for everything else.
+        dataset = gd.generate_synthetic(gd.GeneratorConfig(n_roads=10, edge_density=0.4, intervals=(5, 10, 15),
+                                                           days=28), seed=1)
+        means = np.array([s.values.mean() for s in dataset.series])
+        stds = np.array([s.values.std() for s in dataset.series])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            view = md.build_view(dataset, means=means, stds=stds)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        values = sum(v.nbytes for v in view.values)
+        assert values > 400_000
+        assert retained <= 1.25 * values, retained / values
+        assert [f.name for f in dataclasses.fields(view)] == ["dataset", "values", "ybar", "means", "stds"]
+        assert view.graph is dataset.graph
 
 
 class TestAssembly:
@@ -216,7 +241,7 @@ class TestAssembly:
         config = small_config(ablations=ablations)
         rng = np.random.default_rng(47)
         for road in range(view.graph.size):
-            times = rng.permutation(md.eligible_times(view, config, road))[:9]
+            times = rng.permutation(md.eligible_times(view.dataset, config, road))[:9]
             batched = md.assemble_group(view, config, np.full(len(times), road), times)
             rows = [dict(group_input_arrays(md.assemble_group(view, config, [road], [t])))
                     for t in times]
@@ -257,7 +282,7 @@ class TestAssembly:
     def test_too_early_time_names_branch_and_t(self, view):
         config = small_config()
         road = 0
-        first = int(md.eligible_times(view, config, road)[0])
+        first = int(md.eligible_times(view.dataset, config, road)[0])
         early = config.weekly_steps * 7 * view.slots_per_day(road) - 2
         with pytest.raises(MissingDataError, match=f"weekly branch lacks history at t={early}"):
             md.assemble_group(view, config, road, [first, early, first + 1])
@@ -275,7 +300,7 @@ class TestForward:
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(5))
         roads = np.repeat(np.arange(dataset.graph.size), 3)
-        times = np.concatenate([md.eligible_times(view, config, r)[:3]
+        times = np.concatenate([md.eligible_times(dataset, config, r)[:3]
                                 for r in range(dataset.graph.size)])
         gi = md.assemble_group(view, config, roads, times)
         speed, trend, dev = md.forward_group(params, gi)
@@ -304,7 +329,7 @@ class TestForward:
         config = small_config(ablations=frozenset({"ntr", "nde", "nd", "nw"}))
         params = md.init_mcan(config, np.random.default_rng(11))
         road = 0
-        t = int(md.eligible_times(view, config, road)[0])
+        t = int(md.eligible_times(dataset, config, road)[0])
         gi = md.assemble_group(view, config, [road], [t])
         components, _ = md.fusion_components(params, gi)
         assert len(components) == 4  # speed channel, recent, two context summaries
@@ -313,7 +338,7 @@ class TestForward:
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(13))
         road = 0
-        t = int(md.eligible_times(view, config, road)[0])
+        t = int(md.eligible_times(dataset, config, road)[0])
         gi = md.assemble_group(view, config, [road], [t])
         components, _ = md.fusion_components(params, gi)
         assert len(components) == 8  # 3 channels + 3 temporal + 2 context
@@ -337,7 +362,7 @@ class TestForward:
         view = md.build_view(dataset, means=means, stds=stds)
         params = md.init_mcan(config, np.random.default_rng(17))
         road = 0
-        t = int(md.eligible_times(view, config, road)[0])
+        t = int(md.eligible_times(dataset, config, road)[0])
         gi = md.assemble_group(view, config, [road], [t])
 
         def forward():
@@ -361,7 +386,7 @@ class TestForward:
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(23))
         road = 0
-        t = int(md.eligible_times(view, config, road)[0])
+        t = int(md.eligible_times(dataset, config, road)[0])
         gi = md.assemble_group(view, config, [road], [t])
         speed, trend, dev = md.forward_group(params, gi)
         total = md.loss_batch(speed, gi.target_speed, trend, gi.target_trend,
@@ -608,7 +633,7 @@ class TestMtc:
     def test_wrong_recent_length_rejected(self, dataset, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(41))
-        t = int(md.eligible_times(view, config, 0)[0])
+        t = int(md.eligible_times(dataset, config, 0)[0])
         short = small_config(recent_steps=config.recent_steps - 1)
         gi = single_row(view, short, t=t)
         assert gi.temporal["recent"].shape == (1, config.recent_steps - 1, 4)
@@ -616,7 +641,46 @@ class TestMtc:
             md.forward_group(params, gi)
 
 
+@st.composite
+def context_gathers(draw):
+    """A road of the 4-road ``dataset``, a ``(B, S)`` block of slot draws (taken
+    modulo the road's length), a weather code count, and a weather code for
+    the block's first slot that the count clips to its last code."""
+    rows, steps = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    slots = draw(st.lists(st.integers(0, 10**6), min_size=rows * steps, max_size=rows * steps))
+    count = draw(st.integers(1, 4))
+    return draw(st.integers(0, 3)), np.reshape(slots, (rows, steps)), count, count + draw(st.integers(0, 5))
+
+
 class TestContext:
+    @settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True)
+    @given(case=context_gathers())
+    def test_gathers_equal_whole_series_tables(self, dataset, case):
+        road, slots, count, clipped = case
+        node = dataset.graph.nodes[road]
+        idx = slots % len(dataset.series[road])
+        ctx = dataset.contexts[road]
+        ctx = dataclasses.replace(ctx, weather=ctx.weather.copy())
+        ctx.weather[idx[0, 0]] = clipped
+        got = md.dynamic_factors(ctx, idx, node.slots_per_day, count)
+        expected = reference.dynamic_feature_matrix(ctx, node.slots_per_day, count)[idx]
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+        assert got[0, 0, :count].tolist() == [0.0] * (count - 1) + [1.0]
+        static = md.static_vector(node, dataset.road_type_count)
+        assert static.tobytes() == reference.static_features(node, dataset.road_type_count).tobytes()
+
+    def test_assembled_context_equals_whole_series_tables(self, mixed_view):
+        config = small_config()
+        dataset = mixed_view.dataset
+        gi = md.assemble_group(mixed_view, config, *mixed_samples(mixed_view, config))
+        for row, (road, t) in enumerate(zip(gi.roads, gi.times)):
+            node = dataset.graph.nodes[road]
+            table = reference.dynamic_feature_matrix(dataset.contexts[road], node.slots_per_day,
+                                                     dataset.weather_code_count)
+            assert gi.dynamic[row].tobytes() == table[t - config.recent_steps : t].tobytes()
+            assert gi.static[row].tobytes() == reference.static_features(node, dataset.road_type_count).tobytes()
+
     def test_road_type_changes_static_summary(self, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(43))

@@ -51,13 +51,12 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def raw_view(dataset):
-    return md.build_view(dataset)
-
-
-@pytest.fixture(scope="module")
 def model_config(dataset):
     return tiny_train_config().model_config(dataset)
+
+
+def interval(dataset, road):
+    return dataset.graph.nodes[road].interval_minutes
 
 
 class TestNormalization:
@@ -85,9 +84,9 @@ class TestNormalization:
 
 
 class TestKfold:
-    def test_blocks_partition_eligible_samples(self, raw_view, model_config):
-        folds = tr.kfold_split(raw_view, model_config, 5, seed=1)
-        roads, times = tr._eligible_arrays(raw_view, model_config)
+    def test_blocks_partition_eligible_samples(self, dataset, model_config):
+        folds = tr.kfold_split(dataset, model_config, 5, seed=1)
+        roads, times = tr._eligible_arrays(dataset, model_config)
         eligible = set(zip(roads.tolist(), times.tolist()))
         test_union = set()
         for fold in folds:
@@ -96,67 +95,67 @@ class TestKfold:
             test_union |= block
         assert test_union == eligible
 
-    def test_equal_block_sizes_when_divisible(self, raw_view, model_config):
-        roads, _ = tr._eligible_arrays(raw_view, model_config)
+    def test_equal_block_sizes_when_divisible(self, dataset, model_config):
+        roads, _ = tr._eligible_arrays(dataset, model_config)
         k = 5
-        folds = tr.kfold_split(raw_view, model_config, k, seed=1)
+        folds = tr.kfold_split(dataset, model_config, k, seed=1)
         sizes = [len(f.test) for f in folds]
         assert sum(sizes) == len(roads)
         assert max(sizes) - min(sizes) <= 1
 
-    def test_same_seed_same_partition(self, raw_view, model_config):
-        a = tr.kfold_split(raw_view, model_config, 4, seed=9)
-        b = tr.kfold_split(raw_view, model_config, 4, seed=9)
+    def test_same_seed_same_partition(self, dataset, model_config):
+        a = tr.kfold_split(dataset, model_config, 4, seed=9)
+        b = tr.kfold_split(dataset, model_config, 4, seed=9)
         for fa, fb in zip(a, b):
             assert fa.test == fb.test and fa.train == fb.train
 
-    def test_too_many_folds_rejected(self, raw_view, model_config):
+    def test_too_many_folds_rejected(self, dataset, model_config):
         with pytest.raises(MissingDataError, match="folds"):
-            tr.kfold_split(raw_view, model_config, 10_000, seed=0)
+            tr.kfold_split(dataset, model_config, 10_000, seed=0)
 
-    def test_contiguous_test_blocks_in_time(self, raw_view, model_config):
-        folds = tr.kfold_split(raw_view, model_config, 5, seed=1)
-        walls = [sorted(t * raw_view.interval(r) for r, t in fold.test) for fold in folds]
+    def test_contiguous_test_blocks_in_time(self, dataset, model_config):
+        folds = tr.kfold_split(dataset, model_config, 5, seed=1)
+        walls = [sorted(t * interval(dataset, r) for r, t in fold.test) for fold in folds]
         for earlier, later in zip(walls, walls[1:]):
             assert earlier[-1] <= later[0]
 
-    def test_no_training_sample_touches_test_window(self, raw_view, model_config):
+    def test_no_training_sample_touches_test_window(self, dataset, model_config):
         # instrumented leakage check: every index a training sample reads or
         # predicts lies outside the fold's test wall-clock window
-        folds = tr.kfold_split(raw_view, model_config, 5, seed=1)
+        folds = tr.kfold_split(dataset, model_config, 5, seed=1)
         for fold in folds[:2] + folds[-1:]:
             lo, hi = fold.test_wall
             for road, t in fold.train[::7]:
-                target_walls = np.arange(t, t + model_config.horizon) * raw_view.interval(road)
+                target_walls = np.arange(t, t + model_config.horizon) * interval(dataset, road)
                 assert not np.any((target_walls >= lo) & (target_walls <= hi))
-                for j, idx in reference.sample_footprint(raw_view, model_config, road, t).items():
-                    walls = idx * raw_view.interval(j)
+                for j, idx in reference.sample_footprint(dataset, model_config, road, t).items():
+                    walls = idx * interval(dataset, j)
                     assert not np.any((walls >= lo) & (walls <= hi))
 
     @staticmethod
-    def _footprint_touches(view, config, road, t, window):
-        walls = [np.arange(t, t + config.horizon) * view.interval(road)]
-        walls += [idx * view.interval(j)
-                  for j, idx in reference.sample_footprint(view, config, road, t).items()]
+    def _footprint_touches(dataset, config, road, t, window):
+        walls = [np.arange(t, t + config.horizon) * interval(dataset, road)]
+        walls += [idx * interval(dataset, j)
+                  for j, idx in reference.sample_footprint(dataset, config, road, t).items()]
         return any(np.any((w >= window[0]) & (w <= window[1])) for w in walls)
 
-    def test_fast_filter_matches_footprint_oracle(self, raw_view, model_config):
+    def test_fast_filter_matches_footprint_oracle(self, dataset, model_config):
         # the span-based filter agrees with enumerating the footprint, for
         # every eligible time of the road at once
         rng = np.random.default_rng(23)
-        eligible_roads, eligible_times = tr._eligible_arrays(raw_view, model_config)
+        eligible_roads, eligible_times = tr._eligible_arrays(dataset, model_config)
         for _ in range(200):
             pick = rng.integers(len(eligible_roads))
             road, t = int(eligible_roads[pick]), int(eligible_times[pick])
-            wall = int(t * raw_view.interval(road))
+            wall = int(t * interval(dataset, road))
             width = int(rng.integers(60, 3000))
             lo = wall + int(rng.integers(-30000, 3000))
             window = (lo, lo + width)
-            times = md.eligible_times(raw_view, model_config, road)
-            spans = md.read_spans(raw_view, model_config, road)
-            fast = tr._touches_window(raw_view, road, spans, times, *window)
+            times = md.eligible_times(dataset, model_config, road)
+            spans = md.read_spans(dataset, model_config, road)
+            fast = tr._touches_window(dataset, road, spans, times, *window)
             row = int(np.flatnonzero(times == t)[0])
-            assert bool(fast[row]) == self._footprint_touches(raw_view, model_config, road, t, window), \
+            assert bool(fast[row]) == self._footprint_touches(dataset, model_config, road, t, window), \
                 (road, t, window)
 
     def test_filter_at_span_edges_matches_footprint_oracle(self):
@@ -165,12 +164,11 @@ class TestKfold:
         # each window is at least one interval wide, so it holds a minute of
         # every span it overlaps
         dataset = tiny_dataset(n_roads=4, intervals=(15, 45, 90))
-        view = md.build_view(dataset)
         config = tiny_train_config(hops=2).model_config(dataset)
         rng = np.random.default_rng(29)
-        for road in range(view.graph.size):
-            times = md.eligible_times(view, config, road)
-            spans = md.read_spans(view, config, road)
+        for road in range(dataset.graph.size):
+            times = md.eligible_times(dataset, config, road)
+            spans = md.read_spans(dataset, config, road)
             for t in rng.choice(times, 3, replace=False):
                 _, a, b, first, last = spans.T
                 end = hsc.hour_window_end(t, a, b)
@@ -180,37 +178,37 @@ class TestKfold:
                         width = int(rng.integers(90, 400))
                         for window in ((edge + shift, edge + shift + width),
                                        (edge + shift - width, edge + shift)):
-                            fast = tr._touches_window(view, road, spans, times, *window)
+                            fast = tr._touches_window(dataset, road, spans, times, *window)
                             row = int(np.flatnonzero(times == t)[0])
-                            assert bool(fast[row]) == self._footprint_touches(view, config, road, int(t),
+                            assert bool(fast[row]) == self._footprint_touches(dataset, config, road, int(t),
                                                                               window), (road, t, window)
 
     @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("k", [2, 5])
-    def test_selected_fold_equals_fold_of_full_split(self, raw_view, model_config, k, shuffled):
-        full = tr.kfold_split(raw_view, model_config, k, seed=4, shuffled=shuffled)
+    def test_selected_fold_equals_fold_of_full_split(self, dataset, model_config, k, shuffled):
+        full = tr.kfold_split(dataset, model_config, k, seed=4, shuffled=shuffled)
         for i in range(k):
-            (one,) = tr.kfold_split(raw_view, model_config, k, seed=4, shuffled=shuffled,
+            (one,) = tr.kfold_split(dataset, model_config, k, seed=4, shuffled=shuffled,
                                     indices=[i])
             assert one.index == i
             assert one.train == full[i].train and one.test == full[i].test
             assert one.test_wall == full[i].test_wall
 
-    def test_selected_fold_out_of_range_rejected(self, raw_view, model_config):
+    def test_selected_fold_out_of_range_rejected(self, dataset, model_config):
         with pytest.raises(ConfigError, match="fold index"):
-            tr.kfold_split(raw_view, model_config, 5, seed=1, indices=[5])
+            tr.kfold_split(dataset, model_config, 5, seed=1, indices=[5])
 
-    def test_shuffled_folds_partition_without_filtering(self, raw_view, model_config):
-        folds = tr.kfold_split(raw_view, model_config, 5, seed=1, shuffled=True)
-        roads, _ = tr._eligible_arrays(raw_view, model_config)
+    def test_shuffled_folds_partition_without_filtering(self, dataset, model_config):
+        folds = tr.kfold_split(dataset, model_config, 5, seed=1, shuffled=True)
+        roads, _ = tr._eligible_arrays(dataset, model_config)
         for fold in folds:
             assert len(fold.train) + len(fold.test) == len(roads)
             assert fold.test_wall is None
 
 
 class TestTrainingDayMasks:
-    def test_masks_exclude_test_days_only(self, dataset, raw_view, model_config):
-        folds = tr.kfold_split(raw_view, model_config, 5, seed=1)
+    def test_masks_exclude_test_days_only(self, dataset, model_config):
+        folds = tr.kfold_split(dataset, model_config, 5, seed=1)
         fold = folds[2]
         mask = tr.training_day_mask(dataset, fold)
         lo, hi = fold.test_wall
@@ -382,8 +380,8 @@ def per_leaf_adam(leaves, state, learning_rate, b1=0.9, b2=0.999, eps=1e-8):
 
 
 class TestVectorAdam:
-    def test_bit_identical_to_per_leaf_loop(self, dataset, raw_view, model_config):
-        fold = tr.kfold_split(raw_view, model_config, 5, seed=1, indices=[4])[0]
+    def test_bit_identical_to_per_leaf_loop(self, dataset, model_config):
+        fold = tr.kfold_split(dataset, model_config, 5, seed=1, indices=[4])[0]
         view, _ = tr.fitted_view(dataset, fold)
         gi = tr.SampleCache(view, model_config, fold.train[:24]).table
         params = md.init_mcan(model_config, np.random.default_rng(31))
@@ -430,7 +428,7 @@ class TestTapeFreePrediction:
     def setup(self, dataset):
         config = tiny_train_config(hidden_size=16, embed_len=6, filters=4, hops=2)
         mc = config.model_config(dataset)
-        fold = tr.kfold_split(md.build_view(dataset), mc, 5, seed=1, indices=[4])[0]
+        fold = tr.kfold_split(dataset, mc, 5, seed=1, indices=[4])[0]
         view, _ = tr.fitted_view(dataset, fold)
         params = md.init_mcan(mc, np.random.default_rng(41))
         samples = fold.train[::-1][:64] + fold.test[:64]  # two chunks of 64, roads mixed
@@ -450,7 +448,7 @@ class TestTapeFreePrediction:
         chunk is full and is followed by a partial one."""
         dataset = tiny_dataset(n_roads=3, intervals=(30, 60))
         config = tiny_train_config(hidden_size=8, embed_len=6, filters=4, hops=2)
-        fold = tr.kfold_split(md.build_view(dataset), config.model_config(dataset), 5, seed=1,
+        fold = tr.kfold_split(dataset, config.model_config(dataset), 5, seed=1,
                               indices=[4])[0]
         view, _ = tr.fitted_view(dataset, fold)
         return dataset, view, fold.train[::-1][:520] + fold.test[:80]
@@ -546,9 +544,8 @@ class TestBaseline:
     def test_exactly_periodic_data_gives_zero_error(self):
         dataset = tiny_dataset(days=16, noise=0.0, obs_noise=0.0, coupling=0.0,
                                weekly_amplitude=0.0, weather_impact=0.0)
-        view = md.build_view(dataset)
         mc = tiny_train_config().model_config(dataset)
-        fold = tr.kfold_split(view, mc, 5, seed=1)[-1]
+        fold = tr.kfold_split(dataset, mc, 5, seed=1)[-1]
         report = tr.historical_average_baseline(dataset, fold, mc.horizon)
         assert report.mae == pytest.approx(0.0, abs=1e-9)
         assert report.rmse == pytest.approx(0.0, abs=1e-9)
@@ -559,9 +556,8 @@ class TestBaseline:
                                weekly_amplitude=0.0, weather_impact=0.0)
         for s in dataset.series:
             s.values[:] = 33.0
-        view = md.build_view(dataset)
         mc = tiny_train_config().model_config(dataset)
-        fold = tr.kfold_split(view, mc, 5, seed=1)[-1]
+        fold = tr.kfold_split(dataset, mc, 5, seed=1)[-1]
         report = tr.historical_average_baseline(dataset, fold, mc.horizon)
         assert report.rmse == 0.0
 
@@ -569,7 +565,7 @@ class TestBaseline:
     def test_bit_identical_to_per_sample_reference(self, fold_index):
         dataset = tiny_dataset(days=16, n_roads=4, intervals=(30, 60, 120))
         mc = tiny_train_config(horizon=3).model_config(dataset)
-        (fold,) = tr.kfold_split(md.build_view(dataset), mc, 5, seed=1, indices=[fold_index])
+        (fold,) = tr.kfold_split(dataset, mc, 5, seed=1, indices=[fold_index])
         for samples in (None, fold.train, fold.test[::-3], np.asarray(fold.test[::-3])):
             got = tr.historical_average_baseline(dataset, fold, mc.horizon, samples)
             expected = reference.historical_average_baseline(dataset, fold, mc.horizon, samples)
@@ -583,9 +579,8 @@ class TestBaseline:
         sigma = 2.0
         dataset = tiny_dataset(days=100, n_roads=2, noise=0.0, obs_noise=sigma,
                                coupling=0.0, weekly_amplitude=0.0, weather_impact=0.0)
-        view = md.build_view(dataset)
         mc = tiny_train_config().model_config(dataset)
-        fold = tr.kfold_split(view, mc, 5, seed=1)[-1]
+        fold = tr.kfold_split(dataset, mc, 5, seed=1)[-1]
         report = tr.historical_average_baseline(dataset, fold, mc.horizon)
         assert report.sample_count * mc.horizon > 1500
         assert abs(report.rmse - sigma) / sigma < 0.10
@@ -626,7 +621,7 @@ class TestLeakProperty:
         clean = gd.generate_synthetic(generator, seed)
         perturbed = gd.generate_synthetic(generator, seed)
         mc = config.model_config(clean)
-        (fold,) = tr.kfold_split(md.build_view(clean), mc, config.folds, seed,
+        (fold,) = tr.kfold_split(clean, mc, config.folds, seed,
                                  indices=[fold_pick % config.folds])
         lo, hi = fold.test_wall
         rng = np.random.default_rng(seed)
@@ -636,7 +631,7 @@ class TestLeakProperty:
             s.values[inside] += rng.uniform(1.0, 10.0, size=inside.sum())
         assert not np.array_equal(clean.series[fold.test[0][0]].values,
                                   perturbed.series[fold.test[0][0]].values)
-        (again,) = tr.kfold_split(md.build_view(perturbed), mc, config.folds, seed,
+        (again,) = tr.kfold_split(perturbed, mc, config.folds, seed,
                                   indices=[fold.index])
         assert again.train == fold.train and again.test == fold.test
 

@@ -2,8 +2,11 @@
 trend, and deviation measurements, emitted as plot-ready tables.
 
 For two roads with unequal sampling intervals the correlations are computed
-only at wall-clock times both roads observe; a constant window makes the
-Pearson coefficient undefined and is reported as missing, never as zero.
+only at wall-clock times both roads observe.  Each measurement's curve is one
+gather of every shared time's same-slot window, ``(walls, window_days + 1)``
+per road, and one row-wise Pearson coefficient over it, taken in blocks of
+:data:`WALL_BLOCK` times.  A constant window makes the coefficient undefined:
+it is ``nan`` in the curve and an empty cell in the table, never zero.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from . import graphdata as gd
 from .errors import ConfigError, MissingDataError
 
 MEASUREMENTS = ("speed", "trend", "deviation")
+WALL_BLOCK = 4096  # shared times per gather, so memory does not grow with the span
 
 
 def check_request(measurements, window_days: int, wall_range: tuple[int, int | None] | None = None,
@@ -54,30 +58,18 @@ def check_request(measurements, window_days: int, wall_range: tuple[int, int | N
     return measurements
 
 
-def same_slot_series(values, t: int, window_days: int, slots_per_day: int) -> np.ndarray:
-    """Values at ``t, t - spd, ..., t - window_days * spd`` (length d + 1)."""
-    if window_days < 0:
-        raise ConfigError(f"window_days must be >= 0, got {window_days}")
-    if t - window_days * slots_per_day < 0:
-        raise MissingDataError(
-            f"same_slot_series at t={t} needs {window_days} previous days"
-        )
-    idx = t - np.arange(window_days + 1) * slots_per_day
-    return np.asarray(values[idx], dtype=np.float64)
-
-
-def pearson(a, b) -> float | None:
-    """Sample Pearson correlation; None when either vector is constant."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-        raise ConfigError(f"pearson needs two equal-length vectors (>= 2), got {a.shape}, {b.shape}")
-    da = a - a.mean()
-    db = b - b.mean()
-    norm = math.sqrt(float(da @ da) * float(db @ db))
-    if norm == 0.0:
-        return None
-    return float(np.clip((da @ db) / norm, -1.0, 1.0))
+def pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sample Pearson coefficient of each row of ``a`` with the same row
+    of ``b`` (two ``(R, n)`` arrays); nan where either row is constant or holds
+    a nan.  Each row's three sums are the dot products a one-row coefficient
+    takes, so every value is that coefficient bit for bit."""
+    da, db = (x - x.mean(axis=1, keepdims=True) for x in (a, b))
+    aa, bb, ab = (np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0] for x, y in ((da, da), (db, db), (da, db)))
+    norm = np.sqrt(aa * bb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.clip(ab / norm, -1.0, 1.0)
+    r[norm == 0.0] = np.nan
+    return r
 
 
 @dataclass
@@ -88,7 +80,7 @@ class CorrelationSeries:
     road_b: int
     measurement: str
     time_slots: np.ndarray  # wall-clock minutes
-    values: list[float | None]
+    values: np.ndarray  # float64, nan where undefined
 
 
 def _measurement_series(series: gd.SpeedSeries, slots_per_day: int, measurement: str) -> np.ndarray:
@@ -132,60 +124,37 @@ def multifold_correlation_report(
     if len(walls) == 0:  # start is past first, and no shared slot lies before end
         raise ConfigError(f"wall_start {start} to wall_end {end} holds no minute that is a multiple of "
                           f"{stride}, the shared stride of the two roads' sampling intervals")
-    prepared = {
-        m: (_measurement_series(series_a, spd_a, m), _measurement_series(series_b, spd_b, m))
-        for m in measurements
-    }
+    lags = np.arange(window_days + 1) * gd.MINUTES_PER_DAY
     report = []
     for m in measurements:
-        ma, mb = prepared[m]
-        values: list[float | None] = []
-        for wall in walls:
-            ta = int(wall) // interval_a
-            tb = int(wall) // interval_b
-            vec_a = same_slot_series(ma, ta, window_days, spd_a)
-            vec_b = same_slot_series(mb, tb, window_days, spd_b)
-            if np.isnan(vec_a).any() or np.isnan(vec_b).any():
-                values.append(None)
-            else:
-                values.append(pearson(vec_a, vec_b))
-        report.append(CorrelationSeries(
-            road_a=series_a.road_id, road_b=series_b.road_id,
-            measurement=m, time_slots=walls.copy(), values=values,
-        ))
+        ma = _measurement_series(series_a, spd_a, m)
+        mb = _measurement_series(series_b, spd_b, m)
+        values = np.empty(len(walls))
+        for lo in range(0, len(walls), WALL_BLOCK):
+            minutes = walls[lo:lo + WALL_BLOCK, None] - lags  # same slot, 0..window_days days back
+            values[lo:lo + WALL_BLOCK] = pearson_rows(ma[minutes // interval_a], mb[minutes // interval_b])
+        report.append(CorrelationSeries(series_a.road_id, series_b.road_id, m, walls.copy(), values))
     return report
 
 
 def dominant_measurement_shares(report: list[CorrelationSeries]) -> dict[str, float]:
     """Fraction of time slots where each measurement has the largest absolute
-    correlation (slots where every measurement is undefined are skipped)."""
+    correlation, the first listed winning a tie (slots where every measurement
+    is undefined are skipped)."""
     if not report:
         raise ConfigError("empty correlation report")
-    slots = len(report[0].time_slots)
-    wins = {series.measurement: 0 for series in report}
-    counted = 0
-    for k in range(slots):
-        best = None
-        best_value = -1.0
-        for series in report:
-            v = series.values[k]
-            if v is not None and abs(v) > best_value:
-                best = series.measurement
-                best_value = abs(v)
-        if best is not None:
-            wins[best] += 1
-            counted += 1
-    if counted == 0:
-        return {m: 0.0 for m in wins}
-    return {m: count / counted for m, count in wins.items()}
+    magnitude = np.abs([series.values for series in report])
+    defined = ~np.isnan(magnitude).all(axis=0)
+    best = np.argmax(np.nan_to_num(magnitude, nan=-1.0), axis=0)[defined]
+    wins = np.bincount(best, minlength=len(report)).tolist()
+    return {series.measurement: count / max(len(best), 1) for series, count in zip(report, wins)}
 
 
 def write_correlation_table(path, report: list[CorrelationSeries]) -> None:
     """Rows ``time_slot, measurement, correlation``; undefined entries are empty."""
     lines = ["time_slot,measurement,correlation"]
     for series in report:
-        for wall, value in zip(series.time_slots, series.values):
-            text = "" if value is None else repr(value)
-            lines.append(f"{int(wall)},{series.measurement},{text}")
+        for wall, value in zip(series.time_slots.tolist(), series.values.tolist()):
+            lines.append(f"{wall},{series.measurement}," + ("" if math.isnan(value) else repr(value)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -74,15 +74,17 @@ def _parse_override(text: str):
 
 
 def _typed(key: str, value, kind: type):
-    """``value`` as a ``kind`` (integral numbers count as ints, booleans as
-    neither ints nor floats, and a float must be finite, as
-    :func:`graphdata.typed_value` asks), or a ConfigError naming ``key``."""
+    """``value`` as a ``kind`` (integral numbers count as ints if 64 bits hold
+    them, as in the CSV files; booleans count as neither ints nor floats, and
+    a float must be finite, as :func:`graphdata.typed_value` asks), or a
+    ConfigError naming ``key``."""
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int no float64 holds
             raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
         return float(value)
-    if kind is int and isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and float(value).is_integer():
+    if kind is int and (type(value) is int or (isinstance(value, float) and value.is_integer())):
+        if not -2**63 <= value < 2**63:  # exact for ints and floats alike
+            raise ConfigError(f"config key {key!r} is outside the 64-bit integer range, got {value!r}")
         return int(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")

@@ -124,11 +124,11 @@ class ModelConfig(ArchitectureConfig):
 
     @property
     def static_width(self) -> int:
-        return 1 + self.road_type_count + 2
+        return static_vector_width(self.road_type_count)
 
     @property
     def dynamic_width(self) -> int:
-        return self.weather_code_count + 1 + 1 + 7
+        return dynamic_factors_width(self.weather_code_count)
 
 
 @dataclass
@@ -394,13 +394,24 @@ def assemble_group(view: DataView, config: ModelConfig, roads, times) -> GroupIn
     return parts[0] if len(parts) == 1 else _zip_inputs(_stack_rows, parts)
 
 
+def static_vector_width(road_type_count: int) -> int:
+    """Width of :func:`static_vector`: length, one-hot road type, lanes, traffic lights."""
+    return 1 + road_type_count + 2
+
+
+def dynamic_factors_width(weather_code_count: int) -> int:
+    """Width of :func:`dynamic_factors`: one-hot weather, holiday, slot of day,
+    one-hot day of week."""
+    return weather_code_count + 1 + 1 + 7
+
+
 def static_vector(node: gd.RoadSegment, road_type_count: int) -> np.ndarray:
     """A road's static factors: length in km, one-hot road type, lanes and
     traffic lights."""
-    one_hot = np.zeros(road_type_count)
-    one_hot[node.road_type] = 1.0
-    return np.concatenate([[node.length_m / 1000.0], one_hot,
-                           [float(node.lanes), float(node.traffic_lights)]])
+    out = np.zeros(static_vector_width(road_type_count))
+    out[[0, -2, -1]] = node.length_m / 1000.0, node.lanes, node.traffic_lights
+    out[1 + node.road_type] = 1.0
+    return out
 
 
 def dynamic_factors(ctx: gd.ContextFeatures, idx: np.ndarray, slots_per_day: int,
@@ -409,7 +420,7 @@ def dynamic_factors(ctx: gd.ContextFeatures, idx: np.ndarray, slots_per_day: int
     slot: one-hot weather (codes past the last clipped to it), holiday flag,
     slot of day over slots per day, one-hot day of week."""
     flat, rows = idx.ravel(), np.arange(idx.size)
-    out = np.zeros((idx.size, weather_code_count + 1 + 1 + 7))
+    out = np.zeros((idx.size, dynamic_factors_width(weather_code_count)))
     out[rows, np.minimum(ctx.weather[flat], weather_code_count - 1)] = 1.0
     out[:, weather_code_count] = ctx.holiday[flat]
     out[:, weather_code_count + 1] = (flat % slots_per_day) / slots_per_day
@@ -464,6 +475,7 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
             f"road {road}: sample at t={times.max()} needs {config.horizon} future values"
         )
     recent = gd.branch_indices(times, "recent", config.recent_steps, spd)
+    targets = {ch: gd.channel_window(values, ybar, times, ch)[:, None] for ch in channels}
     return GroupInputs(
         roads=np.full(batch, road),
         times=times,
@@ -475,8 +487,8 @@ def _assemble_road(view: DataView, config: ModelConfig, road: int, times: np.nda
         static=np.tile(static_vector(dataset.graph.nodes[road], dataset.road_type_count), (batch, 1)),
         dynamic=dynamic_factors(dataset.contexts[road], recent, spd, dataset.weather_code_count),
         target_speed=values[horizon_idx],
-        target_trend=(values[times] - values[times - 1]).reshape(-1, 1) if config.use_trend else None,
-        target_deviation=(values[times] - ybar[times % spd]).reshape(-1, 1) if config.use_deviation else None,
+        target_trend=targets.get("trend"),
+        target_deviation=targets.get("deviation"),
     )
 
 

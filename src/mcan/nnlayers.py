@@ -310,10 +310,6 @@ class FnnParams:
     def input_size(self) -> int:
         return self.layers[0].weight.data.shape[0]
 
-    @property
-    def output_size(self) -> int:
-        return self.layers[-1].weight.data.shape[1]
-
 
 def init_fnn(rng, input_size: int, hidden_sizes: list[int], output_size: int) -> FnnParams:
     """Sigmoid hidden layers followed by an identity output layer."""
@@ -385,10 +381,6 @@ class AttentionParams:
 
     projection: DiffValue  # (in, out)
     query: DiffValue  # (out,)
-
-    @property
-    def output_size(self) -> int:
-        return self.projection.data.shape[1]
 
 
 def init_attention(rng, input_size: int, output_size: int) -> AttentionParams:

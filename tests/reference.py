@@ -17,6 +17,13 @@ series and ``static_features`` spells out its static vector, where
 ``model.dynamic_factors`` and ``model.static_vector`` build one batch's rows.
 Each pair must agree exactly.
 
+``multifold_correlation_report`` computes the correlation curves one
+wall-clock slot at a time, from ``same_slot_series`` and a one-pair
+``pearson`` (None where undefined), and ``dominant_measurement_shares`` picks
+each slot's dominant measurement in a loop; ``analysis`` gathers every slot's
+windows at once and takes a row-wise coefficient, and must give the same
+values bit for bit, with nan where the loop gives None, and the same shares.
+
 ``chebyshev_features``, ``correlation_scores`` and ``kernel_response`` compose
 the CPA series and one GCN hop from elementary autodiff ops, one neighbor at a
 time; ``hsc.gcn_hop_features``, applied to all hops at once, and
@@ -51,6 +58,7 @@ import math
 
 import numpy as np
 
+from mcan import analysis as an
 from mcan import autodiff as ad
 from mcan import graphdata as gd
 from mcan import hsc
@@ -262,6 +270,84 @@ def historical_average_baseline(dataset: gd.TrafficDataset, fold, horizon: int, 
         truth[row] = dataset.series[road].values[idx]
         preds[row] = averages[road][idx % spd]
     return tr.compute_metrics(truth, preds)
+
+
+def same_slot_series(values, t: int, window_days: int, slots_per_day: int) -> np.ndarray:
+    """Values at ``t, t - spd, ..., t - window_days * spd`` (length d + 1)."""
+    if window_days < 0:
+        raise ConfigError(f"window_days must be >= 0, got {window_days}")
+    if t - window_days * slots_per_day < 0:
+        raise MissingDataError(
+            f"same_slot_series at t={t} needs {window_days} previous days"
+        )
+    idx = t - np.arange(window_days + 1) * slots_per_day
+    return np.asarray(values[idx], dtype=np.float64)
+
+
+def pearson(a, b) -> float | None:
+    """Sample Pearson correlation; None when either vector is constant."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
+        raise ConfigError(f"pearson needs two equal-length vectors (>= 2), got {a.shape}, {b.shape}")
+    da = a - a.mean()
+    db = b - b.mean()
+    norm = math.sqrt(float(da @ da) * float(db @ db))
+    if norm == 0.0:
+        return None
+    return float(np.clip((da @ db) / norm, -1.0, 1.0))
+
+
+def multifold_correlation_report(series_a: gd.SpeedSeries, series_b: gd.SpeedSeries, interval_a: int,
+                                 interval_b: int, measurements, window_days: int,
+                                 wall_range=None) -> list[an.CorrelationSeries]:
+    """``analysis.multifold_correlation_report`` one wall-clock slot at a
+    time: each shared slot's two same-slot series and their :func:`pearson`,
+    None where either holds a nan or is constant."""
+    span = min(len(series_a) * interval_a, len(series_b) * interval_b)
+    measurements = an.check_request(measurements, window_days, wall_range, span)
+    stride = math.lcm(interval_a, interval_b)
+    spd_a = gd.MINUTES_PER_DAY // interval_a
+    spd_b = gd.MINUTES_PER_DAY // interval_b
+    start, end = wall_range or (0, None)
+    end = span if end is None else end
+    walls = np.arange(-(-max(window_days * gd.MINUTES_PER_DAY, start) // stride) * stride, end, stride)
+    report = []
+    for m in measurements:
+        ma = an._measurement_series(series_a, spd_a, m)
+        mb = an._measurement_series(series_b, spd_b, m)
+        values: list[float | None] = []
+        for wall in walls:
+            vec_a = same_slot_series(ma, int(wall) // interval_a, window_days, spd_a)
+            vec_b = same_slot_series(mb, int(wall) // interval_b, window_days, spd_b)
+            if np.isnan(vec_a).any() or np.isnan(vec_b).any():
+                values.append(None)
+            else:
+                values.append(pearson(vec_a, vec_b))
+        report.append(an.CorrelationSeries(series_a.road_id, series_b.road_id, m, walls.copy(), values))
+    return report
+
+
+def dominant_measurement_shares(report) -> dict[str, float]:
+    """``analysis.dominant_measurement_shares`` slot by slot over curves whose
+    values are lists holding None where undefined."""
+    slots = len(report[0].time_slots)
+    wins = {series.measurement: 0 for series in report}
+    counted = 0
+    for k in range(slots):
+        best = None
+        best_value = -1.0
+        for series in report:
+            v = series.values[k]
+            if v is not None and abs(v) > best_value:
+                best = series.measurement
+                best_value = abs(v)
+        if best is not None:
+            wins[best] += 1
+            counted += 1
+    if counted == 0:
+        return {m: 0.0 for m in wins}
+    return {m: count / counted for m, count in wins.items()}
 
 
 def lstm_cell(p, x, h_prev, c_prev) -> tuple[np.ndarray, np.ndarray]:

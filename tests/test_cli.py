@@ -349,6 +349,28 @@ class TestNonFiniteValues:
         assert not (tmp_path / "out").exists()
 
 
+class TestIntegerRange:
+    # The integer keys follow the CSV loader's 64-bit rule: a number no int64
+    # holds, integral float or int, is refused before any file is read.
+    @pytest.mark.parametrize("command,key", [
+        ("generate", "days"), ("generate", "n_roads"), ("train", "epochs"), ("train", "hidden_size"),
+    ])
+    @pytest.mark.parametrize("text", ["1e30", "1" + "0" * 400, "-1" + "0" * 400],
+                             ids=["1e30", "int-1e400", "int-minus-1e400"])
+    @pytest.mark.parametrize("given_in", ["set", "file"])
+    def test_beyond_int64_is_usage_error_before_reading(self, tmp_path, capsys, command, key, text, given_in):
+        value = json.loads(text)
+        overrides = {key: value} if given_in == "file" else {}
+        args = (generate_args(tmp_path, "out", **overrides) if command == "generate"
+                else train_args(tmp_path, tmp_path / "missing", "out", **overrides))
+        if given_in == "set":
+            args += ["--set", f"{key}={text}"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (f"error: config key {key!r} is outside the 64-bit integer range, "
+                                           f"got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     def test_metrics_table_and_summary(self, tmp_path, data_dir, trained_dir, capsys):
         config = write_config(
@@ -960,22 +982,33 @@ def test_readme_outputs_against_lists_every_differing_file(monkeypatch, capsys):
     tool = readme_outputs_tool()
     src = str(Path(cli.__file__).resolve().parents[1])
 
-    def checkpoint(theta):
-        return json.dumps(encode_theta({"format_version": 4, "state": {"mean": [0.5]}}, theta),
-                          indent=1, sort_keys=True).encode()
+    def checkpoint(theta, index=None):
+        doc = {"format_version": 4, "state": {"mean": [0.5]}}
+        if index is not None:
+            doc["parameters"] = index
+        return json.dumps(encode_theta(doc, theta), indent=1, sort_keys=True).encode()
 
     # base64 text holds digit runs; only decoded do the two blocks compare value by value
     theta = np.random.default_rng(0).normal(size=40)
     nudged = theta.copy()
     nudged[17] *= 1 + 1e-13
+    # indexed checkpoints pair theta by name: the same parameters listed in
+    # another order compare equal, and a parameter only one lists is named
+    index = [["w", [2, 3]], ["b", [3]], ["q", [1]]]
+    parts = {name: theta[start:stop] for name, start, stop in (("w", 0, 6), ("b", 6, 9), ("q", 9, 10))}
+    reordered = [index[2], index[0], index[1]]
     runs = iter([{"a.csv": b"x,1\n", "b.json": b"[0.5, 2]", "c.csv": b"3", "e.csv": b"y,1.0,7\n",
-                  "f.json": checkpoint(theta)},
+                  "f.json": checkpoint(theta), "g.json": checkpoint(theta[:10], index),
+                  "h.json": checkpoint(theta[:10], index)},
                  {"a.csv": b"x,1\n", "b.json": b"[0.5]", "d.csv": b"4", "e.csv": b"y,1.0000000000001,7\n",
-                  "f.json": checkpoint(nudged)}])
+                  "f.json": checkpoint(nudged),
+                  "g.json": checkpoint(np.concatenate([parts[name] for name, _ in reordered]), reordered),
+                  "h.json": checkpoint(np.concatenate([parts["w"], parts["b"], [7.0, 8.0]]),
+                                       index[:2] + [["z", [2]]])}])
     monkeypatch.setattr(tool, "outputs", lambda tree: next(runs))
     assert tool.main([src, "--against", src]) == 1
     short = {content: tool.digest(content)[:8] for content in (b"[0.5, 2]", b"[0.5]", b"3", b"4")}
-    lines = capsys.readouterr().out.splitlines()[5:]
+    lines = capsys.readouterr().out.splitlines()[7:]  # after the first tree's 7 digests
     assert lines[:3] == [
         f"differs: b.json  {short[b'[0.5, 2]']} != {short[b'[0.5]']}",
         f"differs: c.csv  {short[b'3']} != absent",
@@ -986,7 +1019,11 @@ def test_readme_outputs_against_lists_every_differing_file(monkeypatch, capsys):
         planted = re.fullmatch(rf"differs: {re.escape(name)}  \w{{8}} != \w{{8}}  "
                                rf"\(largest relative difference (\S+) over {count} numbers\)", line)
         assert planted and float(planted[1]) == pytest.approx(1e-13, rel=0.01), line
-    assert len(lines) == 5
+    assert re.fullmatch(r"differs: g\.json  \w{8} != \w{8}  \(largest relative difference 0\.0e\+00 over 12 numbers\)",
+                        lines[5]), lines[5]
+    assert re.fullmatch(r"differs: h\.json  \w{8} != \w{8}  \(largest relative difference 0\.0e\+00 over 11 numbers\)"
+                        r"  \(parameters: q only in the first tree, z only in the other tree\)", lines[6]), lines[6]
+    assert len(lines) == 7
     same = {"a.csv": b"x,1\n"}
     monkeypatch.setattr(tool, "outputs", lambda tree: same)
     assert tool.main([src, "--against", src]) == 0

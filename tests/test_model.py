@@ -681,6 +681,20 @@ class TestContext:
             assert gi.dynamic[row].tobytes() == table[t - config.recent_steps : t].tobytes()
             assert gi.static[row].tobytes() == reference.static_features(node, dataset.road_type_count).tobytes()
 
+    def test_encoder_widths_follow_non_default_counts(self, mixed_view):
+        # 5 weather codes and 2 road types, neither the config default: the
+        # assembled context must be as wide as the encoders the config builds
+        dataset = mixed_view.dataset
+        nodes = [dataclasses.replace(node, road_type=node.road_type % 2) for node in dataset.graph.nodes]
+        dataset = dataclasses.replace(dataset, graph=gd.RoadGraph(nodes, dataset.graph.edges),
+                                      weather_code_count=5, road_type_count=2)
+        view = dataclasses.replace(mixed_view, dataset=dataset)
+        config = small_config(weather_code_count=5, road_type_count=2)
+        gi = md.assemble_group(view, config, *mixed_samples(view, config))
+        assert (gi.static.shape[-1], gi.dynamic.shape[-1]) == (config.static_width, config.dynamic_width) == (5, 14)
+        speed, _, _ = md.forward_group(md.init_mcan(config, np.random.default_rng(41)), gi)
+        assert speed.data.shape == (len(gi.roads), config.horizon) and np.isfinite(speed.data).all()
+
     def test_road_type_changes_static_summary(self, view):
         config = small_config()
         params = md.init_mcan(config, np.random.default_rng(43))

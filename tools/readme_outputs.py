@@ -15,7 +15,9 @@ such a file.  When both versions of a differing file hold the same count of
 numbers, its line also gives the largest relative difference between
 corresponding numbers, so a change that only rounds differently shows as
 such.  A checkpoint's base64 ``theta`` block counts as the float64 values
-it encodes.  For example:
+it encodes.  When both versions of a checkpoint carry a ``parameters``
+index, ``theta``'s values are paired by parameter name, not by position, and
+the line names every parameter that only one of them lists.  For example:
 
     python tools/readme_outputs.py src --against ../parent/src
 """
@@ -25,6 +27,8 @@ from __future__ import annotations
 import argparse
 import base64
 import hashlib
+import json
+import math
 import re
 import subprocess
 import sys
@@ -57,6 +61,35 @@ def numbers(text: bytes) -> np.ndarray:
                            for k, piece in enumerate(pieces)])
 
 
+def parameters(text: bytes) -> tuple[np.ndarray, dict[str, np.ndarray]] | None:
+    """For a checkpoint with a ``parameters`` index of ``[name, shape]`` pairs,
+    the numbers outside ``theta`` and that index, and ``theta``'s values by
+    parameter name; None for any other file."""
+    try:
+        doc = json.loads(text)
+        index, theta = doc.pop("parameters"), np.frombuffer(base64.b64decode(doc.pop("theta")), "<f8")
+    except (ValueError, TypeError, KeyError, AttributeError):  # not JSON, not an object, or no index
+        return None
+    names = [name for name, _ in index]
+    cuts = np.cumsum([math.prod(shape) for _, shape in index])[:-1]
+    return numbers(json.dumps(doc).encode()), dict(zip(names, np.split(theta, cuts)))
+
+
+def paired_numbers(ours: bytes, theirs: bytes) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The numbers of the two texts in the order they are compared, and the
+    names of the parameters only one of two indexed checkpoints lists.  Two
+    such checkpoints give their other numbers in order, then ``theta``'s
+    values name by name over the names both list."""
+    mine, other = parameters(ours), parameters(theirs)
+    if mine is None or other is None:
+        return numbers(ours), numbers(theirs), []
+    common = [name for name in mine[1] if name in other[1]]
+    only = [f"{name} only in the first tree" for name in mine[1] if name not in other[1]]
+    only += [f"{name} only in the other tree" for name in other[1] if name not in mine[1]]
+    return (np.concatenate([mine[0]] + [mine[1][name] for name in common]),
+            np.concatenate([other[0]] + [other[1][name] for name in common]), only)
+
+
 def outputs(src: Path) -> dict[str, bytes]:
     """Run the command block on ``src``; the bytes of each file it writes, by path."""
     prelude = f'mcan() {{ PYTHONPATH="{src}" "{sys.executable}" -m mcan.cli "$@"; }}\n'
@@ -72,11 +105,10 @@ def digest(content: bytes | None) -> str:
     return "absent" if content is None else hashlib.sha256(content).hexdigest()
 
 
-def largest_relative_difference(ours: bytes, theirs: bytes) -> tuple[float, int] | None:
-    """The largest ``|a - b| / max(|a|, |b|)`` over the numbers of the two
-    texts taken in order (0 where both are 0) and their count, or None when
-    the counts differ."""
-    a, b = numbers(ours), numbers(theirs)
+def largest_relative_difference(a: np.ndarray, b: np.ndarray) -> tuple[float, int] | None:
+    """The largest ``|a - b| / max(|a|, |b|)`` over two number sequences taken
+    in order (0 where both are 0) and their count, or None when the counts
+    differ."""
     if len(a) != len(b):
         return None
     scale = np.maximum(np.abs(a), np.abs(b))
@@ -93,9 +125,13 @@ def differences(ours: dict[str, bytes], theirs: dict[str, bytes]) -> list[str]:
         if mine == other:
             continue
         line = f"differs: {path}  {digest(mine)[:8]} != {digest(other)[:8]}"
-        relative = None if mine is None or other is None else largest_relative_difference(mine, other)
-        if relative is not None:
-            line += "  (largest relative difference {:.1e} over {} numbers)".format(*relative)
+        if mine is not None and other is not None:
+            a, b, only = paired_numbers(mine, other)
+            relative = largest_relative_difference(a, b)
+            if relative is not None:
+                line += "  (largest relative difference {:.1e} over {} numbers)".format(*relative)
+            if only:
+                line += f"  (parameters: {', '.join(only)})"
         lines.append(line)
     return lines
 
